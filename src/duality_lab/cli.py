@@ -34,12 +34,7 @@ from .measurements import (
     conditional_conclusive,
     measurement_to_json_dict,
 )
-from .saturation import (
-    SCAN_MAX_PATHS,
-    saturating_dimensions,
-    saturation_scan,
-    write_saturation_csv,
-)
+from .saturation import census_blocks, saturating_dimensions, write_saturation_csv
 from .states import (
     ValidationError,
     enumerate_uniform_specs,
@@ -154,22 +149,18 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_saturation(args) -> int:
-    if args.N > SCAN_MAX_PATHS:
-        raise ValidationError(
-            f"census budget exceeded: N must be <= {SCAN_MAX_PATHS}, got {args.N}"
-        )
-    reports = saturation_scan(args.N)
+    blocks = census_blocks(args.N)
     dims, count = saturating_dimensions(args.N)
     summary = (
         f"N={args.N} nontrivial saturating dimensions: "
         f"{','.join(map(str, dims)) if dims else 'none'} (eta-2 = {count})"
     )
     if args.out is None:
-        write_saturation_csv(reports, sys.stdout)
+        write_saturation_csv(blocks, sys.stdout)
         print(summary, file=sys.stderr)
     else:
         with _open_out(args.out) as handle:
-            write_saturation_csv(reports, handle)
+            write_saturation_csv(blocks, handle)
         print(summary)
     return EXIT_OK
 

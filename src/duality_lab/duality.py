@@ -24,6 +24,7 @@ from .states import DetectorSpec, ValidationError
 __all__ = [
     "DualityPoint",
     "shannon_entropy",
+    "shannon_entropies",
     "coherence",
     "knowledge_frio",
     "knowledge_concatenated",
@@ -54,6 +55,38 @@ def shannon_entropy(probabilities) -> float:
         raise ValidationError(f"entropy input must sum to 1 within {SUM_ATOL} (got {total!r})")
     positive = probs[probs > 0.0]
     return float(-(positive * np.log2(positive)).sum())
+
+
+def shannon_entropies(probabilities) -> np.ndarray:
+    """Shannon entropy in bits of each row of a 2-D array.
+
+    Validates and clamps every row as :func:`shannon_entropy` does. Each row's
+    strictly positive entries are summed as one contiguous vector, in the
+    order :func:`shannon_entropy` sums them, so entry ``i`` equals
+    ``shannon_entropy(probabilities[i])`` bit for bit; summing zero-padded
+    rows instead would change the pairwise order and the last digit.
+    """
+    probs = np.asarray(probabilities, dtype=float)
+    if probs.ndim != 2 or probs.size == 0 or float(probs.min()) < -ENTRY_ATOL:
+        raise ValidationError(
+            "entropy input must be a nonempty 2-D array of entries >= -1e-12"
+        )
+    probs = np.clip(probs, 0.0, 1.0)
+    totals = probs.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > SUM_ATOL)
+    if off.size:
+        raise ValidationError(
+            f"entropy input must sum to 1 within {SUM_ATOL} "
+            f"(row {off[0]} sums to {float(totals[off[0]])!r})"
+        )
+    positive = probs > 0.0
+    counts = positive.sum(axis=1)
+    entropies = np.empty(len(probs))
+    for count in np.unique(counts):
+        rows = counts == count
+        compact = probs[rows][positive[rows]].reshape(-1, count)
+        entropies[rows] = -(compact * np.log2(compact)).sum(axis=1)
+    return entropies
 
 
 def _normalized_info(probabilities, n_paths: int) -> float:

@@ -9,30 +9,40 @@ subspace dimensions admitting nontrivial saturation is the divisor count of
 N minus the two trivial ones. This module builds those supports, detects
 saturation, classifies support structures, and brute-force scans all uniform
 scenarios of a given path count.
+
+The scan runs in blocks: :func:`census_blocks` evaluates up to
+``CENSUS_CHUNK`` supports of one dimension per batched FFT and entropy call,
+so a census streams to CSV in memory that does not grow with N. The scalar
+functions (:func:`dft_distribution`, :func:`is_saturating`,
+:func:`saturation_report`) evaluate one scenario and are the reference the
+blocks are tested against.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .duality import shannon_entropy
+from .duality import shannon_entropies, shannon_entropy
 from .states import (
     DetectorSpec,
     Support,
     ValidationError,
     build_symmetric_set,
-    enumerate_uniform_specs,
+    support_label,
     uniform_spec,
 )
 
 __all__ = [
     "SupportStructure",
     "SaturationReport",
+    "CensusBlock",
+    "census_blocks",
     "dft_distribution",
     "saturating_spec",
     "is_saturating",
@@ -56,6 +66,10 @@ SATURATION_ATOL = 1e-9
 
 # Enumeration budget: a full scan visits 2^N - 1 supports.
 SCAN_MAX_PATHS = 24
+
+# Supports per census block. It bounds the block's arrays (a few MB at
+# N = 24) and so the census's memory, whatever N is.
+CENSUS_CHUNK = 4096
 
 
 class SupportStructure(str, Enum):
@@ -108,10 +122,17 @@ def is_saturating(spec: DetectorSpec) -> tuple[bool, float]:
     Returns ``(saturating, entropy_sum)``; the sum can never fall below
     log2(N) beyond roundoff, so the check is a two-sided tolerance.
     """
-    entropy_sum = shannon_entropy(spec.probabilities) + shannon_entropy(
-        dft_distribution(spec)
-    )
-    return abs(entropy_sum - math.log2(spec.N)) <= SATURATION_ATOL, entropy_sum
+    return _saturation_verdict(spec, dft_distribution(spec))
+
+
+def _saturation_verdict(spec: DetectorSpec, lambda_sq: np.ndarray) -> tuple[bool, float]:
+    entropy_sum = shannon_entropy(spec.probabilities) + shannon_entropy(lambda_sq)
+    return _saturates(entropy_sum, spec.N), entropy_sum
+
+
+def _saturates(entropy_sum, N: int):
+    """The saturation test, for one entropy sum or an array of them."""
+    return abs(entropy_sum - math.log2(N)) <= SATURATION_ATOL
 
 
 def classify_support(support: Support) -> SupportStructure:
@@ -134,6 +155,24 @@ def classify_support(support: Support) -> SupportStructure:
     if min(gaps) >= 2:
         return SupportStructure.UNEQUALLY_SPACED_NONADJACENT
     return SupportStructure.OTHER
+
+
+_STRUCTURES = tuple(SupportStructure)
+_STRUCTURE_VALUES = tuple(structure.value for structure in _STRUCTURES)
+
+
+def _structure_codes(N: int, indices: np.ndarray) -> np.ndarray:
+    """:func:`classify_support` for each row of a ``(rows, n)`` index array,
+    as positions in ``_STRUCTURES``.
+
+    With two indices the general rule reduces to the unit-gap test: one gap
+    of 1 leaves exactly one gap above 1, two gaps of at least 2 leave none.
+    """
+    gaps = np.diff(indices, axis=1, append=indices[:, :1] + N)
+    equal = (gaps == gaps[:, :1]).all(axis=1)
+    adjacent = (gaps > 1).sum(axis=1) == 1
+    nonadjacent = gaps.min(axis=1) >= 2
+    return np.select([equal, adjacent, nonadjacent], [0, 1, 2], default=3)
 
 
 def saturating_dimensions(N: int) -> tuple[list[int], int]:
@@ -162,12 +201,24 @@ class SaturationReport:
     saturating: bool
     structure: SupportStructure
 
+    def csv_lines(self) -> str:
+        """The report's census CSV line."""
+        return _csv_line(
+            self.spec.N,
+            self.support_size,
+            self.spec.support.indices,
+            self.lambda_support_size,
+            self.entropy_sum,
+            self.saturating,
+            self.structure.value,
+        )
+
 
 def saturation_report(spec: DetectorSpec) -> SaturationReport:
     """Spectrum, support sizes, uncertainty bound, and saturation flag."""
     lambda_sq = dft_distribution(spec)
     lambda_support = int((lambda_sq > SPECTRUM_SUPPORT_ATOL).sum())
-    saturating, entropy_sum = is_saturating(spec)
+    saturating, entropy_sum = _saturation_verdict(spec, lambda_sq)
     return SaturationReport(
         spec=spec,
         lambda_sq=lambda_sq,
@@ -180,12 +231,68 @@ def saturation_report(spec: DetectorSpec) -> SaturationReport:
     )
 
 
-def saturation_scan(N: int) -> list[SaturationReport]:
-    """Reports for every uniform scenario of every subspace dimension.
+@dataclass(frozen=True, eq=False)
+class CensusBlock:
+    """Census results for consecutive uniform supports of one dimension.
 
-    Visits all 2^N - 1 supports in (dimension, lexicographic) order; the
-    saturating ones are exactly the equally spaced supports whose dimension
-    divides N.
+    Row ``i`` of each array holds what :func:`saturation_report` gives for
+    ``uniform_spec(N, indices[i])``, bit for bit.
+    """
+
+    N: int
+    n: int
+    indices: np.ndarray  # (rows, n) support indices, in lexicographic order
+    lambda_sq: np.ndarray  # (rows, N) squared-modulus DFT spectra
+    lambda_support: np.ndarray  # (rows,) spectrum support sizes
+    entropy_sum: np.ndarray  # (rows,) coefficient plus spectrum entropy
+    saturating: np.ndarray  # (rows,) bool
+    structure: np.ndarray  # (rows,) positions in _STRUCTURES
+
+    def reports(self) -> list[SaturationReport]:
+        """One :class:`SaturationReport` per row."""
+        return [
+            SaturationReport(
+                spec=uniform_spec(self.N, indices),
+                lambda_sq=lambda_sq,
+                support_size=self.n,
+                lambda_support_size=size,
+                bound_ok=self.n * size >= self.N,
+                entropy_sum=entropy_sum,
+                saturating=saturating,
+                structure=_STRUCTURES[code],
+            )
+            for indices, lambda_sq, size, entropy_sum, saturating, code in zip(
+                self.indices.tolist(),
+                self.lambda_sq,
+                self.lambda_support.tolist(),
+                self.entropy_sum.tolist(),
+                self.saturating.tolist(),
+                self.structure.tolist(),
+            )
+        ]
+
+    def csv_lines(self) -> str:
+        """The block's census CSV lines, one per row."""
+        return "".join(
+            map(
+                _csv_line,
+                itertools.repeat(self.N),
+                itertools.repeat(self.n),
+                self.indices.tolist(),
+                self.lambda_support.tolist(),
+                self.entropy_sum.tolist(),
+                self.saturating.tolist(),
+                map(_STRUCTURE_VALUES.__getitem__, self.structure.tolist()),
+            )
+        )
+
+
+def census_blocks(N: int) -> Iterator[CensusBlock]:
+    """The census of all 2^N - 1 uniform scenarios, as a stream of blocks.
+
+    Blocks hold at most ``CENSUS_CHUNK`` supports of one dimension and come
+    in (dimension, lexicographic) order. ``N`` is checked against the scan
+    budget here, before the first block is asked for.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 2:
         raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
@@ -194,10 +301,54 @@ def saturation_scan(N: int) -> list[SaturationReport]:
             f"scan budget exceeded: N = {N} enumerates 2^{N} - 1 supports "
             f"(limit N <= {SCAN_MAX_PATHS})"
         )
-    reports = []
+    return _census_blocks(N)
+
+
+def _census_blocks(N: int) -> Iterator[CensusBlock]:
     for n in range(1, N + 1):
-        reports.extend(saturation_report(spec) for spec in enumerate_uniform_specs(N, n))
-    return reports
+        # Every support of dimension n shares one amplitude and one
+        # coefficient entropy. Take them from a spec, not from 1/sqrt(n):
+        # DetectorSpec rescales whenever the squares do not fsum to 1.
+        reference = uniform_spec(N, range(n))
+        amplitude = reference.coeffs[0]
+        coefficient_entropy = shannon_entropy(reference.probabilities)
+        combos = itertools.combinations(range(N), n)
+        remaining = math.comb(N, n)
+        while remaining:
+            rows = min(CENSUS_CHUNK, remaining)
+            remaining -= rows
+            indices = np.fromiter(combos, dtype=np.dtype((np.intp, n)), count=rows)
+            yield _census_block(N, indices, amplitude, coefficient_entropy)
+
+
+def _census_block(N, indices, amplitude, coefficient_entropy) -> CensusBlock:
+    """One batched FFT and one batched entropy call for a block of supports,
+    with the arithmetic of :func:`dft_distribution` and :func:`is_saturating`."""
+    padded = np.zeros((len(indices), N))
+    np.put_along_axis(padded, indices, amplitude, axis=1)
+    lambda_sq = np.abs(np.fft.ifft(padded, axis=1) * math.sqrt(N)) ** 2
+    entropy_sum = coefficient_entropy + shannon_entropies(lambda_sq)
+    return CensusBlock(
+        N=N,
+        n=indices.shape[1],
+        indices=indices,
+        lambda_sq=lambda_sq,
+        lambda_support=(lambda_sq > SPECTRUM_SUPPORT_ATOL).sum(axis=1),
+        entropy_sum=entropy_sum,
+        saturating=_saturates(entropy_sum, N),
+        structure=_structure_codes(N, indices),
+    )
+
+
+def saturation_scan(N: int) -> list[SaturationReport]:
+    """Reports for every uniform scenario of every subspace dimension.
+
+    Visits all 2^N - 1 supports in (dimension, lexicographic) order; the
+    saturating ones are exactly the equally spaced supports whose dimension
+    divides N. Every report is kept, so this suits small N; a census that
+    only writes its rows streams :func:`census_blocks` instead.
+    """
+    return [report for block in census_blocks(N) for report in block.reports()]
 
 
 def schmidt_coefficients(spec: DetectorSpec) -> np.ndarray:
@@ -214,19 +365,20 @@ def schmidt_coefficients(spec: DetectorSpec) -> np.ndarray:
 SATURATION_CSV_HEADER = ["N", "n", "support", "lambda_support", "entropy_sum", "saturating", "structure"]
 
 
-def write_saturation_csv(reports, fileobj) -> None:
-    """Write reports as CSV rows (header included, LF line endings)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(SATURATION_CSV_HEADER)
-    for report in reports:
-        writer.writerow(
-            [
-                report.spec.N,
-                report.support_size,
-                report.spec.support.label(),
-                report.lambda_support_size,
-                repr(report.entropy_sum),
-                "true" if report.saturating else "false",
-                report.structure.value,
-            ]
-        )
+def _csv_line(N, n, indices, lambda_support, entropy_sum, saturating, structure) -> str:
+    """One census CSV line: the only place the row format is defined."""
+    flag = "true" if saturating else "false"
+    return f"{N},{n},{support_label(indices)},{lambda_support},{entropy_sum!r},{flag},{structure}\n"
+
+
+def write_saturation_csv(rows, fileobj) -> None:
+    """Write census rows as CSV (header included, LF line endings).
+
+    ``rows`` yields :class:`SaturationReport` objects or :class:`CensusBlock`
+    batches; both give the same line for the same support, so
+    ``write_saturation_csv(census_blocks(N), f)`` streams the census and
+    ``write_saturation_csv(saturation_scan(N), f)`` writes the same bytes.
+    """
+    fileobj.write(",".join(SATURATION_CSV_HEADER) + "\n")
+    for item in rows:
+        fileobj.write(item.csv_lines())

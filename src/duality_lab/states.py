@@ -29,6 +29,7 @@ __all__ = [
     "uniform_spec",
     "spec_from_probabilities",
     "spec_to_json_dict",
+    "support_label",
     "spec_from_json_dict",
     "phase_table",
 ]
@@ -98,7 +99,12 @@ class Support:
 
     def label(self) -> str:
         """Dash-joined index string used in CSV output, e.g. ``\"0-3\"``."""
-        return "-".join(str(i) for i in self.indices)
+        return support_label(self.indices)
+
+
+def support_label(indices) -> str:
+    """Dash-joined index string of a support given as a sequence of ints."""
+    return "-".join(map(str, indices))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from duality_lab.duality import (
     knowledge_concatenated,
     knowledge_frio,
     knowledge_me,
+    shannon_entropies,
     shannon_entropy,
 )
 from duality_lab.measurements import Strategy
@@ -79,6 +80,33 @@ class TestShannonEntropy:
 
     def test_tiny_negative_roundoff_tolerated(self):
         assert shannon_entropy([1.0, -1e-13, 1e-13]) == pytest.approx(0.0, abs=1e-11)
+
+
+class TestShannonEntropies:
+    def test_rows_match_the_scalar_entropy_bit_for_bit(self):
+        # Rows of 3 to 24 entries with 0 to 23 zeros, so the positive counts
+        # cross numpy's 8-entry pairwise-summation block.
+        rng = np.random.default_rng(17)
+        rows = []
+        for width in (3, 9, 16, 24):
+            for _ in range(200):
+                row = rng.random(width) * (rng.random(width) < rng.random())
+                row[rng.integers(width)] += 1e-3
+                rows.append(np.pad(row / row.sum(), (0, 24 - width)))
+        rows = np.array(rows)
+        assert shannon_entropies(rows).tolist() == [shannon_entropy(row) for row in rows]
+
+    def test_tiny_negative_roundoff_tolerated(self):
+        rows = [[1.0, -1e-13, 1e-13], [0.5, 0.5, 0.0]]
+        assert shannon_entropies(rows).tolist() == [shannon_entropy(row) for row in rows]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.6, 0.5, -0.1]], [[0.5, 0.5], [0.4, 0.4]], [0.5, 0.5], np.zeros((0, 3))],
+    )
+    def test_invalid_rows_rejected(self, rows):
+        with pytest.raises(ValidationError):
+            shannon_entropies(rows)
 
 
 class TestCoherence:
@@ -193,17 +221,14 @@ class TestHierarchy:
                 assert knowledge_frio(spec, xi) <= knowledge_concatenated(spec, xi) + 1e-9
 
     def test_concatenated_below_minimum_error_for_generic_independent_states(self):
-        # Holds for these draws, not for every full-support scenario: see the
-        # certified counterexamples below.
-        count = 0
-        for spec in iter_specs(400, seed=3000):
-            if spec.n != spec.N:
-                continue
-            count += 1
-            k_me = knowledge_me(spec)
-            for xi in (0.25, 0.5, 0.75, 1.0):
-                assert knowledge_concatenated(spec, xi) <= k_me + 1e-9
-        assert count > 50
+        # An ensemble statement: the certified counterexamples below refute it
+        # scenario by scenario, even at full support.
+        specs = [spec for spec in iter_specs(400, seed=3000) if spec.n == spec.N]
+        assert len(specs) > 50
+        mean_me = np.mean([knowledge_me(spec) for spec in specs])
+        for xi in (0.25, 0.5, 0.75, 1.0):
+            mean_conc = np.mean([knowledge_concatenated(spec, xi) for spec in specs])
+            assert mean_conc < mean_me - 1e-9
 
     def test_dependent_states_can_beat_minimum_error_via_failure_branch(self):
         # For linearly dependent families the failure branch can carry enough
@@ -231,27 +256,24 @@ class TestHierarchy:
 
 class TestMonotonicity:
     def test_standard_knowledge_never_increases_for_generic_specs(self):
-        # Holds for these draws, not for every scenario: near-degenerate and
-        # clearly unique minimum coefficients both admit genuine bumps,
-        # pinned below.
-        checked = 0
-        for spec in iter_specs(150, seed=515, min_dim=2):
-            if spec.is_uniform:
-                continue
-            checked += 1
-            values = [knowledge_frio(spec, xi) for xi in XI_GRID]
-            assert max(b - a for a, b in zip(values, values[1:])) <= 1e-9
-        assert checked > 100
+        # An ensemble statement: near-degenerate and clearly unique minimum
+        # coefficients both admit genuine bumps for single scenarios, pinned
+        # below.
+        specs = [spec for spec in iter_specs(150, seed=515, min_dim=2) if not spec.is_uniform]
+        assert len(specs) > 100
+        means = [np.mean([knowledge_frio(spec, xi) for spec in specs]) for xi in XI_GRID]
+        assert max(b - a for a, b in zip(means, means[1:])) < -1e-9
 
     def test_concatenated_knowledge_never_increases_for_generic_independent_states(self):
-        checked = 0
-        for spec in iter_specs(400, seed=9100):
-            if spec.n != spec.N or spec.is_uniform:
-                continue
-            checked += 1
-            values = [knowledge_concatenated(spec, xi) for xi in XI_GRID]
-            assert max(b - a for a, b in zip(values, values[1:])) <= 1e-9
-        assert checked > 50
+        # An ensemble statement, like the standard-strategy one above.
+        specs = [
+            spec
+            for spec in iter_specs(400, seed=9100)
+            if spec.n == spec.N and not spec.is_uniform
+        ]
+        assert len(specs) > 50
+        means = [np.mean([knowledge_concatenated(spec, xi) for spec in specs]) for xi in XI_GRID]
+        assert max(b - a for a, b in zip(means, means[1:])) < -1e-9
 
     def test_success_probability_never_increases(self):
         from duality_lab.measurements import separation_params

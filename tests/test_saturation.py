@@ -1,13 +1,18 @@
 import io
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+from duality_lab import saturation
+from duality_lab.duality import shannon_entropy
 from duality_lab.measurements import conditional_conclusive
 from duality_lab.saturation import (
     SupportStructure,
+    census_blocks,
     classify_support,
     dft_distribution,
     is_saturating,
@@ -31,6 +36,15 @@ from helpers import detector_specs, iter_specs
 
 def divisors(N):
     return [d for d in range(1, N + 1) if N % d == 0]
+
+
+def census_flagged(N):
+    """Supports the streamed census flags as saturating."""
+    return {
+        tuple(row)
+        for block in census_blocks(N)
+        for row in block.indices[block.saturating].tolist()
+    }
 
 
 def equally_spaced_supports(N):
@@ -179,9 +193,13 @@ class TestSaturationScan:
         assert flagged == equally_spaced_supports(6)
         assert all(r.bound_ok for r in reports)
 
-    def test_prime_path_count_has_only_trivial_saturation(self):
-        flagged = {r.spec.support.indices for r in saturation_scan(5) if r.saturating}
-        assert flagged == {(k,) for k in range(5)} | {tuple(range(5))}
+    @pytest.mark.parametrize("N", [5, 7, 11, 13])
+    def test_prime_path_count_has_only_trivial_saturation(self, N):
+        # Tao (2005): at prime N only n = 1 and n = N saturate.
+        assert census_flagged(N) == {(k,) for k in range(N)} | {tuple(range(N))}
+
+    def test_composite_path_count_flags_exactly_the_equally_spaced_supports(self):
+        assert census_flagged(15) == equally_spaced_supports(15)
 
     def test_four_path_nontrivial_supports(self):
         flagged = {
@@ -195,12 +213,98 @@ class TestSaturationScan:
         with pytest.raises(ValidationError, match="budget"):
             saturation_scan(25)
 
+    def test_report_computes_the_spectrum_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return dft_distribution(spec)
+
+        monkeypatch.setattr(saturation, "dft_distribution", counted)
+        saturation_report(uniform_spec(6, (0, 2)))
+        assert len(calls) == 1
+
     def test_report_fields(self):
         report = saturation_report(uniform_spec(6, (0, 1)))
         assert report.support_size == 2
         assert report.lambda_support_size == 5
         assert report.bound_ok
         assert report.structure is SupportStructure.UNEQUALLY_SPACED_ADJACENT
+
+
+class TestCensusBlocks:
+    """The streamed census against the scalar per-support reference."""
+
+    @pytest.mark.parametrize("N", range(2, 13))
+    def test_streamed_csv_matches_scalar_reports(self, N):
+        reference = [
+            saturation_report(uniform_spec(N, combo))
+            for n in range(1, N + 1)
+            for combo in itertools.combinations(range(N), n)
+        ]
+        expected, streamed = io.StringIO(), io.StringIO()
+        write_saturation_csv(reference, expected)
+        write_saturation_csv(census_blocks(N), streamed)
+        assert streamed.getvalue() == expected.getvalue()
+        scanned = saturation_scan(N)
+        assert [r.spec for r in scanned] == [r.spec for r in reference]
+        for got, want in zip(scanned, reference):
+            assert np.array_equal(got.lambda_sq, want.lambda_sq)
+            assert got.bound_ok == want.bound_ok
+
+    def test_two_index_supports_use_the_renormalized_amplitude(self):
+        # The squares of (1/sqrt(2), 1/sqrt(2)) do not fsum to 1, so
+        # DetectorSpec rescales them, and the rescaled value moves spectra.
+        N = 12
+        amplitude = uniform_spec(N, (0, 1)).coeffs[0]
+        assert amplitude != 1 / math.sqrt(2)
+        block = next(b for b in census_blocks(N) if b.n == 2)
+        padded = np.zeros((len(block.indices), N))
+        np.put_along_axis(padded, block.indices, 1 / math.sqrt(2), axis=1)
+        unscaled = np.abs(np.fft.ifft(padded, axis=1) * math.sqrt(N)) ** 2
+        assert not np.array_equal(unscaled, block.lambda_sq)
+        reference = [saturation_report(uniform_spec(N, row)) for row in block.indices.tolist()]
+        assert block.entropy_sum.tolist() == [r.entropy_sum for r in reference]
+
+    def test_spectra_with_exact_zeros_match_the_scalar_entropy(self):
+        # Summing zero-padded rows changes the pairwise order and the last
+        # digit; the census must sum only the positive entries.
+        rows = np.concatenate([b.lambda_sq for b in census_blocks(12)])
+        rows = rows[(rows == 0.0).any(axis=1)]
+        assert len(rows) > 1000
+        padded_sums = -(
+            np.where(rows > 0, rows * np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
+        ).sum(axis=1)
+        exact = [shannon_entropy(row) for row in rows]
+        assert padded_sums.tolist() != exact
+        for block in census_blocks(12):
+            zeros = (block.lambda_sq == 0.0).any(axis=1)
+            coefficient = shannon_entropy(uniform_spec(12, range(block.n)).probabilities)
+            for row, entropy_sum in zip(block.lambda_sq[zeros], block.entropy_sum[zeros]):
+                assert entropy_sum == coefficient + shannon_entropy(row)
+
+    def test_memory_stays_flat(self):
+        # Streaming N = 16 peaks near 5 MiB; saturation_scan(16), which keeps
+        # all 65,535 reports, peaks near 60 MiB.
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            write_saturation_csv(census_blocks(16), Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_blocks_are_bounded_and_ordered(self):
+        # C(16, 8) = 12,870 supports span several blocks.
+        blocks = list(census_blocks(16))
+        assert max(len(b.indices) for b in blocks) == saturation.CENSUS_CHUNK
+        assert [tuple(row) for b in blocks for row in b.indices.tolist()] == [
+            combo for n in range(1, 17) for combo in itertools.combinations(range(16), n)
+        ]
 
 
 class TestSaturatingStatesStructure:
