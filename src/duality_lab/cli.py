@@ -43,7 +43,7 @@ from .states import (
     spec_to_json_dict,
     uniform_spec,
 )
-from .verify import run_verification
+from .verify import FAULTS, run_verification
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -73,13 +73,14 @@ def _open_out(path: str | None):
             yield handle
 
 
-def _parse_xi_list(text: str) -> list[float]:
+def _parse_list(text: str, convert, what: str) -> list:
+    """Comma-separated values, each through ``convert``; empty parts are skipped."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [convert(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"invalid separation-level list {text!r}") from exc
+        raise ValidationError(f"invalid {what} list {text!r}") from exc
     if not values:
-        raise ValidationError("separation-level list is empty")
+        raise ValidationError(f"{what} list is empty")
     return values
 
 
@@ -99,7 +100,7 @@ def _strategies(args) -> tuple[tuple[Strategy, float], ...]:
     tag = STRATEGY_FLAGS[args.strategy]
     if tag is Strategy.ME:
         return ((tag, 0.0),)
-    return tuple((tag, xi) for xi in _parse_xi_list(args.xi))
+    return tuple((tag, xi) for xi in _parse_list(args.xi, float, "separation-level"))
 
 
 def cmd_scan(args) -> int:
@@ -181,13 +182,17 @@ def cmd_example(args) -> int:
 def cmd_povm(args) -> int:
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = spec_from_json_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except ValueError as exc:
+                raise ValidationError(f"scenario file {args.spec!r} is not JSON: {exc}") from exc
+        spec = spec_from_json_dict(data)
     elif args.N is not None and args.support is not None:
-        indices = tuple(int(part) for part in args.support.split(","))
+        indices = _parse_list(args.support, int, "support index")
         if args.coeffs_sq is None:
             spec = uniform_spec(args.N, indices)
         else:
-            probs = [float(part) for part in args.coeffs_sq.split(",")]
+            probs = _parse_list(args.coeffs_sq, float, "squared-coefficient")
             spec = spec_from_probabilities(args.N, indices, probs)
     else:
         raise ValidationError("provide either --spec FILE or both --N and --support")
@@ -293,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--N-range", default="2:8", help="path-count range 'LO:HI'")
-    verify.add_argument("--inject-fault", choices=["gk-sign"], default=None,
+    verify.add_argument("--inject-fault", choices=FAULTS, default=None,
                         help=argparse.SUPPRESS)
     verify.set_defaults(handler=cmd_verify)
 

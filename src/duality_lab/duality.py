@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import (
-    Strategy,
-    _conclusive_conditional,
-    _failure_conditional,
-    separation_params,
-)
+from .measurements import Strategy, _spectrum, conditional_failure, separation_params
 from .states import DetectorSpec, ValidationError
 
 __all__ = [
@@ -113,7 +108,7 @@ def knowledge_frio(spec: DetectorSpec, xi: float) -> float:
     nothing (their conditional is uniform).
     """
     params = separation_params(spec, xi)
-    conditional = _conclusive_conditional(spec, params)
+    conditional = _spectrum(spec, params.success_profile)
     return params.p_success * _normalized_info(conditional, spec.N)
 
 
@@ -123,12 +118,10 @@ def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
     Adds the failure branch's information share to :func:`knowledge_frio`;
     the extra term is zero when the failure branch is absent.
     """
-    params = separation_params(spec, xi)
-    conditional = _conclusive_conditional(spec, params)
-    value = params.p_success * _normalized_info(conditional, spec.N)
-    failure_conditional = _failure_conditional(spec, params)
+    value = knowledge_frio(spec, xi)
+    failure_conditional = conditional_failure(spec)
     if failure_conditional is not None:
-        value += params.p_fail * _normalized_info(failure_conditional, spec.N)
+        value += separation_params(spec, xi).p_fail * _normalized_info(failure_conditional, spec.N)
     return value
 
 
@@ -143,7 +136,7 @@ def holevo_ceiling(spec: DetectorSpec) -> float:
     This is the entropy of the detector's reduced state over log2(N), the
     mutual-information ceiling for the path/outcome channel.
     """
-    return 1.0 - _normalized_info(spec.probabilities, spec.N)
+    return 1.0 - coherence(spec)
 
 
 @dataclass(frozen=True)

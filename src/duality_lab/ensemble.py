@@ -25,6 +25,7 @@ from .states import (
     DetectorSpec,
     ValidationError,
     enumerate_uniform_specs,
+    is_int,
     spec_from_probabilities,
     uniform_spec,
 )
@@ -67,15 +68,13 @@ class SweepConfig:
     include_uniform_enumeration: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
+        if not is_int(self.N) or self.N < 2:
             raise ValidationError(f"path count must be an integer >= 2, got {self.N!r}")
-        if self.n is not None and (
-            not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= self.N
-        ):
+        if self.n is not None and (not is_int(self.n) or not 1 <= self.n <= self.N):
             raise ValidationError(
                 f"subspace dimension must satisfy 1 <= n <= {self.N} or be None, got {self.n!r}"
             )
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 0:
+        if not is_int(self.samples) or self.samples < 0:
             raise ValidationError(f"sample count must be a nonnegative integer, got {self.samples!r}")
         if self.samples == 0 and not self.include_uniform_enumeration:
             raise ValidationError("nothing to sweep: zero samples and no uniform enumeration")
@@ -86,7 +85,7 @@ class SweepConfig:
             if not 0.0 <= xi <= 1.0:
                 raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
         object.__setattr__(self, "strategies", strategies)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_json_dict(self) -> dict:
@@ -175,7 +174,7 @@ def two_path_grid_dataset(
     trivial saturation points. Points are ordered per strategy, then by grid
     position.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
+    if not is_int(steps) or steps < 2:
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
     strategies = tuple((Strategy(tag), float(xi)) for tag, xi in strategies)
     specs = []
@@ -207,7 +206,7 @@ def boundary_envelope(points, bins: int) -> tuple[tuple[float, float, float], ..
     points = list(points)
     if not points:
         raise ValidationError("boundary envelope needs at least one point")
-    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 2:
+    if not is_int(bins) or bins < 2:
         raise ValidationError(f"bin count must be an integer >= 2, got {bins!r}")
     lows = [None] * bins
     highs = [None] * bins
@@ -263,9 +262,7 @@ def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int,
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: the request (default one per CPU) capped by the
     ``DUALITY_LAB_THREADS`` environment variable."""
-    if requested is not None and (
-        not isinstance(requested, int) or isinstance(requested, bool) or requested < 1
-    ):
+    if requested is not None and (not is_int(requested) or requested < 1):
         raise ValidationError(f"worker count must be a positive integer, got {requested!r}")
     cap_text = os.environ.get(THREADS_ENV_VAR)
     cap = None

@@ -26,7 +26,6 @@ the closed-form probability expressions and serves as their cross-check.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,15 +47,20 @@ __all__ = [
     "build_me_measurement",
     "build_frio_standard",
     "build_frio_concatenated",
+    "build_two_step_measurements",
     "conditional_conclusive",
     "conditional_failure",
     "oracle_outcome_table",
     "measurement_to_json_dict",
-    "inject_fault",
+    "MAX_POVM_PATHS",
 ]
 
+# Largest path count the POVM builders accept: they hold up to 2N + 1 dense
+# N x N complex matrices, and the tolerances below are set for this size.
+MAX_POVM_PATHS = 64
+
 # Eigenvalues of POVM elements may dip this far below zero from roundoff in
-# rank-1 sums at the largest supported dimension (N = 64).
+# rank-1 sums at the largest supported dimension (MAX_POVM_PATHS).
 POSITIVITY_ATOL = 1e-10
 COMPLETENESS_ATOL = 1e-10
 
@@ -75,28 +79,6 @@ class Strategy(str, Enum):
     ME = "me"
     FRIO_STANDARD = "frio-standard"
     FRIO_CONCATENATED = "frio-concatenated"
-
-
-_FAULT_MODE: str | None = None
-_KNOWN_FAULTS = ("gk-sign",)
-
-
-@contextlib.contextmanager
-def inject_fault(mode: str):
-    """Test hook: corrupt an internal formula so property suites must notice.
-
-    ``"gk-sign"`` flips the sign of the separation term inside the conclusive
-    amplitude profile, which silently breaks POVM completeness at xi > 0.
-    Never use outside fault-injection tests.
-    """
-    global _FAULT_MODE
-    if mode not in _KNOWN_FAULTS:
-        raise ValidationError(f"unknown fault mode {mode!r}; known: {_KNOWN_FAULTS}")
-    _FAULT_MODE = mode
-    try:
-        yield
-    finally:
-        _FAULT_MODE = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +114,7 @@ def separation_params(spec: DetectorSpec, xi: float) -> SeparationParams:
         raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
     n = spec.n
     probs = spec.probabilities
-    g_sq = (1.0 - xi + xi / (n * probs)) / spec.N
-    if _FAULT_MODE == "gk-sign":
-        g_sq = np.clip((1.0 - xi - xi / (n * probs)) / spec.N, 0.0, None)
-    success_profile = np.sqrt(g_sq)
+    success_profile = np.sqrt((1.0 - xi + xi / (n * probs)) / spec.N)
     if spec.is_uniform:
         return SeparationParams(
             xi=xi,
@@ -196,20 +175,24 @@ def _profile_states(spec: DetectorSpec, scale: float, profile: np.ndarray) -> np
     return rows
 
 
-def _uniform_profile_states(spec: DetectorSpec) -> np.ndarray:
-    """The N uniform-profile vectors of the square-root measurement, as rows."""
-    return _profile_states(spec, 1.0, np.full(spec.n, 1.0 / np.sqrt(spec.n)))
-
-
 def _rank_one(row: np.ndarray) -> np.ndarray:
     mat = np.outer(row, row.conj())
     mat.setflags(write=False)
     return mat
 
 
+def _check_povm_size(spec: DetectorSpec) -> None:
+    if spec.N > MAX_POVM_PATHS:
+        raise ValidationError(
+            f"POVMs are built for at most {MAX_POVM_PATHS} paths, got N = {spec.N}"
+        )
+
+
 def build_me_measurement(spec: DetectorSpec) -> Measurement:
-    """Square-root (minimum-error) measurement: N elements ``(n/N) |u_j><u_j|``."""
-    u_rows = _uniform_profile_states(spec)
+    """Square-root (minimum-error) measurement: N elements ``(n/N) |u_j><u_j|``,
+    with ``u_j`` the uniform-profile vectors."""
+    _check_povm_size(spec)
+    u_rows = _profile_states(spec, 1.0, np.full(spec.n, 1.0 / np.sqrt(spec.n)))
     weight = spec.n / spec.N
     elements = tuple(
         (f"c{j}", _rank_one(np.sqrt(weight) * u_rows[j])) for j in range(spec.N)
@@ -217,51 +200,54 @@ def build_me_measurement(spec: DetectorSpec) -> Measurement:
     return Measurement(strategy=Strategy.ME, xi=0.0, elements=elements)
 
 
-def build_frio_standard(spec: DetectorSpec, xi: float) -> Measurement:
-    """Separation-then-ME measurement with the failure branch discarded.
+def build_two_step_measurements(
+    spec: DetectorSpec, params: SeparationParams
+) -> tuple[Measurement, Measurement]:
+    """The standard and the concatenated measurement from given separation data.
 
-    N rank-1 conclusive elements plus one inconclusive element built from the
-    failure vectors weighted by the overlaps of the uniform-profile states.
-    At xi = 0 the inconclusive element vanishes and the measurement reduces
-    to :func:`build_me_measurement`.
+    ME on the successful branch gives the N rank-1 conclusive elements
+    ``c0..c{N-1}`` of both, ME on the failure branch N rank-1 failure
+    elements. The concatenated measurement keeps these as ``fc0..fc{N-1}``;
+    the standard one discards which of them fired, so its inconclusive
+    element ``f`` is their sum. The failure elements are identically zero
+    when the coefficients are uniform (no failure branch) and at xi = 0
+    (separation never fails).
     """
-    params = separation_params(spec, xi)
-    phi_rows = _profile_states(spec, params.p_success, params.success_profile)
-    elements = [(f"c{j}", _rank_one(phi_rows[j])) for j in range(spec.N)]
-    if params.failure_profile is None:
-        fail = np.zeros((spec.N, spec.N), dtype=complex)
-    else:
-        phi_fail = _profile_states(spec, params.p_fail, params.failure_profile)
-        u_rows = _uniform_profile_states(spec)
-        gram_u = u_rows.conj() @ u_rows.T
-        columns = phi_fail.T
-        fail = (spec.n / spec.N) * columns @ gram_u @ columns.conj().T
-        fail = 0.5 * (fail + fail.conj().T)
-    fail.setflags(write=False)
-    elements.append(("f", fail))
-    return Measurement(strategy=Strategy.FRIO_STANDARD, xi=params.xi, elements=tuple(elements))
-
-
-def build_frio_concatenated(spec: DetectorSpec, xi: float) -> Measurement:
-    """Separation-then-ME on both branches: 2N rank-1 elements.
-
-    The failure-branch elements are identically zero when the coefficients
-    are uniform (no failure branch) and at xi = 0 (separation never fails);
-    their sum always equals the inconclusive element of the standard variant.
-    """
-    params = separation_params(spec, xi)
-    phi_rows = _profile_states(spec, params.p_success, params.success_profile)
-    elements = [(f"c{j}", _rank_one(phi_rows[j])) for j in range(spec.N)]
+    _check_povm_size(spec)
+    rows = _profile_states(spec, params.p_success, params.success_profile)
+    conclusive = tuple((f"c{j}", _rank_one(row)) for j, row in enumerate(rows))
     if params.failure_profile is None:
         zero = np.zeros((spec.N, spec.N), dtype=complex)
         zero.setflags(write=False)
-        elements.extend((f"fc{j}", zero) for j in range(spec.N))
+        failures = [zero] * spec.N
     else:
-        phi_fail = _profile_states(spec, params.p_fail, params.failure_profile)
-        elements.extend((f"fc{j}", _rank_one(phi_fail[j])) for j in range(spec.N))
-    return Measurement(
-        strategy=Strategy.FRIO_CONCATENATED, xi=params.xi, elements=tuple(elements)
+        rows = _profile_states(spec, params.p_fail, params.failure_profile)
+        failures = [_rank_one(row) for row in rows]
+    fail = sum(failures)
+    fail.setflags(write=False)
+    standard = conclusive + (("f", fail),)
+    concatenated = conclusive + tuple((f"fc{j}", matrix) for j, matrix in enumerate(failures))
+    return (
+        Measurement(strategy=Strategy.FRIO_STANDARD, xi=params.xi, elements=standard),
+        Measurement(strategy=Strategy.FRIO_CONCATENATED, xi=params.xi, elements=concatenated),
     )
+
+
+def build_frio_standard(spec: DetectorSpec, xi: float) -> Measurement:
+    """Separation-then-ME measurement with the failure branch discarded.
+
+    N rank-1 conclusive elements plus one inconclusive element. At xi = 0 the
+    inconclusive element vanishes and the measurement reduces to
+    :func:`build_me_measurement`.
+    """
+    return build_two_step_measurements(spec, separation_params(spec, xi))[0]
+
+
+def build_frio_concatenated(spec: DetectorSpec, xi: float) -> Measurement:
+    """Separation-then-ME on both branches: 2N rank-1 elements, whose
+    failure-branch elements sum to the inconclusive element of
+    :func:`build_frio_standard`."""
+    return build_two_step_measurements(spec, separation_params(spec, xi))[1]
 
 
 def _spectrum(spec: DetectorSpec, profile: np.ndarray) -> np.ndarray:
@@ -277,12 +263,7 @@ def conditional_conclusive(spec: DetectorSpec, xi: float) -> np.ndarray:
     Conditionals for outcome j follow by the cyclic shift ``l -> l - j``.
     Sums to 1.
     """
-    params = separation_params(spec, xi)
-    return _conclusive_conditional(spec, params)
-
-
-def _conclusive_conditional(spec: DetectorSpec, params: SeparationParams) -> np.ndarray:
-    return _spectrum(spec, params.success_profile)
+    return _spectrum(spec, separation_params(spec, xi).success_profile)
 
 
 def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
@@ -291,16 +272,10 @@ def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
     Independent of the separation level. ``None`` when the failure branch is
     absent (uniform coefficients).
     """
-    params = separation_params(spec, 0.0)
-    return _failure_conditional(spec, params)
-
-
-def _failure_conditional(
-    spec: DetectorSpec, params: SeparationParams
-) -> np.ndarray | None:
-    if params.failure_profile is None:
+    profile = separation_params(spec, 0.0).failure_profile
+    if profile is None:
         return None
-    spectrum = _spectrum(spec, params.failure_profile)
+    spectrum = _spectrum(spec, profile)
     # The profile formula cancels (p_k - p_min) against (1 - n*p_min); for
     # nearly uniform coefficients both are tiny and the float sum drifts off
     # 1 by ~eps/(1 - n*p_min), so renormalize to the exact analytic sum.

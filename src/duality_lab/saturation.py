@@ -34,6 +34,7 @@ from .states import (
     Support,
     ValidationError,
     build_symmetric_set,
+    is_int,
     support_label,
     uniform_spec,
 )
@@ -88,6 +89,9 @@ def dft_distribution(spec: DetectorSpec) -> np.ndarray:
     this equals the xi = 0 conclusive conditional distribution entry by entry,
     and always sums to 1 (the amplitude vector is unit norm).
     """
+    # Not merged with measurements._spectrum (forward FFT, amplitudes times
+    # profile): the two differ in the last bit on most supports, so either
+    # merge would change the census CSV or the scan CSV.
     padded = np.zeros(spec.N, dtype=float)
     padded[list(spec.support.indices)] = spec.amplitudes
     spectrum = np.fft.ifft(padded) * math.sqrt(spec.N)
@@ -106,11 +110,11 @@ def saturating_spec(N: int, m: int, tau: int) -> DetectorSpec:
     attain the uncertainty-principle bound: their spectrum has exactly ``m``
     nonzero entries, each equal to ``n/N``.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
+    if not is_int(N) or N < 2:
         raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1 or N % m != 0:
+    if not is_int(m) or m < 1 or N % m != 0:
         raise ValidationError(f"spacing {m!r} must be a positive divisor of {N}")
-    if not isinstance(tau, int) or isinstance(tau, bool) or not 0 <= tau < m:
+    if not is_int(tau) or not 0 <= tau < m:
         raise ValidationError(f"offset must satisfy 0 <= tau < {m}, got {tau!r}")
     n = N // m
     return uniform_spec(N, tuple(tau + kappa * m for kappa in range(n)))
@@ -182,7 +186,7 @@ def saturating_dimensions(N: int) -> tuple[list[int], int]:
     the count equals the divisor count of N minus 2, so it is zero exactly
     for prime N.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
+    if not is_int(N) or N < 2:
         raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
     divisors = _divisors(N)
     return [d for d in divisors if 1 < d < N], len(divisors) - 2
@@ -294,7 +298,7 @@ def census_blocks(N: int) -> Iterator[CensusBlock]:
     in (dimension, lexicographic) order. ``N`` is checked against the scan
     budget here, before the first block is asked for.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
+    if not is_int(N) or N < 2:
         raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
     if N > SCAN_MAX_PATHS:
         raise ValidationError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,7 @@ __all__ = [
     "support_label",
     "spec_from_json_dict",
     "phase_table",
+    "is_int",
 ]
 
 # Squared amplitudes summing to 1 within NORM_EXACT_ATOL are taken as
@@ -44,9 +46,18 @@ NORM_REPAIR_ATOL = 1e-9
 # are uniform and the separation failure branch does not exist.
 DEGENERATE_FAILURE_ATOL = 1e-12
 
+# Smallest accepted squared coefficient, the smallest normal float: the
+# separation formulas divide by it, and its reciprocal is still finite.
+PROBABILITY_FLOOR = sys.float_info.min
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
+
+
+def is_int(value) -> bool:
+    """True for a Python integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=64)
@@ -70,7 +81,7 @@ class Support:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
+        if not is_int(self.N) or self.N < 2:
             raise ValidationError(f"path count must be an integer >= 2, got {self.N!r}")
         idx = tuple(int(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
@@ -126,9 +137,10 @@ class DetectorSpec:
                 f"need one coefficient per support index: got {len(coeffs)} "
                 f"for support of size {self.support.n}"
             )
-        if any(not math.isfinite(c) or c <= 0.0 for c in coeffs):
+        if any(not math.isfinite(c) or c <= 0.0 or c * c < PROBABILITY_FLOOR for c in coeffs):
             raise ValidationError(
-                "coefficients must be strictly positive and finite; express zero "
+                "coefficients must be strictly positive and finite, with squares of at "
+                f"least {PROBABILITY_FLOOR!r} (the smallest normal float); express zero "
                 "entries by shrinking the support"
             )
         total = math.fsum(c * c for c in coeffs)
@@ -245,14 +257,9 @@ def spec_from_probabilities(N: int, indices, probabilities) -> DetectorSpec:
 def enumerate_uniform_specs(N: int, n: int) -> list[DetectorSpec]:
     """All C(N, n) uniform scenarios of subspace dimension n, in lexicographic
     support order."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= N:
+    if not is_int(n) or not 1 <= n <= N:
         raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {N}, got {n!r}")
-    amp = 1.0 / math.sqrt(n)
-    coeffs = (amp,) * n
-    return [
-        DetectorSpec(support=Support(N=N, indices=combo), coeffs=coeffs)
-        for combo in itertools.combinations(range(N), n)
-    ]
+    return [uniform_spec(N, combo) for combo in itertools.combinations(range(N), n)]
 
 
 def spec_to_json_dict(spec: DetectorSpec) -> dict:
@@ -274,6 +281,11 @@ def spec_from_json_dict(data: dict) -> DetectorSpec:
         raise ValidationError(
             'scenario JSON must provide "N", "support" and "coeffs_sq"'
         ) from exc
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool):
+    if not is_int(n_paths):
         raise ValidationError(f'"N" must be an integer, got {n_paths!r}')
-    return spec_from_probabilities(n_paths, support, coeffs_sq)
+    try:
+        return spec_from_probabilities(n_paths, support, coeffs_sq)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed scenario JSON: {exc}") from exc

@@ -20,10 +20,9 @@ coefficient; ``tests/test_duality.py`` pins them against an independent
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,20 +30,18 @@ from .duality import knowledge_concatenated, knowledge_frio, knowledge_me, holev
 from .ensemble import sample_rng, sample_spec
 from .measurements import (
     Measurement,
-    Strategy,
-    build_frio_concatenated,
-    build_frio_standard,
     build_me_measurement,
+    build_two_step_measurements,
     conditional_conclusive,
     conditional_failure,
-    inject_fault,
     oracle_outcome_table,
     separation_params,
     COMPLETENESS_ATOL,
+    MAX_POVM_PATHS,
     POSITIVITY_ATOL,
 )
 from .saturation import dft_distribution
-from .states import DetectorSpec, ValidationError, build_symmetric_set, spec_to_json_dict
+from .states import DetectorSpec, ValidationError, build_symmetric_set, is_int, spec_to_json_dict
 
 __all__ = ["SuiteResult", "run_verification", "DEFAULT_XI_GRID", "MONOTONICITY_XI_GRID"]
 
@@ -57,6 +54,9 @@ REDUCTION_ATOL = 1e-12
 HIERARCHY_ATOL = 1e-9
 MONOTONICITY_ATOL = 1e-9
 PARSEVAL_ATOL = 1e-10
+
+# Deliberately corrupted formulas that the suites must report.
+FAULTS = ("gk-sign",)
 
 
 @dataclass
@@ -219,14 +219,18 @@ def run_verification(
 
     ``n_range`` bounds the path count (inclusive). ``xi_grid`` holds the
     separation levels of the oracle and hierarchy suites, in ascending order.
-    ``fault`` forwards to :func:`duality_lab.measurements.inject_fault` for
-    the whole run.
+    ``fault`` names one of ``FAULTS``: the run's two-step measurements are
+    then built from corrupted separation data, which the suites must report.
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+    if not is_int(samples) or samples < 1:
         raise ValidationError(f"sample count must be a positive integer, got {samples!r}")
     lo, hi = n_range
-    if not 2 <= lo <= hi:
-        raise ValidationError(f"path-count range must satisfy 2 <= lo <= hi, got {n_range!r}")
+    if not 2 <= lo <= hi <= MAX_POVM_PATHS:
+        raise ValidationError(
+            f"path-count range must satisfy 2 <= lo <= hi <= {MAX_POVM_PATHS}, got {n_range!r}"
+        )
+    if fault is not None and fault not in FAULTS:
+        raise ValidationError(f"unknown fault mode {fault!r}; known: {FAULTS}")
     completeness = SuiteResult("povm-completeness")
     oracle = SuiteResult("oracle-agreement")
     hierarchy = SuiteResult("hierarchy")
@@ -234,87 +238,87 @@ def run_verification(
     parseval = SuiteResult("parseval")
     uncertainty = SuiteResult("donoho-stark")
 
-    guard = inject_fault(fault) if fault is not None else contextlib.nullcontext()
-    with guard:
-        for index in range(samples):
-            rng = sample_rng(seed, index)
-            n_paths = int(rng.integers(lo, hi + 1))
-            n = int(rng.integers(1, n_paths + 1))
-            spec = sample_spec(n_paths, n, rng)
+    for index in range(samples):
+        rng = sample_rng(seed, index)
+        n_paths = int(rng.integers(lo, hi + 1))
+        n = int(rng.integers(1, n_paths + 1))
+        spec = sample_spec(n_paths, n, rng)
 
-            me = build_me_measurement(spec)
-            _check_povm(completeness, spec, me)
-            me_table = oracle_outcome_table(build_symmetric_set(spec), me)
-            ceiling = holevo_ceiling(spec)
-            gains = []
-            for xi in xi_grid:
-                standard = build_frio_standard(spec, xi)
-                concatenated = build_frio_concatenated(spec, xi)
-                _check_povm(completeness, spec, standard)
-                _check_povm(completeness, spec, concatenated)
-                _check_oracle(oracle, spec, standard, xi, me_table)
-                _check_oracle(oracle, spec, concatenated, xi, me_table)
+        me = build_me_measurement(spec)
+        _check_povm(completeness, spec, me)
+        me_table = oracle_outcome_table(build_symmetric_set(spec), me)
+        ceiling = holevo_ceiling(spec)
+        gains = []
+        for xi in xi_grid:
+            params = separation_params(spec, xi)
+            if fault == "gk-sign":
+                # Flip the sign of the xi/(n*p_k) term of the conclusive profile.
+                g_sq = (1.0 - xi - xi / (spec.n * spec.probabilities)) / spec.N
+                params = replace(params, success_profile=np.sqrt(np.clip(g_sq, 0.0, None)))
+            standard, concatenated = build_two_step_measurements(spec, params)
+            _check_povm(completeness, spec, standard)
+            _check_povm(completeness, spec, concatenated)
+            _check_oracle(oracle, spec, standard, xi, me_table)
+            _check_oracle(oracle, spec, concatenated, xi, me_table)
 
-                try:
-                    k_std = knowledge_frio(spec, xi)
-                    k_conc = knowledge_concatenated(spec, xi)
-                    k_me = knowledge_me(spec)
-                except ValidationError as exc:
-                    hierarchy.record(False, spec, f"xi={xi}: knowledge failed: {exc}")
-                    continue
-                gains.append(k_conc - k_std)
-                # Discarding the failure outcomes coarse-grains the
-                # concatenated measurement, hence k_std <= k_conc. Neither is
-                # bounded by k_me at xi > 0 (see the module docstring).
-                chain_ok = (
-                    k_std <= k_conc + HIERARCHY_ATOL and k_me <= ceiling + HIERARCHY_ATOL
-                )
-                hierarchy.record(
-                    chain_ok,
-                    spec,
-                    f"xi={xi}: hierarchy broken "
-                    f"(frio {k_std!r}, conc {k_conc!r}, me {k_me!r}, ceiling {ceiling!r})",
-                )
-                total = coherence(spec) + max(k_conc, k_std, k_me)
-                hierarchy.record(
-                    total <= 1.0 + HIERARCHY_ATOL,
-                    spec,
-                    f"xi={xi}: duality sum {total!r} exceeds 1",
-                )
+            try:
+                k_std = knowledge_frio(spec, xi)
+                k_conc = knowledge_concatenated(spec, xi)
+                k_me = knowledge_me(spec)
+            except ValidationError as exc:
+                hierarchy.record(False, spec, f"xi={xi}: knowledge failed: {exc}")
+                continue
+            gains.append(k_conc - k_std)
+            # Discarding the failure outcomes coarse-grains the
+            # concatenated measurement, hence k_std <= k_conc. Neither is
+            # bounded by k_me at xi > 0 (see the module docstring).
+            chain_ok = k_std <= k_conc + HIERARCHY_ATOL and k_me <= ceiling + HIERARCHY_ATOL
+            hierarchy.record(
+                chain_ok,
+                spec,
+                f"xi={xi}: hierarchy broken "
+                f"(frio {k_std!r}, conc {k_conc!r}, me {k_me!r}, ceiling {ceiling!r})",
+            )
+            total = coherence(spec) + max(k_conc, k_std, k_me)
+            hierarchy.record(
+                total <= 1.0 + HIERARCHY_ATOL,
+                spec,
+                f"xi={xi}: duality sum {total!r} exceeds 1",
+            )
 
-            # Separation success probability is non-increasing in xi for every
-            # scenario; that follows directly from its closed form.
-            success_curve = [separation_params(spec, xi).p_success for xi in MONOTONICITY_XI_GRID]
-            worst = max(b - a for a, b in zip(success_curve, success_curve[1:]))
+        # Separation success probability is non-increasing in xi for every
+        # scenario; that follows directly from its closed form.
+        success_curve = [separation_params(spec, xi).p_success for xi in MONOTONICITY_XI_GRID]
+        worst = max(b - a for a, b in zip(success_curve, success_curve[1:]))
+        monotonicity.record(
+            worst <= 1e-12,
+            spec,
+            f"success probability increased by {worst:.3e} along the xi grid",
+        )
+        if not spec.is_uniform and _has_isolated_minimum(spec):
+            # The gain k_conc - k_std is p_fail(xi) times the failure
+            # branch's information, which does not depend on xi, so it
+            # never decreases. Knowledge itself may rise with xi. The
+            # check holds for every non-uniform scenario; the selection
+            # only fixes how many checks the suite reports.
+            worst = max((a - b for a, b in zip(gains, gains[1:])), default=0.0)
             monotonicity.record(
-                worst <= 1e-12,
+                len(gains) == len(xi_grid) and worst <= MONOTONICITY_ATOL,
                 spec,
-                f"success probability increased by {worst:.3e} along the xi grid",
+                f"concatenation gain decreased by {worst:.3e} along the xi grid "
+                f"(knowledge failed at {len(xi_grid) - len(gains)} levels)",
             )
-            if not spec.is_uniform and _has_isolated_minimum(spec):
-                # The gain k_conc - k_std is p_fail(xi) times the failure
-                # branch's information, which does not depend on xi, so it
-                # never decreases. Knowledge itself may rise with xi. The
-                # check holds for every non-uniform scenario; the selection
-                # only fixes how many checks the suite reports.
-                worst = max((a - b for a, b in zip(gains, gains[1:])), default=0.0)
-                monotonicity.record(
-                    len(gains) == len(xi_grid) and worst <= MONOTONICITY_ATOL,
-                    spec,
-                    f"concatenation gain decreased by {worst:.3e} along the xi grid "
-                    f"(knowledge failed at {len(xi_grid) - len(gains)} levels)",
-                )
 
-            spectrum = dft_distribution(spec)
-            total = float(spectrum.sum())
-            parseval.record(
-                abs(total - 1.0) <= PARSEVAL_ATOL, spec, f"spectrum sums to {total!r}"
-            )
-            spectrum_support = int((spectrum > 1e-12).sum())
-            uncertainty.record(
-                spec.n * spectrum_support >= spec.N,
-                spec,
-                f"support product {spec.n} * {spectrum_support} < {spec.N}",
-            )
+        spectrum = dft_distribution(spec)
+        total = float(spectrum.sum())
+        parseval.record(
+            abs(total - 1.0) <= PARSEVAL_ATOL, spec, f"spectrum sums to {total!r}"
+        )
+        spectrum_support = int((spectrum > 1e-12).sum())
+        uncertainty.record(
+            spec.n * spectrum_support >= spec.N,
+            spec,
+            f"support product {spec.n} * {spectrum_support} < {spec.N}",
+        )
 
     return [completeness, oracle, hierarchy, monotonicity, parseval, uncertainty]

@@ -33,6 +33,26 @@ class TestUsageErrors:
         assert run_cli("--help") == 0
         assert "scan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, spec_text",
+        [
+            (["--N", "4", "--support", "0,1", "--coeffs-sq", "x"], None),
+            (["--N", "4", "--support", "a"], None),
+            (["--spec"], "not json {"),
+            (["--spec"], '{"N": 4, "support": 5, "coeffs_sq": [1.0]}'),
+        ],
+        ids=["coeffs-sq-text", "support-text", "spec-not-json", "spec-support-int"],
+    )
+    def test_malformed_povm_input(self, argv, spec_text, tmp_path, capsys):
+        if spec_text is not None:
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(spec_text)
+            argv = argv + [str(spec_path)]
+        assert run_cli("povm", *argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestScan:
     def test_writes_csv_and_manifest(self, tmp_path):
@@ -222,6 +242,12 @@ class TestPovm:
     def test_missing_spec_file(self, tmp_path):
         assert run_cli("povm", "--spec", str(tmp_path / "nope.json")) == 3
 
+    @pytest.mark.parametrize("strategy", ["me", "frio", "conc"])
+    def test_path_limit(self, strategy, capsys):
+        code = run_cli("povm", "--N", "65", "--support", "0,1", "--strategy", strategy)
+        assert code == 2
+        assert "at most 64 paths" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -251,6 +277,9 @@ class TestVerify:
 
     def test_bad_range_rejected(self):
         assert run_cli("verify", "--samples", "5", "--N-range", "2-8") == 2
+
+    def test_range_beyond_path_limit_rejected(self):
+        assert run_cli("verify", "--samples", "5", "--N-range", "2:65") == 2
 
 
 class TestModuleEntrypoint:

@@ -1,17 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+from duality_lab.duality import knowledge_concatenated, knowledge_frio, knowledge_me
 from duality_lab.measurements import (
+    MAX_POVM_PATHS,
     Strategy,
     build_frio_concatenated,
     build_frio_standard,
     build_me_measurement,
     conditional_conclusive,
     conditional_failure,
-    inject_fault,
     measurement_to_json_dict,
     oracle_outcome_table,
     separation_params,
@@ -22,6 +24,7 @@ from duality_lab.states import (
     spec_from_probabilities,
     uniform_spec,
 )
+from duality_lab.verify import SuiteResult, _check_povm, run_verification
 
 from helpers import detector_specs, iter_specs, separation_levels
 
@@ -297,21 +300,57 @@ class TestJsonDump:
 class TestFaultInjection:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
-            with inject_fault("bogus"):
-                pass
+            run_verification(samples=1, fault="bogus")
 
     def test_sign_fault_breaks_completeness(self):
-        spec = spec_from_probabilities(4, (0, 1, 3), (0.5, 0.3, 0.2))
-        with inject_fault("gk-sign"):
-            stack = element_stack(build_frio_standard(spec, 0.5))
-        assert np.abs(stack.sum(axis=0) - support_projector(spec)).max() > 1e-3
+        results = run_verification(samples=5, seed=0, n_range=(2, 5), fault="gk-sign")
+        completeness = next(r for r in results if r.name == "povm-completeness")
+        assert not completeness.passed
+        assert any("completeness violated" in v for v in completeness.violations)
 
-    def test_hook_is_scoped(self):
-        spec = spec_from_probabilities(4, (0, 1, 3), (0.5, 0.3, 0.2))
-        with inject_fault("gk-sign"):
-            pass
-        stack = element_stack(build_frio_standard(spec, 0.5))
-        assert np.abs(stack.sum(axis=0) - support_projector(spec)).max() < 1e-10
+
+def assert_valid_povm(spec, measurement):
+    result = SuiteResult("povm")
+    _check_povm(result, spec, measurement)
+    assert result.violations == []
+
+
+class TestInputLimits:
+    def test_squared_coefficient_below_floor_rejected(self):
+        below = math.nextafter(sys.float_info.min, 0.0)
+        with pytest.raises(ValidationError, match="smallest normal float"):
+            spec_from_probabilities(3, (0, 1, 2), (0.5, 0.5, below))
+
+    def test_floor_gives_finite_knowledge_and_valid_povms(self):
+        spec = spec_from_probabilities(3, (0, 1, 2), (0.5, 0.5, sys.float_info.min))
+        assert math.isfinite(knowledge_me(spec))
+        for xi in (0.5, 1.0):
+            assert math.isfinite(knowledge_frio(spec, xi))
+            assert math.isfinite(knowledge_concatenated(spec, xi))
+            assert_valid_povm(spec, build_frio_standard(spec, xi))
+            assert_valid_povm(spec, build_frio_concatenated(spec, xi))
+
+    def test_largest_path_count_builds(self):
+        probs = np.random.default_rng(64).exponential(size=MAX_POVM_PATHS)
+        spec = spec_from_probabilities(
+            MAX_POVM_PATHS, range(MAX_POVM_PATHS), probs / probs.sum()
+        )
+        assert_valid_povm(spec, build_me_measurement(spec))
+        assert_valid_povm(spec, build_frio_standard(spec, 0.5))
+        assert_valid_povm(spec, build_frio_concatenated(spec, 1.0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_me_measurement,
+            lambda spec: build_frio_standard(spec, 0.5),
+            lambda spec: build_frio_concatenated(spec, 0.5),
+        ],
+        ids=["me", "standard", "concatenated"],
+    )
+    def test_one_more_path_rejected(self, build):
+        with pytest.raises(ValidationError, match="at most 64 paths"):
+            build(uniform_spec(MAX_POVM_PATHS + 1, (0, 1)))
 
 
 class TestStrategyTags:
