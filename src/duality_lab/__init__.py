@@ -10,6 +10,7 @@ from .duality import (
     DualityPoint,
     coherence,
     evaluate_point,
+    evaluate_specs,
     holevo_ceiling,
     knowledge_concatenated,
     knowledge_frio,
@@ -97,6 +98,7 @@ __all__ = [
     "knowledge_me",
     "holevo_ceiling",
     "evaluate_point",
+    "evaluate_specs",
     "DualityPoint",
     "SupportStructure",
     "SaturationReport",

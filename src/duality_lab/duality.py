@@ -4,6 +4,12 @@ Coherence of the traversing system, which-path knowledge extracted by each
 discrimination strategy, and the duality-sum records produced by scans. All
 entropies are in bits and all quantifiers are normalized by log2(N), so both
 coherence and knowledge live in [0, 1] and their sum never exceeds 1.
+
+Scans evaluate many scenarios through one batched kernel,
+:func:`evaluate_specs`, which runs blocks of scenarios through one FFT and
+one entropy call each. The scalar functions (:func:`coherence`,
+:func:`knowledge_frio`, ...) evaluate one scenario; they serve
+``verify`` and are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -13,8 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import Strategy, _spectrum, conditional_failure, separation_params
-from .states import DetectorSpec, ValidationError
+from .measurements import (
+    MIN_COEFF_CLAMP_ATOL,
+    Strategy,
+    _spectrum,
+    conditional_failure,
+    separation_params,
+)
+from .states import DEGENERATE_FAILURE_ATOL, DetectorSpec, ValidationError
 
 __all__ = [
     "DualityPoint",
@@ -26,11 +38,18 @@ __all__ = [
     "knowledge_me",
     "holevo_ceiling",
     "evaluate_point",
+    "evaluate_specs",
 ]
 
 ENTRY_ATOL = 1e-12
 SUM_ATOL = 1e-9
 DUALITY_SUM_ATOL = 1e-9
+
+# Scenarios per evaluation block, and the most zero-padded spectrum entries
+# (rows x N) one block may hold: 2^18 complex entries take 4 MiB, so a
+# block's arrays stay a few MB at any path count.
+EVAL_BLOCK_ROWS = 4096
+EVAL_BLOCK_ENTRIES = 1 << 18
 
 
 def shannon_entropy(probabilities) -> float:
@@ -88,6 +107,11 @@ def _normalized_info(probabilities, n_paths: int) -> float:
     """1 - H(p)/log2(N), clamped into [0, 1] against roundoff."""
     value = 1.0 - shannon_entropy(probabilities) / math.log2(n_paths)
     return min(max(value, 0.0), 1.0)
+
+
+def _normalized_infos(probabilities: np.ndarray, n_paths: int) -> np.ndarray:
+    """:func:`_normalized_info` of each row of a 2-D array."""
+    return np.clip(1.0 - shannon_entropies(probabilities) / math.log2(n_paths), 0.0, 1.0)
 
 
 def coherence(spec: DetectorSpec) -> float:
@@ -162,30 +186,92 @@ def evaluate_point(spec: DetectorSpec, strategy, xi: float = 0.0) -> DualityPoin
 
     The ME strategy ignores ``xi`` (it is the xi = 0 endpoint). Raises if the
     duality bound C + K <= 1 is violated beyond tolerance, which would signal
-    an implementation bug rather than bad input.
+    an implementation bug rather than bad input. A one-row
+    :func:`evaluate_specs` call.
+    """
+    return evaluate_specs((spec,), strategy, xi)[0]
+
+
+def evaluate_specs(specs, strategy, xi: float = 0.0) -> list[DualityPoint]:
+    """:func:`evaluate_point` for many scenarios that share N and n.
+
+    Scenarios go through in blocks of at most ``EVAL_BLOCK_ROWS`` rows and
+    ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays bounded
+    at any N. Each block takes one FFT and one entropy call per distribution
+    kind, with the arithmetic of the scalar functions in the same order, so
+    every point equals :func:`coherence` and ``knowledge_*`` bit for bit.
     """
     strategy = Strategy(strategy)
-    if strategy is Strategy.ME:
-        xi = 0.0
-        knowledge = knowledge_me(spec)
-    elif strategy is Strategy.FRIO_STANDARD:
-        knowledge = knowledge_frio(spec, xi)
-    else:
-        knowledge = knowledge_concatenated(spec, xi)
-    coh = coherence(spec)
+    xi = 0.0 if strategy is Strategy.ME else float(xi)
+    if not 0.0 <= xi <= 1.0:
+        raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
+    specs = list(specs)
+    if not specs:
+        return []
+    n_paths, n = specs[0].N, specs[0].n
+    if any(spec.N != n_paths or spec.n != n for spec in specs):
+        raise ValidationError("evaluate_specs needs scenarios that share N and n")
+    rows = max(1, min(EVAL_BLOCK_ROWS, EVAL_BLOCK_ENTRIES // n_paths))
+    points = []
+    for lo in range(0, len(specs), rows):
+        points.extend(_evaluate_block(specs[lo : lo + rows], strategy, xi))
+    return points
+
+
+def _spectra(n_paths: int, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise ``measurements._spectrum``: ``|FFT|^2`` of each weight row
+    placed at its support indices in a zero row of length N."""
+    padded = np.zeros((len(weights), n_paths))
+    np.put_along_axis(padded, indices, weights, axis=1)
+    return np.abs(np.fft.fft(padded, axis=1)) ** 2
+
+
+def _evaluate_block(specs: list[DetectorSpec], strategy: Strategy, xi: float) -> list[DualityPoint]:
+    n_paths, n = specs[0].N, specs[0].n
+    amps = np.array([spec.coeffs for spec in specs])
+    indices = np.array([spec.support.indices for spec in specs])
+    probs = amps**2
+    p_min = probs.min(axis=1)
+    uniform = 1.0 - n * p_min <= DEGENERATE_FAILURE_ATOL
+    coh = _normalized_infos(probs, n_paths)
+
+    # separation_params and knowledge_frio, row by row.
+    success = np.sqrt((1.0 - xi + xi / (n * probs)) / n_paths)
+    p_success = np.where(uniform, 1.0, n * p_min / ((1.0 - xi) * n * p_min + xi))
+    conclusive = _spectra(n_paths, indices, amps * success)
+    knowledge = p_success * _normalized_infos(conclusive, n_paths)
+
+    if strategy is Strategy.FRIO_CONCATENATED:
+        # conditional_failure on the rows that have a failure branch.
+        fail = np.flatnonzero(~uniform)
+        p, m = probs[fail], p_min[fail, None]
+        h_sq = (p - m) / ((1.0 - n * m) * n_paths * p)
+        a = amps[fail]
+        h_sq[a - a.min(axis=1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
+        live = h_sq.any(axis=1)
+        fail = fail[live]
+        if fail.size:
+            spectra = _spectra(n_paths, indices[fail], a[live] * np.sqrt(h_sq[live]))
+            spectra = spectra / spectra.sum(axis=1, keepdims=True)
+            knowledge[fail] += (1.0 - p_success[fail]) * _normalized_infos(spectra, n_paths)
+
     total = coh + knowledge
-    if total > 1.0 + DUALITY_SUM_ATOL:
+    bad = np.flatnonzero(total > 1.0 + DUALITY_SUM_ATOL)
+    if bad.size:
         raise ValidationError(
-            f"duality bound violated: C + K = {total!r} for spec "
-            f"{spec.support.indices} (internal error)"
+            f"duality bound violated: C + K = {float(total[bad[0]])!r} for spec "
+            f"{specs[bad[0]].support.indices} (internal error)"
         )
-    return DualityPoint(
-        N=spec.N,
-        n=spec.n,
-        strategy=strategy,
-        xi=float(xi),
-        coherence=coh,
-        knowledge=knowledge,
-        duality_sum=total,
-        spec=spec,
-    )
+    return [
+        DualityPoint(
+            N=n_paths,
+            n=n,
+            strategy=strategy,
+            xi=xi,
+            coherence=c,
+            knowledge=k,
+            duality_sum=t,
+            spec=spec,
+        )
+        for spec, c, k, t in zip(specs, coh.tolist(), knowledge.tolist(), total.tolist())
+    ]

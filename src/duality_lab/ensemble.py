@@ -7,6 +7,12 @@ index. Coefficient probabilities are drawn flat on the simplex (normalized
 unit exponentials) and supports uniformly over the C(N, n) subsets. The
 fixed per-sample draw order is: subspace dimension (only when sweeping all
 dimensions), support, coefficients.
+
+Evaluation is batched: the samples of a chunk are grouped by subspace
+dimension and each group goes through :func:`duality.evaluate_specs` once
+per (strategy, xi) pair, which works in blocks whose memory is bounded at
+any N. Points are put back in sample order, strategies innermost, so
+neither the grouping nor the worker count changes the output.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualityPoint, evaluate_point
+from .duality import EVAL_BLOCK_ROWS, DualityPoint, evaluate_specs
 from .measurements import Strategy
 from .states import (
     DetectorSpec,
@@ -46,7 +52,8 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "DUALITY_LAB_THREADS"
-_CHUNK = 4096
+# Samples per chunk: each chunk is one unit of work for the thread pool.
+_CHUNK = EVAL_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -122,14 +129,37 @@ def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
     return spec_from_probabilities(N, indices.tolist(), (weights / weights.sum()).tolist())
 
 
+def _evaluate_columns(specs, strategies) -> list[list[DualityPoint]]:
+    """One column of points per (strategy, xi) pair, aligned with ``specs``.
+
+    Specs of one subspace dimension share a kernel call per pair.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for position, spec in enumerate(specs):
+        by_dim.setdefault(spec.n, []).append(position)
+    columns = []
+    for tag, xi in strategies:
+        column = [None] * len(specs)
+        for positions in by_dim.values():
+            batch = evaluate_specs([specs[p] for p in positions], tag, xi)
+            for position, point in zip(positions, batch):
+                column[position] = point
+        columns.append(column)
+    return columns
+
+
+def _spec_major(specs, strategies) -> list[DualityPoint]:
+    """Points ordered by spec, then by (strategy, xi) pair."""
+    return [point for row in zip(*_evaluate_columns(specs, strategies)) for point in row]
+
+
 def _evaluate_samples(cfg: SweepConfig, start: int, stop: int) -> list[DualityPoint]:
-    points = []
+    specs = []
     for index in range(start, stop):
         rng = sample_rng(cfg.seed, index)
         n = cfg.n if cfg.n is not None else int(rng.integers(1, cfg.N + 1))
-        spec = sample_spec(cfg.N, n, rng)
-        points.extend(evaluate_point(spec, tag, xi) for tag, xi in cfg.strategies)
-    return points
+        specs.append(sample_spec(cfg.N, n, rng))
+    return _spec_major(specs, cfg.strategies)
 
 
 def run_sweep(
@@ -154,8 +184,7 @@ def run_sweep(
     if cfg.include_uniform_enumeration:
         top = cfg.n if cfg.n is not None else cfg.N
         for n in range(1, top + 1):
-            for spec in enumerate_uniform_specs(cfg.N, n):
-                points.extend(evaluate_point(spec, tag, xi) for tag, xi in cfg.strategies)
+            points.extend(_spec_major(enumerate_uniform_specs(cfg.N, n), cfg.strategies))
     envelope = boundary_envelope(points, envelope_bins) if envelope_bins else None
     return ScatterDataset(config=cfg.to_json_dict(), points=tuple(points), envelope=envelope)
 
@@ -183,9 +212,7 @@ def two_path_grid_dataset(
             specs.append(uniform_spec(2, (0,)))
         else:
             specs.append(spec_from_probabilities(2, (0, 1), (1.0 - p_min, p_min)))
-    points = [
-        evaluate_point(spec, tag, xi) for tag, xi in strategies for spec in specs
-    ]
+    points = [point for column in _evaluate_columns(specs, strategies) for point in column]
     envelope = boundary_envelope(points, envelope_bins) if envelope_bins else None
     config = {
         "mode": "two-path-grid",

@@ -270,10 +270,12 @@ def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
     """Closed-form conditional distribution given failure-branch outcome 0.
 
     Independent of the separation level. ``None`` when the failure branch is
-    absent (uniform coefficients).
+    absent (uniform coefficients) or carries no amplitude: when every
+    coefficient lies within ``MIN_COEFF_CLAMP_ATOL`` of the minimum, the
+    clamp zeroes the whole profile and there is no distribution to normalize.
     """
     profile = separation_params(spec, 0.0).failure_profile
-    if profile is None:
+    if profile is None or not profile.any():
         return None
     spectrum = _spectrum(spec, profile)
     # The profile formula cancels (p_k - p_min) against (1 - n*p_min); for

@@ -60,6 +60,17 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _as_index(value) -> int:
+    """A support index as an int: Python and numpy integers, and floats with
+    an integral value. Bools, strings and other floats are rejected rather
+    than truncated."""
+    if is_int(value) or isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"support indices must be integers, got {value!r}")
+
+
 @lru_cache(maxsize=64)
 def phase_table(n_paths: int) -> np.ndarray:
     """Read-only table of root-of-unity powers, ``table[l, k] = exp(2j*pi*k*l/N)``."""
@@ -83,7 +94,7 @@ class Support:
     def __post_init__(self) -> None:
         if not is_int(self.N) or self.N < 2:
             raise ValidationError(f"path count must be an integer >= 2, got {self.N!r}")
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_as_index(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValidationError("support must contain at least one index")

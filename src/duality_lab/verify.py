@@ -224,6 +224,8 @@ def run_verification(
     """
     if not is_int(samples) or samples < 1:
         raise ValidationError(f"sample count must be a positive integer, got {samples!r}")
+    if not is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     lo, hi = n_range
     if not 2 <= lo <= hi <= MAX_POVM_PATHS:
         raise ValidationError(

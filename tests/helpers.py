@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from duality_lab.duality import coherence, knowledge_concatenated, knowledge_frio, knowledge_me
 from duality_lab.ensemble import sample_rng, sample_spec
+from duality_lab.measurements import Strategy
 from duality_lab.states import spec_from_probabilities, uniform_spec
 
 
@@ -19,6 +21,19 @@ def draw_spec(seed: int, index: int, n_range=(2, 8), min_dim: int = 1):
 def iter_specs(count: int, seed: int, n_range=(2, 8), min_dim: int = 1):
     for index in range(count):
         yield draw_spec(seed, index, n_range, min_dim)
+
+
+def scalar_point(spec, strategy, xi):
+    """(K, C, C + K) from the scalar formulas: the batched kernel's reference."""
+    strategy = Strategy(strategy)
+    if strategy is Strategy.ME:
+        knowledge = knowledge_me(spec)
+    elif strategy is Strategy.FRIO_STANDARD:
+        knowledge = knowledge_frio(spec, xi)
+    else:
+        knowledge = knowledge_concatenated(spec, xi)
+    c = coherence(spec)
+    return (knowledge, c, c + knowledge)
 
 
 @st.composite

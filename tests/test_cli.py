@@ -40,8 +40,14 @@ class TestUsageErrors:
             (["--N", "4", "--support", "a"], None),
             (["--spec"], "not json {"),
             (["--spec"], '{"N": 4, "support": 5, "coeffs_sq": [1.0]}'),
+            (["--spec"], '{"N": 4, "support": [0, 1.7], "coeffs_sq": [0.5, 0.5]}'),
+            (["--spec"], '{"N": 4, "support": [true, 2], "coeffs_sq": [0.5, 0.5]}'),
+            (["--spec"], '{"N": 4, "support": ["1", 2], "coeffs_sq": [0.5, 0.5]}'),
         ],
-        ids=["coeffs-sq-text", "support-text", "spec-not-json", "spec-support-int"],
+        ids=[
+            "coeffs-sq-text", "support-text", "spec-not-json", "spec-support-int",
+            "spec-support-fraction", "spec-support-bool", "spec-support-string",
+        ],
     )
     def test_malformed_povm_input(self, argv, spec_text, tmp_path, capsys):
         if spec_text is not None:
@@ -280,6 +286,11 @@ class TestVerify:
 
     def test_range_beyond_path_limit_rejected(self):
         assert run_cli("verify", "--samples", "5", "--N-range", "2:65") == 2
+
+    def test_negative_seed_rejected(self, capsys):
+        assert run_cli("verify", "--samples", "2", "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
 
 class TestModuleEntrypoint:

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+from duality_lab import duality
 from duality_lab.duality import (
     coherence,
     evaluate_point,
+    evaluate_specs,
     holevo_ceiling,
     knowledge_concatenated,
     knowledge_frio,
@@ -14,10 +17,11 @@ from duality_lab.duality import (
     shannon_entropies,
     shannon_entropy,
 )
+from duality_lab.ensemble import sample_rng, sample_spec
 from duality_lab.measurements import Strategy
 from duality_lab.states import ValidationError, spec_from_probabilities, uniform_spec
 
-from helpers import detector_specs, iter_specs, separation_levels
+from helpers import detector_specs, iter_specs, scalar_point, separation_levels
 
 XI_GRID = [round(0.1 * k, 1) for k in range(11)]
 
@@ -192,6 +196,105 @@ class TestEvaluatePoint:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             evaluate_point(uniform_spec(6, (0, 1)), "helstrom")
+
+
+def kernel_points(specs, strategy, xi):
+    return [(p.knowledge, p.coherence, p.duality_sum) for p in evaluate_specs(specs, strategy, xi)]
+
+
+def spec_groups(N, seed):
+    """Random, uniform and near-uniform scenarios of a few dimensions on N paths.
+
+    Near-uniform scenarios have coefficients within MIN_COEFF_CLAMP_ATOL of
+    the minimum, which the failure profile clamps to zero.
+    """
+    rng = np.random.default_rng(seed)
+    for n in sorted({1, 2, max(1, N // 2), N}):
+        yield [sample_spec(N, n, sample_rng(seed, index)) for index in range(12)]
+        yield [
+            uniform_spec(N, sorted(rng.choice(N, size=n, replace=False).tolist()))
+            for _ in range(4)
+        ]
+        if n >= 3:
+            near = []
+            for _ in range(6):
+                probs = rng.random(n) + 0.1
+                probs[0] = 0.5 * probs.min()
+                probs[1] = probs[0] * (1 + rng.uniform(0, 1e-12))
+                indices = sorted(rng.choice(N, size=n, replace=False).tolist())
+                near.append(spec_from_probabilities(N, indices, probs / probs.sum()))
+            yield near
+
+
+class TestEvaluateSpecs:
+    @pytest.mark.parametrize("N", [2, 3, 5, 6, 8, 12, 16, 24])
+    def test_matches_the_scalar_formulas_bit_for_bit(self, N):
+        for specs in spec_groups(N, seed=N):
+            for strategy in Strategy:
+                for xi in (0.0, 0.3, 1.0):
+                    expected = [scalar_point(spec, strategy, xi) for spec in specs]
+                    assert kernel_points(specs, strategy, xi) == expected
+
+    def test_every_coefficient_within_the_clamp_of_the_minimum(self):
+        # 1 - n*p_min exceeds DEGENERATE_FAILURE_ATOL, so a failure branch
+        # exists, but both amplitudes lie within MIN_COEFF_CLAMP_ATOL of the
+        # minimum and the clamp zeroes the whole failure profile.
+        a0 = math.sqrt(0.5) - 0.5e-12
+        spec = spec_from_probabilities(2, (0, 1), (a0 * a0, 1 - a0 * a0))
+        assert not spec.is_uniform
+        for xi in (0.3, 1.0):
+            [point] = kernel_points([spec], Strategy.FRIO_CONCATENATED, xi)
+            assert point == scalar_point(spec, Strategy.FRIO_CONCATENATED, xi)
+            assert point[0] == knowledge_frio(spec, xi)
+
+    def test_blocks_split_at_large_path_counts(self):
+        N = 1024
+        specs = [sample_spec(N, 4, sample_rng(8, index)) for index in range(300)]
+        assert duality.EVAL_BLOCK_ENTRIES // N < len(specs)
+        for strategy in Strategy:
+            expected = [scalar_point(spec, strategy, 0.4) for spec in specs]
+            assert kernel_points(specs, strategy, 0.4) == expected
+
+    def test_points_carry_the_scenario_and_level(self):
+        specs = [uniform_spec(6, (0, 2)), uniform_spec(6, (1, 4))]
+        points = evaluate_specs(specs, "frio-standard", 0.25)
+        assert [p.spec for p in points] == specs
+        assert {(p.N, p.n, p.strategy, p.xi) for p in points} == {
+            (6, 2, Strategy.FRIO_STANDARD, 0.25)
+        }
+        assert all(type(p.knowledge) is float for p in points)
+        assert evaluate_specs(specs, "me", 0.8)[0].xi == 0.0
+        assert evaluate_specs([], "me") == []
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValidationError, match="share N and n"):
+            evaluate_specs([uniform_spec(6, (0,)), uniform_spec(6, (0, 1))], "me")
+        with pytest.raises(ValidationError, match="share N and n"):
+            evaluate_specs([uniform_spec(6, (0,)), uniform_spec(5, (0,))], "me")
+
+    def test_level_validated(self):
+        with pytest.raises(ValidationError, match="separation level"):
+            evaluate_specs([uniform_spec(6, (0, 1))], "frio-standard", 1.5)
+
+    def test_bound_violation_names_the_first_offending_spec(self, monkeypatch):
+        # With the tolerance at -0.1 every row with C + K > 0.9 violates the
+        # bound: (0, 1) and (0, 2) sum to 0.79 and 0.74, (0, 3) saturates.
+        monkeypatch.setattr(duality, "DUALITY_SUM_ATOL", -0.1)
+        specs = [uniform_spec(6, support) for support in ((0, 1), (0, 2), (0, 3), (1, 4))]
+        with pytest.raises(ValidationError, match=r"C \+ K = 1\.0.* \(0, 3\)"):
+            evaluate_specs(specs, "me")
+
+    def test_memory_stays_bounded_at_large_path_counts(self):
+        # 4096 padded rows at N = 2^16 would take 4 GiB as complex numbers.
+        specs = [sample_spec(1 << 16, 3, sample_rng(2, index)) for index in range(4096)]
+        tracemalloc.start()
+        try:
+            points = evaluate_specs(specs, "me")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 4096
+        assert peak < 64 * 2**20
 
 
 class TestDualityBound:

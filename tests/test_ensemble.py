@@ -16,7 +16,24 @@ from duality_lab.ensemble import (
     write_manifest,
     write_points_csv,
 )
-from duality_lab.states import ValidationError
+from duality_lab.measurements import Strategy
+from duality_lab.states import ValidationError, enumerate_uniform_specs
+
+from helpers import scalar_point
+
+
+def scalar_row(spec, strategy, xi):
+    """(N, n, strategy, xi, K, C, sum, spec) from the scalar formulas."""
+    strategy = Strategy(strategy)
+    xi = 0.0 if strategy is Strategy.ME else xi
+    return (spec.N, spec.n, strategy, xi, *scalar_point(spec, strategy, xi), spec)
+
+
+def point_row(point):
+    return (
+        point.N, point.n, point.strategy, point.xi,
+        point.knowledge, point.coherence, point.duality_sum, point.spec,
+    )  # fmt: skip
 
 
 def csv_bytes(points):
@@ -138,6 +155,33 @@ class TestRunSweep:
             assert left.spec == right.spec
             assert right.knowledge >= left.knowledge - 1e-9
 
+    def test_mixed_dimensions_match_the_scalar_formulas_in_sample_order(self):
+        # 5,000 samples span two chunks; every chunk holds all eight
+        # dimensions, each evaluated by its own kernel calls.
+        strategies = (("frio-concatenated", 0.3), ("me", 0.0), ("frio-standard", 1.0))
+        cfg = SweepConfig(N=8, n=None, samples=5000, strategies=strategies, seed=21)
+        specs = []
+        for index in range(cfg.samples):
+            rng = sample_rng(cfg.seed, index)
+            specs.append(sample_spec(8, int(rng.integers(1, 9)), rng))
+        assert {spec.n for spec in specs[:4096]} == set(range(1, 9))
+        expected = [scalar_row(spec, tag, xi) for spec in specs for tag, xi in strategies]
+        assert [point_row(p) for p in run_sweep(cfg, workers=1).points] == expected
+
+    def test_uniform_overlay_matches_the_scalar_formulas(self):
+        strategies = (("frio-standard", 0.5), ("frio-concatenated", 1.0))
+        cfg = SweepConfig(
+            N=5, n=3, samples=0, strategies=strategies, seed=0,
+            include_uniform_enumeration=True,
+        )
+        expected = [
+            scalar_row(spec, tag, xi)
+            for n in (1, 2, 3)
+            for spec in enumerate_uniform_specs(5, n)
+            for tag, xi in strategies
+        ]
+        assert [point_row(p) for p in run_sweep(cfg).points] == expected
+
     def test_all_dimensions_mode_draws_every_dimension(self):
         cfg = SweepConfig(N=4, n=None, samples=300, strategies=(("me", 0.0),), seed=5)
         dims = {p.n for p in run_sweep(cfg).points}
@@ -162,6 +206,15 @@ class TestTwoPathGrid:
     def test_step_count_validated(self):
         with pytest.raises(ValidationError):
             two_path_grid_dataset((("me", 0.0),), steps=1)
+
+    def test_grid_matches_the_scalar_formulas(self):
+        # The first grid point is one-dimensional, the rest two-dimensional.
+        strategies = (("me", 0.0), ("frio-standard", 0.3), ("frio-concatenated", 1.0))
+        dataset = two_path_grid_dataset(strategies, steps=40)
+        specs = [p.spec for p in dataset.points[:40]]
+        assert [spec.n for spec in specs[:2]] == [1, 2]
+        expected = [scalar_row(spec, tag, xi) for tag, xi in strategies for spec in specs]
+        assert [point_row(p) for p in dataset.points] == expected
 
 
 class TestBoundaryEnvelope:

@@ -204,6 +204,16 @@ class TestClosedFormConditionals:
         spec = spec_from_probabilities(4, (0, 1, 2, 3), (0.4, 0.3, 0.2, 0.1))
         assert conditional_failure(spec).sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_failure_branch_absent_when_the_clamp_zeroes_every_entry(self):
+        # 1 - n*p_min = 1.4e-12 leaves a failure branch, but both amplitudes
+        # lie within MIN_COEFF_CLAMP_ATOL of the minimum; normalizing the
+        # all-zero spectrum would divide 0 by 0.
+        a0 = np.sqrt(0.5) - 0.5e-12
+        spec = spec_from_probabilities(2, (0, 1), (a0 * a0, 1 - a0 * a0))
+        assert not spec.is_uniform
+        assert not separation_params(spec, 0.5).failure_profile.any()
+        assert conditional_failure(spec) is None
+
 
 class TestOracleOutcomeTable:
     def test_perfect_discrimination_of_orthogonal_pair(self):

@@ -44,6 +44,23 @@ class TestSupport:
         with pytest.raises(ValidationError):
             Support(N=N, indices=indices)
 
+    @pytest.mark.parametrize(
+        "indices",
+        [(True, 2), (0, False), (0, 1.7), (0.5,), (0, float("nan")), ("1",), (0, "2"), (None,)],
+        ids=["bool", "false", "fraction", "half", "nan", "string", "string-tail", "none"],
+    )
+    def test_non_integer_indices_rejected(self, indices):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Support(N=4, indices=indices)
+
+    def test_python_and_numpy_integers_accepted(self):
+        indices = (0, np.int64(1), np.uint8(2), np.intc(3))
+        support = Support(N=5, indices=indices)
+        assert support.indices == (0, 1, 2, 3)
+        assert all(type(i) is int for i in support.indices)
+        assert Support(N=5, indices=np.array([1, 4])).indices == (1, 4)
+        assert Support(N=5, indices=(0, 2.0)).indices == (0, 2)
+
 
 class TestDetectorSpec:
     def test_two_path_balanced(self):
