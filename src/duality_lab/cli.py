@@ -12,7 +12,9 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -37,13 +39,12 @@ from .measurements import (
 from .saturation import census_blocks, saturating_dimensions, write_saturation_csv
 from .states import (
     ValidationError,
-    enumerate_uniform_specs,
     spec_from_json_dict,
     spec_from_probabilities,
     spec_to_json_dict,
     uniform_spec,
 )
-from .verify import FAULTS, run_verification
+from .verify import FAULTS, TOLERANCES, run_verification
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -143,8 +144,10 @@ def cmd_enumerate(args) -> int:
     dim = _parse_dim(args.n, args.N)
     dims = range(1, args.N + 1) if dim is None else (dim,)
     with _open_out(args.out) as handle:
+        # Streamed: C(N, n) specs would not fit in memory at large N.
         for n in dims:
-            for spec in enumerate_uniform_specs(args.N, n):
+            for indices in itertools.combinations(range(args.N), n):
+                spec = uniform_spec(args.N, indices)
                 handle.write(json.dumps(spec_to_json_dict(spec)) + "\n")
     return EXIT_OK
 
@@ -223,16 +226,30 @@ def cmd_verify(args) -> int:
         n_range=n_range,
         fault=args.inject_fault,
     )
-    failed = False
+    if args.json:
+        json.dump({result.name: _suite_json(result) for result in results}, sys.stdout)
+        sys.stdout.write("\n")
     for result in results:
-        if result.passed:
-            print(f"{result.name}: OK ({result.checks} checks)")
-        else:
-            failed = True
-            print(f"{result.name}: FAIL ({len(result.violations)}/{result.checks} checks)")
-            for violation in result.violations[:20]:
-                print(f"  {violation}", file=sys.stderr)
-    return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
+        if not args.json:
+            verdict = "OK" if result.passed else "FAIL"
+            count = f"{len(result.violations)}/" if result.violations else ""
+            print(f"{result.name}: {verdict} ({count}{result.checks} checks)")
+        for violation in result.violations[:20]:
+            print(f"  {violation}", file=sys.stderr)
+    return EXIT_OK if all(result.passed for result in results) else EXIT_PROPERTY_FAILURE
+
+
+def _suite_json(result) -> dict:
+    """A suite's counts and, per tolerance it checks, the worst gap seen next
+    to the tolerance; a non-finite gap is written as a string."""
+    return {
+        "checks": result.checks,
+        "violations": len(result.violations),
+        "worst_gaps": {
+            name: {"gap": gap if math.isfinite(gap) else repr(gap), "atol": TOLERANCES[name]}
+            for name, gap in result.worst.items()
+        },
+    }
 
 
 def _positive_int(text: str) -> int:
@@ -300,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--N-range", default="2:8", help="path-count range 'LO:HI'")
     verify.add_argument("--inject-fault", choices=FAULTS, default=None,
                         help=argparse.SUPPRESS)
+    verify.add_argument("--json", action="store_true",
+                        help="print one JSON object with counts and worst gaps per suite")
     verify.set_defaults(handler=cmd_verify)
 
     return parser

@@ -27,6 +27,7 @@ import numpy as np
 
 from .duality import EVAL_BLOCK_ROWS, DualityPoint, evaluate_specs
 from .measurements import Strategy
+from .saturation import SCAN_MAX_PATHS
 from .states import (
     DetectorSpec,
     ValidationError,
@@ -85,6 +86,11 @@ class SweepConfig:
             raise ValidationError(f"sample count must be a nonnegative integer, got {self.samples!r}")
         if self.samples == 0 and not self.include_uniform_enumeration:
             raise ValidationError("nothing to sweep: zero samples and no uniform enumeration")
+        if self.include_uniform_enumeration and self.N > SCAN_MAX_PATHS:
+            raise ValidationError(
+                f"the uniform enumeration is limited to N <= {SCAN_MAX_PATHS} paths "
+                f"(it holds up to 2^N - 1 scenarios), got N = {self.N}"
+            )
         strategies = tuple((Strategy(tag), float(xi)) for tag, xi in self.strategies)
         if not strategies:
             raise ValidationError("at least one (strategy, xi) pair is required")

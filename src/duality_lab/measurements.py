@@ -19,9 +19,11 @@ All matrices are embedded in the full N-dimensional detector space with
 exact zeros off the support block; completeness therefore holds relative to
 the support-subspace projector, not the full identity.
 
-:func:`oracle_outcome_table` evaluates any measurement against the explicit
-state vectors with plain complex matrix arithmetic. It shares no code with
-the closed-form probability expressions and serves as their cross-check.
+:func:`oracle_arrays` evaluates a stack of POVM elements against the explicit
+state vectors with plain complex matrix arithmetic, and
+:func:`oracle_outcome_table` is its per-label view of one measurement. The
+oracle shares no code with the closed-form probability expressions and
+serves as their cross-check.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ __all__ = [
     "conditional_conclusive",
     "conditional_failure",
     "oracle_outcome_table",
+    "OracleArrays",
+    "oracle_arrays",
+    "element_stack",
     "measurement_to_json_dict",
     "MAX_POVM_PATHS",
 ]
@@ -175,10 +180,12 @@ def _profile_states(spec: DetectorSpec, scale: float, profile: np.ndarray) -> np
     return rows
 
 
-def _rank_one(row: np.ndarray) -> np.ndarray:
-    mat = np.outer(row, row.conj())
-    mat.setflags(write=False)
-    return mat
+def _rank_ones(rows: np.ndarray) -> list[np.ndarray]:
+    """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry),
+    as views into one array."""
+    mats = rows[:, :, None] * rows.conj()[:, None, :]
+    mats.setflags(write=False)
+    return list(mats)
 
 
 def _check_povm_size(spec: DetectorSpec) -> None:
@@ -195,7 +202,7 @@ def build_me_measurement(spec: DetectorSpec) -> Measurement:
     u_rows = _profile_states(spec, 1.0, np.full(spec.n, 1.0 / np.sqrt(spec.n)))
     weight = spec.n / spec.N
     elements = tuple(
-        (f"c{j}", _rank_one(np.sqrt(weight) * u_rows[j])) for j in range(spec.N)
+        (f"c{j}", matrix) for j, matrix in enumerate(_rank_ones(np.sqrt(weight) * u_rows))
     )
     return Measurement(strategy=Strategy.ME, xi=0.0, elements=elements)
 
@@ -215,14 +222,14 @@ def build_two_step_measurements(
     """
     _check_povm_size(spec)
     rows = _profile_states(spec, params.p_success, params.success_profile)
-    conclusive = tuple((f"c{j}", _rank_one(row)) for j, row in enumerate(rows))
+    conclusive = tuple((f"c{j}", matrix) for j, matrix in enumerate(_rank_ones(rows)))
     if params.failure_profile is None:
         zero = np.zeros((spec.N, spec.N), dtype=complex)
         zero.setflags(write=False)
         failures = [zero] * spec.N
     else:
         rows = _profile_states(spec, params.p_fail, params.failure_profile)
-        failures = [_rank_one(row) for row in rows]
+        failures = _rank_ones(rows)
     fail = sum(failures)
     fail.setflags(write=False)
     standard = conclusive + (("f", fail),)
@@ -274,7 +281,12 @@ def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
     coefficient lies within ``MIN_COEFF_CLAMP_ATOL`` of the minimum, the
     clamp zeroes the whole profile and there is no distribution to normalize.
     """
-    profile = separation_params(spec, 0.0).failure_profile
+    return _failure_spectrum(spec, separation_params(spec, 0.0).failure_profile)
+
+
+def _failure_spectrum(spec: DetectorSpec, profile: np.ndarray | None) -> np.ndarray | None:
+    """:func:`conditional_failure` from a ``failure_profile`` already computed
+    by :func:`separation_params` (the profile does not depend on the level)."""
     if profile is None or not profile.any():
         return None
     spectrum = _spectrum(spec, profile)
@@ -296,33 +308,63 @@ class OutcomeTable:
     conditionals: dict[str, np.ndarray | None]
 
 
-def oracle_outcome_table(sym_set: SymmetricSet, measurement: Measurement) -> OutcomeTable:
-    """Evaluate a measurement against explicit state vectors.
+@dataclass(frozen=True, eq=False)
+class OracleArrays:
+    """Outcome probabilities and conditionals of a stack of POVM elements.
 
-    Computes ``p_j = Tr(E_j rho)`` with ``rho`` assembled from the N state
-    projectors, and conditionals ``<state_l| E_j |state_l> / (N p_j)``. Pure
+    ``probs[e] = Tr(E_e rho)``. Row ``conditionals[e]`` is the distribution of
+    the state label given outcome ``e``; it is undefined, and filled with
+    NaN, where ``defined[e]`` is False because ``probs[e]`` lies below
+    ``UNDEFINED_OUTCOME_ATOL``.
+    """
+
+    probs: np.ndarray
+    conditionals: np.ndarray
+    defined: np.ndarray
+
+
+def element_stack(measurements) -> np.ndarray:
+    """The element matrices of the given measurements as one ``[E, N, N]``
+    array, in measurement order and label order within each."""
+    return np.stack([matrix for measurement in measurements for _, matrix in measurement.elements])
+
+
+def oracle_arrays(sym_set: SymmetricSet, elements: np.ndarray) -> OracleArrays:
+    """Evaluate a stack of POVM elements against explicit state vectors.
+
+    Computes ``p_e = Tr(E_e rho)`` with ``rho`` assembled from the N state
+    projectors, and conditionals ``<state_l| E_e |state_l> / (N p_e)``. Pure
     matrix arithmetic, no closed forms; this is the independent cross-check
-    for every probability formula in this module.
+    for every probability formula in this module. Each entry equals the one
+    a per-element ``np.trace(E_e @ rho)`` and einsum would give, bit for bit.
     """
     states = sym_set.states
     n_paths = states.shape[0]
-    if measurement.dim != n_paths:
+    if elements.shape[1:] != (n_paths, n_paths):
         raise ValidationError(
-            f"measurement dimension {measurement.dim} does not match state "
+            f"measurement dimension {elements.shape[-1]} does not match state "
             f"dimension {n_paths}"
         )
     rho = states.T @ states.conj() / n_paths
-    outcome_probs: dict[str, float] = {}
-    conditionals: dict[str, np.ndarray | None] = {}
-    for label, matrix in measurement.elements:
-        prob = float(np.trace(matrix @ rho).real)
-        outcome_probs[label] = prob
-        if prob < UNDEFINED_OUTCOME_ATOL:
-            conditionals[label] = None
-            continue
-        quad = np.einsum("lk,kj,lj->l", states.conj(), matrix, states).real
-        conditionals[label] = quad / (n_paths * prob)
-    return OutcomeTable(outcome_probs=outcome_probs, conditionals=conditionals)
+    probs = np.trace(elements @ rho, axis1=1, axis2=2).real
+    defined = probs >= UNDEFINED_OUTCOME_ATOL
+    quad = np.einsum("lk,ekj,lj->el", states.conj(), elements, states).real
+    conditionals = np.full(quad.shape, np.nan)
+    np.divide(quad, (n_paths * probs)[:, None], out=conditionals, where=defined[:, None])
+    return OracleArrays(probs=probs, conditionals=conditionals, defined=defined)
+
+
+def oracle_outcome_table(sym_set: SymmetricSet, measurement: Measurement) -> OutcomeTable:
+    """Per-label view of :func:`oracle_arrays` for one measurement."""
+    arrays = oracle_arrays(sym_set, element_stack((measurement,)))
+    labels = measurement.labels()
+    return OutcomeTable(
+        outcome_probs=dict(zip(labels, arrays.probs.tolist())),
+        conditionals={
+            label: row if defined else None
+            for label, row, defined in zip(labels, arrays.conditionals, arrays.defined)
+        },
+    )
 
 
 def measurement_to_json_dict(measurement: Measurement) -> dict:

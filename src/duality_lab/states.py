@@ -195,7 +195,12 @@ class DetectorSpec:
 
     @property
     def min_probability(self) -> float:
-        return float(self.probabilities.min())
+        """Smallest squared amplitude (cached)."""
+        cached = self.__dict__.get("_min_probability")
+        if cached is None:
+            cached = float(self.probabilities.min())
+            object.__setattr__(self, "_min_probability", cached)
+        return cached
 
     @property
     def is_uniform(self) -> bool:

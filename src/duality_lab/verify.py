@@ -9,6 +9,13 @@ for the DFT spectrum, and the support-size uncertainty bound. Violations
 carry the offending scenario serialized as JSON so a failure can be
 replayed.
 
+Each scenario is checked with array operations: its closed forms are
+computed once, with separation data once per level, all of its
+measurements go through one element stack (one ``eigvalsh`` call, one
+oracle call), and oracle rows are compared with the closed forms by index
+arithmetic. Violation messages are only formatted for checks that fail.
+Every suite also keeps the largest gap it saw against each tolerance.
+
 Only theorems are asserted. The square-root measurement minimises the error
 probability, not the mutual information, so at xi > 0 either separation
 strategy can extract more which-path knowledge than it does, and knowledge
@@ -21,29 +28,38 @@ coefficient; ``tests/test_duality.py`` pins them against an independent
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .duality import knowledge_concatenated, knowledge_frio, knowledge_me, holevo_ceiling, coherence
+from .duality import _normalized_info, coherence, holevo_ceiling
 from .ensemble import sample_rng, sample_spec
 from .measurements import (
-    Measurement,
-    build_me_measurement,
-    build_two_step_measurements,
-    conditional_conclusive,
-    conditional_failure,
-    oracle_outcome_table,
-    separation_params,
     COMPLETENESS_ATOL,
     MAX_POVM_PATHS,
     POSITIVITY_ATOL,
+    Measurement,
+    OracleArrays,
+    SeparationParams,
+    _failure_spectrum,
+    _spectrum,
+    build_me_measurement,
+    build_two_step_measurements,
+    element_stack,
+    oracle_arrays,
+    separation_params,
 )
 from .saturation import dft_distribution
 from .states import DetectorSpec, ValidationError, build_symmetric_set, is_int, spec_to_json_dict
 
-__all__ = ["SuiteResult", "run_verification", "DEFAULT_XI_GRID", "MONOTONICITY_XI_GRID"]
+__all__ = [
+    "SuiteResult",
+    "run_verification",
+    "DEFAULT_XI_GRID",
+    "MONOTONICITY_XI_GRID",
+    "TOLERANCES",
+]
 
 DEFAULT_XI_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 MONOTONICITY_XI_GRID = tuple(round(0.1 * k, 1) for k in range(11))
@@ -53,28 +69,68 @@ SHIFT_ATOL = 1e-12
 REDUCTION_ATOL = 1e-12
 HIERARCHY_ATOL = 1e-9
 MONOTONICITY_ATOL = 1e-9
+SUCCESS_MONOTONICITY_ATOL = 1e-12
 PARSEVAL_ATOL = 1e-10
+
+# Every tolerance a suite checks a gap against; a check passes when its gap
+# is at most the tolerance, so a negative worst gap means slack.
+TOLERANCES = {
+    "COMPLETENESS_ATOL": COMPLETENESS_ATOL,
+    "POSITIVITY_ATOL": POSITIVITY_ATOL,
+    "ORACLE_ATOL": ORACLE_ATOL,
+    "SHIFT_ATOL": SHIFT_ATOL,
+    "REDUCTION_ATOL": REDUCTION_ATOL,
+    "HIERARCHY_ATOL": HIERARCHY_ATOL,
+    "MONOTONICITY_ATOL": MONOTONICITY_ATOL,
+    "SUCCESS_MONOTONICITY_ATOL": SUCCESS_MONOTONICITY_ATOL,
+    "PARSEVAL_ATOL": PARSEVAL_ATOL,
+}
 
 # Deliberately corrupted formulas that the suites must report.
 FAULTS = ("gk-sign",)
 
+# Outcome kinds by label prefix: conclusive, conclusive after failure, and
+# the inconclusive outcome.
+KINDS = ("c", "fc", "f")
+
 
 @dataclass
 class SuiteResult:
-    """Outcome of one property suite: check count and violation messages."""
+    """Outcome of one property suite: check count, violation messages, and
+    the largest gap seen against each tolerance it checks (``worst``)."""
 
     name: str
     checks: int = 0
     violations: list[str] = field(default_factory=list)
+    worst: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
-    def record(self, ok: bool, spec: DetectorSpec, detail: str) -> None:
+    def record(self, ok: bool, spec: DetectorSpec, detail) -> None:
+        """One check; ``detail()`` builds its message when it fails."""
         self.checks += 1
         if not ok:
-            self.violations.append(f"{detail} | replay spec: {json.dumps(spec_to_json_dict(spec))}")
+            self._violation(spec, detail())
+
+    def record_all(self, ok: np.ndarray, spec: DetectorSpec, detail) -> None:
+        """One check per entry of ``ok``; ``detail(i)`` builds the message of
+        failing entry ``i``, in row-major order."""
+        self.checks += ok.size
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                self._violation(spec, detail(int(i)))
+
+    def margin(self, tolerance: str, gaps) -> None:
+        """Keep the largest of ``gaps`` seen against the named tolerance."""
+        gaps = np.asarray(gaps, dtype=float)
+        if gaps.size:
+            worst = float(gaps.max())
+            self.worst[tolerance] = max(self.worst.get(tolerance, worst), worst)
+
+    def _violation(self, spec: DetectorSpec, detail: str) -> None:
+        self.violations.append(f"{detail} | replay spec: {json.dumps(spec_to_json_dict(spec))}")
 
 
 def _support_projector(spec: DetectorSpec) -> np.ndarray:
@@ -96,116 +152,323 @@ def _has_isolated_minimum(spec: DetectorSpec) -> bool:
     return (ordered[1] - ordered[0]) / ordered[0] >= ISOLATED_MINIMUM_GAP
 
 
-def _check_povm(result: SuiteResult, spec: DetectorSpec, measurement: Measurement) -> None:
-    matrices = np.stack([matrix for _, matrix in measurement.elements])
-    hermitian_gap = float(np.abs(matrices - matrices.conj().transpose(0, 2, 1)).max())
-    result.record(
-        hermitian_gap <= COMPLETENESS_ATOL,
-        spec,
-        f"{measurement.strategy.value} xi={measurement.xi}: non-Hermitian element "
-        f"(gap {hermitian_gap:.3e})",
+def _check_povm(
+    result: SuiteResult,
+    spec: DetectorSpec,
+    measurements: list[Measurement],
+    elements: np.ndarray,
+) -> None:
+    """Hermiticity, positivity and completeness of each measurement, three
+    checks per measurement; ``elements`` is their :func:`element_stack`."""
+    starts = np.cumsum([0] + [len(measurement.elements) for measurement in measurements])
+    min_eig = np.minimum.reduceat(np.linalg.eigvalsh(elements).min(axis=1), starts[:-1])
+    # Per measurement, so temporaries stay the size of one measurement and
+    # each sum adds its elements in the order a stack of its own would.
+    blocks = [elements[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    hermitian = np.array([np.abs(b - b.conj().transpose(0, 2, 1)).max() for b in blocks])
+    sums = np.stack([block.sum(axis=0) for block in blocks])
+    completeness = np.abs(sums - _support_projector(spec)).max(axis=(1, 2))
+
+    def detail(i: int) -> str:
+        m, check = divmod(i, 3)
+        head = f"{measurements[m].strategy.value} xi={measurements[m].xi}: "
+        if check == 0:
+            return head + f"non-Hermitian element (gap {hermitian[m]:.3e})"
+        if check == 1:
+            return head + f"element not PSD (min eigenvalue {min_eig[m]:.3e})"
+        return head + f"completeness violated (max deviation {completeness[m]:.3e})"
+
+    ok = np.stack(
+        [
+            hermitian <= COMPLETENESS_ATOL,
+            min_eig >= -POSITIVITY_ATOL,
+            completeness <= COMPLETENESS_ATOL,
+        ],
+        axis=1,
     )
-    min_eig = float(np.linalg.eigvalsh(matrices).min())
-    result.record(
-        min_eig >= -POSITIVITY_ATOL,
-        spec,
-        f"{measurement.strategy.value} xi={measurement.xi}: element not PSD "
-        f"(min eigenvalue {min_eig:.3e})",
-    )
-    completeness_gap = float(
-        np.abs(matrices.sum(axis=0) - _support_projector(spec)).max()
-    )
-    result.record(
-        completeness_gap <= COMPLETENESS_ATOL,
-        spec,
-        f"{measurement.strategy.value} xi={measurement.xi}: completeness violated "
-        f"(max deviation {completeness_gap:.3e})",
-    )
+    result.record_all(ok, spec, detail)
+    result.margin("COMPLETENESS_ATOL", np.concatenate([hermitian, completeness]))
+    result.margin("POSITIVITY_ATOL", -min_eig)
 
 
-def _max_gap(left: np.ndarray | None, right: np.ndarray | None) -> float:
-    if left is None or right is None:
-        return 0.0 if left is right else math.inf
-    return float(np.abs(left - right).max())
+@dataclass(frozen=True, eq=False)
+class _ClosedForms:
+    """What the suites compare one scenario against.
+
+    ``levels[i]`` is ``separation_params(spec, xi_grid[i])``, computed once
+    per level. Each other field equals the scalar function in its comment
+    bit for bit; ``tests/test_verify.py`` holds them to that.
+    """
+
+    levels: tuple[SeparationParams, ...]
+    conclusive: np.ndarray  # [L, N]: conditional_conclusive(spec, xi) per level
+    failure: np.ndarray | None  # conditional_failure(spec)
+    coherence: float  # coherence(spec)
+    ceiling: float  # holevo_ceiling(spec)
+    # Per level (knowledge_frio, knowledge_concatenated, knowledge_me), or the
+    # ValidationError the first of the three raises at that level.
+    knowledge: tuple
+
+
+def _info(distribution: np.ndarray, n_paths: int):
+    """``_normalized_info``, or the ValidationError it raises."""
+    try:
+        return _normalized_info(distribution, n_paths)
+    except ValidationError as exc:
+        return exc
+
+
+def _closed_forms(spec: DetectorSpec, xi_grid) -> _ClosedForms:
+    n_paths = spec.N
+    coh = coherence(spec)
+    ceiling = holevo_ceiling(spec)
+    levels = tuple(separation_params(spec, xi) for xi in xi_grid)
+    # The failure profile does not depend on the level, and xi = 0 is the
+    # minimum-error measurement.
+    zero = separation_params(spec, 0.0)
+    failure = _failure_spectrum(spec, zero.failure_profile)
+    conclusive = np.array([_spectrum(spec, params.success_profile) for params in levels])
+    conclusive = conclusive.reshape(len(levels), n_paths)
+    fail_info = None if failure is None else _info(failure, n_paths)
+    me_info = _info(_spectrum(spec, zero.success_profile), n_paths)
+    knowledge = []
+    for params, row in zip(levels, conclusive):
+        infos = (_info(row, n_paths), fail_info, me_info)
+        error = next((info for info in infos if isinstance(info, ValidationError)), None)
+        if error is not None:
+            knowledge.append(error)
+            continue
+        k_std = params.p_success * infos[0]
+        k_conc = k_std if failure is None else k_std + params.p_fail * fail_info
+        knowledge.append((k_std, k_conc, zero.p_success * me_info))
+    return _ClosedForms(levels, conclusive, failure, coh, ceiling, tuple(knowledge))
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where the outcomes of one level's two-step measurements sit.
+
+    A level block holds the elements of its measurements in order;
+    ``spans[m]`` is the slice of measurement ``m``. ``kinds`` gives each
+    outcome's kind (index into ``KINDS``), and ``cols[b, l] = (l - j) % N``
+    with j the number in outcome b's label gathers its closed-form row;
+    ``roll[j, l] = (l - j) % N``. ``cyclic`` lists each (measurement, kind)
+    with a ``{kind}0`` outcome, and the matching row of ``cyclic_positions``
+    the block positions of ``{kind}0..{kind}{N-1}``. ``me_positions[m]``
+    holds the block position of each minimum-error label in measurement m.
+    """
+
+    labels: tuple[tuple[str, ...], ...]
+    spans: tuple[tuple[int, int], ...]
+    kinds: np.ndarray
+    cols: np.ndarray
+    roll: np.ndarray
+    cyclic: tuple[tuple[int, str], ...]
+    cyclic_positions: np.ndarray
+    me_positions: np.ndarray
+
+
+@lru_cache(maxsize=MAX_POVM_PATHS)
+def _layout(me_labels: tuple[str, ...], labels: tuple[tuple[str, ...], ...]) -> _Layout:
+    n_paths = len(me_labels)
+    flat = [(m, label) for m, names in enumerate(labels) for label in names]
+    position = {key: b for b, key in enumerate(flat)}
+    spans = tuple(
+        (position[(m, names[0])], position[(m, names[-1])] + 1) for m, names in enumerate(labels)
+    )
+    kinds = np.array([KINDS.index(label.rstrip("0123456789")) for _, label in flat])
+    shifts = np.array([0 if label == "f" else int(label.lstrip("cf")) for _, label in flat])
+    cyclic = tuple(
+        (m, kind) for m, names in enumerate(labels) for kind in ("c", "fc") if f"{kind}0" in names
+    )
+    steps = np.arange(n_paths)
+    return _Layout(
+        labels=labels,
+        spans=spans,
+        kinds=kinds,
+        cols=(steps - shifts[:, None]) % n_paths,
+        roll=(steps[None, :] - steps[:, None]) % n_paths,
+        cyclic=cyclic,
+        cyclic_positions=np.array(
+            [[position[(m, f"{kind}{j}")] for j in range(n_paths)] for m, kind in cyclic]
+        ).reshape(len(cyclic), n_paths),
+        me_positions=np.array(
+            [[position[(m, label)] for label in me_labels] for m in range(len(labels))]
+        ),
+    )
 
 
 def _check_oracle(
     result: SuiteResult,
     spec: DetectorSpec,
-    measurement: Measurement,
-    xi: float,
-    me_table,
+    xi_grid,
+    measurements: list[Measurement],
+    oracle: OracleArrays,
+    forms: _ClosedForms,
 ) -> None:
-    table = oracle_outcome_table(build_symmetric_set(spec), measurement)
-    params = separation_params(spec, xi)
-    conclusive = conditional_conclusive(spec, xi)
-    failure = conditional_failure(spec)
-    n_paths = spec.N
-    tag = measurement.strategy.value
+    """Compare the oracle with the closed forms for every two-step
+    measurement of a scenario.
 
-    total = sum(table.outcome_probs.values())
-    result.record(
-        abs(total - 1.0) <= ORACLE_ATOL, spec, f"{tag} xi={xi}: outcome probs sum to {total!r}"
+    ``measurements`` holds the minimum-error measurement, then the
+    measurements of each level in order; ``oracle`` covers their elements.
+    Per measurement: the outcome probabilities sum to 1; each outcome
+    probability and each defined conditional match the closed form, and each
+    conditional sums to 1; same-kind conditionals are cyclic shifts of each
+    other; and at xi = 0 the outcomes reduce to the minimum-error ones.
+    """
+    me, levels = measurements[0], measurements[1:]
+    n_levels = len(xi_grid)
+    if not n_levels:
+        return
+    n_paths, n_me = spec.N, len(me.elements)
+    per_level = len(levels) // n_levels
+    layout = _layout(me.labels(), tuple(m.labels() for m in levels[:per_level]))
+    block = len(layout.kinds)
+    probs = oracle.probs[n_me:].reshape(n_levels, block)
+    conds = oracle.conditionals[n_me:].reshape(n_levels, block, n_paths)
+    defined = oracle.defined[n_me:].reshape(n_levels, block)
+
+    # Outcome probabilities and totals, against p_success/N, p_fail/N, p_fail.
+    p_success = np.array([params.p_success for params in forms.levels])
+    p_fail = np.array([params.p_fail for params in forms.levels])
+    by_kind = np.stack([p_success / n_paths, p_fail / n_paths, p_fail], axis=1)
+    expected_probs = by_kind[:, layout.kinds]
+    prob_gap = np.abs(probs - expected_probs)
+    # Python's sum in label order, as over the values of oracle_outcome_table.
+    totals = np.array([[sum(row[lo:hi]) for lo, hi in layout.spans] for row in probs.tolist()])
+    total_gap = np.abs(totals - 1.0)
+
+    # Conditionals against the closed-form row shifted by the label's j; an
+    # absent failure branch leaves nothing to match (infinite gap).
+    failure = forms.failure if forms.failure is not None else np.full(n_paths, np.inf)
+    bases = np.stack(
+        [
+            forms.conclusive,
+            np.broadcast_to(failure, (n_levels, n_paths)),
+            np.full((n_levels, n_paths), 1.0 / n_paths),
+        ],
+        axis=1,
     )
-    for label, prob in table.outcome_probs.items():
-        if label == "f":
-            expected = params.p_fail
-        elif label.startswith("fc"):
-            expected = params.p_fail / n_paths
-        else:
-            expected = params.p_success / n_paths
-        result.record(
-            abs(prob - expected) <= ORACLE_ATOL,
-            spec,
-            f"{tag} xi={xi}: outcome {label} prob {prob!r} != closed form {expected!r}",
-        )
+    deviation = np.abs(conds - bases[:, layout.kinds[:, None], layout.cols]).max(axis=2)
+    sums = conds.sum(axis=2)
+    sum_gap = np.abs(sums - 1.0)
 
-    base = {"c": conclusive, "fc": failure, "f": np.full(n_paths, 1.0 / n_paths)}
-    for label, conditional in table.conditionals.items():
-        if conditional is None:
-            continue
-        shift = 0 if label == "f" else int(label.lstrip("cf"))
-        kind = "f" if label == "f" else ("fc" if label.startswith("fc") else "c")
-        expected = base[kind]
-        expected = expected if shift == 0 or expected is None else np.roll(expected, shift)
-        gap = _max_gap(conditional, expected)
-        result.record(
-            gap <= ORACLE_ATOL,
-            spec,
-            f"{tag} xi={xi}: conditional {label} deviates from closed form by {gap:.3e}",
-        )
-        total = float(conditional.sum())
-        result.record(
-            abs(total - 1.0) <= ORACLE_ATOL,
-            spec,
-            f"{tag} xi={xi}: conditional {label} sums to {total!r}",
-        )
+    # Cyclic shifts between same-kind conditionals, oracle only; checked
+    # where the {kind}0 conditional is defined.
+    positions = layout.cyclic_positions
+    reference = conds[:, positions[:, 0]]
+    shift_gap = np.abs(conds[:, positions] - reference[:, :, layout.roll]).max(axis=3)
+    shift_worst = np.where(defined[:, positions], shift_gap, np.inf).max(axis=2)
+    shift_checked = defined[:, positions[:, 0]]
 
-    # Cyclic-shift relation between same-kind conditionals, oracle only.
-    for kind in ("c", "fc"):
-        reference = table.conditionals.get(f"{kind}0")
-        if reference is None:
-            continue
-        worst = max(
-            _max_gap(table.conditionals.get(f"{kind}{j}"), np.roll(reference, j))
-            for j in range(n_paths)
-        )
-        result.record(
-            worst <= SHIFT_ATOL,
-            spec,
-            f"{tag} xi={xi}: cyclic-shift relation off by {worst:.3e} for kind {kind!r}",
-        )
+    # Reduction to the minimum-error outcomes at xi = 0.
+    zero = [level for level, xi in enumerate(xi_grid) if xi == 0.0]
+    me_defined = oracle.defined[:n_me]
+    table = layout.me_positions
+    table_defined = defined[zero][:, table]
+    cond_gap = np.abs(conds[zero][:, table] - oracle.conditionals[:n_me]).max(axis=3)
+    # Both undefined counts as agreement, one undefined as an infinite gap.
+    reduction_cond = np.where(
+        table_defined & me_defined,
+        cond_gap,
+        np.where(table_defined == me_defined, 0.0, np.inf),
+    )
+    reduction_prob = np.abs(probs[zero][:, table] - oracle.probs[:n_me])
+    reduction_ok = (reduction_cond <= REDUCTION_ATOL) & (reduction_prob <= REDUCTION_ATOL)
 
-    if xi == 0.0 and me_table is not None:
-        for label, conditional in me_table.conditionals.items():
-            gap = _max_gap(table.conditionals.get(label), conditional)
-            prob_gap = abs(table.outcome_probs[label] - me_table.outcome_probs[label])
+    total_ok = total_gap <= ORACLE_ATOL
+    prob_ok = prob_gap <= ORACLE_ATOL
+    deviation_ok = deviation <= ORACLE_ATOL
+    sum_ok = sum_gap <= ORACLE_ATOL
+    shift_ok = shift_worst <= SHIFT_ATOL
+    oracle_gaps = [total_gap.ravel(), prob_gap.ravel(), deviation[defined], sum_gap[defined]]
+    result.margin("ORACLE_ATOL", np.concatenate(oracle_gaps))
+    result.margin("SHIFT_ATOL", shift_worst[shift_checked])
+    result.margin("REDUCTION_ATOL", np.maximum(reduction_cond, reduction_prob))
+    # Record measurement by measurement, in report order.
+    for level, xi in enumerate(xi_grid):
+        for m, (lo, hi) in enumerate(layout.spans):
+            tag = levels[level * per_level + m].strategy.value
+            labels = layout.labels[m]
             result.record(
-                gap <= REDUCTION_ATOL and prob_gap <= REDUCTION_ATOL,
+                total_ok[level, m],
                 spec,
-                f"{tag}: xi=0 table differs from minimum-error table at {label} "
-                f"(cond {gap:.3e}, prob {prob_gap:.3e})",
+                lambda: f"{tag} xi={xi}: outcome probs sum to {float(totals[level, m])!r}",
             )
+            result.record_all(
+                prob_ok[level, lo:hi],
+                spec,
+                lambda i: f"{tag} xi={xi}: outcome {labels[i]} prob "
+                f"{float(probs[level, lo + i])!r} != closed form "
+                f"{float(expected_probs[level, lo + i])!r}",
+            )
+            live = lo + np.flatnonzero(defined[level, lo:hi])
+
+            def conditional(i: int) -> str:
+                b = live[i // 2]
+                label = labels[b - lo]
+                if i % 2 == 0:
+                    return (
+                        f"{tag} xi={xi}: conditional {label} deviates from closed form "
+                        f"by {deviation[level, b]:.3e}"
+                    )
+                return f"{tag} xi={xi}: conditional {label} sums to {float(sums[level, b])!r}"
+
+            result.record_all(
+                np.stack([deviation_ok[level, live], sum_ok[level, live]], axis=1),
+                spec,
+                conditional,
+            )
+            for g, (owner, kind) in enumerate(layout.cyclic):
+                if owner == m and shift_checked[level, g]:
+                    result.record(
+                        shift_ok[level, g],
+                        spec,
+                        lambda: f"{tag} xi={xi}: cyclic-shift relation off by "
+                        f"{shift_worst[level, g]:.3e} for kind {kind!r}",
+                    )
+            if xi == 0.0:
+                z = zero.index(level)
+                result.record_all(
+                    reduction_ok[z, m],
+                    spec,
+                    lambda i: f"{tag}: xi=0 table differs from minimum-error table at "
+                    f"{me.labels()[i]} (cond {reduction_cond[z, m, i]:.3e}, "
+                    f"prob {reduction_prob[z, m, i]:.3e})",
+                )
+
+
+def _check_hierarchy(
+    result: SuiteResult, spec: DetectorSpec, xi_grid, forms: _ClosedForms
+) -> list[float]:
+    """The theorem links at each level; returns the concatenation gains of
+    the levels whose knowledge could be computed."""
+    gains = []
+    ceiling = forms.ceiling
+    for xi, knowledge in zip(xi_grid, forms.knowledge):
+        if isinstance(knowledge, ValidationError):
+            result.record(False, spec, lambda: f"xi={xi}: knowledge failed: {knowledge}")
+            continue
+        k_std, k_conc, k_me = knowledge
+        gains.append(k_conc - k_std)
+        # Discarding the failure outcomes coarse-grains the concatenated
+        # measurement, hence k_std <= k_conc. Neither is bounded by k_me at
+        # xi > 0 (see the module docstring).
+        chain_ok = k_std <= k_conc + HIERARCHY_ATOL and k_me <= ceiling + HIERARCHY_ATOL
+        result.record(
+            chain_ok,
+            spec,
+            lambda: f"xi={xi}: hierarchy broken "
+            f"(frio {k_std!r}, conc {k_conc!r}, me {k_me!r}, ceiling {ceiling!r})",
+        )
+        total = forms.coherence + max(k_conc, k_std, k_me)
+        result.record(
+            total <= 1.0 + HIERARCHY_ATOL,
+            spec,
+            lambda: f"xi={xi}: duality sum {total!r} exceeds 1",
+        )
+        result.margin("HIERARCHY_ATOL", (k_std - k_conc, k_me - ceiling, total - 1.0))
+    return gains
 
 
 def run_verification(
@@ -246,57 +509,30 @@ def run_verification(
         n = int(rng.integers(1, n_paths + 1))
         spec = sample_spec(n_paths, n, rng)
 
-        me = build_me_measurement(spec)
-        _check_povm(completeness, spec, me)
-        me_table = oracle_outcome_table(build_symmetric_set(spec), me)
-        ceiling = holevo_ceiling(spec)
-        gains = []
-        for xi in xi_grid:
-            params = separation_params(spec, xi)
+        forms = _closed_forms(spec, xi_grid)
+        measurements = [build_me_measurement(spec)]
+        for params in forms.levels:
             if fault == "gk-sign":
                 # Flip the sign of the xi/(n*p_k) term of the conclusive profile.
-                g_sq = (1.0 - xi - xi / (spec.n * spec.probabilities)) / spec.N
+                g_sq = (1.0 - params.xi - params.xi / (spec.n * spec.probabilities)) / spec.N
                 params = replace(params, success_profile=np.sqrt(np.clip(g_sq, 0.0, None)))
-            standard, concatenated = build_two_step_measurements(spec, params)
-            _check_povm(completeness, spec, standard)
-            _check_povm(completeness, spec, concatenated)
-            _check_oracle(oracle, spec, standard, xi, me_table)
-            _check_oracle(oracle, spec, concatenated, xi, me_table)
-
-            try:
-                k_std = knowledge_frio(spec, xi)
-                k_conc = knowledge_concatenated(spec, xi)
-                k_me = knowledge_me(spec)
-            except ValidationError as exc:
-                hierarchy.record(False, spec, f"xi={xi}: knowledge failed: {exc}")
-                continue
-            gains.append(k_conc - k_std)
-            # Discarding the failure outcomes coarse-grains the
-            # concatenated measurement, hence k_std <= k_conc. Neither is
-            # bounded by k_me at xi > 0 (see the module docstring).
-            chain_ok = k_std <= k_conc + HIERARCHY_ATOL and k_me <= ceiling + HIERARCHY_ATOL
-            hierarchy.record(
-                chain_ok,
-                spec,
-                f"xi={xi}: hierarchy broken "
-                f"(frio {k_std!r}, conc {k_conc!r}, me {k_me!r}, ceiling {ceiling!r})",
-            )
-            total = coherence(spec) + max(k_conc, k_std, k_me)
-            hierarchy.record(
-                total <= 1.0 + HIERARCHY_ATOL,
-                spec,
-                f"xi={xi}: duality sum {total!r} exceeds 1",
-            )
+            measurements.extend(build_two_step_measurements(spec, params))
+        elements = element_stack(measurements)
+        _check_povm(completeness, spec, measurements, elements)
+        outcomes = oracle_arrays(build_symmetric_set(spec), elements)
+        _check_oracle(oracle, spec, xi_grid, measurements, outcomes, forms)
+        gains = _check_hierarchy(hierarchy, spec, xi_grid, forms)
 
         # Separation success probability is non-increasing in xi for every
         # scenario; that follows directly from its closed form.
         success_curve = [separation_params(spec, xi).p_success for xi in MONOTONICITY_XI_GRID]
         worst = max(b - a for a, b in zip(success_curve, success_curve[1:]))
         monotonicity.record(
-            worst <= 1e-12,
+            worst <= SUCCESS_MONOTONICITY_ATOL,
             spec,
-            f"success probability increased by {worst:.3e} along the xi grid",
+            lambda: f"success probability increased by {worst:.3e} along the xi grid",
         )
+        monotonicity.margin("SUCCESS_MONOTONICITY_ATOL", worst)
         if not spec.is_uniform and _has_isolated_minimum(spec):
             # The gain k_conc - k_std is p_fail(xi) times the failure
             # branch's information, which does not depend on xi, so it
@@ -307,20 +543,22 @@ def run_verification(
             monotonicity.record(
                 len(gains) == len(xi_grid) and worst <= MONOTONICITY_ATOL,
                 spec,
-                f"concatenation gain decreased by {worst:.3e} along the xi grid "
+                lambda: f"concatenation gain decreased by {worst:.3e} along the xi grid "
                 f"(knowledge failed at {len(xi_grid) - len(gains)} levels)",
             )
+            monotonicity.margin("MONOTONICITY_ATOL", worst)
 
         spectrum = dft_distribution(spec)
         total = float(spectrum.sum())
         parseval.record(
-            abs(total - 1.0) <= PARSEVAL_ATOL, spec, f"spectrum sums to {total!r}"
+            abs(total - 1.0) <= PARSEVAL_ATOL, spec, lambda: f"spectrum sums to {total!r}"
         )
+        parseval.margin("PARSEVAL_ATOL", abs(total - 1.0))
         spectrum_support = int((spectrum > 1e-12).sum())
         uncertainty.record(
             spec.n * spectrum_support >= spec.N,
             spec,
-            f"support product {spec.n} * {spectrum_support} < {spec.N}",
+            lambda: f"support product {spec.n} * {spectrum_support} < {spec.N}",
         )
 
     return [completeness, oracle, hierarchy, monotonicity, parseval, uncertainty]

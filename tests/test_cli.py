@@ -1,13 +1,22 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from duality_lab.cli import main
-from duality_lab.states import spec_from_json_dict, spec_to_json_dict, uniform_spec
-from duality_lab.verify import run_verification
+from duality_lab.measurements import COMPLETENESS_ATOL
+from duality_lab.states import (
+    enumerate_uniform_specs,
+    spec_from_json_dict,
+    spec_to_json_dict,
+    uniform_spec,
+)
+from duality_lab.verify import TOLERANCES, run_verification
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +128,14 @@ class TestScan:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 10 + (2**4 - 1)
 
+    def test_include_uniform_beyond_enumeration_limit_rejected(self, capsys):
+        code = run_cli("scan", "--N", "25", "--n", "2", "--samples", "0", "--include-uniform")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the uniform enumeration is limited to N <= 24")
+        assert captured.err.count("\n") == 1
+
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("scan", "--N", "3", "--samples", "5", "--out", str(missing)) == 3
@@ -145,6 +162,40 @@ class TestEnumerateUniform:
 
     def test_dimension_out_of_range(self):
         assert run_cli("enumerate-uniform", "--N", "4", "--n", "9") == 2
+
+    def test_streams_without_building_the_list(self):
+        # C(30, 15) = 155,117,520 specs; the sink breaks the pipe after
+        # 10,000 lines, as `| head` would.
+        class Sink(io.StringIO):
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                if self.lines > 10_000:
+                    raise BrokenPipeError("sink closed")
+                return len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = run_cli("enumerate-uniform", "--N", "30", "--n", "15")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert sink.lines == 10_001
+        assert peak < 2_000_000
+
+    def test_matches_the_listed_enumeration(self, capsys):
+        assert run_cli("enumerate-uniform", "--N", "6") == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = [
+            json.dumps(spec_to_json_dict(spec))
+            for n in range(1, 7)
+            for spec in enumerate_uniform_specs(6, n)
+        ]
+        assert lines == expected
 
 
 class TestSaturation:
@@ -256,6 +307,55 @@ class TestPovm:
 
 
 class TestVerify:
+    def test_canonical_counts(self):
+        results = run_verification(300, seed=0)
+        assert [(r.name, r.checks, len(r.violations)) for r in results] == [
+            ("povm-completeness", 9900, 0),
+            ("oracle-agreement", 75200, 0),
+            ("hierarchy", 3000, 0),
+            ("monotonicity", 518, 0),
+            ("parseval", 300, 0),
+            ("donoho-stark", 300, 0),
+        ]
+
+    def test_fault_run_counts(self):
+        results = run_verification(60, seed=0, fault="gk-sign")
+        assert [(r.name, r.checks, len(r.violations)) for r in results] == [
+            ("povm-completeness", 1980, 480),
+            ("oracle-agreement", 13079, 4142),
+            ("hierarchy", 600, 0),
+            ("monotonicity", 107, 0),
+            ("parseval", 60, 0),
+            ("donoho-stark", 60, 0),
+        ]
+
+    def test_json_reports_counts_and_worst_gaps(self, capsys):
+        argv = ("verify", "--samples", "20", "--seed", "3", "--N-range", "2:6")
+        assert run_cli(*argv, "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        results = run_verification(20, seed=3, n_range=(2, 6))
+        assert list(report) == [r.name for r in results]
+        checked = set()
+        for result in results:
+            suite = report[result.name]
+            assert suite["checks"] == result.checks
+            assert suite["violations"] == 0
+            for name, worst in suite["worst_gaps"].items():
+                assert worst["atol"] == TOLERANCES[name]
+                assert worst["gap"] <= worst["atol"]
+                checked.add(name)
+        assert checked == set(TOLERANCES)
+
+    def test_json_run_with_violations_exits_one(self, capsys):
+        argv = ("verify", "--samples", "5", "--seed", "0", "--inject-fault", "gk-sign", "--json")
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        completeness = report["povm-completeness"]
+        assert completeness["violations"] > 0
+        assert completeness["worst_gaps"]["COMPLETENESS_ATOL"]["gap"] > COMPLETENESS_ATOL
+        assert "completeness violated" in captured.err
+
     def test_small_run_passes(self, capsys):
         assert run_cli("verify", "--samples", "40", "--seed", "5", "--N-range", "2:6") == 0
         out = capsys.readouterr().out

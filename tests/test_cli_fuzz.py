@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from duality_lab.cli import EXAMPLES, main
 
 EDGE = ["-1", "0", "1", "65", "nan", "inf", "1e309", "", "a,b", "3:"]
-# Edge tokens for size flags. 65 is left out: with --include-uniform or
-# enumerate-uniform --n all it enumerates 2^65 supports.
+# Edge tokens for size flags. 65 is left out: enumerate-uniform --n all
+# would stream 2^65 supports.
 SIZES = ["2", "3", "4", "6"] + [token for token in EDGE if token != "65"]
 
 SPEC_FILES = {
@@ -106,6 +106,7 @@ def _argv(draw, paths) -> list[str]:
             ("--seed", value("3")),
             ("--N-range", value("2:3", "2:4", "3:2", "2:65", "0:3")),
             ("--inject-fault", value("gk-sign")),
+            ("--json",),
         ]
     chosen = required + [flag for flag in optional if draw(st.booleans())]
     chosen = draw(st.permutations(chosen))

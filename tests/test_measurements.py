@@ -8,6 +8,7 @@ from hypothesis import given
 from duality_lab.duality import knowledge_concatenated, knowledge_frio, knowledge_me
 from duality_lab.measurements import (
     MAX_POVM_PATHS,
+    UNDEFINED_OUTCOME_ATOL,
     Strategy,
     build_frio_concatenated,
     build_frio_standard,
@@ -15,6 +16,7 @@ from duality_lab.measurements import (
     conditional_conclusive,
     conditional_failure,
     measurement_to_json_dict,
+    oracle_arrays,
     oracle_outcome_table,
     separation_params,
 )
@@ -285,6 +287,28 @@ class TestOracleOutcomeTable:
             for j in range(spec.N):
                 assert np.abs(table.conditionals[f"c{j}"] - np.roll(reference, j)).max() < 1e-12
 
+    def test_array_oracle_equals_per_element_arithmetic(self):
+        # The per-element trace and einsum are the reference the batched
+        # oracle must reproduce bit for bit.
+        for spec in iter_specs(40, seed=12, n_range=(2, 12)):
+            measurements = [build_me_measurement(spec)]
+            for xi in (0.0, 0.4, 1.0):
+                measurements += [build_frio_standard(spec, xi), build_frio_concatenated(spec, xi)]
+            elements = [matrix for m in measurements for _, matrix in m.elements]
+            sym = build_symmetric_set(spec)
+            arrays = oracle_arrays(sym, np.stack(elements))
+            states = sym.states
+            rho = states.T @ states.conj() / spec.N
+            for e, matrix in enumerate(elements):
+                prob = float(np.trace(matrix @ rho).real)
+                assert arrays.probs[e] == prob
+                assert arrays.defined[e] == (prob >= UNDEFINED_OUTCOME_ATOL)
+                if arrays.defined[e]:
+                    quad = np.einsum("lk,kj,lj->l", states.conj(), matrix, states).real
+                    assert np.array_equal(arrays.conditionals[e], quad / (spec.N * prob))
+                else:
+                    assert np.isnan(arrays.conditionals[e]).all()
+
     def test_dimension_mismatch_rejected(self):
         sym = build_symmetric_set(uniform_spec(3, (0, 1)))
         measurement = build_me_measurement(uniform_spec(4, (0, 1)))
@@ -321,7 +345,7 @@ class TestFaultInjection:
 
 def assert_valid_povm(spec, measurement):
     result = SuiteResult("povm")
-    _check_povm(result, spec, measurement)
+    _check_povm(result, spec, [measurement], element_stack(measurement))
     assert result.violations == []
 
 
