@@ -21,6 +21,7 @@ import numpy as np
 
 from .measurements import (
     MIN_COEFF_CLAMP_ATOL,
+    SeparationParams,
     Strategy,
     _spectrum,
     conditional_failure,
@@ -123,6 +124,22 @@ def coherence(spec: DetectorSpec) -> float:
     return _normalized_info(spec.probabilities, spec.N)
 
 
+def _knowledge(
+    params: SeparationParams, conclusive: np.ndarray, failure: np.ndarray | None, n_paths: int
+) -> tuple[float, float]:
+    """Standard and concatenated knowledge at the level of ``params``.
+
+    ``conclusive`` is the level's conclusive conditional and ``failure`` the
+    failure-branch conditional, or None when that branch is absent. The one
+    formula behind :func:`knowledge_frio`, :func:`knowledge_concatenated`,
+    :func:`knowledge_me` and ``verify``'s hierarchy suite.
+    """
+    k_std = params.p_success * _normalized_info(conclusive, n_paths)
+    if failure is None:
+        return k_std, k_std
+    return k_std, k_std + params.p_fail * _normalized_info(failure, n_paths)
+
+
 def knowledge_frio(spec: DetectorSpec, xi: float) -> float:
     """Which-path knowledge of the standard separation strategy at level ``xi``.
 
@@ -132,8 +149,7 @@ def knowledge_frio(spec: DetectorSpec, xi: float) -> float:
     nothing (their conditional is uniform).
     """
     params = separation_params(spec, xi)
-    conditional = _spectrum(spec, params.success_profile)
-    return params.p_success * _normalized_info(conditional, spec.N)
+    return _knowledge(params, _spectrum(spec, params.success_profile), None, spec.N)[0]
 
 
 def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
@@ -142,11 +158,9 @@ def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
     Adds the failure branch's information share to :func:`knowledge_frio`;
     the extra term is zero when the failure branch is absent.
     """
-    value = knowledge_frio(spec, xi)
-    failure_conditional = conditional_failure(spec)
-    if failure_conditional is not None:
-        value += separation_params(spec, xi).p_fail * _normalized_info(failure_conditional, spec.N)
-    return value
+    params = separation_params(spec, xi)
+    conclusive = _spectrum(spec, params.success_profile)
+    return _knowledge(params, conclusive, conditional_failure(spec), spec.N)[1]
 
 
 def knowledge_me(spec: DetectorSpec) -> float:

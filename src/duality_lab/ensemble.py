@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,6 +56,9 @@ __all__ = [
 THREADS_ENV_VAR = "DUALITY_LAB_THREADS"
 # Samples per chunk: each chunk is one unit of work for the thread pool.
 _CHUNK = EVAL_BLOCK_ROWS
+# Most points the uniform enumeration may add to a sweep, which holds them
+# all: 2^18 points take a few hundred MB, as N = 18 with every dimension.
+UNIFORM_OVERLAY_MAX_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,15 @@ class SweepConfig:
         strategies = tuple((Strategy(tag), float(xi)) for tag, xi in self.strategies)
         if not strategies:
             raise ValidationError("at least one (strategy, xi) pair is required")
+        if self.include_uniform_enumeration:
+            top = self.n if self.n is not None else self.N
+            scenarios = sum(math.comb(self.N, k) for k in range(1, top + 1))
+            if scenarios * len(strategies) > UNIFORM_OVERLAY_MAX_POINTS:
+                raise ValidationError(
+                    f"the uniform enumeration would add {scenarios} scenarios x "
+                    f"{len(strategies)} (strategy, xi) pairs, more than the limit of "
+                    f"{UNIFORM_OVERLAY_MAX_POINTS} points; lower n"
+                )
         for _, xi in strategies:
             if not 0.0 <= xi <= 1.0:
                 raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")

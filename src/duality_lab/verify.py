@@ -10,9 +10,10 @@ carry the offending scenario serialized as JSON so a failure can be
 replayed.
 
 Each scenario is checked with array operations: its closed forms are
-computed once, with separation data once per level, all of its
-measurements go through one element stack (one ``eigvalsh`` call, one
-oracle call), and oracle rows are compared with the closed forms by index
+computed once, with separation data once per level, its measurements go
+through as few element stacks as ``STACK_ENTRIES`` allows (one
+``eigvalsh`` call and one oracle call each, a single stack at small path
+counts), and oracle rows are compared with the closed forms by index
 arithmetic. Violation messages are only formatted for checks that fail.
 Every suite also keeps the largest gap it saw against each tolerance.
 
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .duality import _normalized_info, coherence, holevo_ceiling
+from .duality import _knowledge, coherence, holevo_ceiling
 from .ensemble import sample_rng, sample_spec
 from .measurements import (
     COMPLETENESS_ATOL,
@@ -71,6 +72,11 @@ HIERARCHY_ATOL = 1e-9
 MONOTONICITY_ATOL = 1e-9
 SUCCESS_MONOTONICITY_ATOL = 1e-12
 PARSEVAL_ATOL = 1e-10
+
+# Most matrix entries (elements x N x N) one element stack may hold: a
+# scenario's measurements go through as few stacks as fit, one up to
+# N = 24, one per measurement at N = 64. 2^18 complex entries take 4 MiB.
+STACK_ENTRIES = 1 << 18
 
 # Every tolerance a suite checks a gap against; a check passes when its gap
 # is at most the tolerance, so a negative worst gap means slack.
@@ -126,8 +132,9 @@ class SuiteResult:
         """Keep the largest of ``gaps`` seen against the named tolerance."""
         gaps = np.asarray(gaps, dtype=float)
         if gaps.size:
+            # A NaN gap sticks, from any scenario, as it does within gaps.max().
             worst = float(gaps.max())
-            self.worst[tolerance] = max(self.worst.get(tolerance, worst), worst)
+            self.worst[tolerance] = float(np.maximum(self.worst.get(tolerance, worst), worst))
 
     def _violation(self, spec: DetectorSpec, detail: str) -> None:
         self.violations.append(f"{detail} | replay spec: {json.dumps(spec_to_json_dict(spec))}")
@@ -196,52 +203,68 @@ class _ClosedForms:
     """What the suites compare one scenario against.
 
     ``levels[i]`` is ``separation_params(spec, xi_grid[i])``, computed once
-    per level. Each other field equals the scalar function in its comment
-    bit for bit; ``tests/test_verify.py`` holds them to that.
+    per level, and ``minimum_error`` is ``separation_params(spec, 0.0)``.
+    Each other field equals the scalar function in its comment bit for bit;
+    ``tests/test_verify.py`` holds them to that.
     """
 
     levels: tuple[SeparationParams, ...]
+    minimum_error: SeparationParams
     conclusive: np.ndarray  # [L, N]: conditional_conclusive(spec, xi) per level
+    me_conclusive: np.ndarray  # conditional_conclusive(spec, 0.0)
     failure: np.ndarray | None  # conditional_failure(spec)
     coherence: float  # coherence(spec)
     ceiling: float  # holevo_ceiling(spec)
-    # Per level (knowledge_frio, knowledge_concatenated, knowledge_me), or the
-    # ValidationError the first of the three raises at that level.
-    knowledge: tuple
-
-
-def _info(distribution: np.ndarray, n_paths: int):
-    """``_normalized_info``, or the ValidationError it raises."""
-    try:
-        return _normalized_info(distribution, n_paths)
-    except ValidationError as exc:
-        return exc
 
 
 def _closed_forms(spec: DetectorSpec, xi_grid) -> _ClosedForms:
-    n_paths = spec.N
-    coh = coherence(spec)
-    ceiling = holevo_ceiling(spec)
     levels = tuple(separation_params(spec, xi) for xi in xi_grid)
     # The failure profile does not depend on the level, and xi = 0 is the
     # minimum-error measurement.
     zero = separation_params(spec, 0.0)
-    failure = _failure_spectrum(spec, zero.failure_profile)
     conclusive = np.array([_spectrum(spec, params.success_profile) for params in levels])
-    conclusive = conclusive.reshape(len(levels), n_paths)
-    fail_info = None if failure is None else _info(failure, n_paths)
-    me_info = _info(_spectrum(spec, zero.success_profile), n_paths)
-    knowledge = []
-    for params, row in zip(levels, conclusive):
-        infos = (_info(row, n_paths), fail_info, me_info)
-        error = next((info for info in infos if isinstance(info, ValidationError)), None)
-        if error is not None:
-            knowledge.append(error)
-            continue
-        k_std = params.p_success * infos[0]
-        k_conc = k_std if failure is None else k_std + params.p_fail * fail_info
-        knowledge.append((k_std, k_conc, zero.p_success * me_info))
-    return _ClosedForms(levels, conclusive, failure, coh, ceiling, tuple(knowledge))
+    return _ClosedForms(
+        levels=levels,
+        minimum_error=zero,
+        conclusive=conclusive.reshape(len(levels), spec.N),
+        me_conclusive=_spectrum(spec, zero.success_profile),
+        failure=_failure_spectrum(spec, zero.failure_profile),
+        coherence=coherence(spec),
+        ceiling=holevo_ceiling(spec),
+    )
+
+
+def _level_knowledge(forms: _ClosedForms, level: int, n_paths: int) -> tuple[float, float, float]:
+    """``knowledge_frio``, ``knowledge_concatenated`` and ``knowledge_me`` at
+    one level, through their shared formula; raises ValidationError as they
+    do, in the same order."""
+    params = forms.levels[level]
+    k_std, k_conc = _knowledge(params, forms.conclusive[level], forms.failure, n_paths)
+    k_me = _knowledge(forms.minimum_error, forms.me_conclusive, None, n_paths)[0]
+    return k_std, k_conc, k_me
+
+
+def _measurements(spec: DetectorSpec, forms: _ClosedForms, fault: str | None):
+    """The minimum-error measurement, then each level's two-step
+    measurements, built as they are consumed so that a large-N scenario
+    never holds all of its element matrices at once."""
+    yield build_me_measurement(spec)
+    for params in forms.levels:
+        if fault == "gk-sign":
+            # Flip the sign of the xi/(n*p_k) term of the conclusive profile.
+            g_sq = (1.0 - params.xi - params.xi / (spec.n * spec.probabilities)) / spec.N
+            params = replace(params, success_profile=np.sqrt(np.clip(g_sq, 0.0, None)))
+        yield from build_two_step_measurements(spec, params)
+
+
+def _check_stack(
+    result: SuiteResult, spec: DetectorSpec, symmetric_set, measurements: list[Measurement]
+) -> OracleArrays:
+    """:func:`_check_povm` and the oracle of some of a scenario's
+    measurements, through one element stack."""
+    elements = element_stack(measurements)
+    _check_povm(result, spec, measurements, elements)
+    return oracle_arrays(symmetric_set, elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,27 +325,28 @@ def _check_oracle(
     result: SuiteResult,
     spec: DetectorSpec,
     xi_grid,
-    measurements: list[Measurement],
+    outcomes: list[tuple[str, tuple[str, ...]]],
     oracle: OracleArrays,
     forms: _ClosedForms,
 ) -> None:
     """Compare the oracle with the closed forms for every two-step
     measurement of a scenario.
 
-    ``measurements`` holds the minimum-error measurement, then the
-    measurements of each level in order; ``oracle`` covers their elements.
-    Per measurement: the outcome probabilities sum to 1; each outcome
-    probability and each defined conditional match the closed form, and each
-    conditional sums to 1; same-kind conditionals are cyclic shifts of each
-    other; and at xi = 0 the outcomes reduce to the minimum-error ones.
+    ``outcomes`` gives the strategy tag and outcome labels of the
+    minimum-error measurement, then of each level's two-step measurements in
+    order; ``oracle`` covers their elements. Per measurement: the outcome
+    probabilities sum to 1; each outcome probability and each defined
+    conditional match the closed form, and each conditional sums to 1;
+    same-kind conditionals are cyclic shifts of each other; and at xi = 0
+    the outcomes reduce to the minimum-error ones.
     """
-    me, levels = measurements[0], measurements[1:]
     n_levels = len(xi_grid)
     if not n_levels:
         return
-    n_paths, n_me = spec.N, len(me.elements)
+    (_, me_labels), levels = outcomes[0], outcomes[1:]
+    n_paths, n_me = spec.N, len(me_labels)
     per_level = len(levels) // n_levels
-    layout = _layout(me.labels(), tuple(m.labels() for m in levels[:per_level]))
+    layout = _layout(me_labels, tuple(labels for _, labels in levels[:per_level]))
     block = len(layout.kinds)
     probs = oracle.probs[n_me:].reshape(n_levels, block)
     conds = oracle.conditionals[n_me:].reshape(n_levels, block, n_paths)
@@ -388,7 +412,7 @@ def _check_oracle(
     # Record measurement by measurement, in report order.
     for level, xi in enumerate(xi_grid):
         for m, (lo, hi) in enumerate(layout.spans):
-            tag = levels[level * per_level + m].strategy.value
+            tag = levels[level * per_level + m][0]
             labels = layout.labels[m]
             result.record(
                 total_ok[level, m],
@@ -433,7 +457,7 @@ def _check_oracle(
                     reduction_ok[z, m],
                     spec,
                     lambda i: f"{tag}: xi=0 table differs from minimum-error table at "
-                    f"{me.labels()[i]} (cond {reduction_cond[z, m, i]:.3e}, "
+                    f"{me_labels[i]} (cond {reduction_cond[z, m, i]:.3e}, "
                     f"prob {reduction_prob[z, m, i]:.3e})",
                 )
 
@@ -445,11 +469,12 @@ def _check_hierarchy(
     the levels whose knowledge could be computed."""
     gains = []
     ceiling = forms.ceiling
-    for xi, knowledge in zip(xi_grid, forms.knowledge):
-        if isinstance(knowledge, ValidationError):
-            result.record(False, spec, lambda: f"xi={xi}: knowledge failed: {knowledge}")
+    for level, xi in enumerate(xi_grid):
+        try:
+            k_std, k_conc, k_me = _level_knowledge(forms, level, spec.N)
+        except ValidationError as exc:
+            result.record(False, spec, lambda: f"xi={xi}: knowledge failed: {exc}")
             continue
-        k_std, k_conc, k_me = knowledge
         gains.append(k_conc - k_std)
         # Discarding the failure outcomes coarse-grains the concatenated
         # measurement, hence k_std <= k_conc. Neither is bounded by k_me at
@@ -510,17 +535,22 @@ def run_verification(
         spec = sample_spec(n_paths, n, rng)
 
         forms = _closed_forms(spec, xi_grid)
-        measurements = [build_me_measurement(spec)]
-        for params in forms.levels:
-            if fault == "gk-sign":
-                # Flip the sign of the xi/(n*p_k) term of the conclusive profile.
-                g_sq = (1.0 - params.xi - params.xi / (spec.n * spec.probabilities)) / spec.N
-                params = replace(params, success_profile=np.sqrt(np.clip(g_sq, 0.0, None)))
-            measurements.extend(build_two_step_measurements(spec, params))
-        elements = element_stack(measurements)
-        _check_povm(completeness, spec, measurements, elements)
-        outcomes = oracle_arrays(build_symmetric_set(spec), elements)
-        _check_oracle(oracle, spec, xi_grid, measurements, outcomes, forms)
+        symmetric_set = build_symmetric_set(spec)
+        batch, parts, outcomes = [], [], []
+        for measurement in _measurements(spec, forms, fault):
+            outcomes.append((measurement.strategy.value, measurement.labels()))
+            stacked = sum(len(m.elements) for m in batch) + len(measurement.elements)
+            if batch and stacked * spec.N**2 > STACK_ENTRIES:
+                parts.append(_check_stack(completeness, spec, symmetric_set, batch))
+                batch = []
+            batch.append(measurement)
+        parts.append(_check_stack(completeness, spec, symmetric_set, batch))
+        arrays = OracleArrays(
+            probs=np.concatenate([part.probs for part in parts]),
+            conditionals=np.concatenate([part.conditionals for part in parts]),
+            defined=np.concatenate([part.defined for part in parts]),
+        )
+        _check_oracle(oracle, spec, xi_grid, outcomes, arrays, forms)
         gains = _check_hierarchy(hierarchy, spec, xi_grid, forms)
 
         # Separation success probability is non-increasing in xi for every

@@ -136,6 +136,15 @@ class TestScan:
         assert captured.err.startswith("error: the uniform enumeration is limited to N <= 24")
         assert captured.err.count("\n") == 1
 
+    def test_include_uniform_beyond_point_budget_rejected(self, capsys):
+        # N = 24 with every dimension would hold 2^24 - 1 scenarios.
+        code = run_cli("scan", "--N", "24", "--n", "all", "--samples", "0", "--include-uniform")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the uniform enumeration would add 16777215 ")
+        assert captured.err.count("\n") == 1
+
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("scan", "--N", "3", "--samples", "5", "--out", str(missing)) == 3

@@ -2,6 +2,7 @@
 per scenario, and how often it calls the per-scenario builders."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -59,13 +60,38 @@ class TestSharedClosedForms:
             assert (forms.failure is None) == (failure is None)
             if failure is not None:
                 assert np.array_equal(forms.failure, failure)
-            for xi, row, knowledge in zip(DEFAULT_XI_GRID, forms.conclusive, forms.knowledge):
-                assert np.array_equal(row, conditional_conclusive(spec, xi))
-                assert knowledge == (
+            assert np.array_equal(forms.me_conclusive, conditional_conclusive(spec, 0.0))
+            for level, xi in enumerate(DEFAULT_XI_GRID):
+                assert forms.levels[level].xi == xi
+                assert np.array_equal(forms.conclusive[level], conditional_conclusive(spec, xi))
+                assert verify._level_knowledge(forms, level, spec.N) == (
                     knowledge_frio(spec, xi),
                     knowledge_concatenated(spec, xi),
                     knowledge_me(spec),
                 )
+
+
+class TestWorstGaps:
+    def test_nan_gap_sticks_after_a_finite_one(self):
+        result = verify.SuiteResult("s")
+        result.margin("ORACLE_ATOL", [1e-12, 2e-12])
+        result.margin("ORACLE_ATOL", [np.nan])
+        result.margin("ORACLE_ATOL", [3e-12])
+        assert np.isnan(result.worst["ORACLE_ATOL"])
+
+
+class TestLargePathCounts:
+    def test_n64_scenario_peak_memory(self):
+        # One N = 64 scenario: its measurements hold 1,029 matrices of
+        # 64 x 64 (67 MB), so they must not all be stacked at once.
+        tracemalloc.start()
+        try:
+            results = run_verification(1, seed=0, n_range=(64, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(result.passed for result in results)
+        assert peak < 48 * 2**20
 
 
 class TestCallBudget:
