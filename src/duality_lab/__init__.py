@@ -56,7 +56,6 @@ from .states import (
     SymmetricSet,
     ValidationError,
     build_symmetric_set,
-    detector_reduced_distribution,
     enumerate_uniform_specs,
     spec_from_json_dict,
     spec_from_probabilities,
@@ -73,7 +72,6 @@ __all__ = [
     "DetectorSpec",
     "SymmetricSet",
     "build_symmetric_set",
-    "detector_reduced_distribution",
     "enumerate_uniform_specs",
     "uniform_spec",
     "spec_from_probabilities",

@@ -124,7 +124,7 @@ def cmd_scan(args) -> int:
         dataset = run_sweep(cfg, workers=workers, envelope_bins=args.bins)
     wall_time = time.perf_counter() - started
     with _open_out(args.out) as handle:
-        write_points_csv(dataset.points, handle)
+        write_points_csv(dataset, handle)
     manifest_path = args.manifest
     if manifest_path is None and args.out not in (None, "-"):
         manifest_path = args.out + ".manifest.json"
@@ -134,7 +134,7 @@ def cmd_scan(args) -> int:
                 handle,
                 config=dataset.config,
                 wall_time=wall_time,
-                point_count=len(dataset.points),
+                point_count=dataset.point_count,
                 envelope=dataset.envelope,
             )
     return EXIT_OK

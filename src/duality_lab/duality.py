@@ -6,16 +6,21 @@ entropies are in bits and all quantifiers are normalized by log2(N), so both
 coherence and knowledge live in [0, 1] and their sum never exceeds 1.
 
 Scans evaluate many scenarios through one batched kernel,
-:func:`evaluate_specs`, which runs blocks of scenarios through one FFT and
-one entropy call each. The scalar functions (:func:`coherence`,
-:func:`knowledge_frio`, ...) evaluate one scenario; they serve
-``verify`` and are the reference the kernel is tested against.
+:func:`evaluate_block`: it takes an array block of scenarios of one (N, n)
+(``states.SweepBlock``), computes coherence once per row and knowledge for
+every (strategy, xi) pair, with one FFT and one entropy call per slice of
+rows and distribution kind. :func:`evaluate_specs` and
+:func:`evaluate_point` are adapters that build a block from ``DetectorSpec``
+objects, so scalar and batch calls share one evaluation path. The scalar
+functions (:func:`coherence`, :func:`knowledge_frio`, ...) evaluate one
+scenario; they serve ``verify`` and are the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +32,13 @@ from .measurements import (
     conditional_failure,
     separation_params,
 )
-from .states import DEGENERATE_FAILURE_ATOL, DetectorSpec, ValidationError
+from .states import (
+    DEGENERATE_FAILURE_ATOL,
+    DetectorSpec,
+    SweepBlock,
+    ValidationError,
+    block_from_specs,
+)
 
 __all__ = [
     "DualityPoint",
@@ -40,6 +51,8 @@ __all__ = [
     "holevo_ceiling",
     "evaluate_point",
     "evaluate_specs",
+    "evaluate_block",
+    "strategy_pair",
 ]
 
 ENTRY_ATOL = 1e-12
@@ -207,29 +220,74 @@ def evaluate_point(spec: DetectorSpec, strategy, xi: float = 0.0) -> DualityPoin
 
 
 def evaluate_specs(specs, strategy, xi: float = 0.0) -> list[DualityPoint]:
-    """:func:`evaluate_point` for many scenarios that share N and n.
+    """:func:`evaluate_point` for many scenarios that share N and n: one
+    :func:`evaluate_block` call on a block built from the specs."""
+    pair = strategy_pair(strategy, xi)
+    specs = list(specs)
+    if not specs:
+        return []
+    block = evaluate_block(block_from_specs(specs), (pair,))
+    n_paths, n = block.N, block.n
+    return [
+        DualityPoint(
+            N=n_paths,
+            n=n,
+            strategy=pair[0],
+            xi=pair[1],
+            coherence=c,
+            knowledge=k,
+            duality_sum=t,
+            spec=spec,
+        )
+        for spec, c, k, t in zip(
+            specs,
+            block.coherence.tolist(),
+            block.knowledge[:, 0].tolist(),
+            block.duality_sum[:, 0].tolist(),
+        )
+    ]
 
-    Scenarios go through in blocks of at most ``EVAL_BLOCK_ROWS`` rows and
-    ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays bounded
-    at any N. Each block takes one FFT and one entropy call per distribution
-    kind, with the arithmetic of the scalar functions in the same order, so
-    every point equals :func:`coherence` and ``knowledge_*`` bit for bit.
-    """
+
+def strategy_pair(strategy, xi: float) -> tuple[Strategy, float]:
+    """The (strategy, xi) pair a point records: the ME strategy is the xi = 0
+    endpoint, and every level must lie in [0, 1]."""
     strategy = Strategy(strategy)
     xi = 0.0 if strategy is Strategy.ME else float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
-    specs = list(specs)
-    if not specs:
-        return []
-    n_paths, n = specs[0].N, specs[0].n
-    if any(spec.N != n_paths or spec.n != n for spec in specs):
-        raise ValidationError("evaluate_specs needs scenarios that share N and n")
-    rows = max(1, min(EVAL_BLOCK_ROWS, EVAL_BLOCK_ENTRIES // n_paths))
-    points = []
-    for lo in range(0, len(specs), rows):
-        points.extend(_evaluate_block(specs[lo : lo + rows], strategy, xi))
-    return points
+    return strategy, xi
+
+
+def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
+    """The block with its result columns: coherence per row, and knowledge and
+    C + K per row and (strategy, xi) pair (see :func:`strategy_pair`).
+
+    Rows go through the spectra in slices of at most ``EVAL_BLOCK_ROWS`` rows
+    and ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays
+    bounded at any N. Each slice takes one FFT and one entropy call per
+    distribution kind, with the arithmetic of the scalar functions in the
+    same order, so every value equals :func:`coherence` and ``knowledge_*``
+    bit for bit. Raises if C + K exceeds 1 beyond tolerance.
+    """
+    pairs = [strategy_pair(tag, xi) for tag, xi in pairs]
+    probs = block.amps**2
+    coh = _normalized_infos(probs, block.N)
+    knowledge = np.empty((len(block), len(pairs)))
+    rows = max(1, min(EVAL_BLOCK_ROWS, EVAL_BLOCK_ENTRIES // block.N))
+    for lo in range(0, len(block), rows):
+        part = slice(lo, lo + rows)
+        _knowledge_rows(
+            block.N, block.indices[part], block.amps[part], probs[part], pairs, knowledge[part]
+        )
+    total = coh[:, None] + knowledge
+    bad = np.flatnonzero(total > 1.0 + DUALITY_SUM_ATOL)
+    if bad.size:
+        row, column = divmod(int(bad[0]), len(pairs))
+        raise ValidationError(
+            f"duality bound violated: C + K = {float(total[row, column])!r} for spec "
+            f"{tuple(block.indices[row].tolist())} (internal error)"
+        )
+    return replace(block, coherence=coh, knowledge=knowledge, duality_sum=total)
 
 
 def _spectra(n_paths: int, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -240,52 +298,41 @@ def _spectra(n_paths: int, indices: np.ndarray, weights: np.ndarray) -> np.ndarr
     return np.abs(np.fft.fft(padded, axis=1)) ** 2
 
 
-def _evaluate_block(specs: list[DetectorSpec], strategy: Strategy, xi: float) -> list[DualityPoint]:
-    n_paths, n = specs[0].N, specs[0].n
-    amps = np.array([spec.coeffs for spec in specs])
-    indices = np.array([spec.support.indices for spec in specs])
-    probs = amps**2
+def _knowledge_rows(n_paths, indices, amps, probs, pairs, out: np.ndarray) -> None:
+    """Knowledge of each row of a slice of a block, one column of ``out`` per
+    (strategy, xi) pair."""
+    n = amps.shape[1]
     p_min = probs.min(axis=1)
     uniform = 1.0 - n * p_min <= DEGENERATE_FAILURE_ATOL
-    coh = _normalized_infos(probs, n_paths)
+    failure = None
+    for column, (strategy, xi) in enumerate(pairs):
+        # separation_params and knowledge_frio, row by row.
+        success = np.sqrt((1.0 - xi + xi / (n * probs)) / n_paths)
+        p_success = np.where(uniform, 1.0, n * p_min / ((1.0 - xi) * n * p_min + xi))
+        conclusive = _spectra(n_paths, indices, amps * success)
+        knowledge = p_success * _normalized_infos(conclusive, n_paths)
+        if strategy is Strategy.FRIO_CONCATENATED:
+            if failure is None:
+                failure = _failure_infos(n_paths, indices, amps, probs, p_min, uniform)
+            rows, info = failure
+            knowledge[rows] += (1.0 - p_success[rows]) * info
+        out[:, column] = knowledge
 
-    # separation_params and knowledge_frio, row by row.
-    success = np.sqrt((1.0 - xi + xi / (n * probs)) / n_paths)
-    p_success = np.where(uniform, 1.0, n * p_min / ((1.0 - xi) * n * p_min + xi))
-    conclusive = _spectra(n_paths, indices, amps * success)
-    knowledge = p_success * _normalized_infos(conclusive, n_paths)
 
-    if strategy is Strategy.FRIO_CONCATENATED:
-        # conditional_failure on the rows that have a failure branch.
-        fail = np.flatnonzero(~uniform)
-        p, m = probs[fail], p_min[fail, None]
-        h_sq = (p - m) / ((1.0 - n * m) * n_paths * p)
-        a = amps[fail]
-        h_sq[a - a.min(axis=1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
-        live = h_sq.any(axis=1)
-        fail = fail[live]
-        if fail.size:
-            spectra = _spectra(n_paths, indices[fail], a[live] * np.sqrt(h_sq[live]))
-            spectra = spectra / spectra.sum(axis=1, keepdims=True)
-            knowledge[fail] += (1.0 - p_success[fail]) * _normalized_infos(spectra, n_paths)
-
-    total = coh + knowledge
-    bad = np.flatnonzero(total > 1.0 + DUALITY_SUM_ATOL)
-    if bad.size:
-        raise ValidationError(
-            f"duality bound violated: C + K = {float(total[bad[0]])!r} for spec "
-            f"{specs[bad[0]].support.indices} (internal error)"
-        )
-    return [
-        DualityPoint(
-            N=n_paths,
-            n=n,
-            strategy=strategy,
-            xi=xi,
-            coherence=c,
-            knowledge=k,
-            duality_sum=t,
-            spec=spec,
-        )
-        for spec, c, k, t in zip(specs, coh.tolist(), knowledge.tolist(), total.tolist())
-    ]
+def _failure_infos(n_paths, indices, amps, probs, p_min, uniform):
+    """``conditional_failure`` on the rows that have a failure branch: those
+    rows and the normalized information of their failure conditionals. The
+    branch does not depend on xi."""
+    n = amps.shape[1]
+    fail = np.flatnonzero(~uniform)
+    p, m = probs[fail], p_min[fail, None]
+    h_sq = (p - m) / ((1.0 - n * m) * n_paths * p)
+    a = amps[fail]
+    h_sq[a - a.min(axis=1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
+    live = h_sq.any(axis=1)
+    fail = fail[live]
+    if not fail.size:
+        return fail, np.empty(0)
+    spectra = _spectra(n_paths, indices[fail], a[live] * np.sqrt(h_sq[live]))
+    spectra = spectra / spectra.sum(axis=1, keepdims=True)
+    return fail, _normalized_infos(spectra, n_paths)

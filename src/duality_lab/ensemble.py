@@ -1,41 +1,49 @@
 """Seeded random-scenario sampling, strategy sweeps, and scatter datasets.
 
-Randomness contract: sample ``i`` of a sweep draws from its own generator,
-``PCG64(SeedSequence(seed, spawn_key=(i,)))``, so the stream partition is
-independent of worker count and scheduling; output ordering is by sample
-index. Coefficient probabilities are drawn flat on the simplex (normalized
-unit exponentials) and supports uniformly over the C(N, n) subsets. The
-fixed per-sample draw order is: subspace dimension (only when sweeping all
-dimensions), support, coefficients.
+Randomness contract (version 1, ``RNG_CONTRACT``): sample ``i`` of a sweep
+draws from its own generator, ``PCG64(SeedSequence(seed, spawn_key=(i,)))``,
+so the stream partition is independent of worker count and scheduling;
+output ordering is by sample index. Coefficient probabilities are drawn flat
+on the simplex (normalized unit exponentials) and supports uniformly over
+the C(N, n) subsets. The fixed per-sample draw order is: subspace dimension
+(only when sweeping all dimensions), support, coefficients; ``_draw`` is its
+one definition, shared by :func:`sample_spec` and the sweep.
 
-Evaluation is batched: the samples of a chunk are grouped by subspace
-dimension and each group goes through :func:`duality.evaluate_specs` once
-per (strategy, xi) pair, which works in blocks whose memory is bounded at
-any N. Points are put back in sample order, strategies innermost, so
-neither the grouping nor the worker count changes the output.
+Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
+objects: the draws of a chunk of samples are stacked into one block per
+subspace dimension, validated as ``DetectorSpec`` validates one scenario,
+and evaluated by :func:`duality.evaluate_block` once for all (strategy, xi)
+pairs. The uniform overlay and the two-path grid are blocks too. A dataset
+keeps the blocks and the order of its points (sample order, strategies
+innermost, for sweeps), so neither the grouping nor the worker count changes
+the output; the CSV and the envelope are computed from the block arrays.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .duality import EVAL_BLOCK_ROWS, DualityPoint, evaluate_specs
+from .duality import EVAL_BLOCK_ROWS, DualityPoint, evaluate_block, strategy_pair
 from .measurements import Strategy
 from .saturation import SCAN_MAX_PATHS
 from .states import (
     DetectorSpec,
+    SweepBlock,
     ValidationError,
-    enumerate_uniform_specs,
+    block_from_probabilities,
     is_int,
     spec_from_probabilities,
-    uniform_spec,
+    support_label,
+    uniform_block,
 )
 
 __all__ = [
@@ -54,10 +62,12 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "DUALITY_LAB_THREADS"
+# Version of the randomness contract above, recorded in every manifest.
+RNG_CONTRACT = 1
 # Samples per chunk: each chunk is one unit of work for the thread pool.
 _CHUNK = EVAL_BLOCK_ROWS
 # Most points the uniform enumeration may add to a sweep, which holds them
-# all: 2^18 points take a few hundred MB, as N = 18 with every dimension.
+# all (N = 18 with every dimension has 2^18 - 1 scenarios).
 UNIFORM_OVERLAY_MAX_POINTS = 1 << 18
 
 
@@ -127,11 +137,50 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class ScatterDataset:
-    """Points from one sweep, with the configuration echo and optional envelope."""
+    """Points from one sweep, with the configuration echo and optional envelope.
+
+    The points live in evaluated blocks (``states.SweepBlock``). A block's
+    cells are its (pair, row) entries over the (strategy, xi) ``pairs``,
+    pair-major, and cells are numbered block after block; point ``i`` is cell
+    ``order[i]``.
+    """
 
     config: dict
-    points: tuple[DualityPoint, ...]
+    pairs: tuple[tuple[Strategy, float], ...]
+    blocks: tuple[SweepBlock, ...]
+    order: np.ndarray
     envelope: tuple[tuple[float, float, float], ...] | None = None
+
+    @property
+    def point_count(self) -> int:
+        return len(self.order)
+
+    @cached_property
+    def points(self) -> tuple[DualityPoint, ...]:
+        """The points as :class:`DualityPoint` objects, built on first use."""
+        cells = []
+        for block in self.blocks:
+            specs, coherence = block.specs(), block.coherence.tolist()
+            for column, (tag, xi) in enumerate(self.pairs):
+                cells += [
+                    DualityPoint(
+                        N=block.N,
+                        n=block.n,
+                        strategy=tag,
+                        xi=xi,
+                        coherence=c,
+                        knowledge=k,
+                        duality_sum=t,
+                        spec=spec,
+                    )
+                    for spec, c, k, t in zip(
+                        specs,
+                        coherence,
+                        block.knowledge[:, column].tolist(),
+                        block.duality_sum[:, column].tolist(),
+                    )
+                ]
+        return tuple(cells[i] for i in self.order.tolist())
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -139,46 +188,100 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
+def _draw(rng: np.random.Generator, N: int, n: int | None):
+    """One sample's draws in contract order: the subspace dimension (only when
+    ``n`` is None), the support, the coefficients. Returns the unsorted
+    support and the unit exponential weights; :func:`_scenarios` turns them
+    into sorted supports and probabilities."""
+    if n is None:
+        n = int(rng.integers(1, N + 1))
+    return rng.choice(N, size=n, replace=False), rng.standard_exponential(n)
+
+
+def _scenarios(supports: np.ndarray, weights: np.ndarray):
+    """Sorted supports and flat-simplex probabilities of draws, one per row
+    (or of one draw, as 1-D arrays)."""
+    return np.sort(supports, axis=-1), weights / weights.sum(axis=-1, keepdims=True)
+
+
 def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
     """Draw one scenario: uniform random support, flat-simplex probabilities."""
     if not 1 <= n <= N:
         raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {N}, got {n!r}")
-    indices = np.sort(rng.choice(N, size=n, replace=False))
-    weights = rng.standard_exponential(n)
-    return spec_from_probabilities(N, indices.tolist(), (weights / weights.sum()).tolist())
+    indices, probs = _scenarios(*_draw(rng, N, n))
+    return spec_from_probabilities(N, indices.tolist(), probs.tolist())
 
 
-def _evaluate_columns(specs, strategies) -> list[list[DualityPoint]]:
-    """One column of points per (strategy, xi) pair, aligned with ``specs``.
-
-    Specs of one subspace dimension share a kernel call per pair.
-    """
-    by_dim: dict[int, list[int]] = {}
-    for position, spec in enumerate(specs):
-        by_dim.setdefault(spec.n, []).append(position)
-    columns = []
-    for tag, xi in strategies:
-        column = [None] * len(specs)
-        for positions in by_dim.values():
-            batch = evaluate_specs([specs[p] for p in positions], tag, xi)
-            for position, point in zip(positions, batch):
-                column[position] = point
-        columns.append(column)
-    return columns
+def _interleave(groups, pairs: int, strategy_major: bool = False) -> np.ndarray:
+    """Point order of scenarios split into consecutive blocks, where
+    ``groups`` holds each block's scenario positions. Points run
+    scenario-major with the pairs innermost, or pair-major when
+    ``strategy_major``."""
+    count = sum(len(positions) for positions in groups)
+    order = np.empty(count * pairs, dtype=np.intp)
+    column = np.arange(pairs)[:, None]
+    cell = 0
+    for positions in groups:
+        points = positions + column * count if strategy_major else positions * pairs + column
+        order[points.ravel()] = np.arange(cell, cell + points.size)
+        cell += points.size
+    return order
 
 
-def _spec_major(specs, strategies) -> list[DualityPoint]:
-    """Points ordered by spec, then by (strategy, xi) pair."""
-    return [point for row in zip(*_evaluate_columns(specs, strategies)) for point in row]
+def _sweep_chunk(cfg: SweepConfig, pairs, start: int, stop: int):
+    """Samples ``start``..``stop - 1``, one block per subspace dimension, and
+    their order."""
+    draws = [_draw(sample_rng(cfg.seed, index), cfg.N, cfg.n) for index in range(start, stop)]
+    dims = np.fromiter((len(weights) for _, weights in draws), dtype=np.intp, count=len(draws))
+    blocks, groups = [], []
+    for n in np.unique(dims).tolist():
+        positions = np.flatnonzero(dims == n)
+        supports = np.array([draws[p][0] for p in positions.tolist()])
+        weights = np.array([draws[p][1] for p in positions.tolist()])
+        block = block_from_probabilities(cfg.N, *_scenarios(supports, weights))
+        blocks.append(evaluate_block(block, pairs))
+        groups.append(positions)
+    return blocks, _interleave(groups, len(pairs))
 
 
-def _evaluate_samples(cfg: SweepConfig, start: int, stop: int) -> list[DualityPoint]:
-    specs = []
-    for index in range(start, stop):
-        rng = sample_rng(cfg.seed, index)
-        n = cfg.n if cfg.n is not None else int(rng.integers(1, cfg.N + 1))
-        specs.append(sample_spec(cfg.N, n, rng))
-    return _spec_major(specs, cfg.strategies)
+def _uniform_overlay(cfg: SweepConfig, pairs):
+    """Every uniform scenario of dimension 1 up to ``n`` (or N), in
+    lexicographic support order within each dimension."""
+    blocks, groups, done = [], [], 0
+    for n in range(1, (cfg.n if cfg.n is not None else cfg.N) + 1):
+        combos = itertools.combinations(range(cfg.N), n)
+        remaining = math.comb(cfg.N, n)
+        while remaining:
+            rows = min(_CHUNK, remaining)
+            remaining -= rows
+            indices = np.fromiter(combos, dtype=np.dtype((np.intp, n)), count=rows)
+            blocks.append(evaluate_block(uniform_block(cfg.N, indices), pairs))
+            groups.append(np.arange(done, done + rows))
+            done += rows
+    return blocks, _interleave(groups, len(pairs))
+
+
+def _dataset(config, pairs, chunks, envelope_bins) -> ScatterDataset:
+    """One dataset from ``(blocks, order)`` chunks that follow each other."""
+    blocks, orders, cells = [], [], 0
+    for chunk_blocks, order in chunks:
+        blocks.extend(chunk_blocks)
+        orders.append(order + cells)
+        cells += len(order)
+    dataset = ScatterDataset(
+        config=config,
+        pairs=pairs,
+        blocks=tuple(blocks),
+        order=np.concatenate(orders),
+    )
+    if envelope_bins is None:
+        return dataset
+    return replace(dataset, envelope=boundary_envelope(dataset, envelope_bins))
+
+
+def _check_bins(bins) -> None:
+    if not is_int(bins) or bins < 2:
+        raise ValidationError(f"bin count must be an integer >= 2, got {bins!r}")
 
 
 def run_sweep(
@@ -191,21 +294,21 @@ def run_sweep(
 
     Deterministic for a fixed config: the per-sample generators make the
     result independent of ``workers``, and points are merged in sample order.
+    ``envelope_bins`` must be None or an integer >= 2.
     """
+    if envelope_bins is not None:
+        _check_bins(envelope_bins)
     workers = resolve_workers(workers)
+    pairs = tuple(strategy_pair(tag, xi) for tag, xi in cfg.strategies)
     spans = [(lo, min(lo + _CHUNK, cfg.samples)) for lo in range(0, cfg.samples, _CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda span: _evaluate_samples(cfg, *span), spans))
+            chunks = list(pool.map(lambda span: _sweep_chunk(cfg, pairs, *span), spans))
     else:
-        chunks = [_evaluate_samples(cfg, *span) for span in spans]
-    points = [point for chunk in chunks for point in chunk]
+        chunks = [_sweep_chunk(cfg, pairs, *span) for span in spans]
     if cfg.include_uniform_enumeration:
-        top = cfg.n if cfg.n is not None else cfg.N
-        for n in range(1, top + 1):
-            points.extend(_spec_major(enumerate_uniform_specs(cfg.N, n), cfg.strategies))
-    envelope = boundary_envelope(points, envelope_bins) if envelope_bins else None
-    return ScatterDataset(config=cfg.to_json_dict(), points=tuple(points), envelope=envelope)
+        chunks.append(_uniform_overlay(cfg, pairs))
+    return _dataset(cfg.to_json_dict(), pairs, chunks, envelope_bins)
 
 
 def two_path_grid_dataset(
@@ -224,22 +327,48 @@ def two_path_grid_dataset(
     """
     if not is_int(steps) or steps < 2:
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
+    if envelope_bins is not None:
+        _check_bins(envelope_bins)
     strategies = tuple((Strategy(tag), float(xi)) for tag, xi in strategies)
-    specs = []
-    for p_min in np.linspace(0.0, 0.5, steps):
-        if p_min <= 0.0:
-            specs.append(uniform_spec(2, (0,)))
-        else:
-            specs.append(spec_from_probabilities(2, (0, 1), (1.0 - p_min, p_min)))
-    points = [point for column in _evaluate_columns(specs, strategies) for point in column]
-    envelope = boundary_envelope(points, envelope_bins) if envelope_bins else None
+    pairs = tuple(strategy_pair(tag, xi) for tag, xi in strategies)
+    p_min = np.linspace(0.0, 0.5, steps)
+    zero = p_min <= 0.0
+    ends, inner = np.flatnonzero(zero), np.flatnonzero(~zero)
+    blocks = [
+        uniform_block(2, np.zeros((len(ends), 1), dtype=np.intp)),
+        block_from_probabilities(
+            2,
+            np.broadcast_to(np.arange(2), (len(inner), 2)),
+            np.stack([1.0 - p_min[inner], p_min[inner]], axis=1),
+        ),
+    ]
+    chunk = (
+        [evaluate_block(block, pairs) for block in blocks],
+        _interleave([ends, inner], len(pairs), strategy_major=True),
+    )
     config = {
         "mode": "two-path-grid",
         "N": 2,
         "steps": steps,
         "strategies": [[tag.value, xi] for tag, xi in strategies],
     }
-    return ScatterDataset(config=config, points=tuple(points), envelope=envelope)
+    return _dataset(config, pairs, [chunk], envelope_bins)
+
+
+def _columns(points) -> tuple[np.ndarray, np.ndarray]:
+    """Knowledge and coherence of every point of a dataset or of a sequence
+    of :class:`DualityPoint` objects, in any order."""
+    if isinstance(points, ScatterDataset):
+        pairs, blocks = len(points.pairs), points.blocks
+        return (
+            np.concatenate([block.knowledge.ravel() for block in blocks]),
+            np.concatenate([np.repeat(block.coherence, pairs) for block in blocks]),
+        )
+    points = list(points)
+    return (
+        np.array([point.knowledge for point in points], dtype=float),
+        np.array([point.coherence for point in points], dtype=float),
+    )
 
 
 def boundary_envelope(points, bins: int) -> tuple[tuple[float, float, float], ...]:
@@ -247,59 +376,82 @@ def boundary_envelope(points, bins: int) -> tuple[tuple[float, float, float], ..
 
     Partitions [0, 1] into ``bins`` equal knowledge bins and records
     ``(bin_center, min_coherence, max_coherence)`` for each nonempty bin, a
-    reproducible stand-in for a boundary polygon.
+    reproducible stand-in for a boundary polygon. ``points`` is a
+    :class:`ScatterDataset` or a sequence of :class:`DualityPoint` objects.
     """
-    points = list(points)
-    if not points:
+    knowledge, coherence = _columns(points)
+    if not knowledge.size:
         raise ValidationError("boundary envelope needs at least one point")
-    if not is_int(bins) or bins < 2:
-        raise ValidationError(f"bin count must be an integer >= 2, got {bins!r}")
-    lows = [None] * bins
-    highs = [None] * bins
-    for point in points:
-        slot = min(int(point.knowledge * bins), bins - 1)
-        c = point.coherence
-        if lows[slot] is None or c < lows[slot]:
-            lows[slot] = c
-        if highs[slot] is None or c > highs[slot]:
-            highs[slot] = c
+    _check_bins(bins)
+    slots = np.minimum((knowledge * bins).astype(np.intp), bins - 1)
+    lows = np.full(bins, np.inf)
+    highs = np.full(bins, -np.inf)
+    np.minimum.at(lows, slots, coherence)
+    np.maximum.at(highs, slots, coherence)
+    filled = np.flatnonzero(np.bincount(slots, minlength=bins)).tolist()
     return tuple(
-        ((slot + 0.5) / bins, lows[slot], highs[slot])
-        for slot in range(bins)
-        if lows[slot] is not None
+        ((slot + 0.5) / bins, low, high)
+        for slot, low, high in zip(filled, lows[filled].tolist(), highs[filled].tolist())
     )
 
 
 POINTS_CSV_HEADER = ["N", "n", "strategy", "xi", "K", "C", "sum", "support"]
 
 
+def _csv_lines(dataset: ScatterDataset) -> list[str]:
+    """The CSV row of every point of a dataset, in point order."""
+    cells = []
+    for block in dataset.blocks:
+        labels = [support_label(row) for row in block.indices.tolist()]
+        coherence = block.coherence.tolist()
+        for column, (tag, xi) in enumerate(dataset.pairs):
+            head = f"{block.N},{block.n},{tag.value},{xi!r},"
+            cells += [
+                f"{head}{k!r},{c!r},{t!r},{label}\n"
+                for k, c, t, label in zip(
+                    block.knowledge[:, column].tolist(),
+                    coherence,
+                    block.duality_sum[:, column].tolist(),
+                    labels,
+                )
+            ]
+    return [cells[i] for i in dataset.order.tolist()]
+
+
 def write_points_csv(points, fileobj) -> None:
     """CSV rows for duality points (header included, LF endings, full-precision
-    floats via repr)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(POINTS_CSV_HEADER)
+    floats via repr).
+
+    ``points`` is a :class:`ScatterDataset`, written from its blocks, or a
+    sequence of :class:`DualityPoint` objects.
+    """
+    fileobj.write(",".join(POINTS_CSV_HEADER) + "\n")
+    if isinstance(points, ScatterDataset):
+        fileobj.writelines(_csv_lines(points))
+        return
     for point in points:
-        writer.writerow(
-            [
-                point.N,
-                point.n,
-                point.strategy.value,
-                repr(point.xi),
-                repr(point.knowledge),
-                repr(point.coherence),
-                repr(point.duality_sum),
-                point.spec.support.label(),
-            ]
+        fileobj.write(
+            f"{point.N},{point.n},{point.strategy.value},{point.xi!r},{point.knowledge!r},"
+            f"{point.coherence!r},{point.duality_sum!r},{point.spec.support.label()}\n"
         )
 
 
 def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int, envelope) -> None:
-    """JSON run manifest: configuration echo, wall time, point count, envelope."""
+    """JSON run manifest: configuration echo, wall time, point count, envelope,
+    and what ran: the RNG contract version and the package, Python, numpy and
+    platform versions."""
+    from . import __version__
+
     payload = {
         "config": config,
         "wall_time": wall_time,
         "point_count": point_count,
         "envelope": [list(entry) for entry in envelope] if envelope is not None else None,
+        "rng_contract": RNG_CONTRACT,
+        "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "platform": platform.platform(),
     }
     json.dump(payload, fileobj, indent=2)
     fileobj.write("\n")

@@ -6,7 +6,9 @@ carrying amplitude), one strictly positive amplitude per support index, and
 the diagonal root-of-unity phase action that generates the N detector states
 from the fiducial one. Everything downstream (discrimination measurements,
 entropic quantifiers, saturation analysis) consumes these types; all of them
-are immutable after construction and safe to share between workers.
+are immutable after construction and safe to share between workers. Sweeps
+hold many scenarios of one (N, n) as a :class:`SweepBlock` of arrays, whose
+builders make the scalar types' checks on every row.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ __all__ = [
     "Support",
     "DetectorSpec",
     "SymmetricSet",
+    "SweepBlock",
+    "block_from_probabilities",
+    "block_from_specs",
     "build_symmetric_set",
-    "detector_reduced_distribution",
     "enumerate_uniform_specs",
+    "uniform_block",
     "uniform_spec",
     "spec_from_probabilities",
     "spec_to_json_dict",
@@ -53,6 +58,21 @@ PROBABILITY_FLOOR = sys.float_info.min
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
+
+
+_PROBABILITY_RULE = (
+    "squared coefficients must be strictly positive and finite; express "
+    "zero entries by shrinking the support"
+)
+_COEFFICIENT_RULE = (
+    "coefficients must be strictly positive and finite, with squares of at "
+    f"least {PROBABILITY_FLOOR!r} (the smallest normal float); express zero "
+    "entries by shrinking the support"
+)
+
+
+def _norm_message(total: float) -> str:
+    return f"squared coefficients must sum to 1 within {NORM_REPAIR_ATOL} (got {total!r})"
 
 
 def is_int(value) -> bool:
@@ -149,17 +169,10 @@ class DetectorSpec:
                 f"for support of size {self.support.n}"
             )
         if any(not math.isfinite(c) or c <= 0.0 or c * c < PROBABILITY_FLOOR for c in coeffs):
-            raise ValidationError(
-                "coefficients must be strictly positive and finite, with squares of at "
-                f"least {PROBABILITY_FLOOR!r} (the smallest normal float); express zero "
-                "entries by shrinking the support"
-            )
+            raise ValidationError(_COEFFICIENT_RULE)
         total = math.fsum(c * c for c in coeffs)
         if abs(total - 1.0) > NORM_REPAIR_ATOL:
-            raise ValidationError(
-                f"squared coefficients must sum to 1 within {NORM_REPAIR_ATOL} "
-                f"(got {total!r})"
-            )
+            raise ValidationError(_norm_message(total))
         if total != 1.0:
             scale = 1.0 / math.sqrt(total)
             coeffs = tuple(c * scale for c in coeffs)
@@ -242,13 +255,121 @@ def build_symmetric_set(spec: DetectorSpec) -> SymmetricSet:
     return SymmetricSet(spec=spec, states=states)
 
 
-def detector_reduced_distribution(spec: DetectorSpec) -> np.ndarray:
-    """Probability vector over the support: the squared amplitudes.
+@dataclass(frozen=True, eq=False)
+class SweepBlock:
+    """Scenarios of one path count and one subspace dimension, as arrays.
 
-    This is the diagonal of the detector's reduced state in the computational
-    basis; the state itself is diagonal for symmetric families.
+    Row ``i`` is the scenario ``DetectorSpec(Support(N, indices[i]),
+    coeffs[i])``: ``coeffs`` holds the coefficients the row was built from
+    and ``amps`` its validated amplitudes, that spec's ``coeffs`` bit for bit.
+    Build blocks with :func:`block_from_probabilities`, :func:`uniform_block`
+    or :func:`block_from_specs`. ``duality.evaluate_block`` fills the result
+    columns: ``coherence`` per row, and ``knowledge`` and ``duality_sum`` with
+    one column per (strategy, xi) pair.
     """
-    return spec.probabilities.copy()
+
+    N: int
+    indices: np.ndarray
+    coeffs: np.ndarray
+    amps: np.ndarray
+    coherence: np.ndarray | None = None
+    knowledge: np.ndarray | None = None
+    duality_sum: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.indices.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def specs(self) -> list[DetectorSpec]:
+        """The rows as scenarios, rebuilt from ``coeffs`` through DetectorSpec."""
+        return [
+            DetectorSpec(support=Support(N=self.N, indices=tuple(row)), coeffs=tuple(coeffs))
+            for row, coeffs in zip(self.indices.tolist(), self.coeffs.tolist())
+        ]
+
+
+def _support_rows(N: int, indices) -> np.ndarray:
+    """Support rows as an (S, n) index array, each row checked as Support checks it."""
+    if not is_int(N) or N < 2:
+        raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
+    idx = np.asarray(indices)
+    if idx.ndim != 2 or idx.dtype.kind not in "iu":
+        raise ValidationError(
+            f"support rows must be a 2-D integer array, got {idx.dtype} of shape {idx.shape}"
+        )
+    if idx.shape[1] == 0:
+        raise ValidationError("support must contain at least one index")
+    idx = idx.astype(np.intp, copy=False)
+    bad = np.flatnonzero(((idx < 0) | (idx >= N)).any(axis=1))
+    if bad.size:
+        raise ValidationError(
+            f"support indices must lie in 0..{N - 1}, got {tuple(idx[bad[0]].tolist())}"
+        )
+    bad = np.flatnonzero((np.diff(idx, axis=1) <= 0).any(axis=1))
+    if bad.size:
+        raise ValidationError(
+            f"support indices must be strictly increasing, got {tuple(idx[bad[0]].tolist())}"
+        )
+    return idx
+
+
+def _validated(coeffs: np.ndarray) -> np.ndarray:
+    """Each row's DetectorSpec amplitudes, with its checks in its arithmetic:
+    the coefficient rule, a ``math.fsum`` of the squares within
+    NORM_REPAIR_ATOL of 1, and the rescale by ``1 / sqrt(sum)``. DetectorSpec
+    skips the rescale when the sum is 1.0; scaling by exactly 1.0 changes no
+    bit, so every row is scaled here."""
+    squares = coeffs * coeffs
+    if not (np.isfinite(coeffs) & (coeffs > 0.0) & (squares >= PROBABILITY_FLOOR)).all():
+        raise ValidationError(_COEFFICIENT_RULE)
+    totals = np.fromiter(map(math.fsum, squares.tolist()), dtype=float, count=len(coeffs))
+    off = np.flatnonzero(np.abs(totals - 1.0) > NORM_REPAIR_ATOL)
+    if off.size:
+        raise ValidationError(_norm_message(float(totals[off[0]])))
+    return coeffs * (1.0 / np.sqrt(totals))[:, None]
+
+
+def block_from_probabilities(N: int, indices, probabilities) -> SweepBlock:
+    """Row ``i`` is ``spec_from_probabilities(N, indices[i], probabilities[i])``,
+    with every check that function makes and the same amplitudes bit for bit."""
+    probs = np.asarray(probabilities, dtype=float)
+    if not (np.isfinite(probs) & (probs > 0.0)).all():
+        raise ValidationError(_PROBABILITY_RULE)
+    indices = _support_rows(N, indices)
+    if probs.shape != indices.shape:
+        raise ValidationError(
+            f"need one coefficient per support index: got {probs.shape} "
+            f"probabilities for supports of shape {indices.shape}"
+        )
+    coeffs = np.sqrt(probs)
+    return SweepBlock(N=N, indices=indices, coeffs=coeffs, amps=_validated(coeffs))
+
+
+def uniform_block(N: int, indices) -> SweepBlock:
+    """Row ``i`` is ``uniform_spec(N, indices[i])``: coefficients ``1/sqrt(n)``,
+    validated as DetectorSpec validates them, so n = 2 rows are rescaled."""
+    indices = _support_rows(N, indices)
+    coeffs = np.full((1, indices.shape[1]), 1.0 / math.sqrt(indices.shape[1]))
+    return SweepBlock(
+        N=N,
+        indices=indices,
+        coeffs=np.broadcast_to(coeffs, indices.shape),
+        amps=np.broadcast_to(_validated(coeffs), indices.shape),
+    )
+
+
+def block_from_specs(specs) -> SweepBlock:
+    """One block of scenarios that share N and n. Its ``coeffs`` and ``amps``
+    are both the specs' validated coefficients."""
+    specs = list(specs)
+    if any(spec.N != specs[0].N or spec.n != specs[0].n for spec in specs):
+        raise ValidationError("a block needs scenarios that share N and n")
+    amps = np.array([spec.coeffs for spec in specs])
+    indices = np.array([spec.support.indices for spec in specs], dtype=np.intp)
+    return SweepBlock(N=specs[0].N, indices=indices, coeffs=amps, amps=amps)
 
 
 def uniform_spec(N: int, indices) -> DetectorSpec:
@@ -262,10 +383,7 @@ def spec_from_probabilities(N: int, indices, probabilities) -> DetectorSpec:
     """Scenario from squared coefficients; they must be positive and sum to 1."""
     probs = [float(p) for p in probabilities]
     if any(not math.isfinite(p) or p <= 0.0 for p in probs):
-        raise ValidationError(
-            "squared coefficients must be strictly positive and finite; express "
-            "zero entries by shrinking the support"
-        )
+        raise ValidationError(_PROBABILITY_RULE)
     support = Support(N=N, indices=tuple(indices))
     return DetectorSpec(support=support, coeffs=tuple(math.sqrt(p) for p in probs))
 

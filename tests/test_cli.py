@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -145,6 +146,23 @@ class TestScan:
         assert captured.err.startswith("error: the uniform enumeration would add 16777215 ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("bins", ["0", "1", "-1"])
+    @pytest.mark.parametrize("mode", [("--n", "2", "--samples", "5"), ("--grid", "5")])
+    def test_envelope_bins_below_two_rejected(self, bins, mode, capsys):
+        n_paths = "2" if mode[0] == "--grid" else "3"
+        assert run_cli("scan", "--N", n_paths, *mode, "--bins", bins) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bin count must be an integer >= 2, got {int(bins)}\n"
+
+    def test_manifest_records_the_rng_contract_and_versions(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli("scan", "--N", "4", "--samples", "20", "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["rng_contract"] == 1
+        assert manifest["numpy_version"] == np.__version__
+        assert {"package_version", "python_version", "platform"} <= manifest.keys()
+
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("scan", "--N", "3", "--samples", "5", "--out", str(missing)) == 3
@@ -155,6 +173,45 @@ class TestScan:
 
     def test_negative_samples(self):
         assert run_cli("scan", "--N", "3", "--samples", "-2") == 2
+
+
+class TestPinnedSweeps:
+    """Sweeps the benchmark does not gate: dimension grouping with strategy
+    interleaving, the uniform overlay, and the two-path grid. The digests were
+    recorded from the per-sample sweep that preceded the block sweep; the
+    envelope digest is over ``json.dumps`` of the manifest's envelope."""
+
+    @pytest.mark.parametrize(
+        "argv, csv_sha256, envelope_sha256",
+        [
+            (
+                ["--N", "9", "--n", "all", "--samples", "3000", "--strategy", "conc",
+                 "--xi", "0,0.5,1", "--seed", "4", "--bins", "40"],
+                "f35b56484583b40c29aa13d0a7f9db1a5bf1de02ca42fff0220fe80c05b33c17",
+                "517ed3567b1c5354702bc79fc279b8fb80651c2a815fdbf7270f17c55d40d84f",
+            ),
+            (
+                ["--N", "6", "--n", "all", "--samples", "50", "--include-uniform",
+                 "--strategy", "frio", "--xi", "0.3", "--seed", "1"],
+                "bd5fc738ccaba6863f1717227169354b1d3a1d1286d9f60f1bbc3b2a1273753b",
+                "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+            ),
+            (
+                ["--N", "2", "--grid", "200", "--strategy", "conc", "--xi", "0.2,0.9",
+                 "--bins", "20"],
+                "5ae229746bfb6629a3ec1ab1264a11aabcc6293b7c0dfe26a2de69a805f81e62",
+                "dcd6a685286bc6c29a12b2435fe61cce9c65e14d1c7dd49f702c0fe931caaa42",
+            ),
+        ],
+        ids=["all-dimensions-interleaved", "uniform-overlay", "two-path-grid"],
+    )  # fmt: skip
+    def test_outputs_keep_their_digests(self, argv, csv_sha256, envelope_sha256, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        envelope = json.dumps(manifest["envelope"]).encode()
+        assert hashlib.sha256(envelope).hexdigest() == envelope_sha256
 
 
 class TestEnumerateUniform:

@@ -1,10 +1,13 @@
+import csv
 import io
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
+import duality_lab
 from duality_lab.ensemble import (
     SweepConfig,
     boundary_envelope,
@@ -240,6 +243,30 @@ class TestBoundaryEnvelope:
         assert first_bin[0] < 0.05
         assert first_bin[2] > 0.9
 
+    @pytest.mark.parametrize("bins", [0, 1, -1, 2.5, True])
+    def test_bin_counts_below_two_rejected_before_the_sweep(self, bins):
+        cfg = SweepConfig(N=3, n=2, samples=5, strategies=(("me", 0.0),), seed=0)
+        with pytest.raises(ValidationError, match="bin count"):
+            run_sweep(cfg, envelope_bins=bins)
+        with pytest.raises(ValidationError, match="bin count"):
+            two_path_grid_dataset((("me", 0.0),), steps=4, envelope_bins=bins)
+
+    def test_blocks_and_points_give_the_reference_envelope(self):
+        cfg = SweepConfig(
+            N=5, n=None, samples=700, seed=8,
+            strategies=(("frio-concatenated", 0.4), ("frio-standard", 0.9)),
+            include_uniform_enumeration=True,
+        )
+        dataset = run_sweep(cfg, envelope_bins=30)
+        lows, highs = {}, {}
+        for point in dataset.points:
+            slot = min(int(point.knowledge * 30), 29)
+            lows[slot] = min(lows.get(slot, point.coherence), point.coherence)
+            highs[slot] = max(highs.get(slot, point.coherence), point.coherence)
+        expected = tuple(((slot + 0.5) / 30, lows[slot], highs[slot]) for slot in sorted(lows))
+        assert dataset.envelope == expected
+        assert boundary_envelope(dataset.points, 30) == expected
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             boundary_envelope([], bins=10)
@@ -259,6 +286,42 @@ class TestOutputFormats:
         assert fields[3] == "0.6"
         assert fields[7] == "0"
         assert float(fields[5]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            lambda: run_sweep(SweepConfig(
+                N=7, n=None, samples=600, seed=12,
+                strategies=(("frio-concatenated", 0.0), ("frio-concatenated", 0.7)),
+                include_uniform_enumeration=True,
+            )),
+            lambda: two_path_grid_dataset((("me", 0.0), ("frio-standard", 0.35)), steps=25),
+        ],
+        ids=["sweep", "grid"],
+    )  # fmt: skip
+    def test_blocks_write_the_csv_writer_bytes(self, dataset):
+        dataset = dataset()
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["N", "n", "strategy", "xi", "K", "C", "sum", "support"])
+        for p in dataset.points:
+            writer.writerow([
+                p.N, p.n, p.strategy.value, repr(p.xi), repr(p.knowledge),
+                repr(p.coherence), repr(p.duality_sum), p.spec.support.label(),
+            ])  # fmt: skip
+        assert csv_bytes(dataset) == reference.getvalue()
+        assert csv_bytes(dataset.points) == reference.getvalue()
+        assert dataset.point_count == len(dataset.points)
+
+    def test_manifest_records_what_ran(self):
+        buffer = io.StringIO()
+        write_manifest(buffer, config={}, wall_time=0.5, point_count=0, envelope=None)
+        payload = json.loads(buffer.getvalue())
+        assert payload["rng_contract"] == 1
+        assert payload["package_version"] == duality_lab.__version__
+        assert payload["python_version"] == platform.python_version()
+        assert payload["numpy_version"] == np.__version__
+        assert payload["platform"] == platform.platform()
 
     def test_manifest_layout(self):
         dataset = two_path_grid_dataset((("me", 0.0),), steps=4, envelope_bins=10)

@@ -8,12 +8,14 @@ from duality_lab.states import (
     DetectorSpec,
     Support,
     ValidationError,
+    block_from_probabilities,
+    block_from_specs,
     build_symmetric_set,
-    detector_reduced_distribution,
     enumerate_uniform_specs,
     spec_from_json_dict,
     spec_from_probabilities,
     spec_to_json_dict,
+    uniform_block,
     uniform_spec,
 )
 
@@ -171,18 +173,18 @@ class TestOrthogonalityCharacterization:
 class TestReducedDistribution:
     def test_balanced_pair(self):
         np.testing.assert_allclose(
-            detector_reduced_distribution(uniform_spec(2, (0, 1))), [0.5, 0.5], atol=1e-15
+            uniform_spec(2, (0, 1)).probabilities, [0.5, 0.5], atol=1e-15
         )
 
     def test_three_path_values(self):
         spec = spec_from_probabilities(3, (0, 1, 2), (0.5, 0.3, 0.2))
         np.testing.assert_allclose(
-            detector_reduced_distribution(spec), [0.5, 0.3, 0.2], atol=1e-12
+            spec.probabilities, [0.5, 0.3, 0.2], atol=1e-12
         )
 
     @given(detector_specs())
     def test_normalization(self, spec):
-        assert abs(detector_reduced_distribution(spec).sum() - 1.0) < 1e-12
+        assert abs(spec.probabilities.sum() - 1.0) < 1e-12
 
 
 class TestEnumeration:
@@ -225,3 +227,90 @@ class TestJsonRoundTrip:
     def test_invalid_json_rejected(self, data):
         with pytest.raises(ValidationError):
             spec_from_json_dict(data)
+
+
+def flat_simplex_rows(rng, rows, n):
+    weights = rng.standard_exponential((rows, n))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def random_supports(rng, N, rows, n):
+    return np.sort(np.array([rng.choice(N, size=n, replace=False) for _ in range(rows)]), axis=1)
+
+
+def scalar_coeffs(N, indices, probs):
+    """The rows' DetectorSpec coefficients through spec_from_probabilities."""
+    return np.array(
+        [spec_from_probabilities(N, row, p).coeffs for row, p in zip(indices.tolist(), probs.tolist())]
+    )
+
+
+class TestSweepBlock:
+    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200])
+    def test_random_rows_match_detector_spec_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        N = max(n, 2) + 3
+        indices = random_supports(rng, N, 50, n)
+        probs = flat_simplex_rows(rng, 50, n)
+        block = block_from_probabilities(N, indices, probs)
+        assert (block.amps == scalar_coeffs(N, indices, probs)).all()
+        assert block.specs() == [
+            spec_from_probabilities(N, row, p) for row, p in zip(indices.tolist(), probs.tolist())
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_uniform_rows_match_uniform_spec_bit_for_bit(self, n):
+        N = 64
+        indices = np.array([range(n), range(N - n, N)])
+        block = uniform_block(N, indices)
+        expected = [uniform_spec(N, row) for row in indices.tolist()]
+        assert (block.amps == np.array([spec.coeffs for spec in expected])).all()
+        assert block.specs() == expected
+        if n == 2:
+            # 1/sqrt(2) squares to a sum below 1.0, so the row is rescaled.
+            assert (block.amps != block.coeffs).all()
+
+    def test_rows_that_need_renormalization(self):
+        rng = np.random.default_rng(5)
+        probs = flat_simplex_rows(rng, 200, 7) * (1 + rng.uniform(-5e-10, 5e-10, (200, 1)))
+        indices = random_supports(rng, 9, 200, 7)
+        block = block_from_probabilities(9, indices, probs)
+        assert (block.amps != block.coeffs).any(axis=1).sum() > 150
+        assert (block.amps == scalar_coeffs(9, indices, probs)).all()
+
+    def test_blocks_from_specs_keep_their_coefficients(self):
+        specs = [spec_from_probabilities(5, (0, 2, 3), (0.2, 0.3, 0.5)), uniform_spec(5, (1, 2, 4))]
+        block = block_from_specs(specs)
+        assert (block.N, block.n, len(block)) == (5, 3, 2)
+        assert (block.amps == np.array([spec.coeffs for spec in specs])).all()
+        assert block.indices.tolist() == [[0, 2, 3], [1, 2, 4]]
+        with pytest.raises(ValidationError, match="share N and n"):
+            block_from_specs([uniform_spec(5, (0,)), uniform_spec(5, (0, 1))])
+
+    @pytest.mark.parametrize(
+        "row, probs",
+        [
+            ((0, 1, 2), (0.5, 0.5, 0.0)),
+            ((0, 1, 2), (0.7, 0.5, -0.2)),
+            ((0, 1, 2), (0.5, 0.5, float("nan"))),
+            ((0, 1, 2), (0.5, 0.5, float("inf"))),
+            ((0, 1, 2), (0.5, 0.5 - 1e-310, 1e-310)),
+            ((0, 2, 1), (0.2, 0.3, 0.5)),
+            ((0, 2, 2), (0.2, 0.3, 0.5)),
+            ((0, 2, 6), (0.2, 0.3, 0.5)),
+            ((-1, 2, 4), (0.2, 0.3, 0.5)),
+            ((0, 1, 2), (0.2, 0.3, 0.5 + 2e-9)),
+        ],
+        ids=[
+            "zero", "negative", "nan", "inf", "subnormal-square",
+            "unsorted", "duplicate", "out-of-range", "negative-index", "sum-off",
+        ],
+    )  # fmt: skip
+    def test_invalid_rows_rejected_as_the_scalar_builder_rejects_them(self, row, probs):
+        with pytest.raises(ValidationError):
+            spec_from_probabilities(6, row, probs)
+        indices = np.array([(0, 1, 2), row, (3, 4, 5)])
+        rows = np.array([(0.2, 0.3, 0.5), probs, (0.2, 0.3, 0.5)])
+        with pytest.raises(ValidationError):
+            block_from_probabilities(6, indices, rows)
+        block_from_probabilities(6, indices[[0, 2]], rows[[0, 2]])
