@@ -19,7 +19,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .duality import evaluate_point
+from .duality import evaluate_point, strategy_pair
 from .ensemble import (
     SweepConfig,
     resolve_workers,
@@ -97,15 +97,21 @@ def _parse_dim(text: str, n_paths: int) -> int | None:
     return value
 
 
-def _strategies(args) -> tuple[tuple[Strategy, float], ...]:
-    tag = STRATEGY_FLAGS[args.strategy]
-    if tag is Strategy.ME:
-        return ((tag, 0.0),)
-    return tuple((tag, xi) for xi in _parse_list(args.xi, float, "separation-level"))
+def _strategies(flag: str, levels: list[float]) -> tuple[tuple[Strategy, float], ...]:
+    """The (strategy, xi) pairs of a ``--strategy`` flag and its ``--xi``
+    levels, each in [0, 1]; the minimum-error strategy takes only the
+    default level 0."""
+    tag = STRATEGY_FLAGS[flag]
+    if tag is Strategy.ME and levels != [0.0]:
+        raise ValidationError(
+            f"the minimum-error strategy has no separation level, got --xi "
+            f"{','.join(map(repr, levels))}"
+        )
+    return tuple(strategy_pair(tag, xi) for xi in levels)
 
 
 def cmd_scan(args) -> int:
-    strategies = _strategies(args)
+    strategies = _strategies(args.strategy, _parse_list(args.xi, float, "separation-level"))
     workers = resolve_workers(args.workers)
     started = time.perf_counter()
     if args.grid is not None:
@@ -183,6 +189,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_povm(args) -> int:
+    ((tag, xi),) = _strategies(args.strategy, [args.xi])
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as handle:
             try:
@@ -199,13 +206,12 @@ def cmd_povm(args) -> int:
             spec = spec_from_probabilities(args.N, indices, probs)
     else:
         raise ValidationError("provide either --spec FILE or both --N and --support")
-    tag = STRATEGY_FLAGS[args.strategy]
     if tag is Strategy.ME:
         measurement = build_me_measurement(spec)
     elif tag is Strategy.FRIO_STANDARD:
-        measurement = build_frio_standard(spec, args.xi)
+        measurement = build_frio_standard(spec, xi)
     else:
-        measurement = build_frio_concatenated(spec, args.xi)
+        measurement = build_frio_concatenated(spec, xi)
     with _open_out(args.out) as handle:
         json.dump(measurement_to_json_dict(measurement), handle, indent=2)
         handle.write("\n")

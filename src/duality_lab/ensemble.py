@@ -9,6 +9,12 @@ the C(N, n) subsets. The fixed per-sample draw order is: subspace dimension
 (only when sweeping all dimensions), support, coefficients; ``_draw`` is its
 one definition, shared by :func:`sample_spec` and the sweep.
 
+The sweep keeps the contract without constructing a generator per sample:
+``_pcg64_states`` computes the ``SeedSequence`` mixing and PCG64 seeding of a
+whole chunk's samples in one array pass, and the chunk's single generator is
+set to each sample's state in turn. Each chunk checks its first state against
+:func:`sample_rng` and raises if numpy seeds differently.
+
 Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
 objects: the draws of a chunk of samples are stacked into one block per
 subspace dimension, validated as ``DetectorSpec`` validates one scenario,
@@ -188,6 +194,108 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
+# numpy's SeedSequence (pool of 4 words; numpy/random/bit_generator.pyx) and
+# PCG64 seeding (numpy/random/src/pcg64) constants.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)  # hashmix in mix_entropy: start, multiplier
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # the same step in generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(start: int, multiplier: int):
+    """The (xor, multiply) constants of successive hash steps, which are the
+    same for every sample."""
+    while True:
+        following = start * multiplier & _MASK32
+        yield start, following
+        start = following
+
+
+def _hashmix(words: np.ndarray, steps) -> np.ndarray:
+    xor, multiply = next(steps)
+    words = (words ^ xor) * multiply
+    return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = _MIX_L * x - _MIX_R * y
+    return words ^ words >> 16
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` that ``sample_rng(seed, i)`` starts from, for
+    each sample ``i`` in ``start``..``stop - 1``.
+
+    Computes numpy's ``SeedSequence(seed, spawn_key=(i,))`` entropy mixing
+    and ``generate_state(4, np.uint64)`` as uint32 arithmetic over all the
+    samples at once, then PCG64's seeding step. The entropy is the seed's
+    32-bit words, low word first, padded with zeros to the pool size, then
+    the index's words (two from 2^32 on).
+    """
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    seed_words += [0] * (_POOL - len(seed_words))
+    wide = min(max(start, 1 << 32), stop)
+    states = []
+    for lo, hi in ((start, wide), (wide, stop)):
+        if lo == hi:
+            continue
+        index = np.arange(lo, hi, dtype=np.uint64)
+        entropy = [np.array([word], dtype=np.uint32) for word in seed_words]
+        entropy.append((index & _MASK32).astype(np.uint32))
+        if lo >= 1 << 32:
+            entropy.append((index >> 32).astype(np.uint32))
+        steps = _hash_steps(*_MIX_HASH)
+        pool = [_hashmix(word, steps) for word in entropy[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], _hashmix(word, steps))
+        steps = _hash_steps(*_STATE_HASH)
+        words = [_hashmix(pool[i % _POOL], steps).astype(np.uint64) for i in range(8)]
+        # Little-endian word pairs make the four uint64 seeds; the first two
+        # are initstate and the last two initseq, high half first.
+        state_hi, state_lo, seq_hi, seq_lo = (
+            (words[i] | words[i + 1] << 32).tolist() for i in range(0, 8, 2)
+        )
+        for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _sample_generators(seed: int, start: int, stop: int):
+    """One generator, set in turn to the stream of each sample ``start``..
+    ``stop - 1``; the streams are :func:`sample_rng`'s.
+
+    The first sample's derived state is checked against :func:`sample_rng`,
+    so a numpy whose seeding differs fails here instead of drawing other
+    numbers.
+    """
+    states = _pcg64_states(seed, start, stop)
+    rng = sample_rng(seed, start)
+    bit_generator = rng.bit_generator
+    if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds PCG64 from SeedSequence differently from "
+            f"the derivation of RNG contract {RNG_CONTRACT} (seed {seed}, sample {start})"
+        )
+    for state, inc in states:
+        # Reset the buffered half-word too: `choice` can leave one behind.
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _draw(rng: np.random.Generator, N: int, n: int | None):
     """One sample's draws in contract order: the subspace dimension (only when
     ``n`` is None), the support, the coefficients. Returns the unsorted
@@ -231,7 +339,7 @@ def _interleave(groups, pairs: int, strategy_major: bool = False) -> np.ndarray:
 def _sweep_chunk(cfg: SweepConfig, pairs, start: int, stop: int):
     """Samples ``start``..``stop - 1``, one block per subspace dimension, and
     their order."""
-    draws = [_draw(sample_rng(cfg.seed, index), cfg.N, cfg.n) for index in range(start, stop)]
+    draws = [_draw(rng, cfg.N, cfg.n) for rng in _sample_generators(cfg.seed, start, stop)]
     dims = np.fromiter((len(weights) for _, weights in draws), dtype=np.intp, count=len(draws))
     blocks, groups = [], []
     for n in np.unique(dims).tolist():
@@ -292,7 +400,7 @@ def run_sweep(
 ) -> ScatterDataset:
     """Evaluate all (sample, strategy) pairs, then any uniform enumeration.
 
-    Deterministic for a fixed config: the per-sample generators make the
+    Deterministic for a fixed config: the per-sample streams make the
     result independent of ``workers``, and points are merged in sample order.
     ``envelope_bins`` must be None or an integer >= 2.
     """

@@ -174,6 +174,32 @@ class TestScan:
     def test_negative_samples(self):
         assert run_cli("scan", "--N", "3", "--samples", "-2") == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--strategy", "me", "--xi", "abc"], "invalid separation-level list 'abc'"),
+            (["--strategy", "me", "--xi", "7"], "minimum-error strategy has no separation level"),
+            (["--xi", "0.5"], "minimum-error strategy has no separation level"),
+            (["--xi", "0,0"], "minimum-error strategy has no separation level"),
+            (["--strategy", "frio", "--xi", "0.2,1.5"], "separation level must lie in [0, 1]"),
+            (["--strategy", "conc", "--xi", "nan"], "separation level must lie in [0, 1]"),
+        ],
+        ids=["me-text", "me-out-of-range", "me-default-strategy", "me-two-levels",
+             "frio-out-of-range", "conc-nan"],
+    )  # fmt: skip
+    def test_separation_levels_checked_for_every_strategy(self, argv, message, capsys):
+        assert run_cli("scan", "--N", "6", "--samples", "3", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    @pytest.mark.parametrize("xi", ["0", "0.0"])
+    def test_minimum_error_accepts_the_default_level(self, xi, capsys):
+        assert run_cli("scan", "--N", "6", "--samples", "3", "--strategy", "me", "--xi", xi) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[2:4] for row in rows] == [["me", "0.0"]] * 3
+
 
 class TestPinnedSweeps:
     """Sweeps the benchmark does not gate: dimension grouping with strategy
@@ -202,8 +228,17 @@ class TestPinnedSweeps:
                 "5ae229746bfb6629a3ec1ab1264a11aabcc6293b7c0dfe26a2de69a805f81e62",
                 "dcd6a685286bc6c29a12b2435fe61cce9c65e14d1c7dd49f702c0fe931caaa42",
             ),
+            # A seed of three 32-bit words over two chunks, recorded from the
+            # sweep that built one generator per sample.
+            (
+                ["--N", "7", "--n", "all", "--samples", "5000", "--strategy", "frio",
+                 "--xi", "0.4", "--seed", "18446744073709551621", "--bins", "30"],
+                "4eaa9ebd45bf16dd628afbf30b42b1c3b8efa844db0b75c8f228746c64fd4a50",
+                "abc4d9ecddd8d00ba25db9a523192c8fedbe1edf8c7414165e0beae8d78566f8",
+            ),
         ],
-        ids=["all-dimensions-interleaved", "uniform-overlay", "two-path-grid"],
+        ids=["all-dimensions-interleaved", "uniform-overlay", "two-path-grid",
+             "multi-word-seed-two-chunks"],
     )  # fmt: skip
     def test_outputs_keep_their_digests(self, argv, csv_sha256, envelope_sha256, tmp_path):
         out = tmp_path / "scan.csv"
@@ -361,6 +396,27 @@ class TestPovm:
 
     def test_missing_spec_flags(self):
         assert run_cli("povm", "--strategy", "me") == 2
+
+    @pytest.mark.parametrize(
+        "strategy, xi, message",
+        [
+            ("me", "9", "minimum-error strategy has no separation level"),
+            ("me", "0.5", "minimum-error strategy has no separation level"),
+            ("frio", "9", "separation level must lie in [0, 1]"),
+            ("conc", "-0.1", "separation level must lie in [0, 1]"),
+        ],
+    )
+    def test_separation_level_checked(self, strategy, xi, message, capsys):
+        code = run_cli("povm", "--N", "4", "--support", "0,1", "--strategy", strategy, "--xi", xi)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_minimum_error_dump_records_level_zero(self, capsys):
+        assert run_cli("povm", "--N", "4", "--support", "0,1", "--strategy", "me", "--xi", "0") == 0
+        assert json.loads(capsys.readouterr().out)["xi"] == 0.0
 
     def test_missing_spec_file(self, tmp_path):
         assert run_cli("povm", "--spec", str(tmp_path / "nope.json")) == 3

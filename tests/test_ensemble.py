@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import duality_lab
+from duality_lab import ensemble
 from duality_lab.ensemble import (
     SweepConfig,
     boundary_envelope,
@@ -96,6 +97,56 @@ class TestSweepConfig:
             include_uniform_enumeration=True,
         )
         assert cfg.samples == 0
+
+
+def reference_state(seed, index):
+    state = sample_rng(seed, index).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestChunkSeeding:
+    """The sweep derives each chunk's generator states in one pass instead of
+    constructing ``sample_rng`` per sample; both must give the same streams."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+    def test_derived_states_equal_numpy_seeding(self, seed):
+        # Across a chunk boundary, and across the switch to two-word indices.
+        states = ensemble._pcg64_states(seed, 0, 4098)
+        for index in (0, 1, 4095, 4096, 4097):
+            assert states[index] == reference_state(seed, index)
+        states = ensemble._pcg64_states(seed, 2**32 - 1, 2**32 + 8)
+        for index in (2**32 - 1, 2**32, 2**32 + 7):
+            assert states[index - (2**32 - 1)] == reference_state(seed, index)
+
+    @pytest.mark.parametrize("N, n", [(6, 6), (6, 3), (8, None)])
+    def test_reused_generator_draws_the_sample_streams(self, N, n):
+        start, stop = 4090, 4200
+        reused = [
+            ensemble._draw(rng, N, n)
+            for rng in ensemble._sample_generators(2**64 + 3, start, stop)
+        ]
+        fresh = [ensemble._draw(sample_rng(2**64 + 3, i), N, n) for i in range(start, stop)]
+        for (support, weights), (want_support, want_weights) in zip(reused, fresh, strict=True):
+            np.testing.assert_array_equal(support, want_support)
+            np.testing.assert_array_equal(weights, want_weights)
+
+    def test_a_draw_can_leave_a_buffered_half_word(self):
+        # Why every sample's state resets `has_uint32`: three of six paths
+        # leave half of a 64-bit draw behind.
+        rng = sample_rng(0, 0)
+        ensemble._draw(rng, 6, 3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_wrong_derived_state_fails_the_sweep(self, monkeypatch):
+        derive = ensemble._pcg64_states
+
+        def shifted(seed, start, stop):
+            return [(state ^ 1, inc) for state, inc in derive(seed, start, stop)]
+
+        monkeypatch.setattr(ensemble, "_pcg64_states", shifted)
+        cfg = SweepConfig(N=4, n=2, samples=10, strategies=(("me", 0.0),), seed=3)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):
+            run_sweep(cfg, workers=1)
 
 
 class TestRunSweep:
