@@ -12,7 +12,6 @@ standard error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -39,10 +38,12 @@ from .measurements import (
 from .saturation import census_blocks, saturating_dimensions, write_saturation_csv
 from .states import (
     ValidationError,
+    check_dimension,
     spec_from_json_dict,
     spec_from_probabilities,
     spec_to_json_dict,
     uniform_spec,
+    uniform_supports,
 )
 from .verify import FAULTS, TOLERANCES, run_verification
 
@@ -92,8 +93,7 @@ def _parse_dim(text: str, n_paths: int) -> int | None:
         value = int(text)
     except ValueError as exc:
         raise ValidationError(f"subspace dimension must be an integer or 'all', got {text!r}") from exc
-    if not 1 <= value <= n_paths:
-        raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {n_paths}, got {value}")
+    check_dimension(value, n_paths)
     return value
 
 
@@ -152,9 +152,10 @@ def cmd_enumerate(args) -> int:
     with _open_out(args.out) as handle:
         # Streamed: C(N, n) specs would not fit in memory at large N.
         for n in dims:
-            for indices in itertools.combinations(range(args.N), n):
-                spec = uniform_spec(args.N, indices)
-                handle.write(json.dumps(spec_to_json_dict(spec)) + "\n")
+            for rows in uniform_supports(args.N, n):
+                for indices in rows:
+                    spec = uniform_spec(args.N, indices)
+                    handle.write(json.dumps(spec_to_json_dict(spec)) + "\n")
     return EXIT_OK
 
 

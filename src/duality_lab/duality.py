@@ -13,8 +13,9 @@ rows and distribution kind. :func:`evaluate_specs` and
 :func:`evaluate_point` are adapters that build a block from ``DetectorSpec``
 objects, so scalar and batch calls share one evaluation path. The scalar
 functions (:func:`coherence`, :func:`knowledge_frio`, ...) evaluate one
-scenario; they serve ``verify`` and are the reference the kernel is tested
-against.
+scenario through the same separation and spectrum formulas as the kernel
+(``measurements._success``, ``_failure_profile`` and ``_spectrum``); they
+are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -25,18 +26,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measurements import (
-    MIN_COEFF_CLAMP_ATOL,
     SeparationParams,
     Strategy,
+    _failure_profile,
+    _level,
+    _normalized,
     _spectrum,
+    _success,
     conditional_failure,
     separation_params,
 )
 from .states import (
-    DEGENERATE_FAILURE_ATOL,
+    BLOCK_ROWS,
     DetectorSpec,
     SweepBlock,
     ValidationError,
+    _is_uniform,
     block_from_specs,
 )
 
@@ -53,16 +58,16 @@ __all__ = [
     "evaluate_specs",
     "evaluate_block",
     "strategy_pair",
+    "strategy_pairs",
 ]
 
 ENTRY_ATOL = 1e-12
 SUM_ATOL = 1e-9
 DUALITY_SUM_ATOL = 1e-9
 
-# Scenarios per evaluation block, and the most zero-padded spectrum entries
-# (rows x N) one block may hold: 2^18 complex entries take 4 MiB, so a
-# block's arrays stay a few MB at any path count.
-EVAL_BLOCK_ROWS = 4096
+# The most zero-padded spectrum entries (rows x N) one evaluation slice may
+# hold: 2^18 complex entries take 4 MiB, so a slice's arrays stay a few MB at
+# any path count.
 EVAL_BLOCK_ENTRIES = 1 << 18
 
 
@@ -162,7 +167,8 @@ def knowledge_frio(spec: DetectorSpec, xi: float) -> float:
     nothing (their conditional is uniform).
     """
     params = separation_params(spec, xi)
-    return _knowledge(params, _spectrum(spec, params.success_profile), None, spec.N)[0]
+    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * params.success_profile)
+    return _knowledge(params, conclusive, None, spec.N)[0]
 
 
 def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
@@ -172,7 +178,7 @@ def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
     the extra term is zero when the failure branch is absent.
     """
     params = separation_params(spec, xi)
-    conclusive = _spectrum(spec, params.success_profile)
+    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * params.success_profile)
     return _knowledge(params, conclusive, conditional_failure(spec), spec.N)[1]
 
 
@@ -226,54 +232,56 @@ def evaluate_specs(specs, strategy, xi: float = 0.0) -> list[DualityPoint]:
     specs = list(specs)
     if not specs:
         return []
-    block = evaluate_block(block_from_specs(specs), (pair,))
-    n_paths, n = block.N, block.n
+    return _block_points(evaluate_block(block_from_specs(specs), (pair,)), 0, pair, specs)
+
+
+def _block_points(block: SweepBlock, column: int, pair, specs) -> list[DualityPoint]:
+    """The points of one (strategy, xi) column of an evaluated block, whose
+    rows are ``specs``."""
+    knowledge, total = block.knowledge[:, column].tolist(), block.duality_sum[:, column].tolist()
     return [
-        DualityPoint(
-            N=n_paths,
-            n=n,
-            strategy=pair[0],
-            xi=pair[1],
-            coherence=c,
-            knowledge=k,
-            duality_sum=t,
-            spec=spec,
-        )
-        for spec, c, k, t in zip(
-            specs,
-            block.coherence.tolist(),
-            block.knowledge[:, 0].tolist(),
-            block.duality_sum[:, 0].tolist(),
-        )
+        DualityPoint(block.N, block.n, *pair, coherence=c, knowledge=k, duality_sum=t, spec=spec)
+        for spec, c, k, t in zip(specs, block.coherence.tolist(), knowledge, total)
     ]
 
 
 def strategy_pair(strategy, xi: float) -> tuple[Strategy, float]:
     """The (strategy, xi) pair a point records: the ME strategy is the xi = 0
-    endpoint, and every level must lie in [0, 1]."""
-    strategy = Strategy(strategy)
-    xi = 0.0 if strategy is Strategy.ME else float(xi)
-    if not 0.0 <= xi <= 1.0:
-        raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
-    return strategy, xi
+    endpoint, and every other level must lie in [0, 1]."""
+    try:
+        tag, level = Strategy(strategy), float(xi)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid (strategy, xi) pair {(strategy, xi)!r}: {exc}") from exc
+    return tag, 0.0 if tag is Strategy.ME else _level(level)
+
+
+def strategy_pairs(pairs) -> tuple[tuple[Strategy, float], ...]:
+    """A nonempty list of (strategy, xi) pairs, each through :func:`strategy_pair`."""
+    try:
+        pairs = tuple(strategy_pair(*pair) for pair in pairs)
+    except TypeError as exc:
+        raise ValidationError(f"expected a list of (strategy, xi) pairs, got {pairs!r}") from exc
+    if not pairs:
+        raise ValidationError("at least one (strategy, xi) pair is required")
+    return pairs
 
 
 def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     """The block with its result columns: coherence per row, and knowledge and
-    C + K per row and (strategy, xi) pair (see :func:`strategy_pair`).
+    C + K per row and (strategy, xi) pair (see :func:`strategy_pairs`).
 
-    Rows go through the spectra in slices of at most ``EVAL_BLOCK_ROWS`` rows
-    and ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays
-    bounded at any N. Each slice takes one FFT and one entropy call per
-    distribution kind, with the arithmetic of the scalar functions in the
-    same order, so every value equals :func:`coherence` and ``knowledge_*``
-    bit for bit. Raises if C + K exceeds 1 beyond tolerance.
+    Rows go through the spectra in slices of at most ``BLOCK_ROWS`` rows and
+    ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays bounded
+    at any N. Each slice takes one FFT and one entropy call per distribution
+    kind, through the formulas of the scalar functions, so every value
+    equals :func:`coherence` and ``knowledge_*`` bit for bit. Raises if
+    C + K exceeds 1 beyond tolerance.
     """
-    pairs = [strategy_pair(tag, xi) for tag, xi in pairs]
+    pairs = strategy_pairs(pairs)
     probs = block.amps**2
     coh = _normalized_infos(probs, block.N)
     knowledge = np.empty((len(block), len(pairs)))
-    rows = max(1, min(EVAL_BLOCK_ROWS, EVAL_BLOCK_ENTRIES // block.N))
+    rows = max(1, min(BLOCK_ROWS, EVAL_BLOCK_ENTRIES // block.N))
     for lo in range(0, len(block), rows):
         part = slice(lo, lo + rows)
         _knowledge_rows(
@@ -290,49 +298,32 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     return replace(block, coherence=coh, knowledge=knowledge, duality_sum=total)
 
 
-def _spectra(n_paths: int, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise ``measurements._spectrum``: ``|FFT|^2`` of each weight row
-    placed at its support indices in a zero row of length N."""
-    padded = np.zeros((len(weights), n_paths))
-    np.put_along_axis(padded, indices, weights, axis=1)
-    return np.abs(np.fft.fft(padded, axis=1)) ** 2
-
-
 def _knowledge_rows(n_paths, indices, amps, probs, pairs, out: np.ndarray) -> None:
     """Knowledge of each row of a slice of a block, one column of ``out`` per
-    (strategy, xi) pair."""
-    n = amps.shape[1]
-    p_min = probs.min(axis=1)
-    uniform = 1.0 - n * p_min <= DEGENERATE_FAILURE_ATOL
+    (strategy, xi) pair: :func:`knowledge_frio` and
+    :func:`knowledge_concatenated` row by row."""
     failure = None
     for column, (strategy, xi) in enumerate(pairs):
-        # separation_params and knowledge_frio, row by row.
-        success = np.sqrt((1.0 - xi + xi / (n * probs)) / n_paths)
-        p_success = np.where(uniform, 1.0, n * p_min / ((1.0 - xi) * n * p_min + xi))
-        conclusive = _spectra(n_paths, indices, amps * success)
+        profile, p_success = _success(probs, xi, n_paths)
+        conclusive = _spectrum(n_paths, indices, amps * profile)
         knowledge = p_success * _normalized_infos(conclusive, n_paths)
         if strategy is Strategy.FRIO_CONCATENATED:
             if failure is None:
-                failure = _failure_infos(n_paths, indices, amps, probs, p_min, uniform)
+                failure = _failure_infos(n_paths, indices, amps, probs)
             rows, info = failure
             knowledge[rows] += (1.0 - p_success[rows]) * info
         out[:, column] = knowledge
 
 
-def _failure_infos(n_paths, indices, amps, probs, p_min, uniform):
+def _failure_infos(n_paths, indices, amps, probs):
     """``conditional_failure`` on the rows that have a failure branch: those
     rows and the normalized information of their failure conditionals. The
     branch does not depend on xi."""
-    n = amps.shape[1]
-    fail = np.flatnonzero(~uniform)
-    p, m = probs[fail], p_min[fail, None]
-    h_sq = (p - m) / ((1.0 - n * m) * n_paths * p)
-    a = amps[fail]
-    h_sq[a - a.min(axis=1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
-    live = h_sq.any(axis=1)
+    fail = np.flatnonzero(~_is_uniform(probs))
+    profile = _failure_profile(amps[fail], probs[fail], n_paths)
+    live = profile.any(axis=1)
     fail = fail[live]
     if not fail.size:
         return fail, np.empty(0)
-    spectra = _spectra(n_paths, indices[fail], a[live] * np.sqrt(h_sq[live]))
-    spectra = spectra / spectra.sum(axis=1, keepdims=True)
+    spectra = _normalized(_spectrum(n_paths, indices[fail], amps[fail] * profile[live]))
     return fail, _normalized_infos(spectra, n_paths)

@@ -27,7 +27,6 @@ the output; the CSV and the envelope are computed from the block arrays.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -38,18 +37,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .duality import EVAL_BLOCK_ROWS, DualityPoint, evaluate_block, strategy_pair
+from .duality import DualityPoint, _block_points, evaluate_block, strategy_pairs
 from .measurements import Strategy
 from .saturation import SCAN_MAX_PATHS
 from .states import (
+    BLOCK_ROWS,
     DetectorSpec,
     SweepBlock,
     ValidationError,
     block_from_probabilities,
+    check_dimension,
+    check_path_count,
     is_int,
     spec_from_probabilities,
     support_label,
     uniform_block,
+    uniform_supports,
 )
 
 __all__ = [
@@ -70,8 +73,6 @@ __all__ = [
 THREADS_ENV_VAR = "DUALITY_LAB_THREADS"
 # Version of the randomness contract above, recorded in every manifest.
 RNG_CONTRACT = 1
-# Samples per chunk: each chunk is one unit of work for the thread pool.
-_CHUNK = EVAL_BLOCK_ROWS
 # Most points the uniform enumeration may add to a sweep, which holds them
 # all (N = 18 with every dimension has 2^18 - 1 scenarios).
 UNIFORM_OVERLAY_MAX_POINTS = 1 << 18
@@ -81,8 +82,8 @@ UNIFORM_OVERLAY_MAX_POINTS = 1 << 18
 class SweepConfig:
     """Sweep parameters; ``n = None`` draws the subspace dimension per sample.
 
-    ``strategies`` pairs a strategy tag with a separation level; the level is
-    ignored for the minimum-error strategy. With
+    ``strategies`` pairs a strategy tag with a separation level; the
+    minimum-error strategy ignores the level and records 0.0. With
     ``include_uniform_enumeration`` the dataset also gets every uniform
     scenario of dimension 1 up to ``n`` (or up to N when sweeping all
     dimensions), the overlay marking cusps and saturation contacts.
@@ -96,12 +97,9 @@ class SweepConfig:
     include_uniform_enumeration: bool = False
 
     def __post_init__(self) -> None:
-        if not is_int(self.N) or self.N < 2:
-            raise ValidationError(f"path count must be an integer >= 2, got {self.N!r}")
-        if self.n is not None and (not is_int(self.n) or not 1 <= self.n <= self.N):
-            raise ValidationError(
-                f"subspace dimension must satisfy 1 <= n <= {self.N} or be None, got {self.n!r}"
-            )
+        check_path_count(self.N)
+        if self.n is not None:
+            check_dimension(self.n, self.N)
         if not is_int(self.samples) or self.samples < 0:
             raise ValidationError(f"sample count must be a nonnegative integer, got {self.samples!r}")
         if self.samples == 0 and not self.include_uniform_enumeration:
@@ -111,22 +109,16 @@ class SweepConfig:
                 f"the uniform enumeration is limited to N <= {SCAN_MAX_PATHS} paths "
                 f"(it holds up to 2^N - 1 scenarios), got N = {self.N}"
             )
-        strategies = tuple((Strategy(tag), float(xi)) for tag, xi in self.strategies)
-        if not strategies:
-            raise ValidationError("at least one (strategy, xi) pair is required")
+        object.__setattr__(self, "strategies", strategy_pairs(self.strategies))
         if self.include_uniform_enumeration:
             top = self.n if self.n is not None else self.N
             scenarios = sum(math.comb(self.N, k) for k in range(1, top + 1))
-            if scenarios * len(strategies) > UNIFORM_OVERLAY_MAX_POINTS:
+            if scenarios * len(self.strategies) > UNIFORM_OVERLAY_MAX_POINTS:
                 raise ValidationError(
                     f"the uniform enumeration would add {scenarios} scenarios x "
-                    f"{len(strategies)} (strategy, xi) pairs, more than the limit of "
+                    f"{len(self.strategies)} (strategy, xi) pairs, more than the limit of "
                     f"{UNIFORM_OVERLAY_MAX_POINTS} points; lower n"
                 )
-        for _, xi in strategies:
-            if not 0.0 <= xi <= 1.0:
-                raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
-        object.__setattr__(self, "strategies", strategies)
         if not is_int(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -166,26 +158,9 @@ class ScatterDataset:
         """The points as :class:`DualityPoint` objects, built on first use."""
         cells = []
         for block in self.blocks:
-            specs, coherence = block.specs(), block.coherence.tolist()
-            for column, (tag, xi) in enumerate(self.pairs):
-                cells += [
-                    DualityPoint(
-                        N=block.N,
-                        n=block.n,
-                        strategy=tag,
-                        xi=xi,
-                        coherence=c,
-                        knowledge=k,
-                        duality_sum=t,
-                        spec=spec,
-                    )
-                    for spec, c, k, t in zip(
-                        specs,
-                        coherence,
-                        block.knowledge[:, column].tolist(),
-                        block.duality_sum[:, column].tolist(),
-                    )
-                ]
+            specs = block.specs()
+            for column, pair in enumerate(self.pairs):
+                cells += _block_points(block, column, pair, specs)
         return tuple(cells[i] for i in self.order.tolist())
 
 
@@ -314,8 +289,7 @@ def _scenarios(supports: np.ndarray, weights: np.ndarray):
 
 def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
     """Draw one scenario: uniform random support, flat-simplex probabilities."""
-    if not 1 <= n <= N:
-        raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {N}, got {n!r}")
+    check_dimension(n, N)
     indices, probs = _scenarios(*_draw(rng, N, n))
     return spec_from_probabilities(N, indices.tolist(), probs.tolist())
 
@@ -357,15 +331,10 @@ def _uniform_overlay(cfg: SweepConfig, pairs):
     lexicographic support order within each dimension."""
     blocks, groups, done = [], [], 0
     for n in range(1, (cfg.n if cfg.n is not None else cfg.N) + 1):
-        combos = itertools.combinations(range(cfg.N), n)
-        remaining = math.comb(cfg.N, n)
-        while remaining:
-            rows = min(_CHUNK, remaining)
-            remaining -= rows
-            indices = np.fromiter(combos, dtype=np.dtype((np.intp, n)), count=rows)
+        for indices in uniform_supports(cfg.N, n):
             blocks.append(evaluate_block(uniform_block(cfg.N, indices), pairs))
-            groups.append(np.arange(done, done + rows))
-            done += rows
+            groups.append(np.arange(done, done + len(indices)))
+            done += len(indices)
     return blocks, _interleave(groups, len(pairs))
 
 
@@ -407,8 +376,8 @@ def run_sweep(
     if envelope_bins is not None:
         _check_bins(envelope_bins)
     workers = resolve_workers(workers)
-    pairs = tuple(strategy_pair(tag, xi) for tag, xi in cfg.strategies)
-    spans = [(lo, min(lo + _CHUNK, cfg.samples)) for lo in range(0, cfg.samples, _CHUNK)]
+    pairs = cfg.strategies
+    spans = [(lo, min(lo + BLOCK_ROWS, cfg.samples)) for lo in range(0, cfg.samples, BLOCK_ROWS)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(lambda span: _sweep_chunk(cfg, pairs, *span), spans))
@@ -437,8 +406,7 @@ def two_path_grid_dataset(
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
     if envelope_bins is not None:
         _check_bins(envelope_bins)
-    strategies = tuple((Strategy(tag), float(xi)) for tag, xi in strategies)
-    pairs = tuple(strategy_pair(tag, xi) for tag, xi in strategies)
+    pairs = strategy_pairs(strategies)
     p_min = np.linspace(0.0, 0.5, steps)
     zero = p_min <= 0.0
     ends, inner = np.flatnonzero(zero), np.flatnonzero(~zero)
@@ -458,7 +426,7 @@ def two_path_grid_dataset(
         "mode": "two-path-grid",
         "N": 2,
         "steps": steps,
-        "strategies": [[tag.value, xi] for tag, xi in strategies],
+        "strategies": [[tag.value, xi] for tag, xi in pairs],
     }
     return _dataset(config, pairs, [chunk], envelope_bins)
 
@@ -506,6 +474,16 @@ def boundary_envelope(points, bins: int) -> tuple[tuple[float, float, float], ..
 POINTS_CSV_HEADER = ["N", "n", "strategy", "xi", "K", "C", "sum", "support"]
 
 
+def _csv_rows(N, n, strategy, xi, knowledge, coherence, duality_sum, labels) -> list[str]:
+    """Scan CSV lines of points that share N, n, strategy and xi, one per
+    entry of the other columns: the only place the row format is defined."""
+    head = f"{N},{n},{strategy},{xi!r},"
+    return [
+        f"{head}{k!r},{c!r},{t!r},{label}\n"
+        for k, c, t, label in zip(knowledge, coherence, duality_sum, labels)
+    ]
+
+
 def _csv_lines(dataset: ScatterDataset) -> list[str]:
     """The CSV row of every point of a dataset, in point order."""
     cells = []
@@ -513,16 +491,10 @@ def _csv_lines(dataset: ScatterDataset) -> list[str]:
         labels = [support_label(row) for row in block.indices.tolist()]
         coherence = block.coherence.tolist()
         for column, (tag, xi) in enumerate(dataset.pairs):
-            head = f"{block.N},{block.n},{tag.value},{xi!r},"
-            cells += [
-                f"{head}{k!r},{c!r},{t!r},{label}\n"
-                for k, c, t, label in zip(
-                    block.knowledge[:, column].tolist(),
-                    coherence,
-                    block.duality_sum[:, column].tolist(),
-                    labels,
-                )
-            ]
+            knowledge, total = block.knowledge[:, column], block.duality_sum[:, column]
+            cells += _csv_rows(
+                block.N, block.n, tag.value, xi, knowledge.tolist(), coherence, total.tolist(), labels
+            )
     return [cells[i] for i in dataset.order.tolist()]
 
 
@@ -537,10 +509,12 @@ def write_points_csv(points, fileobj) -> None:
     if isinstance(points, ScatterDataset):
         fileobj.writelines(_csv_lines(points))
         return
-    for point in points:
-        fileobj.write(
-            f"{point.N},{point.n},{point.strategy.value},{point.xi!r},{point.knowledge!r},"
-            f"{point.coherence!r},{point.duality_sum!r},{point.spec.support.label()}\n"
+    for p in points:
+        fileobj.writelines(
+            _csv_rows(
+                p.N, p.n, p.strategy.value, p.xi, [p.knowledge], [p.coherence], [p.duality_sum],
+                [p.spec.support.label()],
+            )
         )
 
 

@@ -37,6 +37,9 @@ from .states import (
     DetectorSpec,
     SymmetricSet,
     ValidationError,
+    _embed,
+    _is_uniform,
+    _read_only,
     phase_table,
 )
 
@@ -114,32 +117,49 @@ def separation_params(spec: DetectorSpec, xi: float) -> SeparationParams:
     * success: ``(1 - xi + xi/(n*p_k)) / N``
     * failure: ``(p_k - p_min) / ((1 - n*p_min) * N * p_k)``
     """
+    return _separations(spec, (xi,))[0]
+
+
+def _separations(spec: DetectorSpec, levels) -> tuple[SeparationParams, ...]:
+    """:func:`separation_params` at each of ``levels``, from one array
+    expression; the failure profile does not depend on the level."""
+    xi = np.array([_level(value) for value in levels])
+    probs = spec.probabilities
+    profiles, p_success = _success(probs, xi[:, None], spec.N)
+    failure = None if spec.is_uniform else _failure_profile(spec.amplitudes, probs, spec.N)
+    return tuple(
+        SeparationParams(level, p, 1.0 - p, profile, failure)
+        for level, p, profile in zip(xi.tolist(), p_success.ravel().tolist(), profiles)
+    )
+
+
+def _level(xi) -> float:
+    """The separation level rule: a float in [0, 1]."""
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
-    n = spec.n
-    probs = spec.probabilities
-    success_profile = np.sqrt((1.0 - xi + xi / (n * probs)) / spec.N)
-    if spec.is_uniform:
-        return SeparationParams(
-            xi=xi,
-            p_success=1.0,
-            p_fail=0.0,
-            success_profile=success_profile,
-            failure_profile=None,
-        )
-    p_min = spec.min_probability
-    p_success = n * p_min / ((1.0 - xi) * n * p_min + xi)
-    amps = spec.amplitudes
-    h_sq = (probs - p_min) / ((1.0 - n * p_min) * spec.N * probs)
-    h_sq[amps - amps.min() <= MIN_COEFF_CLAMP_ATOL] = 0.0
-    return SeparationParams(
-        xi=xi,
-        p_success=p_success,
-        p_fail=1.0 - p_success,
-        success_profile=success_profile,
-        failure_profile=np.sqrt(h_sq),
-    )
+    return xi
+
+
+def _success(probs: np.ndarray, xi, n_paths: int):
+    """Success profile and success probability at level ``xi``, for one row
+    of squared coefficients (1-D) or each row of a block (2-D); ``xi`` may be
+    a column of levels for one row. The probability is exactly 1 on uniform
+    rows."""
+    n = probs.shape[-1]
+    p_min = probs.min(axis=-1)
+    profile = np.sqrt((1.0 - xi + xi / (n * probs)) / n_paths)
+    return profile, np.where(_is_uniform(probs), 1.0, n * p_min / ((1.0 - xi) * n * p_min + xi))
+
+
+def _failure_profile(amps: np.ndarray, probs: np.ndarray, n_paths: int) -> np.ndarray:
+    """Failure profile of one row (1-D) or each row of a block (2-D); every
+    row must be non-uniform, or the formula divides by zero."""
+    n = probs.shape[-1]
+    p_min = probs.min(axis=-1, keepdims=True)
+    h_sq = (probs - p_min) / ((1.0 - n * p_min) * n_paths * probs)
+    h_sq[amps - amps.min(axis=-1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
+    return np.sqrt(h_sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +203,7 @@ def _profile_states(spec: DetectorSpec, scale: float, profile: np.ndarray) -> np
 def _rank_ones(rows: np.ndarray) -> list[np.ndarray]:
     """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry),
     as views into one array."""
-    mats = rows[:, :, None] * rows.conj()[:, None, :]
-    mats.setflags(write=False)
-    return list(mats)
+    return list(_read_only(rows[:, :, None] * rows.conj()[:, None, :]))
 
 
 def _check_povm_size(spec: DetectorSpec) -> None:
@@ -224,14 +242,11 @@ def build_two_step_measurements(
     rows = _profile_states(spec, params.p_success, params.success_profile)
     conclusive = tuple((f"c{j}", matrix) for j, matrix in enumerate(_rank_ones(rows)))
     if params.failure_profile is None:
-        zero = np.zeros((spec.N, spec.N), dtype=complex)
-        zero.setflags(write=False)
-        failures = [zero] * spec.N
+        failures = [_read_only(np.zeros((spec.N, spec.N), dtype=complex))] * spec.N
     else:
         rows = _profile_states(spec, params.p_fail, params.failure_profile)
         failures = _rank_ones(rows)
-    fail = sum(failures)
-    fail.setflags(write=False)
+    fail = _read_only(sum(failures))
     standard = conclusive + (("f", fail),)
     concatenated = conclusive + tuple((f"fc{j}", matrix) for j, matrix in enumerate(failures))
     return (
@@ -257,11 +272,10 @@ def build_frio_concatenated(spec: DetectorSpec, xi: float) -> Measurement:
     return build_two_step_measurements(spec, separation_params(spec, xi))[1]
 
 
-def _spectrum(spec: DetectorSpec, profile: np.ndarray) -> np.ndarray:
-    """``|sum_k a_k * profile_k * w^{-kl}|^2`` for l = 0..N-1 via the FFT."""
-    padded = np.zeros(spec.N, dtype=float)
-    padded[list(spec.support.indices)] = spec.amplitudes * profile
-    return np.abs(np.fft.fft(padded)) ** 2
+def _spectrum(n_paths: int, indices, weights: np.ndarray) -> np.ndarray:
+    """``|sum_k weights_k * w^{-kl}|^2`` for l = 0..N-1 via the FFT, of one
+    weight row at its support indices (1-D) or of each row of a block (2-D)."""
+    return np.abs(np.fft.fft(_embed(n_paths, indices, weights))) ** 2
 
 
 def conditional_conclusive(spec: DetectorSpec, xi: float) -> np.ndarray:
@@ -270,7 +284,8 @@ def conditional_conclusive(spec: DetectorSpec, xi: float) -> np.ndarray:
     Conditionals for outcome j follow by the cyclic shift ``l -> l - j``.
     Sums to 1.
     """
-    return _spectrum(spec, separation_params(spec, xi).success_profile)
+    profile = separation_params(spec, xi).success_profile
+    return _spectrum(spec.N, spec.support.indices, spec.amplitudes * profile)
 
 
 def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
@@ -289,11 +304,17 @@ def _failure_spectrum(spec: DetectorSpec, profile: np.ndarray | None) -> np.ndar
     by :func:`separation_params` (the profile does not depend on the level)."""
     if profile is None or not profile.any():
         return None
-    spectrum = _spectrum(spec, profile)
-    # The profile formula cancels (p_k - p_min) against (1 - n*p_min); for
-    # nearly uniform coefficients both are tiny and the float sum drifts off
-    # 1 by ~eps/(1 - n*p_min), so renormalize to the exact analytic sum.
-    return spectrum / spectrum.sum()
+    return _normalized(_spectrum(spec.N, spec.support.indices, spec.amplitudes * profile))
+
+
+def _normalized(spectra: np.ndarray) -> np.ndarray:
+    """Failure spectra, one (1-D) or one per row (2-D), scaled to sum to 1.
+
+    The profile formula cancels (p_k - p_min) against (1 - n*p_min); for
+    nearly uniform coefficients both are tiny and the float sum drifts off
+    1 by ~eps/(1 - n*p_min), so renormalize to the exact analytic sum.
+    """
+    return spectra / spectra.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,8 @@ The scan runs in blocks: :func:`census_blocks` evaluates up to
 ``CENSUS_CHUNK`` supports of one dimension per batched FFT and entropy call,
 so a census streams to CSV in memory that does not grow with N. The scalar
 functions (:func:`dft_distribution`, :func:`is_saturating`,
-:func:`saturation_report`) evaluate one scenario and are the reference the
-blocks are tested against.
+:func:`saturation_report`) evaluate one scenario through the same spectrum
+arithmetic and are the reference the blocks are tested against.
 """
 
 from __future__ import annotations
@@ -30,13 +30,19 @@ import numpy as np
 
 from .duality import shannon_entropies, shannon_entropy
 from .states import (
+    BLOCK_ROWS,
     DetectorSpec,
     Support,
+    SweepBlock,
     ValidationError,
+    _embed,
     build_symmetric_set,
+    check_path_count,
     is_int,
     support_label,
+    uniform_block,
     uniform_spec,
+    uniform_supports,
 )
 
 __all__ = [
@@ -70,7 +76,7 @@ SCAN_MAX_PATHS = 24
 
 # Supports per census block. It bounds the block's arrays (a few MB at
 # N = 24) and so the census's memory, whatever N is.
-CENSUS_CHUNK = 4096
+CENSUS_CHUNK = BLOCK_ROWS
 
 
 class SupportStructure(str, Enum):
@@ -89,13 +95,16 @@ def dft_distribution(spec: DetectorSpec) -> np.ndarray:
     this equals the xi = 0 conclusive conditional distribution entry by entry,
     and always sums to 1 (the amplitude vector is unit norm).
     """
+    return _dft(spec.N, spec.support.indices, spec.amplitudes)
+
+
+def _dft(n_paths: int, indices, amps: np.ndarray) -> np.ndarray:
+    """:func:`dft_distribution` of one amplitude row (1-D) or of each row of a
+    block (2-D)."""
     # Not merged with measurements._spectrum (forward FFT, amplitudes times
     # profile): the two differ in the last bit on most supports, so either
     # merge would change the census CSV or the scan CSV.
-    padded = np.zeros(spec.N, dtype=float)
-    padded[list(spec.support.indices)] = spec.amplitudes
-    spectrum = np.fft.ifft(padded) * math.sqrt(spec.N)
-    return np.abs(spectrum) ** 2
+    return np.abs(np.fft.ifft(_embed(n_paths, indices, amps)) * math.sqrt(n_paths)) ** 2
 
 
 def _divisors(n_paths: int) -> list[int]:
@@ -110,8 +119,7 @@ def saturating_spec(N: int, m: int, tau: int) -> DetectorSpec:
     attain the uncertainty-principle bound: their spectrum has exactly ``m``
     nonzero entries, each equal to ``n/N``.
     """
-    if not is_int(N) or N < 2:
-        raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
+    check_path_count(N)
     if not is_int(m) or m < 1 or N % m != 0:
         raise ValidationError(f"spacing {m!r} must be a positive divisor of {N}")
     if not is_int(tau) or not 0 <= tau < m:
@@ -142,23 +150,12 @@ def _saturates(entropy_sum, N: int):
 def classify_support(support: Support) -> SupportStructure:
     """Classify a support by its cyclic gap multiset.
 
-    Equal gaps (possible only when n divides N) are EQUALLY_SPACED. With two
-    indices, a unit gap means ADJACENT, otherwise NONADJACENT. For larger
-    unequally spaced supports: one contiguous cyclic run is ADJACENT, no two
-    cyclically adjacent indices is NONADJACENT, anything mixed is OTHER.
+    Equal gaps (possible only when n divides N) are EQUALLY_SPACED. Otherwise
+    one contiguous cyclic run (exactly one gap above 1) is ADJACENT, no two
+    cyclically adjacent indices (every gap at least 2) is NONADJACENT, and
+    anything mixed is OTHER; with two indices that is the unit-gap test.
     """
-    gaps = support.cyclic_gaps()
-    if len(set(gaps)) == 1:
-        return SupportStructure.EQUALLY_SPACED
-    if support.n == 2:
-        if min(gaps) == 1:
-            return SupportStructure.UNEQUALLY_SPACED_ADJACENT
-        return SupportStructure.UNEQUALLY_SPACED_NONADJACENT
-    if sum(1 for g in gaps if g > 1) == 1:
-        return SupportStructure.UNEQUALLY_SPACED_ADJACENT
-    if min(gaps) >= 2:
-        return SupportStructure.UNEQUALLY_SPACED_NONADJACENT
-    return SupportStructure.OTHER
+    return _STRUCTURES[int(_structure_codes(support.N, np.array([support.indices]))[0])]
 
 
 _STRUCTURES = tuple(SupportStructure)
@@ -166,12 +163,8 @@ _STRUCTURE_VALUES = tuple(structure.value for structure in _STRUCTURES)
 
 
 def _structure_codes(N: int, indices: np.ndarray) -> np.ndarray:
-    """:func:`classify_support` for each row of a ``(rows, n)`` index array,
-    as positions in ``_STRUCTURES``.
-
-    With two indices the general rule reduces to the unit-gap test: one gap
-    of 1 leaves exactly one gap above 1, two gaps of at least 2 leave none.
-    """
+    """:func:`classify_support` for one support per row of a ``(rows, n)``
+    index array, as positions in ``_STRUCTURES``."""
     gaps = np.diff(indices, axis=1, append=indices[:, :1] + N)
     equal = (gaps == gaps[:, :1]).all(axis=1)
     adjacent = (gaps > 1).sum(axis=1) == 1
@@ -186,8 +179,7 @@ def saturating_dimensions(N: int) -> tuple[list[int], int]:
     the count equals the divisor count of N minus 2, so it is zero exactly
     for prime N.
     """
-    if not is_int(N) or N < 2:
-        raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
+    check_path_count(N)
     divisors = _divisors(N)
     return [d for d in divisors if 1 < d < N], len(divisors) - 2
 
@@ -298,8 +290,7 @@ def census_blocks(N: int) -> Iterator[CensusBlock]:
     in (dimension, lexicographic) order. ``N`` is checked against the scan
     budget here, before the first block is asked for.
     """
-    if not is_int(N) or N < 2:
-        raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
+    check_path_count(N)
     if N > SCAN_MAX_PATHS:
         raise ValidationError(
             f"scan budget exceeded: N = {N} enumerates 2^{N} - 1 supports "
@@ -310,37 +301,25 @@ def census_blocks(N: int) -> Iterator[CensusBlock]:
 
 def _census_blocks(N: int) -> Iterator[CensusBlock]:
     for n in range(1, N + 1):
-        # Every support of dimension n shares one amplitude and one
-        # coefficient entropy. Take them from a spec, not from 1/sqrt(n):
-        # DetectorSpec rescales whenever the squares do not fsum to 1.
-        reference = uniform_spec(N, range(n))
-        amplitude = reference.coeffs[0]
-        coefficient_entropy = shannon_entropy(reference.probabilities)
-        combos = itertools.combinations(range(N), n)
-        remaining = math.comb(N, n)
-        while remaining:
-            rows = min(CENSUS_CHUNK, remaining)
-            remaining -= rows
-            indices = np.fromiter(combos, dtype=np.dtype((np.intp, n)), count=rows)
-            yield _census_block(N, indices, amplitude, coefficient_entropy)
+        for indices in uniform_supports(N, n):
+            yield _census_block(uniform_block(N, indices))
 
 
-def _census_block(N, indices, amplitude, coefficient_entropy) -> CensusBlock:
-    """One batched FFT and one batched entropy call for a block of supports,
-    with the arithmetic of :func:`dft_distribution` and :func:`is_saturating`."""
-    padded = np.zeros((len(indices), N))
-    np.put_along_axis(padded, indices, amplitude, axis=1)
-    lambda_sq = np.abs(np.fft.ifft(padded, axis=1) * math.sqrt(N)) ** 2
-    entropy_sum = coefficient_entropy + shannon_entropies(lambda_sq)
+def _census_block(block: SweepBlock) -> CensusBlock:
+    """One batched FFT and one batched entropy call for a block of uniform
+    supports, with the arithmetic of :func:`saturation_report`. All rows
+    share one amplitude row and so one coefficient entropy."""
+    lambda_sq = _dft(block.N, block.indices, block.amps)
+    entropy_sum = shannon_entropy(block.amps[0] ** 2) + shannon_entropies(lambda_sq)
     return CensusBlock(
-        N=N,
-        n=indices.shape[1],
-        indices=indices,
+        N=block.N,
+        n=block.n,
+        indices=block.indices,
         lambda_sq=lambda_sq,
         lambda_support=(lambda_sq > SPECTRUM_SUPPORT_ATOL).sum(axis=1),
         entropy_sum=entropy_sum,
-        saturating=_saturates(entropy_sum, N),
-        structure=_structure_codes(N, indices),
+        saturating=_saturates(entropy_sum, block.N),
+        structure=_structure_codes(block.N, block.indices),
     )
 
 

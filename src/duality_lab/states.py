@@ -7,8 +7,9 @@ the diagonal root-of-unity phase action that generates the N detector states
 from the fiducial one. Everything downstream (discrimination measurements,
 entropic quantifiers, saturation analysis) consumes these types; all of them
 are immutable after construction and safe to share between workers. Sweeps
-hold many scenarios of one (N, n) as a :class:`SweepBlock` of arrays, whose
-builders make the scalar types' checks on every row.
+hold many scenarios of one (N, n) as a :class:`SweepBlock` of arrays. Each
+rule is written once, on rows: a scalar type checks its one row through the
+same functions the block builders apply to every row.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,12 +41,14 @@ __all__ = [
     "spec_from_json_dict",
     "phase_table",
     "is_int",
+    "check_path_count",
+    "check_dimension",
+    "uniform_supports",
+    "BLOCK_ROWS",
 ]
 
-# Squared amplitudes summing to 1 within NORM_EXACT_ATOL are taken as
-# normalized; anything within NORM_REPAIR_ATOL is silently renormalized,
-# anything worse is rejected.
-NORM_EXACT_ATOL = 1e-12
+# Squared amplitudes summing to 1 within NORM_REPAIR_ATOL are rescaled to
+# sum to 1; anything worse is rejected.
 NORM_REPAIR_ATOL = 1e-9
 
 # Below this, 1 - n * min(a_k^2) is treated as exactly zero: the coefficients
@@ -55,29 +59,30 @@ DEGENERATE_FAILURE_ATOL = 1e-12
 # separation formulas divide by it, and its reciprocal is still finite.
 PROBABILITY_FLOOR = sys.float_info.min
 
+# Rows per array block: sweep chunks, evaluation slices and census blocks
+# all hold at most this many scenarios, so their memory stays a few MB.
+BLOCK_ROWS = 4096
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
 
 
-_PROBABILITY_RULE = (
-    "squared coefficients must be strictly positive and finite; express "
-    "zero entries by shrinking the support"
-)
-_COEFFICIENT_RULE = (
-    "coefficients must be strictly positive and finite, with squares of at "
-    f"least {PROBABILITY_FLOOR!r} (the smallest normal float); express zero "
-    "entries by shrinking the support"
-)
-
-
-def _norm_message(total: float) -> str:
-    return f"squared coefficients must sum to 1 within {NORM_REPAIR_ATOL} (got {total!r})"
-
-
 def is_int(value) -> bool:
     """True for a Python integer that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_path_count(N) -> None:
+    """The path-count rule: an integer N >= 2."""
+    if not is_int(N) or N < 2:
+        raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
+
+
+def check_dimension(n, N: int) -> None:
+    """The subspace-dimension rule: an integer n with 1 <= n <= N."""
+    if not is_int(n) or not 1 <= n <= N:
+        raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {N}, got {n!r}")
 
 
 def _as_index(value) -> int:
@@ -95,9 +100,7 @@ def _as_index(value) -> int:
 def phase_table(n_paths: int) -> np.ndarray:
     """Read-only table of root-of-unity powers, ``table[l, k] = exp(2j*pi*k*l/N)``."""
     grid = np.outer(np.arange(n_paths), np.arange(n_paths))
-    table = np.exp(2j * np.pi * grid / n_paths)
-    table.setflags(write=False)
-    return table
+    return _read_only(np.exp(2j * np.pi * grid / n_paths))
 
 
 @dataclass(frozen=True)
@@ -112,18 +115,9 @@ class Support:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_int(self.N) or self.N < 2:
-            raise ValidationError(f"path count must be an integer >= 2, got {self.N!r}")
         idx = tuple(_as_index(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
-        if not idx:
-            raise ValidationError("support must contain at least one index")
-        if any(i < 0 or i >= self.N for i in idx):
-            raise ValidationError(
-                f"support indices must lie in 0..{self.N - 1}, got {idx}"
-            )
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValidationError(f"support indices must be strictly increasing, got {idx}")
+        _support_rows(self.N, [idx])
 
     @property
     def n(self) -> int:
@@ -162,21 +156,13 @@ class DetectorSpec:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if len(coeffs) != self.support.n:
+        coeffs = np.array([[float(c) for c in self.coeffs]])
+        if coeffs.shape[1] != self.support.n:
             raise ValidationError(
-                f"need one coefficient per support index: got {len(coeffs)} "
+                f"need one coefficient per support index: got {coeffs.shape[1]} "
                 f"for support of size {self.support.n}"
             )
-        if any(not math.isfinite(c) or c <= 0.0 or c * c < PROBABILITY_FLOOR for c in coeffs):
-            raise ValidationError(_COEFFICIENT_RULE)
-        total = math.fsum(c * c for c in coeffs)
-        if abs(total - 1.0) > NORM_REPAIR_ATOL:
-            raise ValidationError(_norm_message(total))
-        if total != 1.0:
-            scale = 1.0 / math.sqrt(total)
-            coeffs = tuple(c * scale for c in coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(_validated(coeffs)[0].tolist()))
 
     @property
     def N(self) -> int:
@@ -186,34 +172,20 @@ class DetectorSpec:
     def n(self) -> int:
         return self.support.n
 
-    @property
+    @cached_property
     def amplitudes(self) -> np.ndarray:
-        """Amplitudes over the support, as a read-only float array (cached)."""
-        cached = self.__dict__.get("_amplitudes")
-        if cached is None:
-            cached = np.asarray(self.coeffs, dtype=float)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_amplitudes", cached)
-        return cached
+        """Amplitudes over the support, as a read-only float array."""
+        return _read_only(np.array(self.coeffs))
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
         """Squared amplitudes over the support (the detector's reduced diagonal)."""
-        cached = self.__dict__.get("_probabilities")
-        if cached is None:
-            cached = self.amplitudes**2
-            cached.setflags(write=False)
-            object.__setattr__(self, "_probabilities", cached)
-        return cached
+        return _read_only(self.amplitudes**2)
 
-    @property
+    @cached_property
     def min_probability(self) -> float:
-        """Smallest squared amplitude (cached)."""
-        cached = self.__dict__.get("_min_probability")
-        if cached is None:
-            cached = float(self.probabilities.min())
-            object.__setattr__(self, "_min_probability", cached)
-        return cached
+        """Smallest squared amplitude."""
+        return float(self.probabilities.min())
 
     @property
     def is_uniform(self) -> bool:
@@ -222,7 +194,19 @@ class DetectorSpec:
         Uniform coefficients admit no overlap-reducing separation, so the
         failure branch of the two-step measurements is absent.
         """
-        return 1.0 - self.n * self.min_probability <= DEGENERATE_FAILURE_ATOL
+        return bool(_is_uniform(self.probabilities))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _is_uniform(probabilities: np.ndarray):
+    """The uniformity test of :attr:`DetectorSpec.is_uniform`, for one row of
+    squared coefficients (1-D) or each row of a block (2-D)."""
+    n = probabilities.shape[-1]
+    return 1.0 - n * probabilities.min(axis=-1) <= DEGENERATE_FAILURE_ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +235,7 @@ def build_symmetric_set(spec: DetectorSpec) -> SymmetricSet:
     idx = list(spec.support.indices)
     states = np.zeros((spec.N, spec.N), dtype=complex)
     states[:, idx] = spec.amplitudes * phase_table(spec.N)[:, idx]
-    states.setflags(write=False)
-    return SymmetricSet(spec=spec, states=states)
+    return SymmetricSet(spec=spec, states=_read_only(states))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,59 +275,86 @@ class SweepBlock:
 
 
 def _support_rows(N: int, indices) -> np.ndarray:
-    """Support rows as an (S, n) index array, each row checked as Support checks it."""
-    if not is_int(N) or N < 2:
-        raise ValidationError(f"path count must be an integer >= 2, got {N!r}")
+    """Support rows as an (S, n) index array, each row checked against the
+    rules of a support: indices in 0..N-1, strictly increasing."""
+    check_path_count(N)
     idx = np.asarray(indices)
-    if idx.ndim != 2 or idx.dtype.kind not in "iu":
+    if idx.ndim == 2 and idx.shape[1] == 0:
+        raise ValidationError("support must contain at least one index")
+    # Python ints beyond int64 give an object array; the range rule rejects them.
+    if idx.ndim != 2 or not (
+        idx.dtype.kind in "iu" or idx.dtype == object and all(map(is_int, idx.flat))
+    ):
         raise ValidationError(
             f"support rows must be a 2-D integer array, got {idx.dtype} of shape {idx.shape}"
         )
-    if idx.shape[1] == 0:
-        raise ValidationError("support must contain at least one index")
-    idx = idx.astype(np.intp, copy=False)
-    bad = np.flatnonzero(((idx < 0) | (idx >= N)).any(axis=1))
-    if bad.size:
+    bad = ((idx < 0) | (idx >= N)).any(axis=1)
+    if bad.any():
         raise ValidationError(
-            f"support indices must lie in 0..{N - 1}, got {tuple(idx[bad[0]].tolist())}"
+            f"support indices must lie in 0..{N - 1}, got {tuple(idx[bad][0].tolist())}"
         )
-    bad = np.flatnonzero((np.diff(idx, axis=1) <= 0).any(axis=1))
-    if bad.size:
+    idx = idx.astype(np.intp, copy=False)
+    bad = (idx[:, 1:] <= idx[:, :-1]).any(axis=1)
+    if bad.any():
         raise ValidationError(
-            f"support indices must be strictly increasing, got {tuple(idx[bad[0]].tolist())}"
+            f"support indices must be strictly increasing, got {tuple(idx[bad][0].tolist())}"
         )
     return idx
 
 
+def _coefficients(probabilities) -> np.ndarray:
+    """Coefficients ``sqrt(p)`` of squared coefficients that must be strictly
+    positive and finite."""
+    probs = np.asarray(probabilities, dtype=float)
+    if not (np.isfinite(probs) & (probs > 0.0)).all():
+        raise ValidationError(
+            "squared coefficients must be strictly positive and finite; express "
+            "zero entries by shrinking the support"
+        )
+    return np.sqrt(probs)
+
+
 def _validated(coeffs: np.ndarray) -> np.ndarray:
-    """Each row's DetectorSpec amplitudes, with its checks in its arithmetic:
-    the coefficient rule, a ``math.fsum`` of the squares within
-    NORM_REPAIR_ATOL of 1, and the rescale by ``1 / sqrt(sum)``. DetectorSpec
-    skips the rescale when the sum is 1.0; scaling by exactly 1.0 changes no
-    bit, so every row is scaled here."""
-    squares = coeffs * coeffs
+    """The amplitudes of each row of coefficients: the coefficient rule, a
+    ``math.fsum`` of the squares within NORM_REPAIR_ATOL of 1, and the
+    rescale by ``1 / sqrt(sum)``, which changes no bit of a row whose squares
+    sum to exactly 1.0."""
+    with np.errstate(over="ignore"):
+        squares = coeffs * coeffs
     if not (np.isfinite(coeffs) & (coeffs > 0.0) & (squares >= PROBABILITY_FLOOR)).all():
-        raise ValidationError(_COEFFICIENT_RULE)
-    totals = np.fromiter(map(math.fsum, squares.tolist()), dtype=float, count=len(coeffs))
-    off = np.flatnonzero(np.abs(totals - 1.0) > NORM_REPAIR_ATOL)
-    if off.size:
-        raise ValidationError(_norm_message(float(totals[off[0]])))
+        raise ValidationError(
+            "coefficients must be strictly positive and finite, with squares of at "
+            f"least {PROBABILITY_FLOOR!r} (the smallest normal float); express zero "
+            "entries by shrinking the support"
+        )
+    totals = np.fromiter(map(_fsum, squares.tolist()), dtype=float, count=len(coeffs))
+    off = np.abs(totals - 1.0) > NORM_REPAIR_ATOL
+    if off.any():
+        raise ValidationError(
+            f"squared coefficients must sum to 1 within {NORM_REPAIR_ATOL} "
+            f"(got {float(totals[off][0])!r})"
+        )
     return coeffs * (1.0 / np.sqrt(totals))[:, None]
+
+
+def _fsum(values) -> float:
+    """``math.fsum``, or inf where the exact sum of finite values overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def block_from_probabilities(N: int, indices, probabilities) -> SweepBlock:
     """Row ``i`` is ``spec_from_probabilities(N, indices[i], probabilities[i])``,
     with every check that function makes and the same amplitudes bit for bit."""
-    probs = np.asarray(probabilities, dtype=float)
-    if not (np.isfinite(probs) & (probs > 0.0)).all():
-        raise ValidationError(_PROBABILITY_RULE)
+    coeffs = _coefficients(probabilities)
     indices = _support_rows(N, indices)
-    if probs.shape != indices.shape:
+    if coeffs.shape != indices.shape:
         raise ValidationError(
-            f"need one coefficient per support index: got {probs.shape} "
+            f"need one coefficient per support index: got {coeffs.shape} "
             f"probabilities for supports of shape {indices.shape}"
         )
-    coeffs = np.sqrt(probs)
     return SweepBlock(N=N, indices=indices, coeffs=coeffs, amps=_validated(coeffs))
 
 
@@ -372,6 +382,26 @@ def block_from_specs(specs) -> SweepBlock:
     return SweepBlock(N=specs[0].N, indices=indices, coeffs=amps, amps=amps)
 
 
+def uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
+    """All C(N, n) supports of dimension n in lexicographic order, as index
+    arrays of at most ``BLOCK_ROWS`` rows."""
+    combos = itertools.combinations(range(N), n)
+    remaining = math.comb(N, n)
+    while remaining:
+        rows = min(BLOCK_ROWS, remaining)
+        remaining -= rows
+        yield np.fromiter(combos, dtype=np.dtype((np.intp, n)), count=rows)
+
+
+def _embed(n_paths: int, indices, values: np.ndarray) -> np.ndarray:
+    """Zero rows of length N holding ``values`` at the support ``indices``:
+    one row (1-D values) or one per row of ``values`` (2-D), where
+    ``indices`` is one support or one per row."""
+    padded = np.zeros(values.shape[:-1] + (n_paths,))
+    np.put_along_axis(padded, np.broadcast_to(indices, values.shape), values, axis=-1)
+    return padded
+
+
 def uniform_spec(N: int, indices) -> DetectorSpec:
     """Scenario with uniform coefficients ``1/sqrt(n)`` on the given support."""
     support = Support(N=N, indices=tuple(indices))
@@ -381,19 +411,17 @@ def uniform_spec(N: int, indices) -> DetectorSpec:
 
 def spec_from_probabilities(N: int, indices, probabilities) -> DetectorSpec:
     """Scenario from squared coefficients; they must be positive and sum to 1."""
-    probs = [float(p) for p in probabilities]
-    if any(not math.isfinite(p) or p <= 0.0 for p in probs):
-        raise ValidationError(_PROBABILITY_RULE)
+    coeffs = _coefficients([[float(p) for p in probabilities]])
     support = Support(N=N, indices=tuple(indices))
-    return DetectorSpec(support=support, coeffs=tuple(math.sqrt(p) for p in probs))
+    return DetectorSpec(support=support, coeffs=tuple(coeffs[0].tolist()))
 
 
 def enumerate_uniform_specs(N: int, n: int) -> list[DetectorSpec]:
     """All C(N, n) uniform scenarios of subspace dimension n, in lexicographic
     support order."""
-    if not is_int(n) or not 1 <= n <= N:
-        raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {N}, got {n!r}")
-    return [uniform_spec(N, combo) for combo in itertools.combinations(range(N), n)]
+    check_path_count(N)
+    check_dimension(n, N)
+    return [spec for rows in uniform_supports(N, n) for spec in uniform_block(N, rows).specs()]
 
 
 def spec_to_json_dict(spec: DetectorSpec) -> dict:

@@ -10,11 +10,11 @@ carry the offending scenario serialized as JSON so a failure can be
 replayed.
 
 Each scenario is checked with array operations: its closed forms are
-computed once, with separation data once per level, its measurements go
-through as few element stacks as ``STACK_ENTRIES`` allows (one
-``eigvalsh`` call and one oracle call each, a single stack at small path
-counts), and oracle rows are compared with the closed forms by index
-arithmetic. Violation messages are only formatted for checks that fail.
+computed once, with every level's separation data and conclusive spectrum
+from one array call each, its measurements go through as few element
+stacks as ``STACK_ENTRIES`` allows (one ``eigvalsh`` call and one oracle
+call each, a single stack at small path counts), and oracle rows are
+compared with the closed forms by index arithmetic. Violation messages are only formatted for checks that fail.
 Every suite also keeps the largest gap it saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
@@ -44,12 +44,13 @@ from .measurements import (
     OracleArrays,
     SeparationParams,
     _failure_spectrum,
+    _separations,
     _spectrum,
+    _success,
     build_me_measurement,
     build_two_step_measurements,
     element_stack,
     oracle_arrays,
-    separation_params,
 )
 from .saturation import dft_distribution
 from .states import DetectorSpec, ValidationError, build_symmetric_set, is_int, spec_to_json_dict
@@ -202,8 +203,9 @@ def _check_povm(
 class _ClosedForms:
     """What the suites compare one scenario against.
 
-    ``levels[i]`` is ``separation_params(spec, xi_grid[i])``, computed once
-    per level, and ``minimum_error`` is ``separation_params(spec, 0.0)``.
+    ``levels[i]`` is ``separation_params(spec, xi_grid[i])`` and
+    ``minimum_error`` is ``separation_params(spec, 0.0)``, all from one array
+    expression.
     Each other field equals the scalar function in its comment bit for bit;
     ``tests/test_verify.py`` holds them to that.
     """
@@ -218,16 +220,16 @@ class _ClosedForms:
 
 
 def _closed_forms(spec: DetectorSpec, xi_grid) -> _ClosedForms:
-    levels = tuple(separation_params(spec, xi) for xi in xi_grid)
-    # The failure profile does not depend on the level, and xi = 0 is the
-    # minimum-error measurement.
-    zero = separation_params(spec, 0.0)
-    conclusive = np.array([_spectrum(spec, params.success_profile) for params in levels])
+    # One more level, xi = 0, for the minimum-error measurement; the failure
+    # profile does not depend on the level.
+    *levels, zero = _separations(spec, (*xi_grid, 0.0))
+    profiles = np.array([params.success_profile for params in (*levels, zero)])
+    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * profiles)
     return _ClosedForms(
-        levels=levels,
+        levels=tuple(levels),
         minimum_error=zero,
-        conclusive=conclusive.reshape(len(levels), spec.N),
-        me_conclusive=_spectrum(spec, zero.success_profile),
+        conclusive=conclusive[:-1],
+        me_conclusive=conclusive[-1],
         failure=_failure_spectrum(spec, zero.failure_profile),
         coherence=coherence(spec),
         ceiling=holevo_ceiling(spec),
@@ -555,8 +557,9 @@ def run_verification(
 
         # Separation success probability is non-increasing in xi for every
         # scenario; that follows directly from its closed form.
-        success_curve = [separation_params(spec, xi).p_success for xi in MONOTONICITY_XI_GRID]
-        worst = max(b - a for a, b in zip(success_curve, success_curve[1:]))
+        levels = np.array(MONOTONICITY_XI_GRID)[:, None]
+        success_curve = _success(spec.probabilities, levels, spec.N)[1]
+        worst = float(np.diff(success_curve, axis=0).max())
         monotonicity.record(
             worst <= SUCCESS_MONOTONICITY_ATOL,
             spec,

@@ -20,8 +20,9 @@ from duality_lab.ensemble import (
     write_manifest,
     write_points_csv,
 )
+from duality_lab.duality import evaluate_block, strategy_pair
 from duality_lab.measurements import Strategy
-from duality_lab.states import ValidationError, enumerate_uniform_specs
+from duality_lab.states import ValidationError, enumerate_uniform_specs, uniform_block
 
 from helpers import scalar_point
 
@@ -70,6 +71,38 @@ class TestSampleSpec:
             sample_spec(4, 5, sample_rng(0, 0))
 
 
+def sweep_config(strategies):
+    return SweepConfig(N=4, n=2, samples=5, strategies=strategies, seed=1)
+
+
+class TestStrategyPairs:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: strategy_pair("bogus", 0),
+            lambda: strategy_pair("frio-standard", "x"),
+            lambda: strategy_pair("frio-standard", None),
+            lambda: sweep_config((("me", "x"),)),
+            lambda: sweep_config((("bogus", 0.0),)),
+            lambda: sweep_config(()),
+            lambda: sweep_config((("me",),)),
+            lambda: two_path_grid_dataset(()),
+            lambda: two_path_grid_dataset((("bogus", 0.0),)),
+            lambda: two_path_grid_dataset((("frio-concatenated", 1.5),)),
+            lambda: evaluate_block(uniform_block(4, [[0, 1]]), ()),
+            lambda: evaluate_block(uniform_block(4, [[0, 1]]), (("me", "x"),)),
+        ],
+        ids=[
+            "unknown-strategy", "text-level", "missing-level", "config-text-level",
+            "config-unknown-strategy", "config-empty", "config-short-pair", "grid-empty",
+            "grid-unknown-strategy", "grid-level-range", "block-empty", "block-text-level",
+        ],
+    )  # fmt: skip
+    def test_invalid_pairs_raise_validation_error(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+
 class TestSweepConfig:
     def test_strategies_are_coerced(self):
         cfg = SweepConfig(N=4, n=2, samples=5, strategies=(("me", 0.0),), seed=1)
@@ -90,6 +123,11 @@ class TestSweepConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SweepConfig(**kwargs)
+
+    def test_minimum_error_level_is_recorded_as_zero(self):
+        cfg = SweepConfig(N=4, n=2, samples=5, strategies=(("me", 0.7),), seed=1)
+        assert cfg.strategies == ((Strategy.ME, 0.0),)
+        assert cfg.to_json_dict()["strategies"] == [["me", 0.0]]
 
     def test_zero_samples_allowed_with_enumeration(self):
         cfg = SweepConfig(

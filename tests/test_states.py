@@ -300,10 +300,12 @@ class TestSweepBlock:
             ((0, 2, 6), (0.2, 0.3, 0.5)),
             ((-1, 2, 4), (0.2, 0.3, 0.5)),
             ((0, 1, 2), (0.2, 0.3, 0.5 + 2e-9)),
+            ((0, 1, 2), (1e308, 1e308, 0.5)),
         ],
         ids=[
             "zero", "negative", "nan", "inf", "subnormal-square",
             "unsorted", "duplicate", "out-of-range", "negative-index", "sum-off",
+            "sum-overflow",
         ],
     )  # fmt: skip
     def test_invalid_rows_rejected_as_the_scalar_builder_rejects_them(self, row, probs):
