@@ -115,7 +115,7 @@ def shannon_entropies(probabilities) -> np.ndarray:
     positive = probs > 0.0
     counts = positive.sum(axis=1)
     entropies = np.empty(len(probs))
-    for count in np.unique(counts):
+    for count in np.flatnonzero(np.bincount(counts)):
         rows = counts == count
         compact = probs[rows][positive[rows]].reshape(-1, count)
         entropies[rows] = -(compact * np.log2(compact)).sum(axis=1)

@@ -316,7 +316,7 @@ def _sweep_chunk(cfg: SweepConfig, pairs, start: int, stop: int):
     draws = [_draw(rng, cfg.N, cfg.n) for rng in _sample_generators(cfg.seed, start, stop)]
     dims = np.fromiter((len(weights) for _, weights in draws), dtype=np.intp, count=len(draws))
     blocks, groups = [], []
-    for n in np.unique(dims).tolist():
+    for n in np.flatnonzero(np.bincount(dims)).tolist():
         positions = np.flatnonzero(dims == n)
         supports = np.array([draws[p][0] for p in positions.tolist()])
         weights = np.array([draws[p][1] for p in positions.tolist()])

@@ -12,7 +12,8 @@ scenarios of a given path count.
 
 The scan runs in blocks: :func:`census_blocks` evaluates up to
 ``CENSUS_CHUNK`` supports of one dimension per batched FFT and entropy call,
-so a census streams to CSV in memory that does not grow with N. The scalar
+and joins the block's CSV rows in one call, so a census streams to CSV in
+memory that does not grow with N. The scalar
 functions (:func:`dft_distribution`, :func:`is_saturating`,
 :func:`saturation_report`) evaluate one scenario through the same spectrum
 arithmetic and are the reference the blocks are tested against.
@@ -20,7 +21,6 @@ arithmetic and are the reference the blocks are tested against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -39,7 +39,6 @@ from .states import (
     build_symmetric_set,
     check_path_count,
     is_int,
-    support_label,
     uniform_block,
     uniform_spec,
     uniform_supports,
@@ -159,7 +158,10 @@ def classify_support(support: Support) -> SupportStructure:
 
 
 _STRUCTURES = tuple(SupportStructure)
-_STRUCTURE_VALUES = tuple(structure.value for structure in _STRUCTURES)
+
+# Census CSV cells of the saturation flag and the structure, by value.
+_FLAG_CELLS = np.array([",false,", ",true,"], dtype=object)
+_STRUCTURE_CELLS = np.array([f"{structure.value}\n" for structure in _STRUCTURES], dtype=object)
 
 
 def _structure_codes(N: int, indices: np.ndarray) -> np.ndarray:
@@ -199,15 +201,17 @@ class SaturationReport:
 
     def csv_lines(self) -> str:
         """The report's census CSV line."""
-        return _csv_line(
-            self.spec.N,
-            self.support_size,
-            self.spec.support.indices,
-            self.lambda_support_size,
-            self.entropy_sum,
-            self.saturating,
-            self.structure.value,
+        row = CensusBlock(
+            N=self.spec.N,
+            n=self.support_size,
+            indices=np.array([self.spec.support.indices]),
+            lambda_sq=self.lambda_sq[None],
+            lambda_support=np.array([self.lambda_support_size]),
+            entropy_sum=np.array([self.entropy_sum]),
+            saturating=np.array([self.saturating]),
+            structure=np.array([_STRUCTURES.index(self.structure)]),
         )
+        return row.csv_lines()
 
 
 def saturation_report(spec: DetectorSpec) -> SaturationReport:
@@ -268,19 +272,28 @@ class CensusBlock:
         ]
 
     def csv_lines(self) -> str:
-        """The block's census CSV lines, one per row."""
-        return "".join(
-            map(
-                _csv_line,
-                itertools.repeat(self.N),
-                itertools.repeat(self.n),
-                self.indices.tolist(),
-                self.lambda_support.tolist(),
-                self.entropy_sum.tolist(),
-                self.saturating.tolist(),
-                map(_STRUCTURE_VALUES.__getitem__, self.structure.tolist()),
-            )
-        )
+        """The block's census CSV lines, one per row: the only place the row
+        format is defined.
+
+        Every field is one string cell that carries the separator after it
+        (the entropy sum's comma rides ahead of the flag), and the text is one
+        ``str.join`` over the cells in row order: built in one C-level call
+        and allocated once, at its final size. (One ``%`` call on the row
+        template repeated per row reallocates its output as it grows, which
+        fragments the heap across blocks and is slower.)
+        """
+        rows, n = self.indices.shape
+        dashed = np.array([f"{i}-" for i in range(self.N)], dtype=object)
+        ended = np.array([f"{i}," for i in range(self.N + 1)], dtype=object)
+        cells = np.empty((rows, n + 5), dtype=object)
+        cells[:, 0] = f"{self.N},{n},"
+        cells[:, 1:n] = dashed[self.indices[:, :-1]]
+        cells[:, n] = ended[self.indices[:, -1]]
+        cells[:, n + 1] = ended[self.lambda_support]
+        cells[:, n + 2] = list(map(repr, self.entropy_sum.tolist()))
+        cells[:, n + 3] = _FLAG_CELLS[self.saturating.astype(np.intp)]
+        cells[:, n + 4] = _STRUCTURE_CELLS[self.structure]
+        return "".join(cells.ravel().tolist())
 
 
 def census_blocks(N: int) -> Iterator[CensusBlock]:
@@ -346,12 +359,6 @@ def schmidt_coefficients(spec: DetectorSpec) -> np.ndarray:
 
 
 SATURATION_CSV_HEADER = ["N", "n", "support", "lambda_support", "entropy_sum", "saturating", "structure"]
-
-
-def _csv_line(N, n, indices, lambda_support, entropy_sum, saturating, structure) -> str:
-    """One census CSV line: the only place the row format is defined."""
-    flag = "true" if saturating else "false"
-    return f"{N},{n},{support_label(indices)},{lambda_support},{entropy_sum!r},{flag},{structure}\n"
 
 
 def write_saturation_csv(rows, fileobj) -> None:

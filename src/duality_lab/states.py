@@ -156,7 +156,7 @@ class DetectorSpec:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = np.array([[float(c) for c in self.coeffs]])
+        coeffs = np.array([[_real(c, "coefficients") for c in self.coeffs]])
         if coeffs.shape[1] != self.support.n:
             raise ValidationError(
                 f"need one coefficient per support index: got {coeffs.shape[1]} "
@@ -302,6 +302,17 @@ def _support_rows(N: int, indices) -> np.ndarray:
     return idx
 
 
+def _real(value, what: str) -> float:
+    """One coefficient entry as a float. None, strings and complex numbers
+    raise ValidationError; a numpy complex is not cut to its real part."""
+    try:
+        if isinstance(value, (complex, np.complexfloating)):
+            raise TypeError("complex entry")
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be real numbers, got {value!r}") from exc
+
+
 def _coefficients(probabilities) -> np.ndarray:
     """Coefficients ``sqrt(p)`` of squared coefficients that must be strictly
     positive and finite."""
@@ -411,7 +422,7 @@ def uniform_spec(N: int, indices) -> DetectorSpec:
 
 def spec_from_probabilities(N: int, indices, probabilities) -> DetectorSpec:
     """Scenario from squared coefficients; they must be positive and sum to 1."""
-    coeffs = _coefficients([[float(p) for p in probabilities]])
+    coeffs = _coefficients([[_real(p, "squared coefficients") for p in probabilities]])
     support = Support(N=N, indices=tuple(indices))
     return DetectorSpec(support=support, coeffs=tuple(coeffs[0].tolist()))
 

@@ -4,12 +4,15 @@ must keep resolving and reproducing.
 ``bench/tracing.py`` wraps each ``(module, function)`` of ``TRACED`` at run
 time and ``bench/child.py`` imports names from the package, so dropping or
 renaming one of them breaks traced runs or every benchmark child.
-``bench/workloads.py`` gates the canonical scan on the sha256 of its CSV, so
-a change to the sweep's numbers fails here before it fails the benchmark.
-The files are read with ``ast``, not imported.
+``bench/workloads.py`` gates the canonical scan on the sha256 of its CSV, and
+the N = 16 census on the sha256 of its CSV and its summary line, so a change
+to the sweep's numbers or to the census's numbers or row format fails here
+before it fails the benchmark. The files are read with ``ast``, not
+imported.
 """
 
 import ast
+import contextlib
 import hashlib
 import importlib
 from pathlib import Path
@@ -56,16 +59,20 @@ def test_child_import_resolves(module, name):
 
 
 def _class_constants(path: Path, name: str) -> dict:
+    """The literal-valued class attributes of ``name``; computed ones, such as
+    ``units = 2**16 - 1``, are left out."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == name:
-            return {
-                target.id: ast.literal_eval(statement.value)
-                for statement in node.body
-                if isinstance(statement, ast.Assign)
-                for target in statement.targets
-                if isinstance(target, ast.Name)
-            }
+            constants = {}
+            for statement in node.body:
+                if isinstance(statement, ast.Assign):
+                    with contextlib.suppress(ValueError):
+                        value = ast.literal_eval(statement.value)
+                        for target in statement.targets:
+                            if isinstance(target, ast.Name):
+                                constants[target.id] = value
+            return constants
     raise AssertionError(f"{path.name} defines no class {name}")
 
 
@@ -79,3 +86,11 @@ def test_canonical_scan_reproduces_the_benchmark_digest(tmp_path):
     ]  # fmt: skip
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == scan["canonical_sha256"]
+
+
+def test_census_reproduces_the_benchmark_digest_and_summary(tmp_path, capsys):
+    census = _class_constants(BENCH / "workloads.py", "Census")
+    out = tmp_path / "census.csv"
+    assert cli.main(["saturation", "--N", str(census["paths"]), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == census["canonical_sha256"]
+    assert capsys.readouterr().out.encode() == census["summary"]

@@ -524,3 +524,23 @@ class TestModuleEntrypoint:
         )
         assert proc.returncode == 0
         assert "C+K = 1.000" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["saturation", "--N", "6", "--out"],
+            ["scan", "--N", "6", "--samples", "200", "--seed", "1", "--out"],
+        ],
+    )
+    def test_run_does_not_import_numpy_ma(self, argv, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 16 ms of a run.
+        code = (
+            "import sys; from duality_lab.cli import main; rc = main(sys.argv[1:]); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'; sys.exit(rc)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

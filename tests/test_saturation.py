@@ -252,6 +252,27 @@ class TestCensusBlocks:
             assert np.array_equal(got.lambda_sq, want.lambda_sq)
             assert got.bound_ok == want.bound_ok
 
+    def test_block_lines_match_an_independent_row_format(self):
+        # Rows built here with an f-string: the scalar reports write their
+        # lines through the block formatter, so comparing with them would
+        # compare the formatter with itself.
+        N = 16
+        structures = tuple(SupportStructure)
+        for block in census_blocks(N):
+            cells = zip(
+                block.indices.tolist(),
+                block.lambda_support.tolist(),
+                block.entropy_sum.tolist(),
+                block.saturating.tolist(),
+                block.structure.tolist(),
+            )
+            expected = "".join(
+                f"{N},{block.n},{'-'.join(map(str, idx))},{size},{h!r},"
+                f"{'true' if saturating else 'false'},{structures[code].value}\n"
+                for idx, size, h, saturating, code in cells
+            )
+            assert block.csv_lines() == expected
+
     def test_two_index_supports_use_the_renormalized_amplitude(self):
         # The squares of (1/sqrt(2), 1/sqrt(2)) do not fsum to 1, so
         # DetectorSpec rescales them, and the rescaled value moves spectra.

@@ -88,6 +88,17 @@ class TestDetectorSpec:
         with pytest.raises(ValidationError, match="strictly positive"):
             DetectorSpec(support=Support(N=2, indices=(0, 1)), coeffs=(-0.6, 0.8))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [None, "a", 0.5 + 0j, np.complex128(0.5)],
+        ids=["none", "string", "complex", "numpy-complex"],
+    )
+    def test_non_real_entries_rejected(self, entry):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            spec_from_probabilities(3, (0, 1), (0.5, entry))
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            DetectorSpec(support=Support(N=3, indices=(0, 1)), coeffs=(entry, 1.0))
+
     def test_coefficient_count_must_match_support(self):
         with pytest.raises(ValidationError, match="one coefficient per support index"):
             DetectorSpec(support=Support(N=3, indices=(0, 1)), coeffs=(1.0,))
