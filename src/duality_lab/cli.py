@@ -20,12 +20,12 @@ from contextlib import contextmanager
 
 from .duality import evaluate_point, strategy_pair
 from .ensemble import (
+    Envelope,
     SweepConfig,
-    resolve_workers,
-    run_sweep,
+    sweep_chunks,
     two_path_grid_dataset,
+    write_chunks,
     write_manifest,
-    write_points_csv,
 )
 from .measurements import (
     Strategy,
@@ -112,12 +112,15 @@ def _strategies(flag: str, levels: list[float]) -> tuple[tuple[Strategy, float],
 
 def cmd_scan(args) -> int:
     strategies = _strategies(args.strategy, _parse_list(args.xi, float, "separation-level"))
-    workers = resolve_workers(args.workers)
+    envelope = None if args.bins is None else Envelope(args.bins)
     started = time.perf_counter()
     if args.grid is not None:
         if args.N != 2:
             raise ValidationError("grid mode is only defined for two-path scans (--N 2)")
-        dataset = two_path_grid_dataset(strategies, args.grid, envelope_bins=args.bins)
+        if args.include_uniform:
+            raise ValidationError("grid mode has no uniform enumeration (--include-uniform)")
+        grid = two_path_grid_dataset(strategies, args.grid)
+        config, pairs, chunks = grid.config, grid.pairs, [(grid.blocks, grid.order)]
     else:
         cfg = SweepConfig(
             N=args.N,
@@ -127,10 +130,11 @@ def cmd_scan(args) -> int:
             seed=args.seed,
             include_uniform_enumeration=args.include_uniform,
         )
-        dataset = run_sweep(cfg, workers=workers, envelope_bins=args.bins)
-    wall_time = time.perf_counter() - started
+        config, pairs, chunks = cfg.to_json_dict(), cfg.strategies, sweep_chunks(cfg)
+    # Streamed: rows are written and enveloped chunk by chunk as they come.
     with _open_out(args.out) as handle:
-        write_points_csv(dataset, handle)
+        point_count = write_chunks(handle, pairs, chunks, envelope)
+    wall_time = time.perf_counter() - started
     manifest_path = args.manifest
     if manifest_path is None and args.out not in (None, "-"):
         manifest_path = args.out + ".manifest.json"
@@ -138,10 +142,10 @@ def cmd_scan(args) -> int:
         with _open_out(manifest_path) as handle:
             write_manifest(
                 handle,
-                config=dataset.config,
+                config=config,
                 wall_time=wall_time,
-                point_count=dataset.point_count,
-                envelope=dataset.envelope,
+                point_count=point_count,
+                envelope=None if envelope is None else envelope.bounds(),
             )
     return EXIT_OK
 
@@ -273,7 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scan = sub.add_parser("scan", help="random or grid sweep to CSV (+ manifest)")
+    scan = sub.add_parser(
+        "scan",
+        help="random or grid sweep to CSV (+ manifest)",
+        description="Rows are written chunk by chunk as the sweep runs, so memory does not "
+        "grow with --samples; the manifest's wall_time covers the sweep and the CSV.",
+    )
     scan.add_argument("--N", type=_positive_int, required=True, help="path count")
     scan.add_argument("--n", default="all", help="subspace dimension or 'all'")
     scan.add_argument("--samples", type=int, default=1000, help="random scenario count")
@@ -287,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="manifest path (default: <out>.manifest.json)")
     scan.add_argument("--bins", type=int, default=None, help="envelope bin count")
     scan.add_argument("--include-uniform", action="store_true",
-                      help="append the full uniform enumeration")
-    scan.add_argument("--workers", type=int, default=None,
-                      help="worker threads (capped by DUALITY_LAB_THREADS)")
+                      help="append the full uniform enumeration (not in grid mode)")
     scan.set_defaults(handler=cmd_scan)
 
     enum = sub.add_parser("enumerate-uniform", help="uniform scenarios as JSON lines")

@@ -2,7 +2,7 @@
 
 Randomness contract (version 1, ``RNG_CONTRACT``): sample ``i`` of a sweep
 draws from its own generator, ``PCG64(SeedSequence(seed, spawn_key=(i,)))``,
-so the stream partition is independent of worker count and scheduling;
+so a sample's draws do not depend on how the samples are split into chunks;
 output ordering is by sample index. Coefficient probabilities are drawn flat
 on the simplex (normalized unit exponentials) and supports uniformly over
 the C(N, n) subsets. The fixed per-sample draw order is: subspace dimension
@@ -19,25 +19,27 @@ Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
 objects: the draws of a chunk of samples are stacked into one block per
 subspace dimension, validated as ``DetectorSpec`` validates one scenario,
 and evaluated by :func:`duality.evaluate_block` once for all (strategy, xi)
-pairs. The uniform overlay and the two-path grid are blocks too. A dataset
-keeps the blocks and the order of its points (sample order, strategies
-innermost, for sweeps), so neither the grouping nor the worker count changes
-the output; the CSV and the envelope are computed from the block arrays.
+pairs. The uniform overlay and the two-path grid are blocks too.
+
+A sweep is one serial stream of ``(blocks, order)`` chunks in point order
+(:func:`sweep_chunks`; sample order, strategies innermost). ``scan`` writes
+each chunk's CSV rows and folds it into the :class:`Envelope` as it arrives,
+so its memory does not grow with the sample count; :class:`ScatterDataset`
+is the collected view for library callers, written and enveloped by the
+same per-chunk code.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .duality import DualityPoint, _block_points, evaluate_block, strategy_pairs
+from .duality import EVAL_BLOCK_ENTRIES, DualityPoint, _block_points, evaluate_block, strategy_pairs
 from .measurements import Strategy
 from .saturation import SCAN_MAX_PATHS
 from .states import (
@@ -61,20 +63,20 @@ __all__ = [
     "sample_rng",
     "sample_spec",
     "run_sweep",
+    "sweep_chunks",
     "two_path_grid_dataset",
+    "Envelope",
     "boundary_envelope",
+    "write_chunks",
     "write_points_csv",
     "write_manifest",
-    "resolve_workers",
     "POINTS_CSV_HEADER",
-    "THREADS_ENV_VAR",
 ]
 
-THREADS_ENV_VAR = "DUALITY_LAB_THREADS"
 # Version of the randomness contract above, recorded in every manifest.
 RNG_CONTRACT = 1
-# Most points the uniform enumeration may add to a sweep, which holds them
-# all (N = 18 with every dimension has 2^18 - 1 scenarios).
+# Most points the uniform enumeration may add to a sweep, which a dataset
+# holds all at once (N = 18 with every dimension has 2^18 - 1 scenarios).
 UNIFORM_OVERLAY_MAX_POINTS = 1 << 18
 
 
@@ -86,7 +88,8 @@ class SweepConfig:
     minimum-error strategy ignores the level and records 0.0. With
     ``include_uniform_enumeration`` the dataset also gets every uniform
     scenario of dimension 1 up to ``n`` (or up to N when sweeping all
-    dimensions), the overlay marking cusps and saturation contacts.
+    dimensions), the overlay marking cusps and saturation contacts. N is at
+    most ``duality.EVAL_BLOCK_ENTRIES``, so one row fits one evaluation slice.
     """
 
     N: int
@@ -98,6 +101,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         check_path_count(self.N)
+        if self.N > EVAL_BLOCK_ENTRIES:
+            raise ValidationError(f"a sweep takes at most {EVAL_BLOCK_ENTRIES} paths, got {self.N}")
         if self.n is not None:
             check_dimension(self.n, self.N)
         if not is_int(self.samples) or self.samples < 0:
@@ -326,66 +331,45 @@ def _sweep_chunk(cfg: SweepConfig, pairs, start: int, stop: int):
     return blocks, _interleave(groups, len(pairs))
 
 
-def _uniform_overlay(cfg: SweepConfig, pairs):
-    """Every uniform scenario of dimension 1 up to ``n`` (or N), in
-    lexicographic support order within each dimension."""
-    blocks, groups, done = [], [], 0
+def sweep_chunks(cfg: SweepConfig):
+    """The sweep's evaluated ``(blocks, order)`` chunks in point order, each
+    evaluated when taken: every ``BLOCK_ROWS`` samples, then each block of
+    uniform scenarios of dimension 1 up to ``n`` (or N), in lexicographic
+    support order. ``order`` numbers cells as :class:`ScatterDataset` does."""
+    pairs = cfg.strategies
+    for lo in range(0, cfg.samples, BLOCK_ROWS):
+        yield _sweep_chunk(cfg, pairs, lo, min(lo + BLOCK_ROWS, cfg.samples))
+    if not cfg.include_uniform_enumeration:
+        return
     for n in range(1, (cfg.n if cfg.n is not None else cfg.N) + 1):
         for indices in uniform_supports(cfg.N, n):
-            blocks.append(evaluate_block(uniform_block(cfg.N, indices), pairs))
-            groups.append(np.arange(done, done + len(indices)))
-            done += len(indices)
-    return blocks, _interleave(groups, len(pairs))
+            block = evaluate_block(uniform_block(cfg.N, indices), pairs)
+            yield [block], _interleave([np.arange(len(indices))], len(pairs))
 
 
-def _dataset(config, pairs, chunks, envelope_bins) -> ScatterDataset:
+def _dataset(config, pairs, chunks, envelope: Envelope | None) -> ScatterDataset:
     """One dataset from ``(blocks, order)`` chunks that follow each other."""
     blocks, orders, cells = [], [], 0
     for chunk_blocks, order in chunks:
         blocks.extend(chunk_blocks)
         orders.append(order + cells)
         cells += len(order)
-    dataset = ScatterDataset(
+    if envelope is not None:
+        envelope.add_blocks(blocks, len(pairs))
+    return ScatterDataset(
         config=config,
         pairs=pairs,
         blocks=tuple(blocks),
         order=np.concatenate(orders),
+        envelope=None if envelope is None else envelope.bounds(),
     )
-    if envelope_bins is None:
-        return dataset
-    return replace(dataset, envelope=boundary_envelope(dataset, envelope_bins))
 
 
-def _check_bins(bins) -> None:
-    if not is_int(bins) or bins < 2:
-        raise ValidationError(f"bin count must be an integer >= 2, got {bins!r}")
-
-
-def run_sweep(
-    cfg: SweepConfig,
-    *,
-    workers: int | None = None,
-    envelope_bins: int | None = None,
-) -> ScatterDataset:
-    """Evaluate all (sample, strategy) pairs, then any uniform enumeration.
-
-    Deterministic for a fixed config: the per-sample streams make the
-    result independent of ``workers``, and points are merged in sample order.
-    ``envelope_bins`` must be None or an integer >= 2.
-    """
-    if envelope_bins is not None:
-        _check_bins(envelope_bins)
-    workers = resolve_workers(workers)
-    pairs = cfg.strategies
-    spans = [(lo, min(lo + BLOCK_ROWS, cfg.samples)) for lo in range(0, cfg.samples, BLOCK_ROWS)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda span: _sweep_chunk(cfg, pairs, *span), spans))
-    else:
-        chunks = [_sweep_chunk(cfg, pairs, *span) for span in spans]
-    if cfg.include_uniform_enumeration:
-        chunks.append(_uniform_overlay(cfg, pairs))
-    return _dataset(cfg.to_json_dict(), pairs, chunks, envelope_bins)
+def run_sweep(cfg: SweepConfig, *, envelope_bins: int | None = None) -> ScatterDataset:
+    """All (sample, strategy) pairs, then any uniform enumeration, collected
+    from :func:`sweep_chunks`; ``envelope_bins`` is None or an integer >= 2."""
+    envelope = None if envelope_bins is None else Envelope(envelope_bins)
+    return _dataset(cfg.to_json_dict(), cfg.strategies, sweep_chunks(cfg), envelope)
 
 
 def two_path_grid_dataset(
@@ -400,12 +384,11 @@ def two_path_grid_dataset(
     points; the zero endpoint degenerates to a one-dimensional support and
     the 1/2 endpoint to orthogonal states, so every curve connects the two
     trivial saturation points. Points are ordered per strategy, then by grid
-    position.
+    position. The dataset is one chunk.
     """
     if not is_int(steps) or steps < 2:
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
-    if envelope_bins is not None:
-        _check_bins(envelope_bins)
+    envelope = None if envelope_bins is None else Envelope(envelope_bins)
     pairs = strategy_pairs(strategies)
     p_min = np.linspace(0.0, 0.5, steps)
     zero = p_min <= 0.0
@@ -428,47 +411,56 @@ def two_path_grid_dataset(
         "steps": steps,
         "strategies": [[tag.value, xi] for tag, xi in pairs],
     }
-    return _dataset(config, pairs, [chunk], envelope_bins)
+    return _dataset(config, pairs, [chunk], envelope)
 
 
-def _columns(points) -> tuple[np.ndarray, np.ndarray]:
-    """Knowledge and coherence of every point of a dataset or of a sequence
-    of :class:`DualityPoint` objects, in any order."""
-    if isinstance(points, ScatterDataset):
-        pairs, blocks = len(points.pairs), points.blocks
-        return (
-            np.concatenate([block.knowledge.ravel() for block in blocks]),
-            np.concatenate([np.repeat(block.coherence, pairs) for block in blocks]),
-        )
-    points = list(points)
-    return (
-        np.array([point.knowledge for point in points], dtype=float),
-        np.array([point.coherence for point in points], dtype=float),
-    )
+class Envelope:
+    """Coherence minima and maxima per knowledge bin, [0, 1] split into
+    ``bins`` equal bins, folded in as points arrive. Folding in parts gives
+    the floats, signed zeros included, of one fold over all the points."""
+
+    def __init__(self, bins: int) -> None:
+        if not is_int(bins) or bins < 2:
+            raise ValidationError(f"bin count must be an integer >= 2, got {bins!r}")
+        self.bins = bins
+        self.lows = np.full(bins, np.inf)
+        self.highs = np.full(bins, -np.inf)
+
+    def add(self, knowledge: np.ndarray, coherence: np.ndarray) -> None:
+        """Fold in points given as knowledge and coherence columns."""
+        slots = np.minimum((knowledge * self.bins).astype(np.intp), self.bins - 1)
+        np.minimum.at(self.lows, slots, coherence)
+        np.maximum.at(self.highs, slots, coherence)
+
+    def add_blocks(self, blocks, pairs: int) -> None:
+        """Fold in every cell of evaluated blocks with ``pairs`` (strategy, xi)
+        columns, block after block."""
+        for block in blocks:
+            self.add(block.knowledge.ravel(), np.repeat(block.coherence, pairs))
+
+    def bounds(self) -> tuple[tuple[float, float, float], ...]:
+        """``(bin_center, min_coherence, max_coherence)`` of each nonempty bin."""
+        filled = np.flatnonzero(self.lows <= self.highs).tolist()
+        if not filled:
+            raise ValidationError("boundary envelope needs at least one point")
+        lows, highs = self.lows[filled].tolist(), self.highs[filled].tolist()
+        return tuple(((b + 0.5) / self.bins, lo, hi) for b, lo, hi in zip(filled, lows, highs))
 
 
 def boundary_envelope(points, bins: int) -> tuple[tuple[float, float, float], ...]:
-    """Binwise coherence extremes over the knowledge axis.
+    """Binwise coherence extremes over the knowledge axis (see
+    :class:`Envelope`), a reproducible stand-in for a boundary polygon.
 
-    Partitions [0, 1] into ``bins`` equal knowledge bins and records
-    ``(bin_center, min_coherence, max_coherence)`` for each nonempty bin, a
-    reproducible stand-in for a boundary polygon. ``points`` is a
-    :class:`ScatterDataset` or a sequence of :class:`DualityPoint` objects.
+    ``points`` is a :class:`ScatterDataset` or a sequence of
+    :class:`DualityPoint` objects.
     """
-    knowledge, coherence = _columns(points)
-    if not knowledge.size:
-        raise ValidationError("boundary envelope needs at least one point")
-    _check_bins(bins)
-    slots = np.minimum((knowledge * bins).astype(np.intp), bins - 1)
-    lows = np.full(bins, np.inf)
-    highs = np.full(bins, -np.inf)
-    np.minimum.at(lows, slots, coherence)
-    np.maximum.at(highs, slots, coherence)
-    filled = np.flatnonzero(np.bincount(slots, minlength=bins)).tolist()
-    return tuple(
-        ((slot + 0.5) / bins, low, high)
-        for slot, low, high in zip(filled, lows[filled].tolist(), highs[filled].tolist())
-    )
+    envelope = Envelope(bins)
+    if isinstance(points, ScatterDataset):
+        envelope.add_blocks(points.blocks, len(points.pairs))
+    else:
+        columns = np.array([(p.knowledge, p.coherence) for p in points], dtype=float)
+        envelope.add(*columns.reshape(-1, 2).T)
+    return envelope.bounds()
 
 
 POINTS_CSV_HEADER = ["N", "n", "strategy", "xi", "K", "C", "sum", "support"]
@@ -484,31 +476,46 @@ def _csv_rows(N, n, strategy, xi, knowledge, coherence, duality_sum, labels) -> 
     ]
 
 
-def _csv_lines(dataset: ScatterDataset) -> list[str]:
-    """The CSV row of every point of a dataset, in point order."""
+def _csv_lines(blocks, pairs, order: np.ndarray) -> list[str]:
+    """The CSV row of every point of one ``(blocks, order)`` chunk, in point
+    order."""
     cells = []
-    for block in dataset.blocks:
+    for block in blocks:
         labels = [support_label(row) for row in block.indices.tolist()]
         coherence = block.coherence.tolist()
-        for column, (tag, xi) in enumerate(dataset.pairs):
+        for column, (tag, xi) in enumerate(pairs):
             knowledge, total = block.knowledge[:, column], block.duality_sum[:, column]
             cells += _csv_rows(
                 block.N, block.n, tag.value, xi, knowledge.tolist(), coherence, total.tolist(), labels
             )
-    return [cells[i] for i in dataset.order.tolist()]
+    return [cells[i] for i in order.tolist()]
+
+
+def write_chunks(fileobj, pairs, chunks, envelope: Envelope | None = None) -> int:
+    """Write the CSV header, then each ``(blocks, order)`` chunk's rows as it
+    arrives, folding it into ``envelope`` if given; returns the point count.
+    Only one chunk is held at a time."""
+    fileobj.write(",".join(POINTS_CSV_HEADER) + "\n")
+    count = 0
+    for blocks, order in chunks:
+        fileobj.writelines(_csv_lines(blocks, pairs, order))
+        if envelope is not None:
+            envelope.add_blocks(blocks, len(pairs))
+        count += len(order)
+    return count
 
 
 def write_points_csv(points, fileobj) -> None:
     """CSV rows for duality points (header included, LF endings, full-precision
     floats via repr).
 
-    ``points`` is a :class:`ScatterDataset`, written from its blocks, or a
-    sequence of :class:`DualityPoint` objects.
+    ``points`` is a :class:`ScatterDataset`, written from its blocks as one
+    chunk, or a sequence of :class:`DualityPoint` objects.
     """
-    fileobj.write(",".join(POINTS_CSV_HEADER) + "\n")
     if isinstance(points, ScatterDataset):
-        fileobj.writelines(_csv_lines(points))
+        write_chunks(fileobj, points.pairs, [(points.blocks, points.order)])
         return
+    fileobj.write(",".join(POINTS_CSV_HEADER) + "\n")
     for p in points:
         fileobj.writelines(
             _csv_rows(
@@ -539,23 +546,6 @@ def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int,
     fileobj.write("\n")
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the request (default one per CPU) capped by the
-    ``DUALITY_LAB_THREADS`` environment variable."""
-    if requested is not None and (not is_int(requested) or requested < 1):
-        raise ValidationError(f"worker count must be a positive integer, got {requested!r}")
-    cap_text = os.environ.get(THREADS_ENV_VAR)
-    cap = None
-    if cap_text is not None:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValidationError(
-                f"{THREADS_ENV_VAR} must be a positive integer, got {cap_text!r}"
-            )
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(workers, 1)
+def resolve_workers() -> int:
+    """Always 1, the sweep being serial; kept only for ``bench/child.py``."""
+    return 1

@@ -6,7 +6,7 @@ carrying amplitude), one strictly positive amplitude per support index, and
 the diagonal root-of-unity phase action that generates the N detector states
 from the fiducial one. Everything downstream (discrimination measurements,
 entropic quantifiers, saturation analysis) consumes these types; all of them
-are immutable after construction and safe to share between workers. Sweeps
+are immutable after construction. Sweeps
 hold many scenarios of one (N, n) as a :class:`SweepBlock` of arrays. Each
 rule is written once, on rows: a scalar type checks its one row through the
 same functions the block builders apply to every row.

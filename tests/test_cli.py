@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from duality_lab import ensemble
 from duality_lab.cli import main
+from duality_lab.duality import EVAL_BLOCK_ENTRIES
 from duality_lab.measurements import COMPLETENESS_ATOL
 from duality_lab.states import (
     enumerate_uniform_specs,
@@ -18,11 +20,6 @@ from duality_lab.states import (
     uniform_spec,
 )
 from duality_lab.verify import TOLERANCES, run_verification
-
-
-@pytest.fixture(autouse=True)
-def clean_thread_env(monkeypatch):
-    monkeypatch.delenv("DUALITY_LAB_THREADS", raising=False)
 
 
 def run_cli(*argv):
@@ -38,6 +35,8 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert run_cli("scan", "--N", "4", "--bogus") == 2
+        # The sweep is serial; the worker-count flag is gone.
+        assert run_cli("scan", "--N", "4", "--workers", "2") == 2
 
     def test_help_exits_clean(self, capsys):
         assert run_cli("--help") == 0
@@ -99,8 +98,14 @@ class TestScan:
         assert run_cli(*args, "--out", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_grid_mode_requires_two_paths(self, tmp_path):
+    def test_grid_mode_requires_two_paths(self, tmp_path, capsys):
         assert run_cli("scan", "--N", "3", "--grid", "50") == 2
+        # Nor does it take the uniform overlay, which it used to drop silently.
+        capsys.readouterr()
+        assert run_cli("scan", "--N", "2", "--grid", "3", "--include-uniform") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid mode has no uniform enumeration (--include-uniform)\n"
 
     def test_grid_mode_dataset(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -167,12 +172,47 @@ class TestScan:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("scan", "--N", "3", "--samples", "5", "--out", str(missing)) == 3
 
-    def test_invalid_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DUALITY_LAB_THREADS", "nope")
-        assert run_cli("scan", "--N", "3", "--samples", "5") == 2
-
     def test_negative_samples(self):
         assert run_cli("scan", "--N", "3", "--samples", "-2") == 2
+
+    def test_path_count_beyond_one_evaluation_slice_rejected(self, tmp_path, capsys):
+        # One more path than a slice holds: rejected before any array is built.
+        argv = ["scan", "--N", str(EVAL_BLOCK_ENTRIES + 1), "--n", "1", "--samples", "1"]
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, "--out", str(tmp_path / "big.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1_000_000
+        err = capsys.readouterr().err
+        assert err == "error: a sweep takes at most 262144 paths, got 262145\n"
+
+    def test_largest_path_count_runs(self, tmp_path):
+        out = tmp_path / "big.csv"
+        argv = ["--N", str(EVAL_BLOCK_ENTRIES), "--n", "1", "--samples", "3", "--out", str(out)]
+        assert run_cli("scan", *argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["262144", "1"]] * 3
+
+    def test_memory_does_not_grow_with_the_chunk_count(self, tmp_path, monkeypatch):
+        # Smaller chunks keep the runs short; a scan that held its rows would
+        # grow by about 0.4 KB per sample, 1.6 MB over the 8 extra chunks.
+        monkeypatch.setattr(ensemble, "BLOCK_ROWS", 512)
+        out = tmp_path / "scan.csv"
+
+        def peak(chunks):
+            argv = ["--N", "6", "--n", "6", "--samples", str(chunks * 512), "--bins", "20"]
+            tracemalloc.start()
+            try:
+                assert run_cli("scan", *argv, "--out", str(out)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations
+        assert peak(10) < peak(2) + 256_000
 
     @pytest.mark.parametrize(
         "argv, message",

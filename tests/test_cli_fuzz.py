@@ -76,7 +76,6 @@ def _argv(draw, paths) -> list[str]:
             ("--seed", value("7", "11")),
             ("--bins", value("2", "10")),
             ("--include-uniform",),
-            ("--workers", value("1", "2")),
             ("--out", out()),
             ("--manifest", out()),
         ]

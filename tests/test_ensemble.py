@@ -10,13 +10,15 @@ import pytest
 import duality_lab
 from duality_lab import ensemble
 from duality_lab.ensemble import (
+    Envelope,
     SweepConfig,
     boundary_envelope,
-    resolve_workers,
     run_sweep,
     sample_rng,
     sample_spec,
+    sweep_chunks,
     two_path_grid_dataset,
+    write_chunks,
     write_manifest,
     write_points_csv,
 )
@@ -184,7 +186,7 @@ class TestChunkSeeding:
         monkeypatch.setattr(ensemble, "_pcg64_states", shifted)
         cfg = SweepConfig(N=4, n=2, samples=10, strategies=(("me", 0.0),), seed=3)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):
-            run_sweep(cfg, workers=1)
+            run_sweep(cfg)
 
 
 class TestRunSweep:
@@ -198,13 +200,6 @@ class TestRunSweep:
         second = run_sweep(cfg)
         assert len(first.points) == 800
         assert csv_bytes(first.points) == csv_bytes(second.points)
-
-    def test_worker_count_does_not_change_the_dataset(self, monkeypatch):
-        monkeypatch.delenv("DUALITY_LAB_THREADS", raising=False)
-        cfg = SweepConfig(N=4, n=None, samples=5000, strategies=(("me", 0.0),), seed=9)
-        serial = run_sweep(cfg, workers=1)
-        threaded = run_sweep(cfg, workers=2)
-        assert csv_bytes(serial.points) == csv_bytes(threaded.points)
 
     def test_uniform_enumeration_only(self):
         cfg = SweepConfig(
@@ -258,7 +253,7 @@ class TestRunSweep:
             specs.append(sample_spec(8, int(rng.integers(1, 9)), rng))
         assert {spec.n for spec in specs[:4096]} == set(range(1, 9))
         expected = [scalar_row(spec, tag, xi) for spec in specs for tag, xi in strategies]
-        assert [point_row(p) for p in run_sweep(cfg, workers=1).points] == expected
+        assert [point_row(p) for p in run_sweep(cfg).points] == expected
 
     def test_uniform_overlay_matches_the_scalar_formulas(self):
         strategies = (("frio-standard", 0.5), ("frio-concatenated", 1.0))
@@ -356,6 +351,18 @@ class TestBoundaryEnvelope:
         assert dataset.envelope == expected
         assert boundary_envelope(dataset.points, 30) == expected
 
+    def test_folding_in_parts_keeps_every_bit(self):
+        # Equal extremes keep the first one seen, so the signed zeros show
+        # the fold order; parts must give what one call gives.
+        knowledge = np.array([0.1, 0.15, 0.9, 0.12, 0.95, 0.5])
+        coherence = np.array([0.0, -0.0, 0.3, 0.0, -0.0, 0.2])
+        whole, parts = Envelope(4), Envelope(4)
+        whole.add(knowledge, coherence)
+        for part in (slice(0, 1), slice(1, 4), slice(4, 4), slice(4, 6)):
+            parts.add(knowledge[part], coherence[part])
+        assert repr(parts.bounds()) == repr(whole.bounds())
+        assert repr(whole.bounds()[0]) == "(0.125, 0.0, 0.0)"
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             boundary_envelope([], bins=10)
@@ -402,6 +409,19 @@ class TestOutputFormats:
         assert csv_bytes(dataset.points) == reference.getvalue()
         assert dataset.point_count == len(dataset.points)
 
+    def test_streamed_chunks_write_the_collected_dataset(self):
+        cfg = SweepConfig(
+            N=5, n=None, samples=5000, seed=6,
+            strategies=(("frio-standard", 0.2), ("frio-concatenated", 0.8)),
+            include_uniform_enumeration=True,
+        )
+        dataset = run_sweep(cfg, envelope_bins=25)
+        envelope, buffer = Envelope(25), io.StringIO()
+        assert write_chunks(buffer, cfg.strategies, sweep_chunks(cfg), envelope) == 10_062
+        assert buffer.getvalue() == csv_bytes(dataset)
+        assert envelope.bounds() == dataset.envelope
+        assert dataset.point_count == 10_062
+
     def test_manifest_records_what_ran(self):
         buffer = io.StringIO()
         write_manifest(buffer, config={}, wall_time=0.5, point_count=0, envelope=None)
@@ -427,22 +447,3 @@ class TestOutputFormats:
         assert payload["point_count"] == 4
         assert payload["wall_time"] == 0.25
         assert payload["envelope"]
-
-
-class TestResolveWorkers:
-    def test_environment_caps_the_request(self, monkeypatch):
-        monkeypatch.setenv("DUALITY_LAB_THREADS", "2")
-        assert resolve_workers(8) == 2
-
-    def test_invalid_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("DUALITY_LAB_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            resolve_workers(2)
-        monkeypatch.setenv("DUALITY_LAB_THREADS", "0")
-        with pytest.raises(ValidationError):
-            resolve_workers(2)
-
-    def test_invalid_request_rejected(self, monkeypatch):
-        monkeypatch.delenv("DUALITY_LAB_THREADS", raising=False)
-        with pytest.raises(ValidationError):
-            resolve_workers(0)
