@@ -24,9 +24,9 @@ pairs. The uniform overlay and the two-path grid are blocks too.
 A sweep is one serial stream of ``(blocks, order)`` chunks in point order
 (:func:`sweep_chunks`; sample order, strategies innermost). ``scan`` writes
 each chunk's CSV rows and folds it into the :class:`Envelope` as it arrives,
-so its memory does not grow with the sample count; :class:`ScatterDataset`
-is the collected view for library callers, written and enveloped by the
-same per-chunk code.
+so its memory does not grow with the sample count. :class:`ScatterDataset`
+collects the same chunks for library callers: :func:`write_points_csv`
+writes it as one chunk and :func:`boundary_envelope` folds its blocks.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class ScatterDataset:
-    """Points from one sweep, with the configuration echo and optional envelope.
+    """Points from one sweep, with the configuration echo.
 
     The points live in evaluated blocks (``states.SweepBlock``). A block's
     cells are its (pair, row) entries over the (strategy, xi) ``pairs``,
@@ -152,7 +152,6 @@ class ScatterDataset:
     pairs: tuple[tuple[Strategy, float], ...]
     blocks: tuple[SweepBlock, ...]
     order: np.ndarray
-    envelope: tuple[tuple[float, float, float], ...] | None = None
 
     @property
     def point_count(self) -> int:
@@ -347,48 +346,41 @@ def sweep_chunks(cfg: SweepConfig):
             yield [block], _interleave([np.arange(len(indices))], len(pairs))
 
 
-def _dataset(config, pairs, chunks, envelope: Envelope | None) -> ScatterDataset:
+def _dataset(config, pairs, chunks) -> ScatterDataset:
     """One dataset from ``(blocks, order)`` chunks that follow each other."""
     blocks, orders, cells = [], [], 0
     for chunk_blocks, order in chunks:
         blocks.extend(chunk_blocks)
         orders.append(order + cells)
         cells += len(order)
-    if envelope is not None:
-        envelope.add_blocks(blocks, len(pairs))
     return ScatterDataset(
         config=config,
         pairs=pairs,
         blocks=tuple(blocks),
         order=np.concatenate(orders),
-        envelope=None if envelope is None else envelope.bounds(),
     )
 
 
-def run_sweep(cfg: SweepConfig, *, envelope_bins: int | None = None) -> ScatterDataset:
+def run_sweep(cfg: SweepConfig) -> ScatterDataset:
     """All (sample, strategy) pairs, then any uniform enumeration, collected
-    from :func:`sweep_chunks`; ``envelope_bins`` is None or an integer >= 2."""
-    envelope = None if envelope_bins is None else Envelope(envelope_bins)
-    return _dataset(cfg.to_json_dict(), cfg.strategies, sweep_chunks(cfg), envelope)
+    from :func:`sweep_chunks`."""
+    return _dataset(cfg.to_json_dict(), cfg.strategies, sweep_chunks(cfg))
 
 
-def two_path_grid_dataset(
-    strategies,
-    steps: int = 200,
-    *,
-    envelope_bins: int | None = None,
-) -> ScatterDataset:
+def two_path_grid_dataset(strategies, steps: int = 200) -> ScatterDataset:
     """Deterministic two-path dataset over a grid of minimum probabilities.
 
     The grid runs the smaller squared coefficient over [0, 1/2] in ``steps``
     points; the zero endpoint degenerates to a one-dimensional support and
     the 1/2 endpoint to orthogonal states, so every curve connects the two
     trivial saturation points. Points are ordered per strategy, then by grid
-    position. The dataset is one chunk.
+    position. The dataset is one chunk, so ``steps`` is at most
+    ``duality.EVAL_BLOCK_ENTRIES``.
     """
     if not is_int(steps) or steps < 2:
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
-    envelope = None if envelope_bins is None else Envelope(envelope_bins)
+    if steps > EVAL_BLOCK_ENTRIES:
+        raise ValidationError(f"grid steps must be at most {EVAL_BLOCK_ENTRIES}, got {steps}")
     pairs = strategy_pairs(strategies)
     p_min = np.linspace(0.0, 0.5, steps)
     zero = p_min <= 0.0
@@ -411,17 +403,20 @@ def two_path_grid_dataset(
         "steps": steps,
         "strategies": [[tag.value, xi] for tag, xi in pairs],
     }
-    return _dataset(config, pairs, [chunk], envelope)
+    return _dataset(config, pairs, [chunk])
 
 
 class Envelope:
     """Coherence minima and maxima per knowledge bin, [0, 1] split into
     ``bins`` equal bins, folded in as points arrive. Folding in parts gives
-    the floats, signed zeros included, of one fold over all the points."""
+    the floats, signed zeros included, of one fold over all the points.
+    ``bins`` is at most ``duality.EVAL_BLOCK_ENTRIES``."""
 
     def __init__(self, bins: int) -> None:
         if not is_int(bins) or bins < 2:
             raise ValidationError(f"bin count must be an integer >= 2, got {bins!r}")
+        if bins > EVAL_BLOCK_ENTRIES:
+            raise ValidationError(f"bin count must be at most {EVAL_BLOCK_ENTRIES}, got {bins}")
         self.bins = bins
         self.lows = np.full(bins, np.inf)
         self.highs = np.full(bins, -np.inf)
@@ -447,47 +442,31 @@ class Envelope:
         return tuple(((b + 0.5) / self.bins, lo, hi) for b, lo, hi in zip(filled, lows, highs))
 
 
-def boundary_envelope(points, bins: int) -> tuple[tuple[float, float, float], ...]:
-    """Binwise coherence extremes over the knowledge axis (see
-    :class:`Envelope`), a reproducible stand-in for a boundary polygon.
-
-    ``points`` is a :class:`ScatterDataset` or a sequence of
-    :class:`DualityPoint` objects.
-    """
+def boundary_envelope(dataset: ScatterDataset, bins: int) -> tuple[tuple[float, float, float], ...]:
+    """Binwise coherence extremes of a dataset over the knowledge axis (see
+    :class:`Envelope`), a reproducible stand-in for a boundary polygon."""
     envelope = Envelope(bins)
-    if isinstance(points, ScatterDataset):
-        envelope.add_blocks(points.blocks, len(points.pairs))
-    else:
-        columns = np.array([(p.knowledge, p.coherence) for p in points], dtype=float)
-        envelope.add(*columns.reshape(-1, 2).T)
+    envelope.add_blocks(dataset.blocks, len(dataset.pairs))
     return envelope.bounds()
 
 
 POINTS_CSV_HEADER = ["N", "n", "strategy", "xi", "K", "C", "sum", "support"]
 
 
-def _csv_rows(N, n, strategy, xi, knowledge, coherence, duality_sum, labels) -> list[str]:
-    """Scan CSV lines of points that share N, n, strategy and xi, one per
-    entry of the other columns: the only place the row format is defined."""
-    head = f"{N},{n},{strategy},{xi!r},"
-    return [
-        f"{head}{k!r},{c!r},{t!r},{label}\n"
-        for k, c, t, label in zip(knowledge, coherence, duality_sum, labels)
-    ]
-
-
 def _csv_lines(blocks, pairs, order: np.ndarray) -> list[str]:
     """The CSV row of every point of one ``(blocks, order)`` chunk, in point
-    order."""
+    order: the only place the row format is defined."""
     cells = []
     for block in blocks:
         labels = [support_label(row) for row in block.indices.tolist()]
         coherence = block.coherence.tolist()
         for column, (tag, xi) in enumerate(pairs):
+            head = f"{block.N},{block.n},{tag.value},{xi!r},"
             knowledge, total = block.knowledge[:, column], block.duality_sum[:, column]
-            cells += _csv_rows(
-                block.N, block.n, tag.value, xi, knowledge.tolist(), coherence, total.tolist(), labels
-            )
+            cells += [
+                f"{head}{k!r},{c!r},{t!r},{label}\n"
+                for k, c, t, label in zip(knowledge.tolist(), coherence, total.tolist(), labels)
+            ]
     return [cells[i] for i in order.tolist()]
 
 
@@ -505,24 +484,10 @@ def write_chunks(fileobj, pairs, chunks, envelope: Envelope | None = None) -> in
     return count
 
 
-def write_points_csv(points, fileobj) -> None:
-    """CSV rows for duality points (header included, LF endings, full-precision
-    floats via repr).
-
-    ``points`` is a :class:`ScatterDataset`, written from its blocks as one
-    chunk, or a sequence of :class:`DualityPoint` objects.
-    """
-    if isinstance(points, ScatterDataset):
-        write_chunks(fileobj, points.pairs, [(points.blocks, points.order)])
-        return
-    fileobj.write(",".join(POINTS_CSV_HEADER) + "\n")
-    for p in points:
-        fileobj.writelines(
-            _csv_rows(
-                p.N, p.n, p.strategy.value, p.xi, [p.knowledge], [p.coherence], [p.duality_sum],
-                [p.spec.support.label()],
-            )
-        )
+def write_points_csv(dataset: ScatterDataset, fileobj) -> None:
+    """A dataset's CSV (header included, LF endings, full-precision floats via
+    repr), written from its blocks as one chunk."""
+    write_chunks(fileobj, dataset.pairs, [(dataset.blocks, dataset.order)])
 
 
 def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int, envelope) -> None:

@@ -11,10 +11,10 @@ saturation, classifies support structures, and brute-force scans all uniform
 scenarios of a given path count.
 
 The scan runs in blocks: :func:`census_blocks` evaluates up to
-``CENSUS_CHUNK`` supports of one dimension per batched FFT and entropy call,
-and joins the block's CSV rows in one call, so a census streams to CSV in
-memory that does not grow with N. The scalar
-functions (:func:`dft_distribution`, :func:`is_saturating`,
+``states.BLOCK_ROWS`` supports of one dimension per batched FFT and entropy
+call, and :func:`write_saturation_csv` writes each block's CSV rows, joined
+in one call, so a census streams to CSV in memory that does not grow with N.
+The scalar functions (:func:`dft_distribution`, :func:`is_saturating`,
 :func:`saturation_report`) evaluate one scenario through the same spectrum
 arithmetic and are the reference the blocks are tested against.
 """
@@ -30,7 +30,6 @@ import numpy as np
 
 from .duality import shannon_entropies, shannon_entropy
 from .states import (
-    BLOCK_ROWS,
     DetectorSpec,
     Support,
     SweepBlock,
@@ -72,10 +71,6 @@ SATURATION_ATOL = 1e-9
 
 # Enumeration budget: a full scan visits 2^N - 1 supports.
 SCAN_MAX_PATHS = 24
-
-# Supports per census block. It bounds the block's arrays (a few MB at
-# N = 24) and so the census's memory, whatever N is.
-CENSUS_CHUNK = BLOCK_ROWS
 
 
 class SupportStructure(str, Enum):
@@ -199,20 +194,6 @@ class SaturationReport:
     saturating: bool
     structure: SupportStructure
 
-    def csv_lines(self) -> str:
-        """The report's census CSV line."""
-        row = CensusBlock(
-            N=self.spec.N,
-            n=self.support_size,
-            indices=np.array([self.spec.support.indices]),
-            lambda_sq=self.lambda_sq[None],
-            lambda_support=np.array([self.lambda_support_size]),
-            entropy_sum=np.array([self.entropy_sum]),
-            saturating=np.array([self.saturating]),
-            structure=np.array([_STRUCTURES.index(self.structure)]),
-        )
-        return row.csv_lines()
-
 
 def saturation_report(spec: DetectorSpec) -> SaturationReport:
     """Spectrum, support sizes, uncertainty bound, and saturation flag."""
@@ -299,8 +280,8 @@ class CensusBlock:
 def census_blocks(N: int) -> Iterator[CensusBlock]:
     """The census of all 2^N - 1 uniform scenarios, as a stream of blocks.
 
-    Blocks hold at most ``CENSUS_CHUNK`` supports of one dimension and come
-    in (dimension, lexicographic) order. ``N`` is checked against the scan
+    Blocks hold at most ``states.BLOCK_ROWS`` supports of one dimension and
+    come in (dimension, lexicographic) order. ``N`` is checked against the scan
     budget here, before the first block is asked for.
     """
     check_path_count(N)
@@ -361,14 +342,9 @@ def schmidt_coefficients(spec: DetectorSpec) -> np.ndarray:
 SATURATION_CSV_HEADER = ["N", "n", "support", "lambda_support", "entropy_sum", "saturating", "structure"]
 
 
-def write_saturation_csv(rows, fileobj) -> None:
-    """Write census rows as CSV (header included, LF line endings).
-
-    ``rows`` yields :class:`SaturationReport` objects or :class:`CensusBlock`
-    batches; both give the same line for the same support, so
-    ``write_saturation_csv(census_blocks(N), f)`` streams the census and
-    ``write_saturation_csv(saturation_scan(N), f)`` writes the same bytes.
-    """
+def write_saturation_csv(blocks, fileobj) -> None:
+    """Write :class:`CensusBlock` rows as CSV (header included, LF line
+    endings); ``write_saturation_csv(census_blocks(N), f)`` streams the census."""
     fileobj.write(",".join(SATURATION_CSV_HEADER) + "\n")
-    for item in rows:
-        fileobj.write(item.csv_lines())
+    for block in blocks:
+        fileobj.write(block.csv_lines())

@@ -189,6 +189,32 @@ class TestScan:
         err = capsys.readouterr().err
         assert err == "error: a sweep takes at most 262144 paths, got 262145\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--N", "2", "--grid", "1000000000"], "grid steps must be at most 262144, got 1000000000"),
+            (
+                ["--N", "3", "--n", "2", "--samples", "5", "--bins", "1000000000000"],
+                "bin count must be at most 262144, got 1000000000000",
+            ),
+        ],
+        ids=["grid", "bins"],
+    )
+    def test_oversized_grid_and_bins_rejected(self, argv, message, tmp_path, capsys):
+        # Rejected before the grid or the envelope's arrays are allocated
+        # (7.45 GiB and 7.28 TiB).
+        tracemalloc.start()
+        try:
+            code = run_cli("scan", *argv, "--out", str(tmp_path / "big.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1_000_000
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_largest_path_count_runs(self, tmp_path):
         out = tmp_path / "big.csv"
         argv = ["--N", str(EVAL_BLOCK_ENTRIES), "--n", "1", "--samples", "3", "--out", str(out)]

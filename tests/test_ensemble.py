@@ -22,7 +22,7 @@ from duality_lab.ensemble import (
     write_manifest,
     write_points_csv,
 )
-from duality_lab.duality import evaluate_block, strategy_pair
+from duality_lab.duality import EVAL_BLOCK_ENTRIES, evaluate_block, strategy_pair
 from duality_lab.measurements import Strategy
 from duality_lab.states import ValidationError, enumerate_uniform_specs, uniform_block
 
@@ -43,9 +43,9 @@ def point_row(point):
     )  # fmt: skip
 
 
-def csv_bytes(points):
+def csv_bytes(dataset):
     buffer = io.StringIO()
-    write_points_csv(points, buffer)
+    write_points_csv(dataset, buffer)
     return buffer.getvalue()
 
 
@@ -199,7 +199,7 @@ class TestRunSweep:
         first = run_sweep(cfg)
         second = run_sweep(cfg)
         assert len(first.points) == 800
-        assert csv_bytes(first.points) == csv_bytes(second.points)
+        assert csv_bytes(first) == csv_bytes(second)
 
     def test_uniform_enumeration_only(self):
         cfg = SweepConfig(
@@ -306,34 +306,25 @@ class TestTwoPathGrid:
 
 class TestBoundaryEnvelope:
     def test_single_point(self):
-        point = two_path_grid_dataset((("me", 0.0),), steps=2).points[0]
-        envelope = boundary_envelope([point], bins=10)
+        dataset = run_sweep(SweepConfig(N=3, n=2, samples=1, strategies=(("me", 0.0),), seed=0))
+        (point,) = dataset.points
+        envelope = boundary_envelope(dataset, bins=10)
         assert len(envelope) == 1
         center, low, high = envelope[0]
         assert low == high == point.coherence
 
     def test_envelope_respects_the_duality_bound_binwise(self):
         cfg = SweepConfig(N=4, n=None, samples=2000, strategies=(("me", 0.0),), seed=17)
-        dataset = run_sweep(cfg, envelope_bins=50)
-        for center, low, high in dataset.envelope:
+        for center, low, high in boundary_envelope(run_sweep(cfg), 50):
             bin_left = center - 0.5 / 50
             assert high <= 1 - bin_left + 1e-9
             assert low <= high
 
     def test_three_path_scan_reaches_full_coherence_at_low_knowledge(self):
         cfg = SweepConfig(N=3, n=3, samples=20_000, strategies=(("me", 0.0),), seed=31)
-        dataset = run_sweep(cfg, envelope_bins=100)
-        first_bin = dataset.envelope[0]
+        first_bin = boundary_envelope(run_sweep(cfg), 100)[0]
         assert first_bin[0] < 0.05
         assert first_bin[2] > 0.9
-
-    @pytest.mark.parametrize("bins", [0, 1, -1, 2.5, True])
-    def test_bin_counts_below_two_rejected_before_the_sweep(self, bins):
-        cfg = SweepConfig(N=3, n=2, samples=5, strategies=(("me", 0.0),), seed=0)
-        with pytest.raises(ValidationError, match="bin count"):
-            run_sweep(cfg, envelope_bins=bins)
-        with pytest.raises(ValidationError, match="bin count"):
-            two_path_grid_dataset((("me", 0.0),), steps=4, envelope_bins=bins)
 
     def test_blocks_and_points_give_the_reference_envelope(self):
         cfg = SweepConfig(
@@ -341,15 +332,14 @@ class TestBoundaryEnvelope:
             strategies=(("frio-concatenated", 0.4), ("frio-standard", 0.9)),
             include_uniform_enumeration=True,
         )
-        dataset = run_sweep(cfg, envelope_bins=30)
+        dataset = run_sweep(cfg)
         lows, highs = {}, {}
         for point in dataset.points:
             slot = min(int(point.knowledge * 30), 29)
             lows[slot] = min(lows.get(slot, point.coherence), point.coherence)
             highs[slot] = max(highs.get(slot, point.coherence), point.coherence)
         expected = tuple(((slot + 0.5) / 30, lows[slot], highs[slot]) for slot in sorted(lows))
-        assert dataset.envelope == expected
-        assert boundary_envelope(dataset.points, 30) == expected
+        assert boundary_envelope(dataset, 30) == expected
 
     def test_folding_in_parts_keeps_every_bit(self):
         # Equal extremes keep the first one seen, so the signed zeros show
@@ -364,17 +354,22 @@ class TestBoundaryEnvelope:
         assert repr(whole.bounds()[0]) == "(0.125, 0.0, 0.0)"
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            boundary_envelope([], bins=10)
-        point = two_path_grid_dataset((("me", 0.0),), steps=2).points[0]
-        with pytest.raises(ValidationError):
-            boundary_envelope([point], bins=1)
+        with pytest.raises(ValidationError, match="at least one point"):
+            Envelope(10).bounds()
+        dataset = two_path_grid_dataset((("me", 0.0),), steps=2)
+        with pytest.raises(ValidationError, match="bin count"):
+            boundary_envelope(dataset, bins=1)
+
+    @pytest.mark.parametrize("bins", [0, 1, -1, 2.5, True, EVAL_BLOCK_ENTRIES + 1])
+    def test_bin_counts_outside_the_range_rejected(self, bins):
+        with pytest.raises(ValidationError, match="bin count"):
+            Envelope(bins)
 
 
 class TestOutputFormats:
     def test_csv_layout(self):
         dataset = two_path_grid_dataset((("frio-standard", 0.6),), steps=3)
-        lines = csv_bytes(dataset.points).splitlines()
+        lines = csv_bytes(dataset).splitlines()
         assert lines[0] == "N,n,strategy,xi,K,C,sum,support"
         fields = lines[1].split(",")
         assert fields[0] == "2"
@@ -406,7 +401,6 @@ class TestOutputFormats:
                 repr(p.coherence), repr(p.duality_sum), p.spec.support.label(),
             ])  # fmt: skip
         assert csv_bytes(dataset) == reference.getvalue()
-        assert csv_bytes(dataset.points) == reference.getvalue()
         assert dataset.point_count == len(dataset.points)
 
     def test_streamed_chunks_write_the_collected_dataset(self):
@@ -415,11 +409,11 @@ class TestOutputFormats:
             strategies=(("frio-standard", 0.2), ("frio-concatenated", 0.8)),
             include_uniform_enumeration=True,
         )
-        dataset = run_sweep(cfg, envelope_bins=25)
+        dataset = run_sweep(cfg)
         envelope, buffer = Envelope(25), io.StringIO()
         assert write_chunks(buffer, cfg.strategies, sweep_chunks(cfg), envelope) == 10_062
         assert buffer.getvalue() == csv_bytes(dataset)
-        assert envelope.bounds() == dataset.envelope
+        assert envelope.bounds() == boundary_envelope(dataset, 25)
         assert dataset.point_count == 10_062
 
     def test_manifest_records_what_ran(self):
@@ -433,14 +427,14 @@ class TestOutputFormats:
         assert payload["platform"] == platform.platform()
 
     def test_manifest_layout(self):
-        dataset = two_path_grid_dataset((("me", 0.0),), steps=4, envelope_bins=10)
+        dataset = two_path_grid_dataset((("me", 0.0),), steps=4)
         buffer = io.StringIO()
         write_manifest(
             buffer,
             config=dataset.config,
             wall_time=0.25,
             point_count=len(dataset.points),
-            envelope=dataset.envelope,
+            envelope=boundary_envelope(dataset, 10),
         )
         payload = json.loads(buffer.getvalue())
         assert payload["config"]["mode"] == "two-path-grid"
