@@ -23,7 +23,7 @@ from .ensemble import (
     Envelope,
     SweepConfig,
     sweep_chunks,
-    two_path_grid_dataset,
+    two_path_grid,
     write_chunks,
     write_manifest,
 )
@@ -119,8 +119,7 @@ def cmd_scan(args) -> int:
             raise ValidationError("grid mode is only defined for two-path scans (--N 2)")
         if args.include_uniform:
             raise ValidationError("grid mode has no uniform enumeration (--include-uniform)")
-        grid = two_path_grid_dataset(strategies, args.grid)
-        config, pairs, chunks = grid.config, grid.pairs, [(grid.blocks, grid.order)]
+        config, chunks = two_path_grid(strategies, args.grid)
     else:
         cfg = SweepConfig(
             N=args.N,
@@ -130,10 +129,10 @@ def cmd_scan(args) -> int:
             seed=args.seed,
             include_uniform_enumeration=args.include_uniform,
         )
-        config, pairs, chunks = cfg.to_json_dict(), cfg.strategies, sweep_chunks(cfg)
+        config, chunks = cfg.to_json_dict(), sweep_chunks(cfg)
     # Streamed: rows are written and enveloped chunk by chunk as they come.
     with _open_out(args.out) as handle:
-        point_count = write_chunks(handle, pairs, chunks, envelope)
+        point_count = write_chunks(handle, chunks, envelope)
     wall_time = time.perf_counter() - started
     manifest_path = args.manifest
     if manifest_path is None and args.out not in (None, "-"):

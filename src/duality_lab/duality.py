@@ -232,12 +232,13 @@ def evaluate_specs(specs, strategy, xi: float = 0.0) -> list[DualityPoint]:
     specs = list(specs)
     if not specs:
         return []
-    return _block_points(evaluate_block(block_from_specs(specs), (pair,)), 0, pair, specs)
+    return _block_points(evaluate_block(block_from_specs(specs), (pair,)), 0, specs)
 
 
-def _block_points(block: SweepBlock, column: int, pair, specs) -> list[DualityPoint]:
+def _block_points(block: SweepBlock, column: int, specs) -> list[DualityPoint]:
     """The points of one (strategy, xi) column of an evaluated block, whose
     rows are ``specs``."""
+    pair = block.pairs[column]
     knowledge, total = block.knowledge[:, column].tolist(), block.duality_sum[:, column].tolist()
     return [
         DualityPoint(block.N, block.n, *pair, coherence=c, knowledge=k, duality_sum=t, spec=spec)
@@ -256,19 +257,22 @@ def strategy_pair(strategy, xi: float) -> tuple[Strategy, float]:
 
 
 def strategy_pairs(pairs) -> tuple[tuple[Strategy, float], ...]:
-    """A nonempty list of (strategy, xi) pairs, each through :func:`strategy_pair`."""
+    """A nonempty list of distinct (strategy, xi) pairs, each through :func:`strategy_pair`."""
     try:
         pairs = tuple(strategy_pair(*pair) for pair in pairs)
     except TypeError as exc:
         raise ValidationError(f"expected a list of (strategy, xi) pairs, got {pairs!r}") from exc
     if not pairs:
         raise ValidationError("at least one (strategy, xi) pair is required")
+    if len(set(pairs)) < len(pairs):
+        tag, xi = next(pair for i, pair in enumerate(pairs) if pair in pairs[:i])
+        raise ValidationError(f"repeated (strategy, xi) pair {(tag.value, xi)!r}")
     return pairs
 
 
 def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
-    """The block with its result columns: coherence per row, and knowledge and
-    C + K per row and (strategy, xi) pair (see :func:`strategy_pairs`).
+    """The block with its result columns, labelled by the normalized ``pairs``
+    (see :func:`strategy_pairs`): coherence per row, and knowledge and C + K per row and pair.
 
     Rows go through the spectra in slices of at most ``BLOCK_ROWS`` rows and
     ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays bounded
@@ -295,7 +299,7 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
             f"duality bound violated: C + K = {float(total[row, column])!r} for spec "
             f"{tuple(block.indices[row].tolist())} (internal error)"
         )
-    return replace(block, coherence=coh, knowledge=knowledge, duality_sum=total)
+    return replace(block, pairs=pairs, coherence=coh, knowledge=knowledge, duality_sum=total)
 
 
 def _knowledge_rows(n_paths, indices, amps, probs, pairs, out: np.ndarray) -> None:

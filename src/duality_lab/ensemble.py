@@ -19,12 +19,14 @@ Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
 objects: the draws of a chunk of samples are stacked into one block per
 subspace dimension, validated as ``DetectorSpec`` validates one scenario,
 and evaluated by :func:`duality.evaluate_block` once for all (strategy, xi)
-pairs. The uniform overlay and the two-path grid are blocks too.
+pairs, which label the evaluated block's columns. The uniform overlay and
+the two-path grid are blocks too.
 
-A sweep is one serial stream of ``(blocks, order)`` chunks in point order
-(:func:`sweep_chunks`; sample order, strategies innermost). ``scan`` writes
-each chunk's CSV rows and folds it into the :class:`Envelope` as it arrives,
-so its memory does not grow with the sample count. :class:`ScatterDataset`
+Each ``scan`` source is one serial stream of ``(blocks, order)`` chunks in
+point order: :func:`sweep_chunks` (samples, strategies innermost) and
+:func:`two_path_grid` (strategies, then grid points). ``scan`` writes each
+chunk's CSV rows and folds it into the :class:`Envelope` as it arrives, so
+its memory does not grow with the sample count. :class:`ScatterDataset`
 collects the same chunks for library callers: :func:`write_points_csv`
 writes it as one chunk and :func:`boundary_envelope` folds its blocks.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +66,7 @@ __all__ = [
     "sample_spec",
     "run_sweep",
     "sweep_chunks",
+    "two_path_grid",
     "two_path_grid_dataset",
     "Envelope",
     "boundary_envelope",
@@ -143,13 +146,12 @@ class ScatterDataset:
     """Points from one sweep, with the configuration echo.
 
     The points live in evaluated blocks (``states.SweepBlock``). A block's
-    cells are its (pair, row) entries over the (strategy, xi) ``pairs``,
+    cells are its (pair, row) entries over its own (strategy, xi) ``pairs``,
     pair-major, and cells are numbered block after block; point ``i`` is cell
     ``order[i]``.
     """
 
     config: dict
-    pairs: tuple[tuple[Strategy, float], ...]
     blocks: tuple[SweepBlock, ...]
     order: np.ndarray
 
@@ -163,8 +165,8 @@ class ScatterDataset:
         cells = []
         for block in self.blocks:
             specs = block.specs()
-            for column, pair in enumerate(self.pairs):
-                cells += _block_points(block, column, pair, specs)
+            for column in range(len(block.pairs)):
+                cells += _block_points(block, column, specs)
         return tuple(cells[i] for i in self.order.tolist())
 
 
@@ -298,23 +300,22 @@ def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
     return spec_from_probabilities(N, indices.tolist(), probs.tolist())
 
 
-def _interleave(groups, pairs: int, strategy_major: bool = False) -> np.ndarray:
+def _interleave(groups, pairs: int) -> np.ndarray:
     """Point order of scenarios split into consecutive blocks, where
     ``groups`` holds each block's scenario positions. Points run
-    scenario-major with the pairs innermost, or pair-major when
-    ``strategy_major``."""
+    scenario-major with the pairs innermost."""
     count = sum(len(positions) for positions in groups)
     order = np.empty(count * pairs, dtype=np.intp)
     column = np.arange(pairs)[:, None]
     cell = 0
     for positions in groups:
-        points = positions + column * count if strategy_major else positions * pairs + column
+        points = positions * pairs + column
         order[points.ravel()] = np.arange(cell, cell + points.size)
         cell += points.size
     return order
 
 
-def _sweep_chunk(cfg: SweepConfig, pairs, start: int, stop: int):
+def _sweep_chunk(cfg: SweepConfig, start: int, stop: int):
     """Samples ``start``..``stop - 1``, one block per subspace dimension, and
     their order."""
     draws = [_draw(rng, cfg.N, cfg.n) for rng in _sample_generators(cfg.seed, start, stop)]
@@ -325,9 +326,9 @@ def _sweep_chunk(cfg: SweepConfig, pairs, start: int, stop: int):
         supports = np.array([draws[p][0] for p in positions.tolist()])
         weights = np.array([draws[p][1] for p in positions.tolist()])
         block = block_from_probabilities(cfg.N, *_scenarios(supports, weights))
-        blocks.append(evaluate_block(block, pairs))
+        blocks.append(evaluate_block(block, cfg.strategies))
         groups.append(positions)
-    return blocks, _interleave(groups, len(pairs))
+    return blocks, _interleave(groups, len(cfg.strategies))
 
 
 def sweep_chunks(cfg: SweepConfig):
@@ -337,7 +338,7 @@ def sweep_chunks(cfg: SweepConfig):
     support order. ``order`` numbers cells as :class:`ScatterDataset` does."""
     pairs = cfg.strategies
     for lo in range(0, cfg.samples, BLOCK_ROWS):
-        yield _sweep_chunk(cfg, pairs, lo, min(lo + BLOCK_ROWS, cfg.samples))
+        yield _sweep_chunk(cfg, lo, min(lo + BLOCK_ROWS, cfg.samples))
     if not cfg.include_uniform_enumeration:
         return
     for n in range(1, (cfg.n if cfg.n is not None else cfg.N) + 1):
@@ -346,7 +347,7 @@ def sweep_chunks(cfg: SweepConfig):
             yield [block], _interleave([np.arange(len(indices))], len(pairs))
 
 
-def _dataset(config, pairs, chunks) -> ScatterDataset:
+def _dataset(config, chunks) -> ScatterDataset:
     """One dataset from ``(blocks, order)`` chunks that follow each other."""
     blocks, orders, cells = [], [], 0
     for chunk_blocks, order in chunks:
@@ -355,7 +356,6 @@ def _dataset(config, pairs, chunks) -> ScatterDataset:
         cells += len(order)
     return ScatterDataset(
         config=config,
-        pairs=pairs,
         blocks=tuple(blocks),
         order=np.concatenate(orders),
     )
@@ -364,46 +364,49 @@ def _dataset(config, pairs, chunks) -> ScatterDataset:
 def run_sweep(cfg: SweepConfig) -> ScatterDataset:
     """All (sample, strategy) pairs, then any uniform enumeration, collected
     from :func:`sweep_chunks`."""
-    return _dataset(cfg.to_json_dict(), cfg.strategies, sweep_chunks(cfg))
+    return _dataset(cfg.to_json_dict(), sweep_chunks(cfg))
 
 
-def two_path_grid_dataset(strategies, steps: int = 200) -> ScatterDataset:
-    """Deterministic two-path dataset over a grid of minimum probabilities.
+def two_path_grid(strategies, steps: int = 200):
+    """Deterministic two-path ``(config, chunks)`` over a grid of minimum probabilities.
 
     The grid runs the smaller squared coefficient over [0, 1/2] in ``steps``
     points; the zero endpoint degenerates to a one-dimensional support and
     the 1/2 endpoint to orthogonal states, so every curve connects the two
-    trivial saturation points. Points are ordered per strategy, then by grid
-    position. The dataset is one chunk, so ``steps`` is at most
-    ``duality.EVAL_BLOCK_ENTRIES``.
+    trivial saturation points. It is evaluated once, in blocks of at most
+    ``BLOCK_ROWS`` rows, and each chunk is one pair's column of one block,
+    strategy by strategy. The grid and its evaluated arrays (about 88 B per
+    step) are held meanwhile, so ``steps`` is at most ``EVAL_BLOCK_ENTRIES``.
     """
     if not is_int(steps) or steps < 2:
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
     if steps > EVAL_BLOCK_ENTRIES:
         raise ValidationError(f"grid steps must be at most {EVAL_BLOCK_ENTRIES}, got {steps}")
     pairs = strategy_pairs(strategies)
-    p_min = np.linspace(0.0, 0.5, steps)
-    zero = p_min <= 0.0
-    ends, inner = np.flatnonzero(zero), np.flatnonzero(~zero)
-    blocks = [
-        uniform_block(2, np.zeros((len(ends), 1), dtype=np.intp)),
-        block_from_probabilities(
-            2,
-            np.broadcast_to(np.arange(2), (len(inner), 2)),
-            np.stack([1.0 - p_min[inner], p_min[inner]], axis=1),
-        ),
-    ]
-    chunk = (
-        [evaluate_block(block, pairs) for block in blocks],
-        _interleave([ends, inner], len(pairs), strategy_major=True),
-    )
+    p_min = np.linspace(0.0, 0.5, steps)[1:]  # index 0, the one zero, has n = 1
+    blocks = [evaluate_block(uniform_block(2, np.zeros((1, 1), dtype=np.intp)), pairs)]
+    for lo in range(0, len(p_min), BLOCK_ROWS):
+        part = p_min[lo : lo + BLOCK_ROWS]
+        supports = np.broadcast_to(np.arange(2), (len(part), 2))
+        block = block_from_probabilities(2, supports, np.stack([1.0 - part, part], axis=1))
+        blocks.append(evaluate_block(block, pairs))
     config = {
         "mode": "two-path-grid",
         "N": 2,
         "steps": steps,
         "strategies": [[tag.value, xi] for tag, xi in pairs],
     }
-    return _dataset(config, pairs, [chunk])
+    columns = (
+        replace(b, pairs=pairs[c], knowledge=b.knowledge[:, c], duality_sum=b.duality_sum[:, c])
+        for c in [slice(i, i + 1) for i in range(len(pairs))]
+        for b in blocks
+    )
+    return config, (([column], np.arange(len(column))) for column in columns)
+
+
+def two_path_grid_dataset(strategies, steps: int = 200) -> ScatterDataset:
+    """The :func:`two_path_grid` chunks collected into one dataset."""
+    return _dataset(*two_path_grid(strategies, steps))
 
 
 class Envelope:
@@ -427,11 +430,10 @@ class Envelope:
         np.minimum.at(self.lows, slots, coherence)
         np.maximum.at(self.highs, slots, coherence)
 
-    def add_blocks(self, blocks, pairs: int) -> None:
-        """Fold in every cell of evaluated blocks with ``pairs`` (strategy, xi)
-        columns, block after block."""
+    def add_blocks(self, blocks) -> None:
+        """Fold in every cell of evaluated blocks, block after block."""
         for block in blocks:
-            self.add(block.knowledge.ravel(), np.repeat(block.coherence, pairs))
+            self.add(block.knowledge.ravel(), np.repeat(block.coherence, len(block.pairs)))
 
     def bounds(self) -> tuple[tuple[float, float, float], ...]:
         """``(bin_center, min_coherence, max_coherence)`` of each nonempty bin."""
@@ -446,21 +448,21 @@ def boundary_envelope(dataset: ScatterDataset, bins: int) -> tuple[tuple[float, 
     """Binwise coherence extremes of a dataset over the knowledge axis (see
     :class:`Envelope`), a reproducible stand-in for a boundary polygon."""
     envelope = Envelope(bins)
-    envelope.add_blocks(dataset.blocks, len(dataset.pairs))
+    envelope.add_blocks(dataset.blocks)
     return envelope.bounds()
 
 
 POINTS_CSV_HEADER = ["N", "n", "strategy", "xi", "K", "C", "sum", "support"]
 
 
-def _csv_lines(blocks, pairs, order: np.ndarray) -> list[str]:
+def _csv_lines(blocks, order: np.ndarray) -> list[str]:
     """The CSV row of every point of one ``(blocks, order)`` chunk, in point
     order: the only place the row format is defined."""
     cells = []
     for block in blocks:
         labels = [support_label(row) for row in block.indices.tolist()]
         coherence = block.coherence.tolist()
-        for column, (tag, xi) in enumerate(pairs):
+        for column, (tag, xi) in enumerate(block.pairs):
             head = f"{block.N},{block.n},{tag.value},{xi!r},"
             knowledge, total = block.knowledge[:, column], block.duality_sum[:, column]
             cells += [
@@ -470,16 +472,16 @@ def _csv_lines(blocks, pairs, order: np.ndarray) -> list[str]:
     return [cells[i] for i in order.tolist()]
 
 
-def write_chunks(fileobj, pairs, chunks, envelope: Envelope | None = None) -> int:
+def write_chunks(fileobj, chunks, envelope: Envelope | None = None) -> int:
     """Write the CSV header, then each ``(blocks, order)`` chunk's rows as it
     arrives, folding it into ``envelope`` if given; returns the point count.
     Only one chunk is held at a time."""
     fileobj.write(",".join(POINTS_CSV_HEADER) + "\n")
     count = 0
     for blocks, order in chunks:
-        fileobj.writelines(_csv_lines(blocks, pairs, order))
+        fileobj.writelines(_csv_lines(blocks, order))
         if envelope is not None:
-            envelope.add_blocks(blocks, len(pairs))
+            envelope.add_blocks(blocks)
         count += len(order)
     return count
 
@@ -487,7 +489,7 @@ def write_chunks(fileobj, pairs, chunks, envelope: Envelope | None = None) -> in
 def write_points_csv(dataset: ScatterDataset, fileobj) -> None:
     """A dataset's CSV (header included, LF endings, full-precision floats via
     repr), written from its blocks as one chunk."""
-    write_chunks(fileobj, dataset.pairs, [(dataset.blocks, dataset.order)])
+    write_chunks(fileobj, [(dataset.blocks, dataset.order)])
 
 
 def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int, envelope) -> None:

@@ -248,13 +248,14 @@ class SweepBlock:
     Build blocks with :func:`block_from_probabilities`, :func:`uniform_block`
     or :func:`block_from_specs`. ``duality.evaluate_block`` fills the result
     columns: ``coherence`` per row, and ``knowledge`` and ``duality_sum`` with
-    one column per (strategy, xi) pair.
+    one column per (strategy, xi) pair of ``pairs``, the pairs it was given.
     """
 
     N: int
     indices: np.ndarray
     coeffs: np.ndarray
     amps: np.ndarray
+    pairs: tuple | None = None
     coherence: np.ndarray | None = None
     knowledge: np.ndarray | None = None
     duality_sum: np.ndarray | None = None

@@ -63,6 +63,8 @@ __all__ = [
     "TOLERANCES",
 ]
 
+# Levels of the oracle and hierarchy suites, ascending. The first, xi = 0,
+# is the minimum-error level, whose closed forms serve the ME measurement.
 DEFAULT_XI_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 MONOTONICITY_XI_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 
@@ -203,34 +205,27 @@ def _check_povm(
 class _ClosedForms:
     """What the suites compare one scenario against.
 
-    ``levels[i]`` is ``separation_params(spec, xi_grid[i])`` and
-    ``minimum_error`` is ``separation_params(spec, 0.0)``, all from one array
-    expression.
-    Each other field equals the scalar function in its comment bit for bit;
-    ``tests/test_verify.py`` holds them to that.
+    ``levels[i]`` is ``separation_params(spec, DEFAULT_XI_GRID[i])``, all
+    from one array expression; ``levels[0]``, at xi = 0, is the minimum-error
+    level. Each other field equals the scalar function in its comment bit for
+    bit; ``tests/test_verify.py`` holds them to that.
     """
 
     levels: tuple[SeparationParams, ...]
-    minimum_error: SeparationParams
     conclusive: np.ndarray  # [L, N]: conditional_conclusive(spec, xi) per level
-    me_conclusive: np.ndarray  # conditional_conclusive(spec, 0.0)
     failure: np.ndarray | None  # conditional_failure(spec)
     coherence: float  # coherence(spec)
     ceiling: float  # holevo_ceiling(spec)
 
 
-def _closed_forms(spec: DetectorSpec, xi_grid) -> _ClosedForms:
-    # One more level, xi = 0, for the minimum-error measurement; the failure
-    # profile does not depend on the level.
-    *levels, zero = _separations(spec, (*xi_grid, 0.0))
-    profiles = np.array([params.success_profile for params in (*levels, zero)])
-    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * profiles)
+def _closed_forms(spec: DetectorSpec) -> _ClosedForms:
+    # The failure profile does not depend on the level.
+    levels = _separations(spec, DEFAULT_XI_GRID)
+    profiles = np.array([params.success_profile for params in levels])
     return _ClosedForms(
-        levels=tuple(levels),
-        minimum_error=zero,
-        conclusive=conclusive[:-1],
-        me_conclusive=conclusive[-1],
-        failure=_failure_spectrum(spec, zero.failure_profile),
+        levels=levels,
+        conclusive=_spectrum(spec.N, spec.support.indices, spec.amplitudes * profiles),
+        failure=_failure_spectrum(spec, levels[0].failure_profile),
         coherence=coherence(spec),
         ceiling=holevo_ceiling(spec),
     )
@@ -242,7 +237,7 @@ def _level_knowledge(forms: _ClosedForms, level: int, n_paths: int) -> tuple[flo
     do, in the same order."""
     params = forms.levels[level]
     k_std, k_conc = _knowledge(params, forms.conclusive[level], forms.failure, n_paths)
-    k_me = _knowledge(forms.minimum_error, forms.me_conclusive, None, n_paths)[0]
+    k_me = _knowledge(forms.levels[0], forms.conclusive[0], None, n_paths)[0]
     return k_std, k_conc, k_me
 
 
@@ -326,7 +321,6 @@ def _layout(me_labels: tuple[str, ...], labels: tuple[tuple[str, ...], ...]) -> 
 def _check_oracle(
     result: SuiteResult,
     spec: DetectorSpec,
-    xi_grid,
     outcomes: list[tuple[str, tuple[str, ...]]],
     oracle: OracleArrays,
     forms: _ClosedForms,
@@ -342,13 +336,11 @@ def _check_oracle(
     same-kind conditionals are cyclic shifts of each other; and at xi = 0
     the outcomes reduce to the minimum-error ones.
     """
-    n_levels = len(xi_grid)
-    if not n_levels:
-        return
+    n_levels = len(DEFAULT_XI_GRID)
     (_, me_labels), levels = outcomes[0], outcomes[1:]
     n_paths, n_me = spec.N, len(me_labels)
-    per_level = len(levels) // n_levels
-    layout = _layout(me_labels, tuple(labels for _, labels in levels[:per_level]))
+    tags, labels = zip(*levels[: len(levels) // n_levels])
+    layout = _layout(me_labels, labels)
     block = len(layout.kinds)
     probs = oracle.probs[n_me:].reshape(n_levels, block)
     conds = oracle.conditionals[n_me:].reshape(n_levels, block, n_paths)
@@ -387,19 +379,18 @@ def _check_oracle(
     shift_worst = np.where(defined[:, positions], shift_gap, np.inf).max(axis=2)
     shift_checked = defined[:, positions[:, 0]]
 
-    # Reduction to the minimum-error outcomes at xi = 0.
-    zero = [level for level, xi in enumerate(xi_grid) if xi == 0.0]
+    # Reduction to the minimum-error outcomes at xi = 0, the first level.
     me_defined = oracle.defined[:n_me]
     table = layout.me_positions
-    table_defined = defined[zero][:, table]
-    cond_gap = np.abs(conds[zero][:, table] - oracle.conditionals[:n_me]).max(axis=3)
+    table_defined = defined[0, table]
+    cond_gap = np.abs(conds[0, table] - oracle.conditionals[:n_me]).max(axis=2)
     # Both undefined counts as agreement, one undefined as an infinite gap.
     reduction_cond = np.where(
         table_defined & me_defined,
         cond_gap,
         np.where(table_defined == me_defined, 0.0, np.inf),
     )
-    reduction_prob = np.abs(probs[zero][:, table] - oracle.probs[:n_me])
+    reduction_prob = np.abs(probs[0, table] - oracle.probs[:n_me])
     reduction_ok = (reduction_cond <= REDUCTION_ATOL) & (reduction_prob <= REDUCTION_ATOL)
 
     total_ok = total_gap <= ORACLE_ATOL
@@ -412,10 +403,9 @@ def _check_oracle(
     result.margin("SHIFT_ATOL", shift_worst[shift_checked])
     result.margin("REDUCTION_ATOL", np.maximum(reduction_cond, reduction_prob))
     # Record measurement by measurement, in report order.
-    for level, xi in enumerate(xi_grid):
+    for level, xi in enumerate(DEFAULT_XI_GRID):
         for m, (lo, hi) in enumerate(layout.spans):
-            tag = levels[level * per_level + m][0]
-            labels = layout.labels[m]
+            tag, labels = tags[m], layout.labels[m]
             result.record(
                 total_ok[level, m],
                 spec,
@@ -453,25 +443,22 @@ def _check_oracle(
                         lambda: f"{tag} xi={xi}: cyclic-shift relation off by "
                         f"{shift_worst[level, g]:.3e} for kind {kind!r}",
                     )
-            if xi == 0.0:
-                z = zero.index(level)
+            if level == 0:
                 result.record_all(
-                    reduction_ok[z, m],
+                    reduction_ok[m],
                     spec,
                     lambda i: f"{tag}: xi=0 table differs from minimum-error table at "
-                    f"{me_labels[i]} (cond {reduction_cond[z, m, i]:.3e}, "
-                    f"prob {reduction_prob[z, m, i]:.3e})",
+                    f"{me_labels[i]} (cond {reduction_cond[m, i]:.3e}, "
+                    f"prob {reduction_prob[m, i]:.3e})",
                 )
 
 
-def _check_hierarchy(
-    result: SuiteResult, spec: DetectorSpec, xi_grid, forms: _ClosedForms
-) -> list[float]:
+def _check_hierarchy(result: SuiteResult, spec: DetectorSpec, forms: _ClosedForms) -> list[float]:
     """The theorem links at each level; returns the concatenation gains of
     the levels whose knowledge could be computed."""
     gains = []
     ceiling = forms.ceiling
-    for level, xi in enumerate(xi_grid):
+    for level, xi in enumerate(DEFAULT_XI_GRID):
         try:
             k_std, k_conc, k_me = _level_knowledge(forms, level, spec.N)
         except ValidationError as exc:
@@ -502,13 +489,12 @@ def run_verification(
     samples: int = 1000,
     seed: int = 0,
     n_range: tuple[int, int] = (2, 8),
-    xi_grid=DEFAULT_XI_GRID,
     fault: str | None = None,
 ) -> list[SuiteResult]:
     """Run all six suites over ``samples`` seeded random scenarios.
 
-    ``n_range`` bounds the path count (inclusive). ``xi_grid`` holds the
-    separation levels of the oracle and hierarchy suites, in ascending order.
+    ``n_range`` bounds the path count (inclusive). The oracle and hierarchy
+    suites check each level of ``DEFAULT_XI_GRID``, the first being the ME one.
     ``fault`` names one of ``FAULTS``: the run's two-step measurements are
     then built from corrupted separation data, which the suites must report.
     """
@@ -536,7 +522,7 @@ def run_verification(
         n = int(rng.integers(1, n_paths + 1))
         spec = sample_spec(n_paths, n, rng)
 
-        forms = _closed_forms(spec, xi_grid)
+        forms = _closed_forms(spec)
         symmetric_set = build_symmetric_set(spec)
         batch, parts, outcomes = [], [], []
         for measurement in _measurements(spec, forms, fault):
@@ -552,8 +538,8 @@ def run_verification(
             conditionals=np.concatenate([part.conditionals for part in parts]),
             defined=np.concatenate([part.defined for part in parts]),
         )
-        _check_oracle(oracle, spec, xi_grid, outcomes, arrays, forms)
-        gains = _check_hierarchy(hierarchy, spec, xi_grid, forms)
+        _check_oracle(oracle, spec, outcomes, arrays, forms)
+        gains = _check_hierarchy(hierarchy, spec, forms)
 
         # Separation success probability is non-increasing in xi for every
         # scenario; that follows directly from its closed form.
@@ -574,10 +560,10 @@ def run_verification(
             # only fixes how many checks the suite reports.
             worst = max((a - b for a, b in zip(gains, gains[1:])), default=0.0)
             monotonicity.record(
-                len(gains) == len(xi_grid) and worst <= MONOTONICITY_ATOL,
+                len(gains) == len(DEFAULT_XI_GRID) and worst <= MONOTONICITY_ATOL,
                 spec,
                 lambda: f"concatenation gain decreased by {worst:.3e} along the xi grid "
-                f"(knowledge failed at {len(xi_grid) - len(gains)} levels)",
+                f"(knowledge failed at {len(DEFAULT_XI_GRID) - len(gains)} levels)",
             )
             monotonicity.margin("MONOTONICITY_ATOL", worst)
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -118,6 +119,28 @@ class TestScan:
         assert len(lines) == 1 + 3 * 200
         manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
         assert manifest["config"]["mode"] == "two-path-grid"
+
+    def test_grid_memory_does_not_grow_with_the_grid(self):
+        # Written as one chunk, this grid peaked at 18 MiB of traced
+        # allocations; column by column, only its evaluated arrays stay.
+        argv = ["--N", "2", "--grid", "32768", "--strategy", "conc", "--xi", "0.2,0.9"]
+        tracemalloc.start()
+        try:
+            code = run_cli("scan", *argv, "--out", os.devnull, "--manifest", os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "mode", [("--N", "3", "--samples", "5"), ("--N", "2", "--grid", "5")], ids=["sweep", "grid"]
+    )
+    def test_repeated_pairs_rejected(self, mode, capsys):
+        assert run_cli("scan", *mode, "--strategy", "frio", "--xi", "0.5,0.2,0.5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repeated (strategy, xi) pair ('frio-standard', 0.5)\n"
 
     def test_stdout_mode_emits_only_csv(self, capsys):
         assert run_cli("scan", "--N", "3", "--n", "2", "--samples", "5", "--seed", "1") == 0

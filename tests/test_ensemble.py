@@ -17,6 +17,7 @@ from duality_lab.ensemble import (
     sample_rng,
     sample_spec,
     sweep_chunks,
+    two_path_grid,
     two_path_grid_dataset,
     write_chunks,
     write_manifest,
@@ -24,7 +25,7 @@ from duality_lab.ensemble import (
 )
 from duality_lab.duality import EVAL_BLOCK_ENTRIES, evaluate_block, strategy_pair
 from duality_lab.measurements import Strategy
-from duality_lab.states import ValidationError, enumerate_uniform_specs, uniform_block
+from duality_lab.states import BLOCK_ROWS, ValidationError, enumerate_uniform_specs, uniform_block
 
 from helpers import scalar_point
 
@@ -93,11 +94,14 @@ class TestStrategyPairs:
             lambda: two_path_grid_dataset((("frio-concatenated", 1.5),)),
             lambda: evaluate_block(uniform_block(4, [[0, 1]]), ()),
             lambda: evaluate_block(uniform_block(4, [[0, 1]]), (("me", "x"),)),
+            # Repeated once the minimum-error level is normalized to 0.0.
+            lambda: sweep_config((("me", 0.0), ("frio-standard", 0.5), (Strategy.ME, 0.7))),
         ],
         ids=[
             "unknown-strategy", "text-level", "missing-level", "config-text-level",
             "config-unknown-strategy", "config-empty", "config-short-pair", "grid-empty",
             "grid-unknown-strategy", "grid-level-range", "block-empty", "block-text-level",
+            "config-repeated-pair",
         ],
     )  # fmt: skip
     def test_invalid_pairs_raise_validation_error(self, build):
@@ -294,6 +298,25 @@ class TestTwoPathGrid:
         with pytest.raises(ValidationError):
             two_path_grid_dataset((("me", 0.0),), steps=1)
 
+    def test_chunks_hold_one_pair_and_one_block_each(self):
+        pairs = (("frio-standard", 0.2), ("frio-concatenated", 0.9))
+        steps = 2 * BLOCK_ROWS + 3
+        config, chunks = two_path_grid(pairs, steps)
+        chunks = list(chunks)
+        # The n = 1 row, then three blocks of the others, for each pair.
+        assert len(chunks) == 2 * 4
+        for c, (blocks, order) in enumerate(chunks):
+            (block,) = blocks
+            assert block.pairs == (strategy_pair(*pairs[c // 4]),)
+            assert block.knowledge.shape == block.duality_sum.shape == (len(block), 1)
+            assert 1 <= len(block) <= BLOCK_ROWS
+            assert order.tolist() == list(range(len(block)))
+        assert sum(len(order) for _, order in chunks) == 2 * steps
+        assert config == {
+            "mode": "two-path-grid", "N": 2, "steps": steps,
+            "strategies": [["frio-standard", 0.2], ["frio-concatenated", 0.9]],
+        }  # fmt: skip
+
     def test_grid_matches_the_scalar_formulas(self):
         # The first grid point is one-dimensional, the rest two-dimensional.
         strategies = (("me", 0.0), ("frio-standard", 0.3), ("frio-concatenated", 1.0))
@@ -411,7 +434,7 @@ class TestOutputFormats:
         )
         dataset = run_sweep(cfg)
         envelope, buffer = Envelope(25), io.StringIO()
-        assert write_chunks(buffer, cfg.strategies, sweep_chunks(cfg), envelope) == 10_062
+        assert write_chunks(buffer, sweep_chunks(cfg), envelope) == 10_062
         assert buffer.getvalue() == csv_bytes(dataset)
         assert envelope.bounds() == boundary_envelope(dataset, 25)
         assert dataset.point_count == 10_062

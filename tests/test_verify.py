@@ -49,18 +49,22 @@ class TestFailurePath:
 
 
 class TestSharedClosedForms:
+    def test_level_grid_starts_at_the_minimum_error_level(self):
+        # The closed forms of level 0 serve the minimum-error measurement.
+        assert DEFAULT_XI_GRID[0] == 0.0
+        assert all(a < b for a, b in zip(DEFAULT_XI_GRID, DEFAULT_XI_GRID[1:]))
+
     def test_equal_to_the_scalar_functions(self):
         # 560 verify-style scenarios, path counts 2..16, every level.
         specs = [*iter_specs(500, seed=0), *iter_specs(60, seed=1, n_range=(9, 16))]
         for spec in specs:
-            forms = verify._closed_forms(spec, DEFAULT_XI_GRID)
+            forms = verify._closed_forms(spec)
             assert forms.coherence == coherence(spec)
             assert forms.ceiling == holevo_ceiling(spec)
             failure = conditional_failure(spec)
             assert (forms.failure is None) == (failure is None)
             if failure is not None:
                 assert np.array_equal(forms.failure, failure)
-            assert np.array_equal(forms.me_conclusive, conditional_conclusive(spec, 0.0))
             for level, xi in enumerate(DEFAULT_XI_GRID):
                 assert forms.levels[level].xi == xi
                 assert np.array_equal(forms.conclusive[level], conditional_conclusive(spec, xi))
