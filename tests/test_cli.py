@@ -325,9 +325,17 @@ class TestPinnedSweeps:
                 "4eaa9ebd45bf16dd628afbf30b42b1c3b8efa844db0b75c8f228746c64fd4a50",
                 "abc4d9ecddd8d00ba25db9a523192c8fedbe1edf8c7414165e0beae8d78566f8",
             ),
+            # A fixed n < N: Floyd collisions, an odd count of 32-bit draws
+            # (a half word left over), two chunks and two pairs.
+            (
+                ["--N", "12", "--n", "5", "--samples", "5000", "--strategy", "frio",
+                 "--xi", "0,0.6", "--seed", "21", "--bins", "30"],
+                "e04cceca3da9e4a7bb11a15f509b8bf37888e5cf92e9417278505acfa4f5601b",
+                "a1fe9f37f88b0219963dab887b7db893f506fa41adddf136b0b5c5d0036a90ac",
+            ),
         ],
         ids=["all-dimensions-interleaved", "uniform-overlay", "two-path-grid",
-             "multi-word-seed-two-chunks"],
+             "multi-word-seed-two-chunks", "fixed-dimension-two-chunks"],
     )  # fmt: skip
     def test_outputs_keep_their_digests(self, argv, csv_sha256, envelope_sha256, tmp_path):
         out = tmp_path / "scan.csv"
