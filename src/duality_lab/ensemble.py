@@ -12,11 +12,20 @@ one definition, shared by :func:`sample_spec` and the sweep.
 The sweep keeps the contract without constructing a generator per sample:
 ``_pcg64_states`` computes the ``SeedSequence`` mixing and PCG64 seeding of a
 whole chunk's samples in one array pass, and the chunk's single generator is
-set to each sample's state in turn. Each chunk checks its first state against
-:func:`sample_rng` and raises if numpy seeds differently.
+set to each sample's state in turn. Nor does it call ``choice`` per sample:
+it takes the raw PCG64 words that the dimension and support draws consume,
+then the exponentials, and ``_chunk_draws`` computes numpy's bounded draws
+(Lemire's method on 32-bit halves, low half first) and Floyd's set for
+every sample of a dimension at once. The choice's closing shuffle only
+consumes words, as supports are sorted. A sample is drawn by ``_draw``
+instead when numpy may have rejected one of its bounded draws and drawn
+again, or when its choice shuffles the tail of ``range(N)`` (N > 10,000 and
+n > N // 50). Each chunk checks its first state against :func:`sample_rng`,
+and its first sample's draws against ``_draw``, and raises if numpy seeds
+or draws differently.
 
 Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
-objects: the draws of a chunk of samples are stacked into one block per
+objects: the draws of a chunk of samples are gathered into one block per
 subspace dimension, validated as ``DetectorSpec`` validates one scenario,
 and evaluated by :func:`duality.evaluate_block` once for all (strategy, xi)
 pairs, which label the evaluated block's columns. The uniform overlay and
@@ -287,6 +296,137 @@ def _draw(rng: np.random.Generator, N: int, n: int | None):
     return rng.choice(N, size=n, replace=False), rng.standard_exponential(n)
 
 
+def _draw_bounds(N: int, n: int, draws_dimension: bool) -> np.ndarray:
+    """The exclusive bounds of one sample's 32-bit draws before its
+    coefficients, in stream order, when numpy rejects none: the dimension
+    (when it is drawn), Floyd's steps ``j = N - n..N - 1`` except ``j = 0``,
+    which draws nothing, then the choice's shuffle steps ``i = n - 1..1``."""
+    floyd = np.arange(max(N - n, 1) + 1, N + 1, dtype=np.uint64)
+    shuffle = np.arange(n, 1, -1, dtype=np.uint64)
+    return np.concatenate([np.full(int(draws_dimension), N, dtype=np.uint64), floyd, shuffle])
+
+
+def _floyd_picks(values: np.ndarray, N: int) -> np.ndarray:
+    """Floyd's set, one sample per row, from the bounded values
+    ``values[:, t]`` of steps ``j = N - n + t``: a value already in the set
+    is replaced by ``j``. Returns the picks in step order."""
+    n = values.shape[1]
+    steps = np.arange(n)
+    # A value drawn at an earlier step is in the set, inserted then or before.
+    # Sorted (value, step) keys put each repeat right after an earlier draw.
+    keys = np.sort(values * n + steps, axis=1)
+    repeated = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(repeated, keys[:, 1:] % n, keys[:, 1:] // n == keys[:, :-1] // n, axis=1)
+    # Any other value is in the set only as the j of an earlier step that
+    # replaced its own value; follow such links back to where they settle.
+    earlier = values - (N - n)
+    cells = np.arange(values.size).reshape(values.shape)
+    linked = ~repeated & (earlier >= 0) & (earlier < steps)
+    links = np.where(linked, cells - steps + earlier, cells).ravel()
+    while not np.array_equal(hops := links[links], links):
+        links = hops
+    collided = repeated.ravel()[links].reshape(values.shape)
+    return np.where(collided, N - n + steps, values)
+
+
+def _support_picks(N: int, n: int, draws_dimension: bool, bounds: np.ndarray, words: np.ndarray):
+    """The picks of ``choice(N, n, replace=False)``, in Floyd's step order,
+    from raw PCG64 words, one sample per row, each row holding the draws of
+    ``bounds = _draw_bounds(N, n, draws_dimension)``; and whether numpy may
+    have rejected a draw of the row, which would make it draw more. Rows are
+    taken in slices of at most ``EVAL_BLOCK_ENTRIES`` draws, as the kernel
+    takes them."""
+    picks = np.empty((len(words), n), dtype=np.intp)
+    rejected = np.empty(len(words), dtype=bool)
+    step = max(1, EVAL_BLOCK_ENTRIES // len(bounds))
+    for lo in range(0, len(words), step):
+        # A 64-bit word serves two 32-bit draws u, its low half first. Lemire's
+        # bounded draw is u * bound >> 32; numpy may reject u and draw again
+        # only when the low word of the product is below the bound.
+        halves = words[lo : lo + step].astype("<u8").view("<u4")[:, : len(bounds)]
+        scaled = halves.astype(np.uint64) * bounds
+        rejected[lo : lo + step] = ((scaled & _MASK32) < bounds).any(axis=1)
+        values = (scaled >> 32).astype(np.int64)
+        floyd = values[:, int(draws_dimension) :][:, : n - (N == n)]
+        if N == n:  # the step j = 0 draws nothing and picks 0
+            floyd = np.concatenate([np.zeros((len(floyd), 1), dtype=np.int64), floyd], axis=1)
+        picks[lo : lo + step] = _floyd_picks(floyd, N)
+    return picks, rejected
+
+
+def _chunk_draws(cfg: SweepConfig, start: int, stop: int):
+    """The draws of samples ``start``..``stop - 1``, one ``(positions,
+    supports, weights)`` per subspace dimension in increasing order, as
+    :func:`_draw` makes them from :func:`sample_rng`: unsorted supports and
+    unit exponential weights.
+
+    Per sample, only the raw PCG64 words of its dimension and support draws
+    are taken (their count follows from the dimension, read from the first
+    word when it is drawn), then its exponentials, which start where the
+    choice would have left off because 64-bit draws skip the buffered half
+    word. :func:`_support_picks` then computes the supports of every sample
+    of a dimension at once. A sample is drawn by :func:`_draw` instead when
+    numpy may have rejected one of its draws, or when its choice shuffles
+    the tail. Sample ``start`` is checked against :func:`_draw`, so a numpy
+    that draws differently fails here.
+    """
+    N, draws_dimension = cfg.N, cfg.n is None
+    taken = {}  # dimension -> positions, first raw words, further raw words, exponentials
+    exact = {}  # position -> the draw of a sample drawn by _draw
+    bounds = {}  # dimension -> _draw_bounds
+    for i, rng in enumerate(_sample_generators(cfg.seed, start, stop)):
+        bits, n, rejected = rng.bit_generator, cfg.n, False
+        if draws_dimension:
+            first = bits.random_raw()
+            scaled = (first & _MASK32) * N
+            n, rejected = (scaled >> 32) + 1, scaled & _MASK32 < N
+        # numpy's choice shuffles the tail of range(N) instead of building
+        # Floyd's set when N > 10,000 and n > N // 50.
+        if rejected or (N > 10000 and n > N // 50):
+            exact[i] = _draw(sample_rng(cfg.seed, start + i), N, cfg.n)
+            n = len(exact[i][0])
+        group = taken.get(n)
+        if group is None:
+            group = taken[n] = ([], [], [], [])
+            bounds[n] = _draw_bounds(N, n, draws_dimension)
+        positions, firsts, words, exponentials = group
+        positions.append(i)
+        if i in exact:
+            continue
+        if draws_dimension:
+            firsts.append(first)
+        words.append(bits.random_raw((len(bounds[n]) + 1) // 2 - draws_dimension))
+        exponentials.append(rng.standard_exponential(n))
+    groups = []
+    for n in sorted(taken):
+        positions, firsts, words, exponentials = taken[n]
+        positions = np.array(positions)
+        supports = np.empty((len(positions), n), dtype=np.intp)
+        weights = np.empty((len(positions), n))
+        rows = np.flatnonzero([i not in exact for i in positions.tolist()])
+        if len(rows):
+            words = np.concatenate(words).reshape(len(rows), -1)
+            if draws_dimension:
+                words = np.column_stack([np.array(firsts, dtype=np.uint64), words])
+            supports[rows], rejected = _support_picks(N, n, draws_dimension, bounds[n], words)
+            weights[rows] = np.concatenate(exponentials).reshape(len(rows), n)
+            for i in positions[rows[rejected]].tolist():
+                exact[i] = _draw(sample_rng(cfg.seed, start + i), N, cfg.n)
+        for row, i in enumerate(positions.tolist()):
+            if i in exact:
+                supports[row], weights[row] = exact[i]
+        groups.append((positions, supports, weights))
+    support, weights = next((s[0], w[0]) for p, s, w in groups if p[0] == 0)
+    want_support, want_weights = _draw(sample_rng(cfg.seed, start), N, cfg.n)
+    same_support = np.array_equal(np.sort(support), np.sort(want_support))
+    if not (same_support and np.array_equal(weights, want_weights)):
+        raise RuntimeError(
+            f"numpy {np.__version__} draws differently from the emulation of RNG contract "
+            f"{RNG_CONTRACT} (seed {cfg.seed}, sample {start})"
+        )
+    return groups
+
+
 def _scenarios(supports: np.ndarray, weights: np.ndarray):
     """Sorted supports and flat-simplex probabilities of draws, one per row
     (or of one draw, as 1-D arrays)."""
@@ -318,13 +458,8 @@ def _interleave(groups, pairs: int) -> np.ndarray:
 def _sweep_chunk(cfg: SweepConfig, start: int, stop: int):
     """Samples ``start``..``stop - 1``, one block per subspace dimension, and
     their order."""
-    draws = [_draw(rng, cfg.N, cfg.n) for rng in _sample_generators(cfg.seed, start, stop)]
-    dims = np.fromiter((len(weights) for _, weights in draws), dtype=np.intp, count=len(draws))
     blocks, groups = [], []
-    for n in np.flatnonzero(np.bincount(dims)).tolist():
-        positions = np.flatnonzero(dims == n)
-        supports = np.array([draws[p][0] for p in positions.tolist()])
-        weights = np.array([draws[p][1] for p in positions.tolist()])
+    for positions, supports, weights in _chunk_draws(cfg, start, stop):
         block = block_from_probabilities(cfg.N, *_scenarios(supports, weights))
         blocks.append(evaluate_block(block, cfg.strategies))
         groups.append(positions)

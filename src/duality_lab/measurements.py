@@ -134,11 +134,11 @@ def _separations(spec: DetectorSpec, levels) -> tuple[SeparationParams, ...]:
 
 
 def _level(xi) -> float:
-    """The separation level rule: a float in [0, 1]."""
+    """The separation level rule: a float in [0, 1], with -0.0 read as 0.0."""
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
-    return xi
+    return xi + 0.0  # -0.0 + 0.0 is 0.0; every other level is unchanged
 
 
 def _success(probs: np.ndarray, xi, n_paths: int):

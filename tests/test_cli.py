@@ -272,9 +272,10 @@ class TestScan:
             (["--xi", "0,0"], "minimum-error strategy has no separation level"),
             (["--strategy", "frio", "--xi", "0.2,1.5"], "separation level must lie in [0, 1]"),
             (["--strategy", "conc", "--xi", "nan"], "separation level must lie in [0, 1]"),
+            (["--strategy", "frio", "--xi=0,-0"], "repeated (strategy, xi) pair ('frio-standard', 0.0)"),
         ],
         ids=["me-text", "me-out-of-range", "me-default-strategy", "me-two-levels",
-             "frio-out-of-range", "conc-nan"],
+             "frio-out-of-range", "conc-nan", "frio-zero-twice"],
     )  # fmt: skip
     def test_separation_levels_checked_for_every_strategy(self, argv, message, capsys):
         assert run_cli("scan", "--N", "6", "--samples", "3", *argv) == 2
@@ -288,6 +289,16 @@ class TestScan:
         assert run_cli("scan", "--N", "6", "--samples", "3", "--strategy", "me", "--xi", xi) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",")[2:4] for row in rows] == [["me", "0.0"]] * 3
+
+    def test_negative_zero_level_is_written_as_zero(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        argv = ["--N", "3", "--samples", "2", "--strategy", "frio", "--xi=-0", "--out", str(out)]
+        assert run_cli("scan", *argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0.0"] * 2
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert manifest["config"]["strategies"] == [["frio-standard", 0.0]]
+        assert "-0.0" not in json.dumps(manifest["config"])
 
 
 class TestPinnedSweeps:

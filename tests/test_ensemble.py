@@ -3,6 +3,7 @@ import io
 import json
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,103 @@ class TestChunkSeeding:
         cfg = SweepConfig(N=4, n=2, samples=10, strategies=(("me", 0.0),), seed=3)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("fault", ["consumption", "support"])
+    def test_wrong_emulated_draws_fail_the_sweep(self, monkeypatch, fault):
+        if fault == "consumption":  # one raw word too many before the exponentials
+            bounds, extra = ensemble._draw_bounds, np.uint64([2, 2])
+            monkeypatch.setattr(ensemble, "_draw_bounds", lambda *args: np.append(bounds(*args), extra))
+        else:  # Floyd's set without its collision rule
+            monkeypatch.setattr(ensemble, "_floyd_picks", lambda values, N: values)
+        cfg = SweepConfig(N=6, n=6, samples=10, strategies=(("me", 0.0),), seed=3)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} draws differently"):
+            run_sweep(cfg)
+
+
+def counted_draws(monkeypatch):
+    """Records every ``ensemble._draw`` call: the chunk's check of its first
+    sample makes one, and each sample drawn by ``_draw`` instead of the
+    emulation one more."""
+    calls = []
+    draw = ensemble._draw
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(ensemble, "_draw", counted)
+    return calls
+
+
+class TestChunkDraws:
+    """The sweep emulates each sample's dimension and support draws from its
+    raw PCG64 words; every sample must still get ``_draw``'s numbers."""
+
+    @staticmethod
+    def assert_draws_match(cfg, start, stop):
+        draws = [ensemble._draw(sample_rng(cfg.seed, i), cfg.N, cfg.n) for i in range(start, stop)]
+        groups = ensemble._chunk_draws(cfg, start, stop)
+        assert [supports.shape[1] for _, supports, _ in groups] == sorted(
+            {len(weights) for _, weights in draws}
+        )
+        got = {}
+        for positions, supports, weights in groups:
+            got.update(zip(positions.tolist(), zip(supports, weights)))
+        assert sorted(got) == list(range(stop - start))
+        for i, (support, weights) in enumerate(draws):
+            np.testing.assert_array_equal(np.sort(got[i][0]), np.sort(support))
+            np.testing.assert_array_equal(got[i][1], weights)
+
+    @pytest.mark.parametrize("N", range(2, 25))
+    def test_every_dimension_across_a_chunk_boundary(self, N):
+        # A sweep takes N >= 2 paths. n = None draws the dimension first.
+        for n in [None, *range(1, N + 1)]:
+            cfg = SweepConfig(N=N, n=n, samples=2 * BLOCK_ROWS, strategies=(("me", 0.0),), seed=N)
+            size = 48 if n is None else 8
+            self.assert_draws_match(cfg, BLOCK_ROWS - size, BLOCK_ROWS)
+            self.assert_draws_match(cfg, BLOCK_ROWS, BLOCK_ROWS + size)
+
+    @pytest.mark.parametrize(
+        "N, n, seed, start, stop",
+        [
+            # About one draw in 16,000 has a low product word below its
+            # bound at 2^18 paths; two of these 4,096 samples have one.
+            (EVAL_BLOCK_ENTRIES, 5, 0, 0, BLOCK_ROWS),
+            # numpy rejects the dimension draw of sample 322,803.
+            (10000, None, 1, 322800, 322806),
+        ],
+        ids=["support", "dimension"],
+    )
+    def test_draws_numpy_may_reject_are_redrawn(self, monkeypatch, N, n, seed, start, stop):
+        cfg = SweepConfig(N=N, n=n, samples=stop, strategies=(("me", 0.0),), seed=seed)
+        calls = counted_draws(monkeypatch)
+        ensemble._chunk_draws(cfg, start, stop)
+        assert len(calls) >= 2
+        monkeypatch.undo()
+        self.assert_draws_match(cfg, start, stop)
+
+    @pytest.mark.parametrize("n, redrawn", [(200, False), (201, True)])
+    def test_tail_shuffled_choices_are_drawn_per_sample(self, monkeypatch, n, redrawn):
+        # Above 10,000 paths numpy shuffles the tail of range(N) once
+        # n > N // 50. At n = 200 none of these samples has a draw numpy may
+        # reject, so only the check calls _draw.
+        cfg = SweepConfig(N=10001, n=n, samples=24, strategies=(("me", 0.0),), seed=2)
+        calls = counted_draws(monkeypatch)
+        ensemble._chunk_draws(cfg, 0, 24)
+        assert len(calls) == (1 + 24 if redrawn else 1)
+        monkeypatch.undo()
+        self.assert_draws_match(cfg, 0, 24)
+
+    def test_memory_stays_small_at_the_path_limit(self):
+        # A (4096, N) membership table would take 1 GiB at N = 2^18.
+        cfg = SweepConfig(N=EVAL_BLOCK_ENTRIES, n=5, samples=BLOCK_ROWS, strategies=(("me", 0.0),), seed=0)
+        tracemalloc.start()
+        try:
+            ensemble._chunk_draws(cfg, 0, BLOCK_ROWS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestRunSweep:
