@@ -1,6 +1,8 @@
 """The array form of ``verify``: its failure path, the closed forms it shares
 per scenario, and how often it calls the per-scenario builders."""
 
+import hashlib
+import json
 import sys
 import tracemalloc
 
@@ -46,6 +48,25 @@ class TestFailurePath:
         )
         labels = {v.split(": conditional ")[1].split()[0] for v in oracle.violations}
         assert {"fc0", "fc1"} <= labels
+
+
+class TestPinnedReport:
+    def test_report_digest(self):
+        # Names, check counts, violation texts and worst gaps of every suite:
+        # two faulted runs (small and large path counts) and a clean one.
+        # Recorded with Python 3.11.7 and numpy 2.4.6.
+        digest = hashlib.sha256()
+        for results in (
+            run_verification(60, seed=0, fault="gk-sign"),
+            run_verification(30, seed=2, n_range=(9, 20), fault="gk-sign"),
+            run_verification(200, seed=5),
+        ):
+            for r in results:
+                worst = sorted((k, repr(v)) for k, v in r.worst.items())
+                digest.update(json.dumps([r.name, r.checks, r.violations, worst]).encode())
+        assert digest.hexdigest() == (
+            "26b77282e761b1ea9efadae5f39c3a940804c200ee545bd67b6d3b41c97931c3"
+        )
 
 
 class TestSharedClosedForms:
