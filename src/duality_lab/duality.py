@@ -74,17 +74,18 @@ EVAL_BLOCK_ENTRIES = 1 << 18
 def shannon_entropy(probabilities) -> float:
     """Shannon entropy in bits, with the 0*log(0) = 0 convention.
 
-    Entries may be negative by at most 1e-12 (roundoff) and are clamped into
-    [0, 1]; the vector must sum to 1 within 1e-9.
+    The input must be a nonempty 1-D vector. Entries may be negative by at
+    most 1e-12 (roundoff) and are clamped into [0, 1]; the vector must sum to
+    1 within 1e-9. NaN fails both checks.
     """
     probs = np.asarray(probabilities, dtype=float)
-    if probs.size == 0 or float(probs.min()) < -ENTRY_ATOL:
+    if probs.ndim != 1 or probs.size == 0 or not float(probs.min()) >= -ENTRY_ATOL:
         raise ValidationError(
             "entropy input must be a nonempty vector of entries >= -1e-12"
         )
     probs = np.clip(probs, 0.0, 1.0)
     total = float(probs.sum())
-    if abs(total - 1.0) > SUM_ATOL:
+    if not abs(total - 1.0) <= SUM_ATOL:
         raise ValidationError(f"entropy input must sum to 1 within {SUM_ATOL} (got {total!r})")
     positive = probs[probs > 0.0]
     return float(-(positive * np.log2(positive)).sum())
@@ -100,13 +101,13 @@ def shannon_entropies(probabilities) -> np.ndarray:
     rows instead would change the pairwise order and the last digit.
     """
     probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 2 or probs.size == 0 or float(probs.min()) < -ENTRY_ATOL:
+    if probs.ndim != 2 or probs.size == 0 or not float(probs.min()) >= -ENTRY_ATOL:
         raise ValidationError(
             "entropy input must be a nonempty 2-D array of entries >= -1e-12"
         )
     probs = np.clip(probs, 0.0, 1.0)
     totals = probs.sum(axis=1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > SUM_ATOL)
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_ATOL))
     if off.size:
         raise ValidationError(
             f"entropy input must sum to 1 within {SUM_ATOL} "

@@ -135,7 +135,10 @@ def _separations(spec: DetectorSpec, levels) -> tuple[SeparationParams, ...]:
 
 def _level(xi) -> float:
     """The separation level rule: a float in [0, 1], with -0.0 read as 0.0."""
-    xi = float(xi)
+    try:
+        xi = float(xi)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"separation level must be a number in [0, 1], got {xi!r}") from exc
     if not 0.0 <= xi <= 1.0:
         raise ValidationError(f"separation level must lie in [0, 1], got {xi!r}")
     return xi + 0.0  # -0.0 + 0.0 is 0.0; every other level is unchanged
@@ -237,6 +240,10 @@ def build_two_step_measurements(
     element ``f`` is their sum. The failure elements are identically zero
     when the coefficients are uniform (no failure branch) and at xi = 0
     (separation never fails).
+
+    The outcome order is fixed: ``c0..c{N-1}, f`` for the standard
+    measurement and ``c0..c{N-1}, fc0..fc{N-1}`` for the concatenated one.
+    ``verify`` reads outcomes by position in this order.
     """
     _check_povm_size(spec)
     rows = _profile_states(spec, params.p_success, params.success_profile)

@@ -14,7 +14,8 @@ computed once, with every level's separation data and conclusive spectrum
 from one array call each, its measurements go through as few element
 stacks as ``STACK_ENTRIES`` allows (one ``eigvalsh`` call and one oracle
 call each, a single stack at small path counts), and oracle rows are
-compared with the closed forms by index arithmetic. Violation messages are only formatted for checks that fail.
+compared with the closed forms by position, in the fixed outcome order of
+the POVM builders. Violation messages are only formatted for checks that fail.
 Every suite also keeps the largest gap it saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .measurements import (
     Measurement,
     OracleArrays,
     SeparationParams,
+    Strategy,
     _failure_spectrum,
     _separations,
     _spectrum,
@@ -97,10 +98,6 @@ TOLERANCES = {
 
 # Deliberately corrupted formulas that the suites must report.
 FAULTS = ("gk-sign",)
-
-# Outcome kinds by label prefix: conclusive, conclusive after failure, and
-# the inconclusive outcome.
-KINDS = ("c", "fc", "f")
 
 
 @dataclass
@@ -264,133 +261,82 @@ def _check_stack(
     return oracle_arrays(symmetric_set, elements)
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """Where the outcomes of one level's two-step measurements sit.
-
-    A level block holds the elements of its measurements in order;
-    ``spans[m]`` is the slice of measurement ``m``. ``kinds`` gives each
-    outcome's kind (index into ``KINDS``), and ``cols[b, l] = (l - j) % N``
-    with j the number in outcome b's label gathers its closed-form row;
-    ``roll[j, l] = (l - j) % N``. ``cyclic`` lists each (measurement, kind)
-    with a ``{kind}0`` outcome, and the matching row of ``cyclic_positions``
-    the block positions of ``{kind}0..{kind}{N-1}``. ``me_positions[m]``
-    holds the block position of each minimum-error label in measurement m.
-    """
-
-    labels: tuple[tuple[str, ...], ...]
-    spans: tuple[tuple[int, int], ...]
-    kinds: np.ndarray
-    cols: np.ndarray
-    roll: np.ndarray
-    cyclic: tuple[tuple[int, str], ...]
-    cyclic_positions: np.ndarray
-    me_positions: np.ndarray
-
-
-@lru_cache(maxsize=MAX_POVM_PATHS)
-def _layout(me_labels: tuple[str, ...], labels: tuple[tuple[str, ...], ...]) -> _Layout:
-    n_paths = len(me_labels)
-    flat = [(m, label) for m, names in enumerate(labels) for label in names]
-    position = {key: b for b, key in enumerate(flat)}
-    spans = tuple(
-        (position[(m, names[0])], position[(m, names[-1])] + 1) for m, names in enumerate(labels)
-    )
-    kinds = np.array([KINDS.index(label.rstrip("0123456789")) for _, label in flat])
-    shifts = np.array([0 if label == "f" else int(label.lstrip("cf")) for _, label in flat])
-    cyclic = tuple(
-        (m, kind) for m, names in enumerate(labels) for kind in ("c", "fc") if f"{kind}0" in names
-    )
-    steps = np.arange(n_paths)
-    return _Layout(
-        labels=labels,
-        spans=spans,
-        kinds=kinds,
-        cols=(steps - shifts[:, None]) % n_paths,
-        roll=(steps[None, :] - steps[:, None]) % n_paths,
-        cyclic=cyclic,
-        cyclic_positions=np.array(
-            [[position[(m, f"{kind}{j}")] for j in range(n_paths)] for m, kind in cyclic]
-        ).reshape(len(cyclic), n_paths),
-        me_positions=np.array(
-            [[position[(m, label)] for label in me_labels] for m in range(len(labels))]
-        ),
-    )
+def _outcome_label(m: int, i: int, n_paths: int) -> str:
+    """Label of outcome ``i`` of a level's standard (m = 0) or concatenated
+    (m = 1) measurement."""
+    return f"c{i}" if i < n_paths else ("f", f"fc{i - n_paths}")[m]
 
 
 def _check_oracle(
-    result: SuiteResult,
-    spec: DetectorSpec,
-    outcomes: list[tuple[str, tuple[str, ...]]],
-    oracle: OracleArrays,
-    forms: _ClosedForms,
+    result: SuiteResult, spec: DetectorSpec, oracle: OracleArrays, forms: _ClosedForms
 ) -> None:
     """Compare the oracle with the closed forms for every two-step
     measurement of a scenario.
 
-    ``outcomes`` gives the strategy tag and outcome labels of the
-    minimum-error measurement, then of each level's two-step measurements in
-    order; ``oracle`` covers their elements. Per measurement: the outcome
+    ``oracle`` covers the outcomes in the order the builders fix: the
+    minimum-error measurement's ``c0..c{N-1}``, then per level a block of
+    3N + 1, the standard measurement's ``c0..c{N-1}, f`` and the concatenated
+    one's ``c0..c{N-1}, fc0..fc{N-1}``. Per measurement: the outcome
     probabilities sum to 1; each outcome probability and each defined
     conditional match the closed form, and each conditional sums to 1;
     same-kind conditionals are cyclic shifts of each other; and at xi = 0
     the outcomes reduce to the minimum-error ones.
     """
-    n_levels = len(DEFAULT_XI_GRID)
-    (_, me_labels), levels = outcomes[0], outcomes[1:]
-    n_paths, n_me = spec.N, len(me_labels)
-    tags, labels = zip(*levels[: len(levels) // n_levels])
-    layout = _layout(me_labels, labels)
-    block = len(layout.kinds)
-    probs = oracle.probs[n_me:].reshape(n_levels, block)
-    conds = oracle.conditionals[n_me:].reshape(n_levels, block, n_paths)
-    defined = oracle.defined[n_me:].reshape(n_levels, block)
+    n_levels, n_paths = len(DEFAULT_XI_GRID), spec.N
+    block = 3 * n_paths + 1
+    # A level's standard, then concatenated measurement: tags and block spans.
+    tags = (Strategy.FRIO_STANDARD.value, Strategy.FRIO_CONCATENATED.value)
+    spans = ((0, n_paths + 1), (n_paths + 1, block))
+    probs = oracle.probs[n_paths:].reshape(n_levels, block)
+    conds = oracle.conditionals[n_paths:].reshape(n_levels, block, n_paths)
+    defined = oracle.defined[n_paths:].reshape(n_levels, block)
 
-    # Outcome probabilities and totals, against p_success/N, p_fail/N, p_fail.
-    p_success = np.array([params.p_success for params in forms.levels])
-    p_fail = np.array([params.p_fail for params in forms.levels])
-    by_kind = np.stack([p_success / n_paths, p_fail / n_paths, p_fail], axis=1)
-    expected_probs = by_kind[:, layout.kinds]
+    # Outcome probabilities and totals: c outcomes against p_success/N, f
+    # against p_fail and fc outcomes against p_fail/N.
+    rates = np.array([(p.p_success / n_paths, p.p_fail, p.p_fail / n_paths) for p in forms.levels])
+    expected_probs = rates[:, np.repeat([0, 1, 0, 2], (n_paths, 1, n_paths, n_paths))]
     prob_gap = np.abs(probs - expected_probs)
     # Python's sum in label order, as over the values of oracle_outcome_table.
-    totals = np.array([[sum(row[lo:hi]) for lo, hi in layout.spans] for row in probs.tolist()])
+    totals = np.array([[sum(row[lo:hi]) for lo, hi in spans] for row in probs.tolist()])
     total_gap = np.abs(totals - 1.0)
 
-    # Conditionals against the closed-form row shifted by the label's j; an
-    # absent failure branch leaves nothing to match (infinite gap).
+    # Conditionals against the closed-form row shifted by the label's j,
+    # ``roll[j, l] = (l - j) % N``; an absent failure branch leaves nothing
+    # to match (infinite gap).
+    steps = np.arange(n_paths)
+    roll = (steps[None, :] - steps[:, None]) % n_paths
     failure = forms.failure if forms.failure is not None else np.full(n_paths, np.inf)
-    bases = np.stack(
-        [
-            forms.conclusive,
-            np.broadcast_to(failure, (n_levels, n_paths)),
-            np.full((n_levels, n_paths), 1.0 / n_paths),
-        ],
-        axis=1,
-    )
-    deviation = np.abs(conds - bases[:, layout.kinds[:, None], layout.cols]).max(axis=2)
+    shifted = forms.conclusive[:, roll]
+    uniform = np.full((n_levels, 1, n_paths), 1.0 / n_paths)
+    failure_shifted = np.broadcast_to(failure[roll], shifted.shape)
+    bases = np.concatenate([shifted, uniform, shifted, failure_shifted], axis=1)
+    deviation = np.abs(conds - bases).max(axis=2)
     sums = conds.sum(axis=2)
     sum_gap = np.abs(sums - 1.0)
 
     # Cyclic shifts between same-kind conditionals, oracle only; checked
-    # where the {kind}0 conditional is defined.
-    positions = layout.cyclic_positions
+    # where the {kind}0 conditional is defined. Row g of ``positions`` holds
+    # the block positions of {kind}0..{kind}{N-1} of cyclic[g].
+    cyclic = ((0, "c"), (1, "c"), (1, "fc"))
+    positions = steps + np.array([[0], [n_paths + 1], [2 * n_paths + 1]])
     reference = conds[:, positions[:, 0]]
-    shift_gap = np.abs(conds[:, positions] - reference[:, :, layout.roll]).max(axis=3)
+    shift_gap = np.abs(conds[:, positions] - reference[:, :, roll]).max(axis=3)
     shift_worst = np.where(defined[:, positions], shift_gap, np.inf).max(axis=2)
     shift_checked = defined[:, positions[:, 0]]
 
-    # Reduction to the minimum-error outcomes at xi = 0, the first level.
-    me_defined = oracle.defined[:n_me]
-    table = layout.me_positions
+    # Reduction to the minimum-error outcomes at xi = 0, the first level:
+    # each measurement's c0..c{N-1} against the minimum-error ones.
+    me_defined = oracle.defined[:n_paths]
+    table = positions[:2]
     table_defined = defined[0, table]
-    cond_gap = np.abs(conds[0, table] - oracle.conditionals[:n_me]).max(axis=2)
+    cond_gap = np.abs(conds[0, table] - oracle.conditionals[:n_paths]).max(axis=2)
     # Both undefined counts as agreement, one undefined as an infinite gap.
     reduction_cond = np.where(
         table_defined & me_defined,
         cond_gap,
         np.where(table_defined == me_defined, 0.0, np.inf),
     )
-    reduction_prob = np.abs(probs[0, table] - oracle.probs[:n_me])
+    reduction_prob = np.abs(probs[0, table] - oracle.probs[:n_paths])
     reduction_ok = (reduction_cond <= REDUCTION_ATOL) & (reduction_prob <= REDUCTION_ATOL)
 
     total_ok = total_gap <= ORACLE_ATOL
@@ -404,8 +350,8 @@ def _check_oracle(
     result.margin("REDUCTION_ATOL", np.maximum(reduction_cond, reduction_prob))
     # Record measurement by measurement, in report order.
     for level, xi in enumerate(DEFAULT_XI_GRID):
-        for m, (lo, hi) in enumerate(layout.spans):
-            tag, labels = tags[m], layout.labels[m]
+        for m, (lo, hi) in enumerate(spans):
+            tag = tags[m]
             result.record(
                 total_ok[level, m],
                 spec,
@@ -414,7 +360,7 @@ def _check_oracle(
             result.record_all(
                 prob_ok[level, lo:hi],
                 spec,
-                lambda i: f"{tag} xi={xi}: outcome {labels[i]} prob "
+                lambda i: f"{tag} xi={xi}: outcome {_outcome_label(m, i, n_paths)} prob "
                 f"{float(probs[level, lo + i])!r} != closed form "
                 f"{float(expected_probs[level, lo + i])!r}",
             )
@@ -422,7 +368,7 @@ def _check_oracle(
 
             def conditional(i: int) -> str:
                 b = live[i // 2]
-                label = labels[b - lo]
+                label = _outcome_label(m, b - lo, n_paths)
                 if i % 2 == 0:
                     return (
                         f"{tag} xi={xi}: conditional {label} deviates from closed form "
@@ -435,7 +381,7 @@ def _check_oracle(
                 spec,
                 conditional,
             )
-            for g, (owner, kind) in enumerate(layout.cyclic):
+            for g, (owner, kind) in enumerate(cyclic):
                 if owner == m and shift_checked[level, g]:
                     result.record(
                         shift_ok[level, g],
@@ -448,7 +394,7 @@ def _check_oracle(
                     reduction_ok[m],
                     spec,
                     lambda i: f"{tag}: xi=0 table differs from minimum-error table at "
-                    f"{me_labels[i]} (cond {reduction_cond[m, i]:.3e}, "
+                    f"c{i} (cond {reduction_cond[m, i]:.3e}, "
                     f"prob {reduction_prob[m, i]:.3e})",
                 )
 
@@ -502,8 +448,11 @@ def run_verification(
         raise ValidationError(f"sample count must be a positive integer, got {samples!r}")
     if not is_int(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    lo, hi = n_range
-    if not 2 <= lo <= hi <= MAX_POVM_PATHS:
+    try:
+        lo, hi = n_range
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (is_int(lo) and is_int(hi) and 2 <= lo <= hi <= MAX_POVM_PATHS):
         raise ValidationError(
             f"path-count range must satisfy 2 <= lo <= hi <= {MAX_POVM_PATHS}, got {n_range!r}"
         )
@@ -524,9 +473,8 @@ def run_verification(
 
         forms = _closed_forms(spec)
         symmetric_set = build_symmetric_set(spec)
-        batch, parts, outcomes = [], [], []
+        batch, parts = [], []
         for measurement in _measurements(spec, forms, fault):
-            outcomes.append((measurement.strategy.value, measurement.labels()))
             stacked = sum(len(m.elements) for m in batch) + len(measurement.elements)
             if batch and stacked * spec.N**2 > STACK_ENTRIES:
                 parts.append(_check_stack(completeness, spec, symmetric_set, batch))
@@ -538,7 +486,7 @@ def run_verification(
             conditionals=np.concatenate([part.conditionals for part in parts]),
             defined=np.concatenate([part.defined for part in parts]),
         )
-        _check_oracle(oracle, spec, outcomes, arrays, forms)
+        _check_oracle(oracle, spec, arrays, forms)
         gains = _check_hierarchy(hierarchy, spec, forms)
 
         # Separation success probability is non-increasing in xi for every

@@ -85,6 +85,14 @@ class TestShannonEntropy:
     def test_tiny_negative_roundoff_tolerated(self):
         assert shannon_entropy([1.0, -1e-13, 1e-13]) == pytest.approx(0.0, abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [None, [math.nan, 1.0], [1.0, math.nan], [math.nan], 1.0, [[0.5, 0.5]], []],
+    )
+    def test_nan_and_non_vector_input_rejected(self, probabilities):
+        with pytest.raises(ValidationError):
+            shannon_entropy(probabilities)
+
 
 class TestShannonEntropies:
     def test_rows_match_the_scalar_entropy_bit_for_bit(self):
@@ -106,7 +114,14 @@ class TestShannonEntropies:
 
     @pytest.mark.parametrize(
         "rows",
-        [[[0.6, 0.5, -0.1]], [[0.5, 0.5], [0.4, 0.4]], [0.5, 0.5], np.zeros((0, 3))],
+        [
+            [[0.6, 0.5, -0.1]],
+            [[0.5, 0.5], [0.4, 0.4]],
+            [0.5, 0.5],
+            np.zeros((0, 3)),
+            [[math.nan, 1.0]],
+            [[1.0, 0.0], [math.nan, math.nan]],
+        ],
     )
     def test_invalid_rows_rejected(self, rows):
         with pytest.raises(ValidationError):

@@ -13,6 +13,7 @@ from duality_lab.measurements import (
     build_frio_concatenated,
     build_frio_standard,
     build_me_measurement,
+    build_two_step_measurements,
     conditional_conclusive,
     conditional_failure,
     measurement_to_json_dict,
@@ -80,6 +81,22 @@ class TestSeparationParams:
     def test_level_out_of_range(self, xi):
         with pytest.raises(ValidationError):
             separation_params(uniform_spec(3, (0, 1)), xi)
+
+    @pytest.mark.parametrize("xi", [None, "abc", [0.5], (0.2, 0.3)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            separation_params,
+            conditional_conclusive,
+            build_frio_standard,
+            build_frio_concatenated,
+            knowledge_frio,
+            knowledge_concatenated,
+        ],
+    )
+    def test_level_that_is_not_a_number(self, call, xi):
+        with pytest.raises(ValidationError, match="separation level must be a number"):
+            call(spec_from_probabilities(3, (0, 1), (0.7, 0.3)), xi)
 
 
 class TestMinimumErrorMeasurement:
@@ -385,6 +402,21 @@ class TestInputLimits:
     def test_one_more_path_rejected(self, build):
         with pytest.raises(ValidationError, match="at most 64 paths"):
             build(uniform_spec(MAX_POVM_PATHS + 1, (0, 1)))
+
+
+class TestOutcomeOrder:
+    @pytest.mark.parametrize("n_paths", [2, 7, MAX_POVM_PATHS])
+    def test_builders_fix_the_label_order(self, n_paths):
+        # verify's oracle suite reads outcomes by position in this order.
+        spec = spec_from_probabilities(n_paths, (0, 1), (0.7, 0.3))
+        conclusive = tuple(f"c{j}" for j in range(n_paths))
+        failures = tuple(f"fc{j}" for j in range(n_paths))
+        standard, concatenated = build_two_step_measurements(spec, separation_params(spec, 0.5))
+        assert build_me_measurement(spec).labels() == conclusive
+        assert standard.labels() == conclusive + ("f",)
+        assert concatenated.labels() == conclusive + failures
+        assert build_frio_standard(spec, 0.5).labels() == standard.labels()
+        assert build_frio_concatenated(spec, 0.5).labels() == concatenated.labels()
 
 
 class TestStrategyTags:

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import duality_lab.verify as verify
 from duality_lab.duality import (
@@ -17,6 +18,7 @@ from duality_lab.duality import (
     knowledge_me,
 )
 from duality_lab.measurements import conditional_conclusive, conditional_failure
+from duality_lab.states import ValidationError
 from duality_lab.verify import DEFAULT_XI_GRID, MONOTONICITY_XI_GRID, run_verification
 
 from helpers import iter_specs
@@ -67,6 +69,26 @@ class TestPinnedReport:
         assert digest.hexdigest() == (
             "26b77282e761b1ea9efadae5f39c3a940804c200ee545bd67b6d3b41c97931c3"
         )
+
+
+class TestPathCountRange:
+    @pytest.mark.parametrize(
+        "n_range",
+        [(2.5, 4), (2, 4.0), "24", (2, 3, 4), (2,), None, 8, (True, 4), (np.int64(2), 4)],
+    )
+    def test_anything_but_two_integers_rejected(self, n_range):
+        with pytest.raises(ValidationError, match="path-count range"):
+            run_verification(1, n_range=n_range)
+
+    @pytest.mark.parametrize("n_range", [(1, 4), (5, 4), (2, 65)])
+    def test_out_of_order_or_out_of_bounds_rejected(self, n_range):
+        with pytest.raises(ValidationError, match="path-count range"):
+            run_verification(1, n_range=n_range)
+
+    def test_list_of_two_integers_runs(self):
+        assert [r.checks for r in run_verification(2, n_range=[3, 4])] == [
+            r.checks for r in run_verification(2, n_range=(3, 4))
+        ]
 
 
 class TestSharedClosedForms:
