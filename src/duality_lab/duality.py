@@ -26,14 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measurements import (
-    SeparationParams,
     Strategy,
     _failure_profile,
+    _failure_spectrum,
     _level,
     _normalized,
     _spectrum,
     _success,
-    conditional_failure,
     separation_params,
 )
 from .states import (
@@ -71,24 +70,41 @@ DUALITY_SUM_ATOL = 1e-9
 EVAL_BLOCK_ENTRIES = 1 << 18
 
 
+def _checked(probabilities, ndim: int) -> np.ndarray:
+    """Entropy input as a float array of ``ndim`` (1 or 2) dimensions, clamped
+    into [0, 1]. Raw entries must lie within 1e-12 of [0, 1] (NaN and
+    infinities fail), and each row (last axis) must sum to 1 within 1e-9."""
+    probs = np.asarray(probabilities, dtype=float)
+    if probs.ndim != ndim or not (
+        probs.size and -ENTRY_ATOL <= float(probs.min()) and float(probs.max()) <= 1 + ENTRY_ATOL
+    ):
+        raise ValidationError(
+            f"entropy input must be a nonempty {('vector', '2-D array')[ndim - 1]} "
+            "of entries in [-1e-12, 1 + 1e-12]"
+        )
+    probs = np.clip(probs, 0.0, 1.0)
+    totals = probs.reshape(-1, probs.shape[-1]).sum(axis=1)
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_ATOL))
+    if off.size:
+        raise ValidationError(
+            f"entropy input must sum to 1 within {SUM_ATOL} "
+            f"(row {off[0]} sums to {float(totals[off[0]])!r})"
+        )
+    return probs
+
+
 def shannon_entropy(probabilities) -> float:
     """Shannon entropy in bits, with the 0*log(0) = 0 convention.
 
-    The input must be a nonempty 1-D vector. Entries may be negative by at
-    most 1e-12 (roundoff) and are clamped into [0, 1]; the vector must sum to
-    1 within 1e-9. NaN fails both checks.
+    The input must be a nonempty 1-D vector. Entries may lie outside [0, 1]
+    by at most 1e-12 (roundoff) and are then clamped into it; the vector must
+    sum to 1 within 1e-9. NaN and infinities fail. A deterministic
+    distribution gives +0.0.
     """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 1 or probs.size == 0 or not float(probs.min()) >= -ENTRY_ATOL:
-        raise ValidationError(
-            "entropy input must be a nonempty vector of entries >= -1e-12"
-        )
-    probs = np.clip(probs, 0.0, 1.0)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= SUM_ATOL:
-        raise ValidationError(f"entropy input must sum to 1 within {SUM_ATOL} (got {total!r})")
+    probs = _checked(probabilities, 1)
     positive = probs[probs > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
+    # 0.0 - x is -x, except that an all-zero sum gives +0.0, not -0.0.
+    return float(0.0 - (positive * np.log2(positive)).sum())
 
 
 def shannon_entropies(probabilities) -> np.ndarray:
@@ -100,26 +116,14 @@ def shannon_entropies(probabilities) -> np.ndarray:
     ``shannon_entropy(probabilities[i])`` bit for bit; summing zero-padded
     rows instead would change the pairwise order and the last digit.
     """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 2 or probs.size == 0 or not float(probs.min()) >= -ENTRY_ATOL:
-        raise ValidationError(
-            "entropy input must be a nonempty 2-D array of entries >= -1e-12"
-        )
-    probs = np.clip(probs, 0.0, 1.0)
-    totals = probs.sum(axis=1)
-    off = np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_ATOL))
-    if off.size:
-        raise ValidationError(
-            f"entropy input must sum to 1 within {SUM_ATOL} "
-            f"(row {off[0]} sums to {float(totals[off[0]])!r})"
-        )
+    probs = _checked(probabilities, 2)
     positive = probs > 0.0
     counts = positive.sum(axis=1)
     entropies = np.empty(len(probs))
     for count in np.flatnonzero(np.bincount(counts)):
         rows = counts == count
         compact = probs[rows][positive[rows]].reshape(-1, count)
-        entropies[rows] = -(compact * np.log2(compact)).sum(axis=1)
+        entropies[rows] = 0.0 - (compact * np.log2(compact)).sum(axis=1)
     return entropies
 
 
@@ -143,22 +147,6 @@ def coherence(spec: DetectorSpec) -> float:
     return _normalized_info(spec.probabilities, spec.N)
 
 
-def _knowledge(
-    params: SeparationParams, conclusive: np.ndarray, failure: np.ndarray | None, n_paths: int
-) -> tuple[float, float]:
-    """Standard and concatenated knowledge at the level of ``params``.
-
-    ``conclusive`` is the level's conclusive conditional and ``failure`` the
-    failure-branch conditional, or None when that branch is absent. The one
-    formula behind :func:`knowledge_frio`, :func:`knowledge_concatenated`,
-    :func:`knowledge_me` and ``verify``'s hierarchy suite.
-    """
-    k_std = params.p_success * _normalized_info(conclusive, n_paths)
-    if failure is None:
-        return k_std, k_std
-    return k_std, k_std + params.p_fail * _normalized_info(failure, n_paths)
-
-
 def knowledge_frio(spec: DetectorSpec, xi: float) -> float:
     """Which-path knowledge of the standard separation strategy at level ``xi``.
 
@@ -169,7 +157,7 @@ def knowledge_frio(spec: DetectorSpec, xi: float) -> float:
     """
     params = separation_params(spec, xi)
     conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * params.success_profile)
-    return _knowledge(params, conclusive, None, spec.N)[0]
+    return params.p_success * _normalized_info(conclusive, spec.N)
 
 
 def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
@@ -180,7 +168,11 @@ def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
     """
     params = separation_params(spec, xi)
     conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * params.success_profile)
-    return _knowledge(params, conclusive, conditional_failure(spec), spec.N)[1]
+    failure = _failure_spectrum(spec, params.failure_profile)
+    knowledge = params.p_success * _normalized_info(conclusive, spec.N)
+    if failure is None:
+        return knowledge
+    return knowledge + params.p_fail * _normalized_info(failure, spec.N)
 
 
 def knowledge_me(spec: DetectorSpec) -> float:
@@ -251,10 +243,10 @@ def strategy_pair(strategy, xi: float) -> tuple[Strategy, float]:
     """The (strategy, xi) pair a point records: the ME strategy is the xi = 0
     endpoint, and every other level must lie in [0, 1]."""
     try:
-        tag, level = Strategy(strategy), float(xi)
+        tag, _ = Strategy(strategy), float(xi)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid (strategy, xi) pair {(strategy, xi)!r}: {exc}") from exc
-    return tag, 0.0 if tag is Strategy.ME else _level(level)
+    return tag, 0.0 if tag is Strategy.ME else _level(xi)
 
 
 def strategy_pairs(pairs) -> tuple[tuple[Strategy, float], ...]:

@@ -595,7 +595,9 @@ def _csv_lines(blocks, order: np.ndarray) -> list[str]:
     order: the only place the row format is defined."""
     cells = []
     for block in blocks:
-        labels = [support_label(row) for row in block.indices.tolist()]
+        # Label each distinct support once; a block often repeats a few.
+        names, rows = {}, map(tuple, block.indices.tolist())
+        labels = [names.get(row) or names.setdefault(row, support_label(row)) for row in rows]
         coherence = block.coherence.tolist()
         for column, (tag, xi) in enumerate(block.pairs):
             head = f"{block.N},{block.n},{tag.value},{xi!r},"

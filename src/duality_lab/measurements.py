@@ -58,7 +58,6 @@ __all__ = [
     "oracle_outcome_table",
     "OracleArrays",
     "oracle_arrays",
-    "element_stack",
     "measurement_to_json_dict",
     "MAX_POVM_PATHS",
 ]
@@ -134,7 +133,9 @@ def _separations(spec: DetectorSpec, levels) -> tuple[SeparationParams, ...]:
 
 
 def _level(xi) -> float:
-    """The separation level rule: a float in [0, 1], with -0.0 read as 0.0."""
+    """The separation level rule: a float in [0, 1], not a bool; -0.0 reads as 0.0."""
+    if isinstance(xi, (bool, np.bool_)):
+        raise ValidationError(f"separation level must be a number in [0, 1], got {xi!r}")
     try:
         xi = float(xi)
     except (TypeError, ValueError) as exc:
@@ -169,7 +170,8 @@ def _failure_profile(amps: np.ndarray, probs: np.ndarray, n_paths: int) -> np.nd
 class Measurement:
     """A labeled POVM over the detector subspace.
 
-    ``elements`` maps labels to N x N complex Hermitian matrices. Labels are
+    ``elements`` is one read-only ``[E, N, N]`` array of complex Hermitian
+    matrices, and outcome ``i`` is ``labels[i]``. Labels are
     ``"c0".."c{N-1}"`` for conclusive outcomes, ``"fc0".."fc{N-1}"`` for
     conclusive-after-failure outcomes, and ``"f"`` for the inconclusive one.
     Elements are positive semidefinite and sum to the projector onto the
@@ -178,20 +180,13 @@ class Measurement:
 
     strategy: Strategy
     xi: float
-    elements: tuple[tuple[str, np.ndarray], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0][1].shape[0]
+    labels: tuple[str, ...]
+    elements: np.ndarray
 
     def element(self, label: str) -> np.ndarray:
-        for name, matrix in self.elements:
-            if name == label:
-                return matrix
-        raise KeyError(label)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.elements)
+        if label not in self.labels:
+            raise KeyError(label)
+        return self.elements[self.labels.index(label)]
 
 
 def _profile_states(spec: DetectorSpec, scale: float, profile: np.ndarray) -> np.ndarray:
@@ -203,10 +198,13 @@ def _profile_states(spec: DetectorSpec, scale: float, profile: np.ndarray) -> np
     return rows
 
 
-def _rank_ones(rows: np.ndarray) -> list[np.ndarray]:
-    """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry),
-    as views into one array."""
-    return list(_read_only(rows[:, :, None] * rows.conj()[:, None, :]))
+def _rank_ones(rows: np.ndarray) -> np.ndarray:
+    """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry), as one array."""
+    return _read_only(rows[:, :, None] * rows.conj()[:, None, :])
+
+
+def _labels(n_paths: int, *prefixes: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}{j}" for prefix in prefixes for j in range(n_paths))
 
 
 def _check_povm_size(spec: DetectorSpec) -> None:
@@ -222,10 +220,7 @@ def build_me_measurement(spec: DetectorSpec) -> Measurement:
     _check_povm_size(spec)
     u_rows = _profile_states(spec, 1.0, np.full(spec.n, 1.0 / np.sqrt(spec.n)))
     weight = spec.n / spec.N
-    elements = tuple(
-        (f"c{j}", matrix) for j, matrix in enumerate(_rank_ones(np.sqrt(weight) * u_rows))
-    )
-    return Measurement(strategy=Strategy.ME, xi=0.0, elements=elements)
+    return Measurement(Strategy.ME, 0.0, _labels(spec.N, "c"), _rank_ones(np.sqrt(weight) * u_rows))
 
 
 def build_two_step_measurements(
@@ -246,19 +241,20 @@ def build_two_step_measurements(
     ``verify`` reads outcomes by position in this order.
     """
     _check_povm_size(spec)
-    rows = _profile_states(spec, params.p_success, params.success_profile)
-    conclusive = tuple((f"c{j}", matrix) for j, matrix in enumerate(_rank_ones(rows)))
+    conclusive = _rank_ones(_profile_states(spec, params.p_success, params.success_profile))
     if params.failure_profile is None:
-        failures = [_read_only(np.zeros((spec.N, spec.N), dtype=complex))] * spec.N
+        failures = np.zeros_like(conclusive)
     else:
-        rows = _profile_states(spec, params.p_fail, params.failure_profile)
-        failures = _rank_ones(rows)
-    fail = _read_only(sum(failures))
-    standard = conclusive + (("f", fail),)
-    concatenated = conclusive + tuple((f"fc{j}", matrix) for j, matrix in enumerate(failures))
+        failures = _rank_ones(_profile_states(spec, params.p_fail, params.failure_profile))
+    # Each measurement owns its array; one shared stack per level would raise
+    # verify's peak memory at N = 64.
+    standard = _read_only(np.concatenate([conclusive, failures.sum(axis=0)[None]]))
+    concatenated = _read_only(np.concatenate([conclusive, failures]))
     return (
-        Measurement(strategy=Strategy.FRIO_STANDARD, xi=params.xi, elements=standard),
-        Measurement(strategy=Strategy.FRIO_CONCATENATED, xi=params.xi, elements=concatenated),
+        Measurement(Strategy.FRIO_STANDARD, params.xi, _labels(spec.N, "c") + ("f",), standard),
+        Measurement(
+            Strategy.FRIO_CONCATENATED, params.xi, _labels(spec.N, "c", "fc"), concatenated
+        ),
     )
 
 
@@ -351,12 +347,6 @@ class OracleArrays:
     defined: np.ndarray
 
 
-def element_stack(measurements) -> np.ndarray:
-    """The element matrices of the given measurements as one ``[E, N, N]``
-    array, in measurement order and label order within each."""
-    return np.stack([matrix for measurement in measurements for _, matrix in measurement.elements])
-
-
 def oracle_arrays(sym_set: SymmetricSet, elements: np.ndarray) -> OracleArrays:
     """Evaluate a stack of POVM elements against explicit state vectors.
 
@@ -384,8 +374,8 @@ def oracle_arrays(sym_set: SymmetricSet, elements: np.ndarray) -> OracleArrays:
 
 def oracle_outcome_table(sym_set: SymmetricSet, measurement: Measurement) -> OutcomeTable:
     """Per-label view of :func:`oracle_arrays` for one measurement."""
-    arrays = oracle_arrays(sym_set, element_stack((measurement,)))
-    labels = measurement.labels()
+    arrays = oracle_arrays(sym_set, measurement.elements)
+    labels = measurement.labels
     return OutcomeTable(
         outcome_probs=dict(zip(labels, arrays.probs.tolist())),
         conditionals={
@@ -401,12 +391,12 @@ def measurement_to_json_dict(measurement: Measurement) -> dict:
     return {
         "strategy": measurement.strategy.value,
         "xi": measurement.xi,
-        "N": measurement.dim,
+        "N": measurement.elements.shape[-1],
         "elements": [
             {
                 "label": label,
                 "matrix": [[[z.real, z.imag] for z in row] for row in matrix],
             }
-            for label, matrix in measurement.elements
+            for label, matrix in zip(measurement.labels, measurement.elements)
         ],
     }

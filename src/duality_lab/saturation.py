@@ -102,7 +102,9 @@ def _dft(n_paths: int, indices, amps: np.ndarray) -> np.ndarray:
 
 
 def _divisors(n_paths: int) -> list[int]:
-    return [d for d in range(1, n_paths + 1) if n_paths % d == 0]
+    """Divisors of ``n_paths`` in ascending order, by trial division up to its square root."""
+    small = [d for d in range(1, math.isqrt(n_paths) + 1) if n_paths % d == 0]
+    return small + [n_paths // d for d in reversed(small) if d * d != n_paths]
 
 
 def saturating_spec(N: int, m: int, tau: int) -> DetectorSpec:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duality import _knowledge, coherence, holevo_ceiling
+from .duality import _normalized_info, _normalized_infos, coherence, holevo_ceiling
 from .ensemble import sample_rng, sample_spec
 from .measurements import (
     COMPLETENESS_ATOL,
@@ -50,7 +50,6 @@ from .measurements import (
     _success,
     build_me_measurement,
     build_two_step_measurements,
-    element_stack,
     oracle_arrays,
 )
 from .saturation import dft_distribution
@@ -166,7 +165,7 @@ def _check_povm(
     elements: np.ndarray,
 ) -> None:
     """Hermiticity, positivity and completeness of each measurement, three
-    checks per measurement; ``elements`` is their :func:`element_stack`."""
+    checks per measurement; ``elements`` is their element arrays, concatenated."""
     starts = np.cumsum([0] + [len(measurement.elements) for measurement in measurements])
     min_eig = np.minimum.reduceat(np.linalg.eigvalsh(elements).min(axis=1), starts[:-1])
     # Per measurement, so temporaries stay the size of one measurement and
@@ -204,13 +203,17 @@ class _ClosedForms:
 
     ``levels[i]`` is ``separation_params(spec, DEFAULT_XI_GRID[i])``, all
     from one array expression; ``levels[0]``, at xi = 0, is the minimum-error
-    level. Each other field equals the scalar function in its comment bit for
-    bit; ``tests/test_verify.py`` holds them to that.
+    level, so ``standard[0]`` is ``knowledge_me(spec)``. Each other field
+    equals the scalar function in its comment bit for bit;
+    ``tests/test_verify.py`` holds them to that.
     """
 
     levels: tuple[SeparationParams, ...]
     conclusive: np.ndarray  # [L, N]: conditional_conclusive(spec, xi) per level
     failure: np.ndarray | None  # conditional_failure(spec)
+    standard: np.ndarray | None  # [L]: knowledge_frio(spec, xi) per level
+    concatenated: np.ndarray | None  # [L]: knowledge_concatenated(spec, xi) per level
+    knowledge_error: str | None  # why both knowledge arrays are None
     coherence: float  # coherence(spec)
     ceiling: float  # holevo_ceiling(spec)
 
@@ -219,23 +222,19 @@ def _closed_forms(spec: DetectorSpec) -> _ClosedForms:
     # The failure profile does not depend on the level.
     levels = _separations(spec, DEFAULT_XI_GRID)
     profiles = np.array([params.success_profile for params in levels])
+    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * profiles)
+    failure = _failure_spectrum(spec, levels[0].failure_profile)
+    p_success, p_fail = np.array([(params.p_success, params.p_fail) for params in levels]).T
+    error = None
+    try:
+        k_std = k_conc = p_success * _normalized_infos(conclusive, spec.N)
+        if failure is not None:
+            k_conc = k_std + p_fail * _normalized_info(failure, spec.N)
+    except ValidationError as exc:
+        k_std, k_conc, error = None, None, str(exc)
     return _ClosedForms(
-        levels=levels,
-        conclusive=_spectrum(spec.N, spec.support.indices, spec.amplitudes * profiles),
-        failure=_failure_spectrum(spec, levels[0].failure_profile),
-        coherence=coherence(spec),
-        ceiling=holevo_ceiling(spec),
+        levels, conclusive, failure, k_std, k_conc, error, coherence(spec), holevo_ceiling(spec)
     )
-
-
-def _level_knowledge(forms: _ClosedForms, level: int, n_paths: int) -> tuple[float, float, float]:
-    """``knowledge_frio``, ``knowledge_concatenated`` and ``knowledge_me`` at
-    one level, through their shared formula; raises ValidationError as they
-    do, in the same order."""
-    params = forms.levels[level]
-    k_std, k_conc = _knowledge(params, forms.conclusive[level], forms.failure, n_paths)
-    k_me = _knowledge(forms.levels[0], forms.conclusive[0], None, n_paths)[0]
-    return k_std, k_conc, k_me
 
 
 def _measurements(spec: DetectorSpec, forms: _ClosedForms, fault: str | None):
@@ -254,9 +253,9 @@ def _measurements(spec: DetectorSpec, forms: _ClosedForms, fault: str | None):
 def _check_stack(
     result: SuiteResult, spec: DetectorSpec, symmetric_set, measurements: list[Measurement]
 ) -> OracleArrays:
-    """:func:`_check_povm` and the oracle of some of a scenario's
-    measurements, through one element stack."""
-    elements = element_stack(measurements)
+    """:func:`_check_povm` and the oracle of some measurements, through one element stack."""
+    parts = [m.elements for m in measurements]  # a lone array is not copied: N = 64 peak memory
+    elements = np.concatenate(parts) if len(parts) > 1 else parts[0]
     _check_povm(result, spec, measurements, elements)
     return oracle_arrays(symmetric_set, elements)
 
@@ -399,36 +398,30 @@ def _check_oracle(
                 )
 
 
-def _check_hierarchy(result: SuiteResult, spec: DetectorSpec, forms: _ClosedForms) -> list[float]:
-    """The theorem links at each level; returns the concatenation gains of
-    the levels whose knowledge could be computed."""
-    gains = []
-    ceiling = forms.ceiling
-    for level, xi in enumerate(DEFAULT_XI_GRID):
-        try:
-            k_std, k_conc, k_me = _level_knowledge(forms, level, spec.N)
-        except ValidationError as exc:
-            result.record(False, spec, lambda: f"xi={xi}: knowledge failed: {exc}")
-            continue
-        gains.append(k_conc - k_std)
-        # Discarding the failure outcomes coarse-grains the concatenated
-        # measurement, hence k_std <= k_conc. Neither is bounded by k_me at
-        # xi > 0 (see the module docstring).
-        chain_ok = k_std <= k_conc + HIERARCHY_ATOL and k_me <= ceiling + HIERARCHY_ATOL
-        result.record(
-            chain_ok,
-            spec,
-            lambda: f"xi={xi}: hierarchy broken "
-            f"(frio {k_std!r}, conc {k_conc!r}, me {k_me!r}, ceiling {ceiling!r})",
-        )
-        total = forms.coherence + max(k_conc, k_std, k_me)
-        result.record(
-            total <= 1.0 + HIERARCHY_ATOL,
-            spec,
-            lambda: f"xi={xi}: duality sum {total!r} exceeds 1",
-        )
-        result.margin("HIERARCHY_ATOL", (k_std - k_conc, k_me - ceiling, total - 1.0))
-    return gains
+def _check_hierarchy(result: SuiteResult, spec: DetectorSpec, forms: _ClosedForms) -> np.ndarray:
+    """The chain and the sum check at each level; returns each level's
+    concatenation gain, or none when the knowledge could not be computed."""
+    grid, error = DEFAULT_XI_GRID, forms.knowledge_error
+    if error is not None:
+        failed = np.zeros(len(grid), dtype=bool)
+        result.record_all(failed, spec, lambda i: f"xi={grid[i]}: knowledge failed: {error}")
+        return np.empty(0)
+    k_std, k_conc, ceiling = forms.standard, forms.concatenated, forms.ceiling
+    k_me = k_std[0]
+    # Discarding the failure outcomes coarse-grains the concatenated
+    # measurement, hence k_std <= k_conc. Neither is bounded by k_me at
+    # xi > 0 (see the module docstring).
+    chain_ok = (k_std <= k_conc + HIERARCHY_ATOL) & (k_me <= ceiling + HIERARCHY_ATOL)
+    total = forms.coherence + np.maximum(np.maximum(k_conc, k_std), k_me)
+    details = (
+        lambda i: f"hierarchy broken (frio {float(k_std[i])!r}, conc {float(k_conc[i])!r}, "
+        f"me {float(k_me)!r}, ceiling {ceiling!r})",
+        lambda i: f"duality sum {float(total[i])!r} exceeds 1",
+    )
+    ok = np.stack([chain_ok, total <= 1.0 + HIERARCHY_ATOL], axis=1)
+    result.record_all(ok, spec, lambda i: f"xi={grid[i // 2]}: " + details[i % 2](i // 2))
+    result.margin("HIERARCHY_ATOL", np.concatenate([k_std - k_conc, [k_me - ceiling], total - 1.0]))
+    return k_conc - k_std
 
 
 def run_verification(
@@ -506,7 +499,7 @@ def run_verification(
             # never decreases. Knowledge itself may rise with xi. The
             # check holds for every non-uniform scenario; the selection
             # only fixes how many checks the suite reports.
-            worst = max((a - b for a, b in zip(gains, gains[1:])), default=0.0)
+            worst = float((gains[:-1] - gains[1:]).max()) if gains.size > 1 else 0.0
             monotonicity.record(
                 len(gains) == len(DEFAULT_XI_GRID) and worst <= MONOTONICITY_ATOL,
                 spec,

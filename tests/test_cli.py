@@ -529,6 +529,26 @@ class TestPovm:
     def test_missing_spec_file(self, tmp_path):
         assert run_cli("povm", "--spec", str(tmp_path / "nope.json")) == 3
 
+    def test_output_digest(self, capsys):
+        # Every strategy at xi = 0, 0.5 and 1 (ME at 0 only) for a uniform,
+        # a two-path and a non-uniform N = 7 spec with a tied minimum, whose
+        # failure profile has clamped zeros. Recorded with Python 3.11.7 and
+        # numpy 2.4.6.
+        specs = (
+            ("--N", "6", "--support", "0,2,3"),
+            ("--N", "2", "--support", "0,1", "--coeffs-sq", "0.7,0.3"),
+            ("--N", "7", "--support", "0,1,3,5", "--coeffs-sq", "0.4,0.3,0.15,0.15"),
+        )
+        runs = [("me", "0")] + [(s, xi) for s in ("frio", "conc") for xi in ("0", "0.5", "1")]
+        digest = hashlib.sha256()
+        for spec in specs:
+            for strategy, xi in runs:
+                assert run_cli("povm", *spec, "--strategy", strategy, "--xi", xi) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "4df628fe2ea18d199bcdc1a957c39d18bbc603c51e53d50d6bdba16a2e9edcbd"
+        )
+
     @pytest.mark.parametrize("strategy", ["me", "frio", "conc"])
     def test_path_limit(self, strategy, capsys):
         code = run_cli("povm", "--N", "65", "--support", "0,1", "--strategy", strategy)

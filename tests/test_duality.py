@@ -87,11 +87,17 @@ class TestShannonEntropy:
 
     @pytest.mark.parametrize(
         "probabilities",
-        [None, [math.nan, 1.0], [1.0, math.nan], [math.nan], 1.0, [[0.5, 0.5]], []],
+        [None, [math.nan, 1.0], [1.0, math.nan], [math.nan], 1.0, [[0.5, 0.5]], [],
+         [1.5, 0.0], [math.inf, 0.0], [1.0, -math.inf]],
     )
     def test_nan_and_non_vector_input_rejected(self, probabilities):
         with pytest.raises(ValidationError):
             shannon_entropy(probabilities)
+
+    @pytest.mark.parametrize("probabilities", [[1.0], [1.0, 0.0, 0.0], [1.0 + 1e-13, 0.0]])
+    def test_deterministic_distribution_gives_positive_zero(self, probabilities):
+        for entropy in (shannon_entropy(probabilities), *shannon_entropies([probabilities])):
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 class TestShannonEntropies:
@@ -121,6 +127,8 @@ class TestShannonEntropies:
             np.zeros((0, 3)),
             [[math.nan, 1.0]],
             [[1.0, 0.0], [math.nan, math.nan]],
+            [[1.5, 0.0]],
+            [[0.5, 0.5], [math.inf, 0.0]],
         ],
     )
     def test_invalid_rows_rejected(self, rows):

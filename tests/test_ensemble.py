@@ -97,12 +97,14 @@ class TestStrategyPairs:
             lambda: evaluate_block(uniform_block(4, [[0, 1]]), (("me", "x"),)),
             # Repeated once the minimum-error level is normalized to 0.0.
             lambda: sweep_config((("me", 0.0), ("frio-standard", 0.5), (Strategy.ME, 0.7))),
+            lambda: strategy_pair("frio-standard", True),
+            lambda: sweep_config((("frio-concatenated", np.bool_(False)),)),
         ],
         ids=[
             "unknown-strategy", "text-level", "missing-level", "config-text-level",
             "config-unknown-strategy", "config-empty", "config-short-pair", "grid-empty",
             "grid-unknown-strategy", "grid-level-range", "block-empty", "block-text-level",
-            "config-repeated-pair",
+            "config-repeated-pair", "bool-level", "config-bool-level",
         ],
     )  # fmt: skip
     def test_invalid_pairs_raise_validation_error(self, build):

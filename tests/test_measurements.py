@@ -39,10 +39,6 @@ def support_projector(spec):
     return projector
 
 
-def element_stack(measurement):
-    return np.stack([matrix for _, matrix in measurement.elements])
-
-
 class TestSeparationParams:
     @given(detector_specs())
     def test_zero_level_always_succeeds(self, spec):
@@ -82,7 +78,7 @@ class TestSeparationParams:
         with pytest.raises(ValidationError):
             separation_params(uniform_spec(3, (0, 1)), xi)
 
-    @pytest.mark.parametrize("xi", [None, "abc", [0.5], (0.2, 0.3)])
+    @pytest.mark.parametrize("xi", [None, "abc", [0.5], (0.2, 0.3), True, False, np.bool_(True)])
     @pytest.mark.parametrize(
         "call",
         [
@@ -110,8 +106,8 @@ class TestMinimumErrorMeasurement:
     def test_six_path_two_dimensional_elements(self):
         spec = uniform_spec(6, (0, 3))
         measurement = build_me_measurement(spec)
-        assert measurement.labels() == tuple(f"c{j}" for j in range(6))
-        stack = element_stack(measurement)
+        assert measurement.labels == tuple(f"c{j}" for j in range(6))
+        stack = measurement.elements
         for matrix in stack:
             eigenvalues = np.linalg.eigvalsh(matrix)
             assert eigenvalues[-1] == pytest.approx(2 / 6, abs=1e-12)
@@ -122,7 +118,7 @@ class TestMinimumErrorMeasurement:
         measurement = build_me_measurement(uniform_spec(5, (2,)))
         expected = np.zeros((5, 5), dtype=complex)
         expected[2, 2] = 1 / 5
-        for label, matrix in measurement.elements:
+        for matrix in measurement.elements:
             np.testing.assert_allclose(matrix, expected, atol=1e-13)
 
 
@@ -152,7 +148,7 @@ class TestStandardMeasurement:
 
     @given(detector_specs(), separation_levels)
     def test_completeness_and_positivity(self, spec, xi):
-        stack = element_stack(build_frio_standard(spec, xi))
+        stack = build_frio_standard(spec, xi).elements
         assert np.linalg.eigvalsh(stack).min() > -1e-10
         assert np.abs(stack.sum(axis=0) - support_projector(spec)).max() < 1e-10
 
@@ -177,7 +173,7 @@ class TestConcatenatedMeasurement:
 
     def test_three_path_completeness(self):
         spec = spec_from_probabilities(3, (0, 1, 2), (0.6, 0.2, 0.2))
-        stack = element_stack(build_frio_concatenated(spec, 0.5))
+        stack = build_frio_concatenated(spec, 0.5).elements
         assert np.abs(stack.sum(axis=0) - support_projector(spec)).max() < 1e-10
 
     @given(detector_specs(), separation_levels)
@@ -311,7 +307,7 @@ class TestOracleOutcomeTable:
             measurements = [build_me_measurement(spec)]
             for xi in (0.0, 0.4, 1.0):
                 measurements += [build_frio_standard(spec, xi), build_frio_concatenated(spec, xi)]
-            elements = [matrix for m in measurements for _, matrix in m.elements]
+            elements = [matrix for m in measurements for matrix in m.elements]
             sym = build_symmetric_set(spec)
             arrays = oracle_arrays(sym, np.stack(elements))
             states = sym.states
@@ -362,7 +358,7 @@ class TestFaultInjection:
 
 def assert_valid_povm(spec, measurement):
     result = SuiteResult("povm")
-    _check_povm(result, spec, [measurement], element_stack(measurement))
+    _check_povm(result, spec, [measurement], measurement.elements)
     assert result.violations == []
 
 
@@ -412,11 +408,24 @@ class TestOutcomeOrder:
         conclusive = tuple(f"c{j}" for j in range(n_paths))
         failures = tuple(f"fc{j}" for j in range(n_paths))
         standard, concatenated = build_two_step_measurements(spec, separation_params(spec, 0.5))
-        assert build_me_measurement(spec).labels() == conclusive
-        assert standard.labels() == conclusive + ("f",)
-        assert concatenated.labels() == conclusive + failures
-        assert build_frio_standard(spec, 0.5).labels() == standard.labels()
-        assert build_frio_concatenated(spec, 0.5).labels() == concatenated.labels()
+        assert build_me_measurement(spec).labels == conclusive
+        assert standard.labels == conclusive + ("f",)
+        assert concatenated.labels == conclusive + failures
+        assert build_frio_standard(spec, 0.5).labels == standard.labels
+        assert build_frio_concatenated(spec, 0.5).labels == concatenated.labels
+
+    @pytest.mark.parametrize("n_paths", [2, 7])
+    def test_elements_are_one_read_only_array_per_measurement(self, n_paths):
+        spec = spec_from_probabilities(n_paths, (0, 1), (0.7, 0.3))
+        standard, concatenated = build_two_step_measurements(spec, separation_params(spec, 0.5))
+        for measurement in (build_me_measurement(spec), standard, concatenated):
+            assert measurement.elements.shape == (len(measurement.labels), n_paths, n_paths)
+            assert not measurement.elements.flags.writeable
+            with pytest.raises(KeyError):
+                measurement.element("x")
+        assert not np.shares_memory(standard.elements, concatenated.elements)
+        assert np.array_equal(standard.element("f"), standard.elements[n_paths])
+        assert np.array_equal(standard.element("f"), concatenated.elements[n_paths:].sum(axis=0))
 
 
 class TestStrategyTags:

@@ -176,6 +176,9 @@ class TestSaturatingDimensions:
             (2, [], 0),
             (4, [2], 1),
             (9, [3], 1),
+            (36, [2, 3, 4, 6, 9, 12, 18], 7),
+            (10**9 + 7, [], 0),
+            (2**40, [2**k for k in range(1, 40)], 39),
         ],
     )
     def test_values(self, N, dims, count):

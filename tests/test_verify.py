@@ -52,6 +52,23 @@ class TestFailurePath:
         assert {"fc0", "fc1"} <= labels
 
 
+class TestKnowledgeFailure:
+    def test_rejected_entropy_input_is_recorded_per_level(self, monkeypatch):
+        def rejected(probabilities, n_paths):
+            raise ValidationError("rejected")
+
+        monkeypatch.setattr(verify, "_normalized_infos", rejected)
+        results = run_verification(30, seed=0)
+        hierarchy = suite(results, "hierarchy")
+        assert hierarchy.checks == 30 * len(DEFAULT_XI_GRID)
+        assert len(hierarchy.violations) == hierarchy.checks
+        assert hierarchy.violations[0].startswith("xi=0.0: knowledge failed: rejected | replay")
+        gains = [v for v in suite(results, "monotonicity").violations if "gain" in v]
+        assert gains and all(
+            f"(knowledge failed at {len(DEFAULT_XI_GRID)} levels)" in v for v in gains
+        )
+
+
 class TestPinnedReport:
     def test_report_digest(self):
         # Names, check counts, violation texts and worst gaps of every suite:
@@ -111,11 +128,9 @@ class TestSharedClosedForms:
             for level, xi in enumerate(DEFAULT_XI_GRID):
                 assert forms.levels[level].xi == xi
                 assert np.array_equal(forms.conclusive[level], conditional_conclusive(spec, xi))
-                assert verify._level_knowledge(forms, level, spec.N) == (
-                    knowledge_frio(spec, xi),
-                    knowledge_concatenated(spec, xi),
-                    knowledge_me(spec),
-                )
+                assert forms.standard[level] == knowledge_frio(spec, xi)
+                assert forms.concatenated[level] == knowledge_concatenated(spec, xi)
+            assert forms.standard[0] == knowledge_me(spec)
 
 
 class TestWorstGaps:
