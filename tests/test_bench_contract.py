@@ -4,10 +4,11 @@ must keep resolving and reproducing.
 ``bench/tracing.py`` wraps each ``(module, function)`` of ``TRACED`` at run
 time and ``bench/child.py`` imports names from the package, so dropping or
 renaming one of them breaks traced runs or every benchmark child.
-``bench/workloads.py`` gates the canonical scan on the sha256 of its CSV, and
-the N = 16 census on the sha256 of its CSV and its summary line, so a change
-to the sweep's numbers or to the census's numbers or row format fails here
-before it fails the benchmark. The files are read with ``ast``, not
+``bench/workloads.py`` gates the canonical scan on the sha256 of its CSV, the
+N = 16 census on the sha256 of its CSV and its summary line, and the
+canonical ``verify`` run on its check counts and the exit code of its faulted
+call, so a change to the sweep's numbers, the census's numbers or row format,
+or the verify suites' counts fails here before it fails the benchmark. The files are read with ``ast``, not
 imported.
 """
 
@@ -94,3 +95,17 @@ def test_census_reproduces_the_benchmark_digest_and_summary(tmp_path, capsys):
     assert cli.main(["saturation", "--N", str(census["paths"]), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == census["canonical_sha256"]
     assert capsys.readouterr().out.encode() == census["summary"]
+
+
+def test_canonical_verify_reproduces_the_benchmark_counts(capsys):
+    verify = _class_constants(BENCH / "workloads.py", "Verify")
+    argv = [
+        "verify", "--samples", str(verify["units"]), "--seed", str(verify["canonical_seed"]),
+        "--N-range", "2:8",
+    ]  # fmt: skip
+    assert cli.main(argv) == 0
+    counts = verify["canonical_checks"]
+    assert len(counts) == 6
+    expected = [f"{suite}: OK ({checks} checks)" for suite, checks in counts.items()]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert cli.main(verify["fault_argv"]) == 1

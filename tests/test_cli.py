@@ -596,6 +596,35 @@ class TestVerify:
                 checked.add(name)
         assert checked == set(TOLERANCES)
 
+    @pytest.mark.parametrize(
+        "argv, stream, digest",
+        [
+            (
+                ("--samples", "300", "--seed", "0", "--json"),
+                "out",
+                "279d9323219b973675b1805b5f5983d16232ad6298b6e9a01b7ccd61096428e4",
+            ),
+            (
+                ("--samples", "40", "--seed", "1", "--N-range", "9:24", "--json"),
+                "out",
+                "2f96f64a1ebfe99707c4f8057315123f047fa584875e7e908f64cc595cf01f9d",
+            ),
+            (
+                ("--samples", "60", "--seed", "0", "--inject-fault", "gk-sign"),
+                "err",
+                "6714551b9828b9afe240b573c62587fc98f708e4a4f7005d091a27168fc2f12d",
+            ),
+        ],
+    )
+    def test_pinned_output(self, argv, stream, digest, capsys):
+        # The benchmark's canonical JSON report with its worst gaps, a run
+        # whose N = 13..24 scenarios span several element stacks, and the
+        # violation texts of a faulted run. Recorded with Python 3.11.7 and
+        # numpy 2.4.6.
+        run_cli("verify", *argv)
+        text = getattr(capsys.readouterr(), stream)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_json_run_with_violations_exits_one(self, capsys):
         argv = ("verify", "--samples", "5", "--seed", "0", "--inject-fault", "gk-sign", "--json")
         assert run_cli(*argv) == 1
