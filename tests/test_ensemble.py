@@ -74,6 +74,17 @@ class TestSampleSpec:
         with pytest.raises(ValidationError):
             sample_spec(4, 5, sample_rng(0, 0))
 
+    @pytest.mark.parametrize(
+        "n_paths", [2.0, float("inf"), np.int64(4), True, 1, -3, None, "6", 2**63, 2**70]
+    )
+    def test_path_count_validated(self, n_paths):
+        with pytest.raises(ValidationError, match="path"):
+            sample_spec(n_paths, 1, sample_rng(0, 0))
+
+    def test_largest_int64_path_count_draws(self):
+        spec = sample_spec(2**63 - 1, 1, sample_rng(0, 0))
+        assert spec.N == 2**63 - 1 and spec.coeffs == (1.0,)
+
 
 def sweep_config(strategies):
     return SweepConfig(N=4, n=2, samples=5, strategies=strategies, seed=1)
