@@ -28,11 +28,11 @@ import numpy as np
 from .measurements import (
     Strategy,
     _failure_profile,
-    _failure_spectrum,
+    _failure_spectra,
     _level,
-    _normalized,
     _spectrum,
     _success,
+    conditional_failure,
     separation_params,
 )
 from .states import (
@@ -40,7 +40,6 @@ from .states import (
     DetectorSpec,
     SweepBlock,
     ValidationError,
-    _is_uniform,
     block_from_specs,
 )
 
@@ -168,7 +167,7 @@ def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
     """
     params = separation_params(spec, xi)
     conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * params.success_profile)
-    failure = _failure_spectrum(spec, params.failure_profile)
+    failure = conditional_failure(spec)
     knowledge = params.p_success * _normalized_info(conclusive, spec.N)
     if failure is None:
         return knowledge
@@ -313,14 +312,9 @@ def _knowledge_rows(n_paths, indices, amps, probs, pairs, out: np.ndarray) -> No
 
 
 def _failure_infos(n_paths, indices, amps, probs):
-    """``conditional_failure`` on the rows that have a failure branch: those
-    rows and the normalized information of their failure conditionals. The
-    branch does not depend on xi."""
-    fail = np.flatnonzero(~_is_uniform(probs))
-    profile = _failure_profile(amps[fail], probs[fail], n_paths)
-    live = profile.any(axis=1)
-    fail = fail[live]
-    if not fail.size:
-        return fail, np.empty(0)
-    spectra = _normalized(_spectrum(n_paths, indices[fail], amps[fail] * profile[live]))
-    return fail, _normalized_infos(spectra, n_paths)
+    """``conditional_failure`` of each row: which rows have one, and the
+    normalized information of their failure conditionals. The branch does
+    not depend on xi."""
+    profile = _failure_profile(amps, probs, n_paths)[0]
+    live, spectra = _failure_spectra(n_paths, indices, amps, profile)
+    return live, _normalized_infos(spectra, n_paths) if live.any() else np.empty(0)

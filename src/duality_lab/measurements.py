@@ -116,20 +116,11 @@ def separation_params(spec: DetectorSpec, xi: float) -> SeparationParams:
     * success: ``(1 - xi + xi/(n*p_k)) / N``
     * failure: ``(p_k - p_min) / ((1 - n*p_min) * N * p_k)``
     """
-    return _separations(spec, (xi,))[0]
-
-
-def _separations(spec: DetectorSpec, levels) -> tuple[SeparationParams, ...]:
-    """:func:`separation_params` at each of ``levels``, from one array
-    expression; the failure profile does not depend on the level."""
-    xi = np.array([_level(value) for value in levels])
-    probs = spec.probabilities
-    profiles, p_success = _success(probs, xi[:, None], spec.N)
-    failure = None if spec.is_uniform else _failure_profile(spec.amplitudes, probs, spec.N)
-    return tuple(
-        SeparationParams(level, p, 1.0 - p, profile, failure)
-        for level, p, profile in zip(xi.tolist(), p_success.ravel().tolist(), profiles)
-    )
+    xi = _level(xi)
+    profile, p_success = _success(spec.probabilities, xi, spec.N)
+    failure, branch = _failure_profile(spec.amplitudes[None], spec.probabilities[None], spec.N)
+    p_success = float(p_success)
+    return SeparationParams(xi, p_success, 1.0 - p_success, profile, failure[0] if branch[0] else None)
 
 
 def _level(xi) -> float:
@@ -146,24 +137,32 @@ def _level(xi) -> float:
 
 
 def _success(probs: np.ndarray, xi, n_paths: int):
-    """Success profile and success probability at level ``xi``, for one row
-    of squared coefficients (1-D) or each row of a block (2-D); ``xi`` may be
-    a column of levels for one row. The probability is exactly 1 on uniform
-    rows."""
+    """Success profiles and success probabilities of the rows of squared
+    coefficients ``probs`` (last axis) at levels ``xi``, which broadcast
+    against the rows: one level, a vector of levels for one row (1-D), or
+    for every row of a block given as ``probs[:, None]``. The probability is
+    exactly 1 on uniform rows."""
     n = probs.shape[-1]
     p_min = probs.min(axis=-1)
-    profile = np.sqrt((1.0 - xi + xi / (n * probs)) / n_paths)
+    level = np.asarray(xi)[..., None]
+    profile = np.sqrt((1.0 - level + level / (n * probs)) / n_paths)
     return profile, np.where(_is_uniform(probs), 1.0, n * p_min / ((1.0 - xi) * n * p_min + xi))
 
 
-def _failure_profile(amps: np.ndarray, probs: np.ndarray, n_paths: int) -> np.ndarray:
-    """Failure profile of one row (1-D) or each row of a block (2-D); every
-    row must be non-uniform, or the formula divides by zero."""
+def _failure_profile(amps: np.ndarray, probs: np.ndarray, n_paths: int):
+    """Failure profiles of the rows of a block (2-D), and which rows have a
+    failure branch: the non-uniform ones. A uniform row gets a zero profile,
+    where the formula would divide by zero."""
     n = probs.shape[-1]
-    p_min = probs.min(axis=-1, keepdims=True)
-    h_sq = (probs - p_min) / ((1.0 - n * p_min) * n_paths * probs)
-    h_sq[amps - amps.min(axis=-1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
-    return np.sqrt(h_sq)
+    branch = ~_is_uniform(probs)
+    amps, live = amps[branch], probs[branch]
+    p_min = live.min(axis=-1, keepdims=True)
+    h_sq = np.zeros(probs.shape)
+    h_sq[branch] = (live - p_min) / ((1.0 - n * p_min) * n_paths * live)
+    clamped = np.zeros(probs.shape, dtype=bool)
+    clamped[branch] = amps - amps.min(axis=-1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL
+    h_sq[clamped] = 0.0
+    return np.sqrt(h_sq), branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +188,46 @@ class Measurement:
         return self.elements[self.labels.index(label)]
 
 
-def _profile_states(spec: DetectorSpec, scale: float, profile: np.ndarray) -> np.ndarray:
-    """N measurement vectors as rows: ``sqrt(scale) * profile_k * w^{jk}`` on the
-    support, zero elsewhere."""
-    idx = list(spec.support.indices)
-    rows = np.zeros((spec.N, spec.N), dtype=complex)
-    rows[:, idx] = np.sqrt(scale) * profile * phase_table(spec.N)[:, idx]
-    return rows
+def _profile_states(n_paths: int, indices, scale, profile: np.ndarray) -> np.ndarray:
+    """N measurement vectors as rows ``[..., N, N]``: ``sqrt(scale) *
+    profile_k * w^{jk}`` on the support, zero elsewhere. ``profile`` holds one
+    row (1-D) or one per scenario and level (any leading axes), with which
+    ``indices`` and ``scale`` broadcast."""
+    indices = np.asarray(indices)
+    phases = np.swapaxes(phase_table(n_paths)[indices], -1, -2)  # the table is symmetric
+    values = (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
+    return _embed(n_paths, indices[..., None, :], values)
 
 
 def _rank_ones(rows: np.ndarray) -> np.ndarray:
-    """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry), as one array."""
-    return _read_only(rows[:, :, None] * rows.conj()[:, None, :])
+    """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry):
+    ``[..., N, N, N]`` from rows ``[..., N, N]``."""
+    return _read_only(rows[..., :, None] * rows.conj()[..., None, :])
+
+
+def _me_elements(n_paths: int, indices) -> np.ndarray:
+    """The minimum-error elements ``[..., N, N, N]`` of one support (1-D) or
+    of each row of a block of supports (2-D)."""
+    n = np.shape(indices)[-1]
+    u_rows = _profile_states(n_paths, indices, 1.0, np.full(np.shape(indices), 1.0 / np.sqrt(n)))
+    return _rank_ones(np.sqrt(n / n_paths) * u_rows)
+
+
+def _two_step_elements(n_paths: int, indices, p_success, success, failure, branch) -> np.ndarray:
+    """The elements ``[..., 3N + 1, N, N]`` of one level's standard
+    measurement (``c0..c{N-1}, f``) followed by its concatenated one
+    (``c0..c{N-1}, fc0..fc{N-1}``), for one scenario or a block.
+
+    ``success`` and ``failure`` are the profiles (last axis), ``p_success``
+    the success probabilities and ``branch`` whether a failure branch exists;
+    ``indices``, ``failure`` and ``branch`` broadcast against ``success``.
+    Failure elements are zero without a branch.
+    """
+    conclusive = _rank_ones(_profile_states(n_paths, indices, p_success, success))
+    failures = _rank_ones(_profile_states(n_paths, indices, 1.0 - p_success, failure))
+    failures = np.where(np.asarray(branch)[..., None, None, None], failures, 0.0)
+    lost = failures.sum(axis=-3, keepdims=True)
+    return np.concatenate([conclusive, lost, conclusive, failures], axis=-3)
 
 
 def _labels(n_paths: int, *prefixes: str) -> tuple[str, ...]:
@@ -218,9 +245,8 @@ def build_me_measurement(spec: DetectorSpec) -> Measurement:
     """Square-root (minimum-error) measurement: N elements ``(n/N) |u_j><u_j|``,
     with ``u_j`` the uniform-profile vectors."""
     _check_povm_size(spec)
-    u_rows = _profile_states(spec, 1.0, np.full(spec.n, 1.0 / np.sqrt(spec.n)))
-    weight = spec.n / spec.N
-    return Measurement(Strategy.ME, 0.0, _labels(spec.N, "c"), _rank_ones(np.sqrt(weight) * u_rows))
+    elements = _me_elements(spec.N, spec.support.indices)
+    return Measurement(Strategy.ME, 0.0, _labels(spec.N, "c"), elements)
 
 
 def build_two_step_measurements(
@@ -238,18 +264,18 @@ def build_two_step_measurements(
 
     The outcome order is fixed: ``c0..c{N-1}, f`` for the standard
     measurement and ``c0..c{N-1}, fc0..fc{N-1}`` for the concatenated one.
-    ``verify`` reads outcomes by position in this order.
+    ``verify`` builds the same elements for blocks of scenarios through
+    the same rule and reads outcomes by position in this order.
     """
     _check_povm_size(spec)
-    conclusive = _rank_ones(_profile_states(spec, params.p_success, params.success_profile))
-    if params.failure_profile is None:
-        failures = np.zeros_like(conclusive)
-    else:
-        failures = _rank_ones(_profile_states(spec, params.p_fail, params.failure_profile))
-    # Each measurement owns its array; one shared stack per level would raise
-    # verify's peak memory at N = 64.
-    standard = _read_only(np.concatenate([conclusive, failures.sum(axis=0)[None]]))
-    concatenated = _read_only(np.concatenate([conclusive, failures]))
+    branch = params.failure_profile is not None
+    failure = params.failure_profile if branch else np.zeros(spec.n)
+    elements = _read_only(
+        _two_step_elements(
+            spec.N, spec.support.indices, params.p_success, params.success_profile, failure, branch
+        )
+    )
+    standard, concatenated = elements[: spec.N + 1], elements[spec.N + 1 :]
     return (
         Measurement(Strategy.FRIO_STANDARD, params.xi, _labels(spec.N, "c") + ("f",), standard),
         Measurement(
@@ -299,15 +325,18 @@ def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
     coefficient lies within ``MIN_COEFF_CLAMP_ATOL`` of the minimum, the
     clamp zeroes the whole profile and there is no distribution to normalize.
     """
-    return _failure_spectrum(spec, separation_params(spec, 0.0).failure_profile)
+    amps = spec.amplitudes[None]
+    profile = _failure_profile(amps, spec.probabilities[None], spec.N)[0]
+    live, spectra = _failure_spectra(spec.N, np.array([spec.support.indices]), amps, profile)
+    return spectra[0] if live[0] else None
 
 
-def _failure_spectrum(spec: DetectorSpec, profile: np.ndarray | None) -> np.ndarray | None:
-    """:func:`conditional_failure` from a ``failure_profile`` already computed
-    by :func:`separation_params` (the profile does not depend on the level)."""
-    if profile is None or not profile.any():
-        return None
-    return _normalized(_spectrum(spec.N, spec.support.indices, spec.amplitudes * profile))
+def _failure_spectra(n_paths: int, indices, amps: np.ndarray, profile: np.ndarray):
+    """:func:`conditional_failure` of each row of a block from its failure
+    profile (see :func:`_failure_profile`): which rows have a distribution
+    (a nonzero profile), and those rows' distributions."""
+    live = profile.any(axis=-1)
+    return live, _normalized(_spectrum(n_paths, indices[live], amps[live] * profile[live]))
 
 
 def _normalized(spectra: np.ndarray) -> np.ndarray:
@@ -347,28 +376,32 @@ class OracleArrays:
     defined: np.ndarray
 
 
-def oracle_arrays(sym_set: SymmetricSet, elements: np.ndarray) -> OracleArrays:
+def oracle_arrays(states, elements: np.ndarray) -> OracleArrays:
     """Evaluate a stack of POVM elements against explicit state vectors.
 
+    ``states`` is one scenario's :class:`SymmetricSet` or its states
+    ``[N, N]``, with elements ``[E, N, N]``; or a stack of scenarios' states
+    ``[S, N, N]``, with elements ``[S, E, N, N]`` and results ``[S, E, ...]``.
     Computes ``p_e = Tr(E_e rho)`` with ``rho`` assembled from the N state
     projectors, and conditionals ``<state_l| E_e |state_l> / (N p_e)``. Pure
     matrix arithmetic, no closed forms; this is the independent cross-check
     for every probability formula in this module. Each entry equals the one
     a per-element ``np.trace(E_e @ rho)`` and einsum would give, bit for bit.
     """
-    states = sym_set.states
-    n_paths = states.shape[0]
-    if elements.shape[1:] != (n_paths, n_paths):
+    if isinstance(states, SymmetricSet):
+        states = states.states
+    n_paths = states.shape[-1]
+    if elements.shape[:-3] != states.shape[:-2] or elements.shape[-2:] != (n_paths, n_paths):
         raise ValidationError(
             f"measurement dimension {elements.shape[-1]} does not match state "
             f"dimension {n_paths}"
         )
-    rho = states.T @ states.conj() / n_paths
-    probs = np.trace(elements @ rho, axis1=1, axis2=2).real
+    rho = np.swapaxes(states, -1, -2) @ states.conj() / n_paths
+    probs = np.trace(elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real
     defined = probs >= UNDEFINED_OUTCOME_ATOL
-    quad = np.einsum("lk,ekj,lj->el", states.conj(), elements, states).real
+    quad = np.einsum("...lk,...ekj,...lj->...el", states.conj(), elements, states).real
     conditionals = np.full(quad.shape, np.nan)
-    np.divide(quad, (n_paths * probs)[:, None], out=conditionals, where=defined[:, None])
+    np.divide(quad, (n_paths * probs)[..., None], out=conditionals, where=defined[..., None])
     return OracleArrays(probs=probs, conditionals=conditionals, defined=defined)
 
 

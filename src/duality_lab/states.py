@@ -406,10 +406,11 @@ def uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
 
 
 def _embed(n_paths: int, indices, values: np.ndarray) -> np.ndarray:
-    """Zero rows of length N holding ``values`` at the support ``indices``:
-    one row (1-D values) or one per row of ``values`` (2-D), where
-    ``indices`` is one support or one per row."""
-    padded = np.zeros(values.shape[:-1] + (n_paths,))
+    """Zero rows of length N holding ``values`` at the support ``indices``,
+    in the dtype of ``values``: one row (1-D values) or one per row of
+    ``values`` (any leading axes), where ``indices`` broadcasts against
+    ``values``, one support or one per row."""
+    padded = np.zeros(values.shape[:-1] + (n_paths,), dtype=values.dtype)
     np.put_along_axis(padded, np.broadcast_to(indices, values.shape), values, axis=-1)
     return padded
 

@@ -9,14 +9,20 @@ for the DFT spectrum, and the support-size uncertainty bound. Violations
 carry the offending scenario serialized as JSON so a failure can be
 replayed.
 
-Each scenario is checked with array operations: its closed forms are
-computed once, with every level's separation data and conclusive spectrum
-from one array call each, its measurements go through as few element
-stacks as ``STACK_ENTRIES`` allows (one ``eigvalsh`` call and one oracle
-call each, a single stack at small path counts), and oracle rows are
-compared with the closed forms by position, in the fixed outcome order of
-the POVM builders. Violation messages are only formatted for checks that fail.
-Every suite also keeps the largest gap it saw against each tolerance.
+Scenarios are checked as array blocks. They are drawn in index order, in
+chunks of at most ``BLOCK_ROWS``, and each chunk splits into groups of one
+(N, n). A group's closed forms come from one array expression each, through
+the row rules of the sweep kernel (``measurements._success``,
+``_failure_profile`` and ``_spectrum``, and ``duality._normalized_infos``).
+Its measurements are built by the block rules behind the POVM builders and
+stacked across consecutive scenarios up to ``STACK_ENTRIES`` matrix
+entries, with one ``eigvalsh`` call and one oracle call per stack; a
+scenario too large for one stack goes one measurement at a time. Oracle
+rows are compared with the closed forms by position, in the fixed outcome
+order of the POVM builders. Every check is an array over a group or a
+stack: a scenario whose checks all pass only adds its counts, and messages
+are formatted for failing scenarios only, then put in index order. Every
+suite also keeps the largest gap it saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
 probability, not the mutual information, so at xi > 0 either separation
@@ -30,30 +36,29 @@ coefficient; ``tests/test_duality.py`` pins them against an independent
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import _normalized_info, _normalized_infos, coherence, holevo_ceiling
+from .duality import _normalized_infos
 from .ensemble import sample_rng, sample_spec
 from .measurements import (
     COMPLETENESS_ATOL,
     MAX_POVM_PATHS,
     POSITIVITY_ATOL,
-    Measurement,
     OracleArrays,
-    SeparationParams,
     Strategy,
-    _failure_spectrum,
-    _separations,
+    _failure_profile,
+    _failure_spectra,
+    _me_elements,
+    _profile_states,
     _spectrum,
     _success,
-    build_me_measurement,
-    build_two_step_measurements,
+    _two_step_elements,
     oracle_arrays,
 )
-from .saturation import dft_distribution
-from .states import DetectorSpec, ValidationError, build_symmetric_set, is_int, spec_to_json_dict
+from .saturation import _dft
+from .states import BLOCK_ROWS, ValidationError, is_int, spec_to_json_dict
 
 __all__ = [
     "SuiteResult",
@@ -76,10 +81,11 @@ MONOTONICITY_ATOL = 1e-9
 SUCCESS_MONOTONICITY_ATOL = 1e-12
 PARSEVAL_ATOL = 1e-10
 
-# Most matrix entries (elements x N x N) one element stack may hold: a
-# scenario's measurements go through as few stacks as fit, one up to
-# N = 24, one per measurement at N = 64. 2^18 complex entries take 4 MiB.
-STACK_ENTRIES = 1 << 18
+# Most matrix entries (elements x N x N) one element stack may hold. A stack
+# holds consecutive scenarios of one (N, n): 221 at N = 2, one at N = 8 and
+# N = 9; a larger scenario goes one measurement at a time. 2^14 complex
+# entries take 256 KiB, and a stack's temporaries about as much again.
+STACK_ENTRIES = 1 << 14
 
 # Every tolerance a suite checks a gap against; a check passes when its gap
 # is at most the tolerance, so a negative worst gap means slack.
@@ -98,6 +104,18 @@ TOLERANCES = {
 # Deliberately corrupted formulas that the suites must report.
 FAULTS = ("gk-sign",)
 
+_LEVELS = len(DEFAULT_XI_GRID)
+_TWO_STEP = (Strategy.FRIO_STANDARD.value, Strategy.FRIO_CONCATENATED.value)
+# A scenario's measurements in report order: the minimum-error one, then
+# each level's standard and concatenated one.
+_HEADS = (f"{Strategy.ME.value} xi=0.0: ",) + tuple(
+    f"{tag} xi={xi}: " for xi in DEFAULT_XI_GRID for tag in _TWO_STEP
+)
+
+# Relative gap between the smallest and second-smallest squared coefficient
+# above which the minimum counts as clearly unique.
+ISOLATED_MINIMUM_GAP = 0.05
+
 
 @dataclass
 class SuiteResult:
@@ -113,151 +131,274 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.violations
 
-    def record(self, ok: bool, spec: DetectorSpec, detail) -> None:
-        """One check; ``detail()`` builds its message when it fails."""
-        self.checks += 1
-        if not ok:
-            self._violation(spec, detail())
-
-    def record_all(self, ok: np.ndarray, spec: DetectorSpec, detail) -> None:
-        """One check per entry of ``ok``; ``detail(i)`` builds the message of
-        failing entry ``i``, in row-major order."""
-        self.checks += ok.size
-        if not ok.all():
-            for i in np.flatnonzero(~ok):
-                self._violation(spec, detail(int(i)))
-
     def margin(self, tolerance: str, gaps) -> None:
         """Keep the largest of ``gaps`` seen against the named tolerance."""
         gaps = np.asarray(gaps, dtype=float)
         if gaps.size:
-            # A NaN gap sticks, from any scenario, as it does within gaps.max().
+            # A NaN gap sticks, from any block, as it does within gaps.max().
             worst = float(gaps.max())
             self.worst[tolerance] = float(np.maximum(self.worst.get(tolerance, worst), worst))
 
-    def _violation(self, spec: DetectorSpec, detail: str) -> None:
-        self.violations.append(f"{detail} | replay spec: {json.dumps(spec_to_json_dict(spec))}")
+
+class _Chunk:
+    """Scenarios ``start``..``stop - 1`` of a run as arrays, and the
+    violations found in them, held per suite until :meth:`flush` puts them
+    in index order."""
+
+    def __init__(self, seed: int, n_range: tuple[int, int], start: int, stop: int) -> None:
+        self.seed, self.n_range, self.start = seed, n_range, start
+        width = n_range[1]
+        self.paths = np.empty(stop - start, dtype=np.intp)
+        self.dims = np.empty(stop - start, dtype=np.intp)
+        self.indices = np.zeros((stop - start, width), dtype=np.intp)
+        self.amps = np.zeros((stop - start, width))
+        for row in range(stop - start):
+            spec = self.spec(row)
+            self.paths[row], self.dims[row] = spec.N, spec.n
+            self.indices[row, : spec.n] = spec.support.indices
+            self.amps[row, : spec.n] = spec.coeffs
+        self.found: dict[str, list] = {}
+
+    def spec(self, row: int):
+        """Scenario ``row``, drawn from its own generator: the path count,
+        the dimension, then :func:`sample_spec`."""
+        rng = sample_rng(self.seed, self.start + row)
+        n_paths = int(rng.integers(self.n_range[0], self.n_range[1] + 1))
+        n = int(rng.integers(1, n_paths + 1))
+        return sample_spec(n_paths, n, rng)
+
+    def groups(self):
+        """``(N, n, rows)`` for each (N, n), its rows in index order."""
+        keys = self.paths * (self.n_range[1] + 1) + self.dims
+        # Sorted in Python: numpy's integer sort pages in about 1 MB of code.
+        for key in sorted(set(keys.tolist())):
+            yield *divmod(key, self.n_range[1] + 1), np.flatnonzero(keys == key)
+
+    def violate(self, result: SuiteResult, row, detail: str) -> None:
+        self.found.setdefault(result.name, []).append((int(row), detail))
+
+    def flush(self, results) -> None:
+        """Append each suite's violations in index order; a scenario's own
+        violations keep the order they were found in."""
+        replays: dict[int, str] = {}
+        for result in results:
+            for row, detail in sorted(self.found.get(result.name, ()), key=lambda item: item[0]):
+                if row not in replays:
+                    replays[row] = json.dumps(spec_to_json_dict(self.spec(row)))
+                result.violations.append(f"{detail} | replay spec: {replays[row]}")
 
 
-def _support_projector(spec: DetectorSpec) -> np.ndarray:
-    projector = np.zeros((spec.N, spec.N), dtype=complex)
-    idx = list(spec.support.indices)
-    projector[idx, idx] = 1.0
-    return projector
+@dataclass(frozen=True, eq=False)
+class _Forms:
+    """What the suites compare a group of scenarios of one (N, n) against,
+    one row per scenario and one level per entry of ``DEFAULT_XI_GRID``.
+
+    Row ``g`` of each field equals the scalar function in its comment for
+    that scenario, bit for bit; ``tests/test_verify.py`` holds them to that.
+    Level 0, at xi = 0, is the minimum-error level, so ``standard[:, 0]`` is
+    ``knowledge_me``.
+    """
+
+    p_success: np.ndarray  # [G, L]: separation_params(spec, xi).p_success
+    profiles: np.ndarray  # [G, L, n]: its success_profile
+    failure_profile: np.ndarray  # [G, n]: its failure_profile, zero where None
+    branch: np.ndarray  # [G]: the failure_profile is not None
+    conclusive: np.ndarray  # [G, L, N]: conditional_conclusive(spec, xi)
+    failure: np.ndarray  # [G, N]: conditional_failure(spec), inf where None
+    live: np.ndarray  # [G]: conditional_failure(spec) is not None
+    standard: np.ndarray  # [G, L]: knowledge_frio(spec, xi), NaN where failed
+    concatenated: np.ndarray  # [G, L]: knowledge_concatenated(spec, xi), NaN where failed
+    errors: dict  # row -> why its knowledge could not be computed
+    coherence: np.ndarray  # [G]: coherence(spec)
+    ceiling: np.ndarray  # [G]: holevo_ceiling(spec)
 
 
-# Relative gap between the smallest and second-smallest squared coefficient
-# above which the minimum counts as clearly unique.
-ISOLATED_MINIMUM_GAP = 0.05
+def _group_forms(n_paths: int, indices: np.ndarray, amps: np.ndarray) -> _Forms:
+    probs = amps**2
+    profiles, p_success = _success(probs[:, None], np.array(DEFAULT_XI_GRID), n_paths)
+    conclusive = _spectrum(n_paths, indices[:, None], amps[:, None] * profiles)
+    # The failure branch does not depend on the level.
+    failure_profile, branch = _failure_profile(amps, probs, n_paths)
+    live, spectra = _failure_spectra(n_paths, indices, amps, failure_profile)
+    failure = np.full((len(amps), n_paths), np.inf)
+    failure[live] = spectra
+    errors = {}
+    try:
+        standard, concatenated = _knowledge(n_paths, conclusive, p_success, failure, live)
+    except ValidationError:
+        # Some row's entropy input was rejected: each row again on its own.
+        standard, concatenated = np.full((2,) + p_success.shape, np.nan)
+        for g in range(len(amps)):
+            row = slice(g, g + 1)
+            try:
+                standard[row], concatenated[row] = _knowledge(
+                    n_paths, conclusive[row], p_success[row], failure[row], live[row]
+                )
+            except ValidationError as exc:
+                errors[g] = str(exc)
+    coh = _normalized_infos(probs, n_paths)
+    return _Forms(
+        p_success, profiles, failure_profile, branch, conclusive, failure, live,
+        standard, concatenated, errors, coh, 1.0 - coh,
+    )  # fmt: skip
 
 
-def _has_isolated_minimum(spec: DetectorSpec) -> bool:
-    if spec.n < 2:
-        return False
-    ordered = np.sort(spec.probabilities)
-    return (ordered[1] - ordered[0]) / ordered[0] >= ISOLATED_MINIMUM_GAP
+def _knowledge(n_paths: int, conclusive, p_success, failure, live):
+    """``knowledge_frio`` and ``knowledge_concatenated`` of each row and
+    level, from the closed-form conditionals."""
+    infos = _normalized_infos(conclusive.reshape(-1, n_paths), n_paths)
+    standard = p_success * infos.reshape(p_success.shape)
+    concatenated = standard.copy()
+    if live.any():
+        gain = (1.0 - p_success[live]) * _normalized_infos(failure[live], n_paths)[:, None]
+        concatenated[live] += gain
+    return standard, concatenated
 
 
-def _check_povm(
-    result: SuiteResult,
-    spec: DetectorSpec,
-    measurements: list[Measurement],
-    elements: np.ndarray,
-) -> None:
-    """Hermiticity, positivity and completeness of each measurement, three
-    checks per measurement; ``elements`` is their element arrays, concatenated."""
-    starts = np.cumsum([0] + [len(measurement.elements) for measurement in measurements])
-    min_eig = np.minimum.reduceat(np.linalg.eigvalsh(elements).min(axis=1), starts[:-1])
-    # Per measurement, so temporaries stay the size of one measurement and
-    # each sum adds its elements in the order a stack of its own would.
-    blocks = [elements[lo:hi] for lo, hi in zip(starts, starts[1:])]
-    hermitian = np.array([np.abs(b - b.conj().transpose(0, 2, 1)).max() for b in blocks])
-    sums = np.stack([block.sum(axis=0) for block in blocks])
-    completeness = np.abs(sums - _support_projector(spec)).max(axis=(1, 2))
+def _gk_sign(probs: np.ndarray, n_paths: int) -> np.ndarray:
+    """The ``gk-sign`` fault: each level's conclusive profiles ``[G, L, n]``
+    with the sign of their xi/(n*p_k) term flipped."""
+    xi = np.array(DEFAULT_XI_GRID)[:, None]
+    g_sq = (1.0 - xi - xi / (probs.shape[1] * probs[:, None])) / n_paths
+    return np.sqrt(np.clip(g_sq, 0.0, None))
 
-    def detail(i: int) -> str:
-        m, check = divmod(i, 3)
-        head = f"{measurements[m].strategy.value} xi={measurements[m].xi}: "
-        if check == 0:
-            return head + f"non-Hermitian element (gap {hermitian[m]:.3e})"
-        if check == 1:
-            return head + f"element not PSD (min eigenvalue {min_eig[m]:.3e})"
-        return head + f"completeness violated (max deviation {completeness[m]:.3e})"
 
+def _element_gaps(elements: np.ndarray):
+    """Each element's hermiticity gap ``max |E - E^H|`` and smallest
+    eigenvalue, from one ``eigvalsh`` call."""
+    re, im = elements.real, elements.imag
+    gap = re - np.swapaxes(re, -1, -2)
+    np.hypot(gap, im + np.swapaxes(im, -1, -2), out=gap)
+    return gap.max(axis=(-2, -1)), np.linalg.eigvalsh(elements).min(axis=-1)
+
+
+def _povm_gaps(elements: np.ndarray, hermitian, smallest, projector):
+    """Hermiticity gap, smallest eigenvalue and completeness gap of each
+    measurement of ``elements`` ``[..., E, N, N]``, from its elements'
+    :func:`_element_gaps` ``[..., E]``. A sum adds a measurement's elements
+    in the order a stack of its own would."""
+    completeness = np.abs(elements.sum(axis=-3) - projector).max(axis=(-2, -1))
+    return hermitian.max(axis=-1), smallest.min(axis=-1), completeness
+
+
+def _report_order(me: np.ndarray, standard: np.ndarray, concatenated: np.ndarray) -> np.ndarray:
+    """``[S, 1 + 2L]``: per scenario, the minimum-error value, then each
+    level's standard and concatenated one."""
+    levels = np.stack([standard, concatenated], axis=2).reshape(len(me), -1)
+    return np.concatenate([me[:, None], levels], axis=1)
+
+
+def _stacks(n_paths: int, indices, amps, forms: _Forms, profiles):
+    """A group's element stacks, each of consecutive scenarios within
+    ``STACK_ENTRIES``: per stack, the rows it covers, the :func:`_povm_gaps`
+    of their measurements ``[S, 1 + 2L]`` in report order, and their oracle
+    arrays ``[S, E]`` in the outcome order of the builders. A scenario too
+    large for a stack goes one measurement at a time."""
+    per = STACK_ENTRIES // ((n_paths + _LEVELS * (3 * n_paths + 1)) * n_paths**2)
+    for lo in range(0, len(amps), max(per, 1)):
+        rows = slice(lo, lo + max(per, 1))
+        states = _profile_states(n_paths, indices[rows], 1.0, amps[rows])  # build_symmetric_set's
+        projectors = np.zeros(states.shape)
+        projectors[np.arange(len(states))[:, None], indices[rows], indices[rows]] = 1.0
+        if per:
+            elements = _stack_elements(n_paths, indices[rows], forms, profiles, rows)
+            yield rows, _stack_gaps(elements, projectors), oracle_arrays(states, elements)
+        else:
+            yield rows, *_lone_checks(n_paths, indices[lo], forms, profiles, lo, states, projectors)
+
+
+def _stack_elements(n_paths: int, indices, forms: _Forms, profiles, rows: slice) -> np.ndarray:
+    """The elements ``[S, E, N, N]`` of scenarios ``rows`` of a group, each
+    scenario's in the outcome order of the builders."""
+    two = _two_step_elements(
+        n_paths, indices[:, None], forms.p_success[rows], profiles[rows],
+        forms.failure_profile[rows, None], forms.branch[rows, None],
+    )  # fmt: skip
+    me = _me_elements(n_paths, indices)
+    return np.concatenate([me, two.reshape(len(me), -1, n_paths, n_paths)], axis=1)
+
+
+def _stack_gaps(elements: np.ndarray, projectors: np.ndarray):
+    """The :func:`_povm_gaps` of a stack's measurements, ``[S, 1 + 2L]`` each."""
+    n_paths = elements.shape[-1]
+    arrays = (elements, *_element_gaps(elements))
+    # Each scenario's minimum-error measurement, then per level its
+    # standard and its concatenated one.
+    me = [a[:, :n_paths] for a in arrays]
+    shape = (len(elements), _LEVELS, 3 * n_paths + 1)
+    two = [a[:, n_paths:].reshape(shape + a.shape[2:]) for a in arrays]
+    gaps = (
+        _povm_gaps(*me, projectors),
+        _povm_gaps(*(a[:, :, : n_paths + 1] for a in two), projectors[:, None]),
+        _povm_gaps(*(a[:, :, n_paths + 1 :] for a in two), projectors[:, None]),
+    )
+    return tuple(_report_order(*column) for column in zip(*gaps))
+
+
+def _lone_checks(n_paths: int, indices, forms: _Forms, profiles, g: int, states, projectors):
+    """:func:`_stacks`' output for row ``g``, a scenario too large for one
+    stack. Its measurements are built one level at a time and go through
+    stacks of consecutive measurements within ``STACK_ENTRIES``; a
+    measurement over the cap goes alone and is not copied."""
+
+    def measurements():
+        yield _me_elements(n_paths, indices)
+        for level in range(_LEVELS):
+            both = _two_step_elements(
+                n_paths, indices, forms.p_success[g, level], profiles[g, level],
+                forms.failure_profile[g], forms.branch[g],
+            )  # fmt: skip
+            yield both[: n_paths + 1]
+            yield both[n_paths + 1 :]
+
+    gaps, parts = [], []
+
+    def check(batch):
+        elements = np.concatenate(batch) if len(batch) > 1 else batch[0]
+        hermitian, smallest = _element_gaps(elements)
+        bounds = np.cumsum([0] + [len(m) for m in batch])
+        for m, lo, hi in zip(batch, bounds, bounds[1:]):
+            gaps.append(_povm_gaps(m, hermitian[lo:hi], smallest[lo:hi], projectors[0]))
+        parts.append(oracle_arrays(states[0], elements))
+
+    batch = []
+    for measurement in measurements():
+        if batch and (sum(map(len, batch)) + len(measurement)) * n_paths**2 > STACK_ENTRIES:
+            check(batch)
+            batch = []
+        batch.append(measurement)
+    check(batch)
+    joined = (
+        np.concatenate([getattr(part, name) for part in parts])[None]
+        for name in ("probs", "conditionals", "defined")
+    )
+    return tuple(np.array([column]) for column in zip(*gaps)), OracleArrays(*joined)
+
+
+def _check_povm(result: SuiteResult, chunk: _Chunk, rows, hermitian, min_eig, completeness) -> None:
+    """Hermiticity, positivity and completeness of each measurement of some
+    scenarios, three checks per measurement; the arrays are ``[S, 1 + 2L]``."""
     ok = np.stack(
         [
             hermitian <= COMPLETENESS_ATOL,
             min_eig >= -POSITIVITY_ATOL,
             completeness <= COMPLETENESS_ATOL,
         ],
-        axis=1,
+        axis=2,
     )
-    result.record_all(ok, spec, detail)
-    result.margin("COMPLETENESS_ATOL", np.concatenate([hermitian, completeness]))
+    result.checks += ok.size
+    for s in np.flatnonzero(~ok.all(axis=(1, 2))):
+        for i in np.flatnonzero(~ok[s].ravel()):
+            m, check = divmod(int(i), 3)
+            if check == 0:
+                detail = f"non-Hermitian element (gap {hermitian[s, m]:.3e})"
+            elif check == 1:
+                detail = f"element not PSD (min eigenvalue {min_eig[s, m]:.3e})"
+            else:
+                detail = f"completeness violated (max deviation {completeness[s, m]:.3e})"
+            chunk.violate(result, rows[s], _HEADS[m] + detail)
+    result.margin("COMPLETENESS_ATOL", np.concatenate([hermitian.ravel(), completeness.ravel()]))
     result.margin("POSITIVITY_ATOL", -min_eig)
-
-
-@dataclass(frozen=True, eq=False)
-class _ClosedForms:
-    """What the suites compare one scenario against.
-
-    ``levels[i]`` is ``separation_params(spec, DEFAULT_XI_GRID[i])``, all
-    from one array expression; ``levels[0]``, at xi = 0, is the minimum-error
-    level, so ``standard[0]`` is ``knowledge_me(spec)``. Each other field
-    equals the scalar function in its comment bit for bit;
-    ``tests/test_verify.py`` holds them to that.
-    """
-
-    levels: tuple[SeparationParams, ...]
-    conclusive: np.ndarray  # [L, N]: conditional_conclusive(spec, xi) per level
-    failure: np.ndarray | None  # conditional_failure(spec)
-    standard: np.ndarray | None  # [L]: knowledge_frio(spec, xi) per level
-    concatenated: np.ndarray | None  # [L]: knowledge_concatenated(spec, xi) per level
-    knowledge_error: str | None  # why both knowledge arrays are None
-    coherence: float  # coherence(spec)
-    ceiling: float  # holevo_ceiling(spec)
-
-
-def _closed_forms(spec: DetectorSpec) -> _ClosedForms:
-    # The failure profile does not depend on the level.
-    levels = _separations(spec, DEFAULT_XI_GRID)
-    profiles = np.array([params.success_profile for params in levels])
-    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * profiles)
-    failure = _failure_spectrum(spec, levels[0].failure_profile)
-    p_success, p_fail = np.array([(params.p_success, params.p_fail) for params in levels]).T
-    error = None
-    try:
-        k_std = k_conc = p_success * _normalized_infos(conclusive, spec.N)
-        if failure is not None:
-            k_conc = k_std + p_fail * _normalized_info(failure, spec.N)
-    except ValidationError as exc:
-        k_std, k_conc, error = None, None, str(exc)
-    return _ClosedForms(
-        levels, conclusive, failure, k_std, k_conc, error, coherence(spec), holevo_ceiling(spec)
-    )
-
-
-def _measurements(spec: DetectorSpec, forms: _ClosedForms, fault: str | None):
-    """The minimum-error measurement, then each level's two-step
-    measurements, built as they are consumed so that a large-N scenario
-    never holds all of its element matrices at once."""
-    yield build_me_measurement(spec)
-    for params in forms.levels:
-        if fault == "gk-sign":
-            # Flip the sign of the xi/(n*p_k) term of the conclusive profile.
-            g_sq = (1.0 - params.xi - params.xi / (spec.n * spec.probabilities)) / spec.N
-            params = replace(params, success_profile=np.sqrt(np.clip(g_sq, 0.0, None)))
-        yield from build_two_step_measurements(spec, params)
-
-
-def _check_stack(
-    result: SuiteResult, spec: DetectorSpec, symmetric_set, measurements: list[Measurement]
-) -> OracleArrays:
-    """:func:`_check_povm` and the oracle of some measurements, through one element stack."""
-    parts = [m.elements for m in measurements]  # a lone array is not copied: N = 64 peak memory
-    elements = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    _check_povm(result, spec, measurements, elements)
-    return oracle_arrays(symmetric_set, elements)
 
 
 def _outcome_label(m: int, i: int, n_paths: int) -> str:
@@ -266,37 +407,44 @@ def _outcome_label(m: int, i: int, n_paths: int) -> str:
     return f"c{i}" if i < n_paths else ("f", f"fc{i - n_paths}")[m]
 
 
+def _sequential_sums(values: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right from +0.0 as Python's
+    ``sum`` adds floats."""
+    start = np.zeros(values.shape[:-1] + (1,))
+    return np.concatenate([start, values], axis=-1).cumsum(axis=-1)[..., -1]
+
+
 def _check_oracle(
-    result: SuiteResult, spec: DetectorSpec, oracle: OracleArrays, forms: _ClosedForms
+    result: SuiteResult, chunk: _Chunk, rows, oracle: OracleArrays, forms: _Forms, part: slice
 ) -> None:
     """Compare the oracle with the closed forms for every two-step
-    measurement of a scenario.
+    measurement of some scenarios of one group, rows ``part`` of ``forms``.
 
-    ``oracle`` covers the outcomes in the order the builders fix: the
-    minimum-error measurement's ``c0..c{N-1}``, then per level a block of
-    3N + 1, the standard measurement's ``c0..c{N-1}, f`` and the concatenated
-    one's ``c0..c{N-1}, fc0..fc{N-1}``. Per measurement: the outcome
-    probabilities sum to 1; each outcome probability and each defined
-    conditional match the closed form, and each conditional sums to 1;
-    same-kind conditionals are cyclic shifts of each other; and at xi = 0
+    ``oracle`` covers, per scenario, the outcomes in the order the builders
+    fix: the minimum-error measurement's ``c0..c{N-1}``, then per level a
+    block of 3N + 1, the standard measurement's ``c0..c{N-1}, f`` and the
+    concatenated one's ``c0..c{N-1}, fc0..fc{N-1}``. Per measurement: the
+    outcome probabilities sum to 1; each outcome probability and each
+    defined conditional match the closed form, and each conditional sums to
+    1; same-kind conditionals are cyclic shifts of each other; and at xi = 0
     the outcomes reduce to the minimum-error ones.
     """
-    n_levels, n_paths = len(DEFAULT_XI_GRID), spec.N
+    count, n_paths = len(oracle.probs), oracle.conditionals.shape[-1]
     block = 3 * n_paths + 1
-    # A level's standard, then concatenated measurement: tags and block spans.
-    tags = (Strategy.FRIO_STANDARD.value, Strategy.FRIO_CONCATENATED.value)
+    # A level's standard, then concatenated measurement: block spans.
     spans = ((0, n_paths + 1), (n_paths + 1, block))
-    probs = oracle.probs[n_paths:].reshape(n_levels, block)
-    conds = oracle.conditionals[n_paths:].reshape(n_levels, block, n_paths)
-    defined = oracle.defined[n_paths:].reshape(n_levels, block)
+    probs = oracle.probs[:, n_paths:].reshape(count, _LEVELS, block)
+    conds = oracle.conditionals[:, n_paths:].reshape(count, _LEVELS, block, n_paths)
+    defined = oracle.defined[:, n_paths:].reshape(count, _LEVELS, block)
 
     # Outcome probabilities and totals: c outcomes against p_success/N, f
     # against p_fail and fc outcomes against p_fail/N.
-    rates = np.array([(p.p_success / n_paths, p.p_fail, p.p_fail / n_paths) for p in forms.levels])
-    expected_probs = rates[:, np.repeat([0, 1, 0, 2], (n_paths, 1, n_paths, n_paths))]
+    p_success = forms.p_success[part]
+    p_fail = 1.0 - p_success
+    rates = np.stack([p_success / n_paths, p_fail, p_fail / n_paths], axis=-1)
+    expected_probs = rates[..., np.repeat([0, 1, 0, 2], (n_paths, 1, n_paths, n_paths))]
     prob_gap = np.abs(probs - expected_probs)
-    # Python's sum in label order, as over the values of oracle_outcome_table.
-    totals = np.array([[sum(row[lo:hi]) for lo, hi in spans] for row in probs.tolist()])
+    totals = np.stack([_sequential_sums(probs[..., lo:hi]) for lo, hi in spans], axis=-1)
     total_gap = np.abs(totals - 1.0)
 
     # Conditionals against the closed-form row shifted by the label's j,
@@ -304,13 +452,12 @@ def _check_oracle(
     # to match (infinite gap).
     steps = np.arange(n_paths)
     roll = (steps[None, :] - steps[:, None]) % n_paths
-    failure = forms.failure if forms.failure is not None else np.full(n_paths, np.inf)
-    shifted = forms.conclusive[:, roll]
-    uniform = np.full((n_levels, 1, n_paths), 1.0 / n_paths)
-    failure_shifted = np.broadcast_to(failure[roll], shifted.shape)
-    bases = np.concatenate([shifted, uniform, shifted, failure_shifted], axis=1)
-    deviation = np.abs(conds - bases).max(axis=2)
-    sums = conds.sum(axis=2)
+    shifted = forms.conclusive[part][:, :, roll]
+    uniform = np.full((count, _LEVELS, 1, n_paths), 1.0 / n_paths)
+    failure_shifted = np.broadcast_to(forms.failure[part][:, None][:, :, roll], shifted.shape)
+    bases = np.concatenate([shifted, uniform, shifted, failure_shifted], axis=2)
+    deviation = np.abs(conds - bases).max(axis=3)
+    sums = conds.sum(axis=3)
     sum_gap = np.abs(sums - 1.0)
 
     # Cyclic shifts between same-kind conditionals, oracle only; checked
@@ -318,24 +465,24 @@ def _check_oracle(
     # the block positions of {kind}0..{kind}{N-1} of cyclic[g].
     cyclic = ((0, "c"), (1, "c"), (1, "fc"))
     positions = steps + np.array([[0], [n_paths + 1], [2 * n_paths + 1]])
-    reference = conds[:, positions[:, 0]]
-    shift_gap = np.abs(conds[:, positions] - reference[:, :, roll]).max(axis=3)
-    shift_worst = np.where(defined[:, positions], shift_gap, np.inf).max(axis=2)
-    shift_checked = defined[:, positions[:, 0]]
+    reference = conds[:, :, positions[:, 0]]
+    shift_gap = np.abs(conds[:, :, positions] - reference[..., roll]).max(axis=4)
+    shift_worst = np.where(defined[:, :, positions], shift_gap, np.inf).max(axis=3)
+    shift_checked = defined[:, :, positions[:, 0]]
 
     # Reduction to the minimum-error outcomes at xi = 0, the first level:
     # each measurement's c0..c{N-1} against the minimum-error ones.
-    me_defined = oracle.defined[:n_paths]
+    me_defined = oracle.defined[:, None, :n_paths]
     table = positions[:2]
-    table_defined = defined[0, table]
-    cond_gap = np.abs(conds[0, table] - oracle.conditionals[:n_paths]).max(axis=2)
+    table_defined = defined[:, 0][:, table]
+    cond_gap = np.abs(conds[:, 0][:, table] - oracle.conditionals[:, None, :n_paths]).max(axis=3)
     # Both undefined counts as agreement, one undefined as an infinite gap.
     reduction_cond = np.where(
         table_defined & me_defined,
         cond_gap,
         np.where(table_defined == me_defined, 0.0, np.inf),
     )
-    reduction_prob = np.abs(probs[0, table] - oracle.probs[:n_paths])
+    reduction_prob = np.abs(probs[:, 0][:, table] - oracle.probs[:, None, :n_paths])
     reduction_ok = (reduction_cond <= REDUCTION_ATOL) & (reduction_prob <= REDUCTION_ATOL)
 
     total_ok = total_gap <= ORACLE_ATOL
@@ -347,81 +494,170 @@ def _check_oracle(
     result.margin("ORACLE_ATOL", np.concatenate(oracle_gaps))
     result.margin("SHIFT_ATOL", shift_worst[shift_checked])
     result.margin("REDUCTION_ATOL", np.maximum(reduction_cond, reduction_prob))
-    # Record measurement by measurement, in report order.
-    for level, xi in enumerate(DEFAULT_XI_GRID):
-        for m, (lo, hi) in enumerate(spans):
-            tag = tags[m]
-            result.record(
-                total_ok[level, m],
-                spec,
-                lambda: f"{tag} xi={xi}: outcome probs sum to {float(totals[level, m])!r}",
-            )
-            result.record_all(
-                prob_ok[level, lo:hi],
-                spec,
-                lambda i: f"{tag} xi={xi}: outcome {_outcome_label(m, i, n_paths)} prob "
-                f"{float(probs[level, lo + i])!r} != closed form "
-                f"{float(expected_probs[level, lo + i])!r}",
-            )
-            live = lo + np.flatnonzero(defined[level, lo:hi])
+    result.checks += int(
+        total_ok.size + prob_ok.size + 2 * defined.sum() + shift_checked.sum() + reduction_ok.size
+    )
+    passed = (
+        total_ok.all(axis=(1, 2))
+        & prob_ok.all(axis=(1, 2))
+        & (deviation_ok & sum_ok | ~defined).all(axis=(1, 2))
+        & (shift_ok | ~shift_checked).all(axis=(1, 2))
+        & reduction_ok.all(axis=(1, 2))
+    )
 
-            def conditional(i: int) -> str:
-                b = live[i // 2]
-                label = _outcome_label(m, b - lo, n_paths)
-                if i % 2 == 0:
-                    return (
-                        f"{tag} xi={xi}: conditional {label} deviates from closed form "
-                        f"by {deviation[level, b]:.3e}"
+    def violations(s: int):
+        """Scenario ``s``'s failed checks, measurement by measurement in report order."""
+        for level, xi in enumerate(DEFAULT_XI_GRID):
+            for m, (lo, hi) in enumerate(spans):
+                head = f"{_TWO_STEP[m]} xi={xi}: "
+                if not total_ok[s, level, m]:
+                    yield head + f"outcome probs sum to {float(totals[s, level, m])!r}"
+                for i in np.flatnonzero(~prob_ok[s, level, lo:hi]):
+                    yield head + (
+                        f"outcome {_outcome_label(m, i, n_paths)} prob "
+                        f"{float(probs[s, level, lo + i])!r} != closed form "
+                        f"{float(expected_probs[s, level, lo + i])!r}"
                     )
-                return f"{tag} xi={xi}: conditional {label} sums to {float(sums[level, b])!r}"
+                for b in lo + np.flatnonzero(defined[s, level, lo:hi]):
+                    label = _outcome_label(m, b - lo, n_paths)
+                    if not deviation_ok[s, level, b]:
+                        yield head + (
+                            f"conditional {label} deviates from closed form "
+                            f"by {deviation[s, level, b]:.3e}"
+                        )
+                    if not sum_ok[s, level, b]:
+                        yield head + f"conditional {label} sums to {float(sums[s, level, b])!r}"
+                for g, (owner, kind) in enumerate(cyclic):
+                    if owner == m and shift_checked[s, level, g] and not shift_ok[s, level, g]:
+                        yield head + (
+                            f"cyclic-shift relation off by {shift_worst[s, level, g]:.3e} "
+                            f"for kind {kind!r}"
+                        )
+                if level == 0:
+                    for i in np.flatnonzero(~reduction_ok[s, m]):
+                        yield (
+                            f"{_TWO_STEP[m]}: xi=0 table differs from minimum-error table at "
+                            f"c{i} (cond {reduction_cond[s, m, i]:.3e}, "
+                            f"prob {reduction_prob[s, m, i]:.3e})"
+                        )
 
-            result.record_all(
-                np.stack([deviation_ok[level, live], sum_ok[level, live]], axis=1),
-                spec,
-                conditional,
-            )
-            for g, (owner, kind) in enumerate(cyclic):
-                if owner == m and shift_checked[level, g]:
-                    result.record(
-                        shift_ok[level, g],
-                        spec,
-                        lambda: f"{tag} xi={xi}: cyclic-shift relation off by "
-                        f"{shift_worst[level, g]:.3e} for kind {kind!r}",
-                    )
-            if level == 0:
-                result.record_all(
-                    reduction_ok[m],
-                    spec,
-                    lambda i: f"{tag}: xi=0 table differs from minimum-error table at "
-                    f"c{i} (cond {reduction_cond[m, i]:.3e}, "
-                    f"prob {reduction_prob[m, i]:.3e})",
-                )
+    for s in np.flatnonzero(~passed):
+        for detail in violations(s):
+            chunk.violate(result, rows[s], detail)
 
 
-def _check_hierarchy(result: SuiteResult, spec: DetectorSpec, forms: _ClosedForms) -> np.ndarray:
-    """The chain and the sum check at each level; returns each level's
-    concatenation gain, or none when the knowledge could not be computed."""
-    grid, error = DEFAULT_XI_GRID, forms.knowledge_error
-    if error is not None:
-        failed = np.zeros(len(grid), dtype=bool)
-        result.record_all(failed, spec, lambda i: f"xi={grid[i]}: knowledge failed: {error}")
-        return np.empty(0)
-    k_std, k_conc, ceiling = forms.standard, forms.concatenated, forms.ceiling
-    k_me = k_std[0]
+def _check_hierarchy(result: SuiteResult, chunk: _Chunk, rows, forms: _Forms) -> None:
+    """The chain and the sum check at each level of each scenario; a
+    scenario whose knowledge could not be computed fails one check per level."""
+    for g, error in forms.errors.items():
+        result.checks += _LEVELS
+        for xi in DEFAULT_XI_GRID:
+            chunk.violate(result, rows[g], f"xi={xi}: knowledge failed: {error}")
+    good = np.ones(len(rows), dtype=bool)
+    good[list(forms.errors)] = False
+    rows, k_std, k_conc = rows[good], forms.standard[good], forms.concatenated[good]
+    ceiling = forms.ceiling[good][:, None]
+    k_me = k_std[:, :1]
     # Discarding the failure outcomes coarse-grains the concatenated
     # measurement, hence k_std <= k_conc. Neither is bounded by k_me at
     # xi > 0 (see the module docstring).
     chain_ok = (k_std <= k_conc + HIERARCHY_ATOL) & (k_me <= ceiling + HIERARCHY_ATOL)
-    total = forms.coherence + np.maximum(np.maximum(k_conc, k_std), k_me)
-    details = (
-        lambda i: f"hierarchy broken (frio {float(k_std[i])!r}, conc {float(k_conc[i])!r}, "
-        f"me {float(k_me)!r}, ceiling {ceiling!r})",
-        lambda i: f"duality sum {float(total[i])!r} exceeds 1",
-    )
-    ok = np.stack([chain_ok, total <= 1.0 + HIERARCHY_ATOL], axis=1)
-    result.record_all(ok, spec, lambda i: f"xi={grid[i // 2]}: " + details[i % 2](i // 2))
-    result.margin("HIERARCHY_ATOL", np.concatenate([k_std - k_conc, [k_me - ceiling], total - 1.0]))
-    return k_conc - k_std
+    total = forms.coherence[good][:, None] + np.maximum(np.maximum(k_conc, k_std), k_me)
+    ok = np.stack([chain_ok, total <= 1.0 + HIERARCHY_ATOL], axis=2)
+    result.checks += ok.size
+    for s in np.flatnonzero(~ok.all(axis=(1, 2))):
+        for i in np.flatnonzero(~ok[s].ravel()):
+            level, check = divmod(int(i), 2)
+            if check == 0:
+                detail = (
+                    f"hierarchy broken (frio {float(k_std[s, level])!r}, "
+                    f"conc {float(k_conc[s, level])!r}, me {float(k_me[s, 0])!r}, "
+                    f"ceiling {float(ceiling[s, 0])!r})"
+                )
+            else:
+                detail = f"duality sum {float(total[s, level])!r} exceeds 1"
+            chunk.violate(result, rows[s], f"xi={DEFAULT_XI_GRID[level]}: " + detail)
+    gaps = [(k_std - k_conc).ravel(), (k_me - ceiling).ravel(), (total - 1.0).ravel()]
+    result.margin("HIERARCHY_ATOL", np.concatenate(gaps))
+
+
+def _has_isolated_minimum(probs: np.ndarray) -> np.ndarray:
+    """Whether each row's smallest squared coefficient is clearly unique."""
+    if probs.shape[1] < 2:
+        return np.zeros(len(probs), dtype=bool)
+    ordered = np.sort(probs, axis=1)
+    return (ordered[:, 1] - ordered[:, 0]) / ordered[:, 0] >= ISOLATED_MINIMUM_GAP
+
+
+def _check_monotonicity(
+    result: SuiteResult, chunk: _Chunk, rows, forms: _Forms, probs: np.ndarray, n_paths: int
+) -> None:
+    """Each scenario's success probability along ``MONOTONICITY_XI_GRID``
+    and, where its minimum coefficient is clearly unique, its concatenation
+    gain along ``DEFAULT_XI_GRID``."""
+    # Separation success probability is non-increasing in xi for every
+    # scenario; that follows directly from its closed form.
+    curve = _success(probs[:, None], np.array(MONOTONICITY_XI_GRID), n_paths)[1]
+    rise = np.diff(curve, axis=1).max(axis=1)
+    result.checks += len(rows)
+    for g in np.flatnonzero(~(rise <= SUCCESS_MONOTONICITY_ATOL)):
+        detail = f"success probability increased by {rise[g]:.3e} along the xi grid"
+        chunk.violate(result, rows[g], detail)
+    result.margin("SUCCESS_MONOTONICITY_ATOL", rise)
+    # The gain k_conc - k_std is p_fail(xi) times the failure branch's
+    # information, which does not depend on xi, so it never decreases.
+    # Knowledge itself may rise with xi. The check holds for every
+    # non-uniform scenario; the selection only fixes how many checks the
+    # suite reports.
+    checked = forms.branch & _has_isolated_minimum(probs)
+    if not checked.any():
+        return
+    failed = np.zeros(len(rows), dtype=bool)
+    failed[list(forms.errors)] = True
+    gains = forms.concatenated[~failed] - forms.standard[~failed]
+    drop = np.zeros(len(rows))
+    drop[~failed] = (gains[:, :-1] - gains[:, 1:]).max(axis=1)
+    result.checks += int(checked.sum())
+    for g in np.flatnonzero(checked & (failed | ~(drop <= MONOTONICITY_ATOL))):
+        chunk.violate(
+            result,
+            rows[g],
+            f"concatenation gain decreased by {drop[g]:.3e} along the xi grid "
+            f"(knowledge failed at {_LEVELS if failed[g] else 0} levels)",
+        )
+    result.margin("MONOTONICITY_ATOL", drop[checked])
+
+
+def _check_spectra(
+    parseval: SuiteResult, uncertainty: SuiteResult, chunk: _Chunk, rows, n_paths, indices, amps
+) -> None:
+    """Parseval and the support-size uncertainty bound for each scenario's
+    ``dft_distribution`` spectrum."""
+    spectra = _dft(n_paths, indices, amps)
+    totals = spectra.sum(axis=1)
+    gaps = np.abs(totals - 1.0)
+    parseval.checks += len(rows)
+    for g in np.flatnonzero(~(gaps <= PARSEVAL_ATOL)):
+        chunk.violate(parseval, rows[g], f"spectrum sums to {float(totals[g])!r}")
+    parseval.margin("PARSEVAL_ATOL", gaps)
+    support, n = (spectra > 1e-12).sum(axis=1), indices.shape[1]
+    uncertainty.checks += len(rows)
+    for g in np.flatnonzero(n * support < n_paths):
+        chunk.violate(uncertainty, rows[g], f"support product {n} * {support[g]} < {n_paths}")
+
+
+def _check_group(results, chunk: _Chunk, n_paths: int, n: int, rows, fault: str | None) -> None:
+    """All six suites on the scenarios ``rows`` of a chunk, which share N and n."""
+    completeness, oracle, hierarchy, monotonicity, parseval, uncertainty = results
+    indices, amps = chunk.indices[rows, :n], chunk.amps[rows, :n]
+    forms = _group_forms(n_paths, indices, amps)
+    _check_hierarchy(hierarchy, chunk, rows, forms)
+    _check_monotonicity(monotonicity, chunk, rows, forms, amps**2, n_paths)
+    _check_spectra(parseval, uncertainty, chunk, rows, n_paths, indices, amps)
+    profiles = _gk_sign(amps**2, n_paths) if fault == "gk-sign" else forms.profiles
+    for part, povm, arrays in _stacks(n_paths, indices, amps, forms, profiles):
+        _check_povm(completeness, chunk, rows[part], *povm)
+        _check_oracle(oracle, chunk, rows[part], arrays, forms, part)
 
 
 def run_verification(
@@ -451,74 +687,21 @@ def run_verification(
         )
     if fault is not None and fault not in FAULTS:
         raise ValidationError(f"unknown fault mode {fault!r}; known: {FAULTS}")
-    completeness = SuiteResult("povm-completeness")
-    oracle = SuiteResult("oracle-agreement")
-    hierarchy = SuiteResult("hierarchy")
-    monotonicity = SuiteResult("monotonicity")
-    parseval = SuiteResult("parseval")
-    uncertainty = SuiteResult("donoho-stark")
-
-    for index in range(samples):
-        rng = sample_rng(seed, index)
-        n_paths = int(rng.integers(lo, hi + 1))
-        n = int(rng.integers(1, n_paths + 1))
-        spec = sample_spec(n_paths, n, rng)
-
-        forms = _closed_forms(spec)
-        symmetric_set = build_symmetric_set(spec)
-        batch, parts = [], []
-        for measurement in _measurements(spec, forms, fault):
-            stacked = sum(len(m.elements) for m in batch) + len(measurement.elements)
-            if batch and stacked * spec.N**2 > STACK_ENTRIES:
-                parts.append(_check_stack(completeness, spec, symmetric_set, batch))
-                batch = []
-            batch.append(measurement)
-        parts.append(_check_stack(completeness, spec, symmetric_set, batch))
-        arrays = OracleArrays(
-            probs=np.concatenate([part.probs for part in parts]),
-            conditionals=np.concatenate([part.conditionals for part in parts]),
-            defined=np.concatenate([part.defined for part in parts]),
+    results = [
+        SuiteResult(name)
+        for name in (
+            "povm-completeness",
+            "oracle-agreement",
+            "hierarchy",
+            "monotonicity",
+            "parseval",
+            "donoho-stark",
         )
-        _check_oracle(oracle, spec, arrays, forms)
-        gains = _check_hierarchy(hierarchy, spec, forms)
-
-        # Separation success probability is non-increasing in xi for every
-        # scenario; that follows directly from its closed form.
-        levels = np.array(MONOTONICITY_XI_GRID)[:, None]
-        success_curve = _success(spec.probabilities, levels, spec.N)[1]
-        worst = float(np.diff(success_curve, axis=0).max())
-        monotonicity.record(
-            worst <= SUCCESS_MONOTONICITY_ATOL,
-            spec,
-            lambda: f"success probability increased by {worst:.3e} along the xi grid",
-        )
-        monotonicity.margin("SUCCESS_MONOTONICITY_ATOL", worst)
-        if not spec.is_uniform and _has_isolated_minimum(spec):
-            # The gain k_conc - k_std is p_fail(xi) times the failure
-            # branch's information, which does not depend on xi, so it
-            # never decreases. Knowledge itself may rise with xi. The
-            # check holds for every non-uniform scenario; the selection
-            # only fixes how many checks the suite reports.
-            worst = float((gains[:-1] - gains[1:]).max()) if gains.size > 1 else 0.0
-            monotonicity.record(
-                len(gains) == len(DEFAULT_XI_GRID) and worst <= MONOTONICITY_ATOL,
-                spec,
-                lambda: f"concatenation gain decreased by {worst:.3e} along the xi grid "
-                f"(knowledge failed at {len(DEFAULT_XI_GRID) - len(gains)} levels)",
-            )
-            monotonicity.margin("MONOTONICITY_ATOL", worst)
-
-        spectrum = dft_distribution(spec)
-        total = float(spectrum.sum())
-        parseval.record(
-            abs(total - 1.0) <= PARSEVAL_ATOL, spec, lambda: f"spectrum sums to {total!r}"
-        )
-        parseval.margin("PARSEVAL_ATOL", abs(total - 1.0))
-        spectrum_support = int((spectrum > 1e-12).sum())
-        uncertainty.record(
-            spec.n * spectrum_support >= spec.N,
-            spec,
-            lambda: f"support product {spec.n} * {spectrum_support} < {spec.N}",
-        )
-
-    return [completeness, oracle, hierarchy, monotonicity, parseval, uncertainty]
+    ]
+    # Chunks of at most BLOCK_ROWS scenarios keep memory flat in ``samples``.
+    for start in range(0, samples, BLOCK_ROWS):
+        chunk = _Chunk(seed, (lo, hi), start, min(start + BLOCK_ROWS, samples))
+        for n_paths, n, rows in chunk.groups():
+            _check_group(results, chunk, n_paths, n, rows, fault)
+        chunk.flush(results)
+    return results

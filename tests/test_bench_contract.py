@@ -8,8 +8,8 @@ renaming one of them breaks traced runs or every benchmark child.
 N = 16 census on the sha256 of its CSV and its summary line, and the
 canonical ``verify`` run on its check counts and the exit code of its faulted
 call, so a change to the sweep's numbers, the census's numbers or row format,
-or the verify suites' counts fails here before it fails the benchmark. The files are read with ``ast``, not
-imported.
+or the verify suites' counts fails here before it fails the benchmark. The
+files are read with ``ast``, not imported.
 """
 
 import ast

@@ -1,10 +1,13 @@
-"""The array form of ``verify``: its failure path, the closed forms it shares
-per scenario, and how often it calls the per-scenario builders."""
+"""The block form of ``verify``: its failure paths, the closed forms it
+computes per (N, n) group, its chunks and element stacks, and that it calls
+none of the per-scenario builders."""
 
 import hashlib
 import json
 import sys
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +20,24 @@ from duality_lab.duality import (
     knowledge_frio,
     knowledge_me,
 )
-from duality_lab.measurements import conditional_conclusive, conditional_failure
-from duality_lab.states import ValidationError
-from duality_lab.verify import DEFAULT_XI_GRID, MONOTONICITY_XI_GRID, run_verification
+from duality_lab.measurements import (
+    MIN_COEFF_CLAMP_ATOL,
+    build_me_measurement,
+    build_two_step_measurements,
+    conditional_conclusive,
+    conditional_failure,
+    oracle_arrays,
+    separation_params,
+)
+from duality_lab.states import (
+    BLOCK_ROWS,
+    ValidationError,
+    build_symmetric_set,
+    spec_from_probabilities,
+    spec_to_json_dict,
+    uniform_spec,
+)
+from duality_lab.verify import DEFAULT_XI_GRID, run_verification
 
 from helpers import iter_specs
 
@@ -31,13 +49,13 @@ def suite(results, name):
 class TestFailurePath:
     def test_shifted_failure_conditional_is_reported_per_fc_label(self, monkeypatch):
         reference = suite(run_verification(40, seed=0), "oracle-agreement")
-        failure_spectrum = verify._failure_spectrum
+        failure_spectra = verify._failure_spectra
 
-        def shifted(spec, profile):
-            spectrum = failure_spectrum(spec, profile)
-            return None if spectrum is None else np.roll(spectrum, 1)
+        def shifted(*args):
+            live, spectra = failure_spectra(*args)
+            return live, np.roll(spectra, 1, axis=-1)
 
-        monkeypatch.setattr(verify, "_failure_spectrum", shifted)
+        monkeypatch.setattr(verify, "_failure_spectra", shifted)
         oracle = suite(run_verification(40, seed=0), "oracle-agreement")
         assert oracle.checks == reference.checks
         assert not oracle.passed
@@ -54,10 +72,10 @@ class TestFailurePath:
 
 class TestKnowledgeFailure:
     def test_rejected_entropy_input_is_recorded_per_level(self, monkeypatch):
-        def rejected(probabilities, n_paths):
+        def rejected(*args):
             raise ValidationError("rejected")
 
-        monkeypatch.setattr(verify, "_normalized_infos", rejected)
+        monkeypatch.setattr(verify, "_knowledge", rejected)
         results = run_verification(30, seed=0)
         hierarchy = suite(results, "hierarchy")
         assert hierarchy.checks == 30 * len(DEFAULT_XI_GRID)
@@ -67,6 +85,51 @@ class TestKnowledgeFailure:
         assert gains and all(
             f"(knowledge failed at {len(DEFAULT_XI_GRID)} levels)" in v for v in gains
         )
+
+    def test_only_the_rejected_scenario_fails(self, monkeypatch):
+        # The entropy input of one scenario's conclusive rows is rejected:
+        # its group is computed again row by row, so only that scenario's
+        # five hierarchy checks and its gain check fail.
+        specs = list(iter_specs(30, seed=0))
+        target = next(
+            i
+            for i, spec in enumerate(specs)
+            if spec.n >= 2
+            and not spec.is_uniform
+            and sum(other.N == spec.N and other.n == spec.n for other in specs) >= 3
+            and np.diff(np.sort(spec.probabilities)[:2])[0] >= 0.05 * spec.min_probability
+        )
+        rejected_row = conditional_conclusive(specs[target], 0.0)
+        normalized_infos = verify._normalized_infos
+
+        def rejecting(probabilities, n_paths):
+            rows = np.asarray(probabilities)
+            if rows.shape[-1] == rejected_row.size and (rows == rejected_row).all(axis=-1).any():
+                raise ValidationError("rejected")
+            return normalized_infos(probabilities, n_paths)
+
+        reference = run_verification(30, seed=0)
+        monkeypatch.setattr(verify, "_normalized_infos", rejecting)
+        results = run_verification(30, seed=0)
+        replay = json.dumps(spec_to_json_dict(specs[target]))
+        hierarchy = suite(results, "hierarchy")
+        assert hierarchy.checks == suite(reference, "hierarchy").checks - len(DEFAULT_XI_GRID)
+        assert hierarchy.violations == [
+            f"xi={xi}: knowledge failed: rejected | replay spec: {replay}" for xi in DEFAULT_XI_GRID
+        ]
+        monotonicity = suite(results, "monotonicity")
+        assert monotonicity.checks == suite(reference, "monotonicity").checks
+        assert monotonicity.violations == [
+            "concatenation gain decreased by 0.000e+00 along the xi grid "
+            f"(knowledge failed at {len(DEFAULT_XI_GRID)} levels) | replay spec: {replay}"
+        ]
+        for before, after in zip(reference, results):
+            if after.name not in ("hierarchy", "monotonicity"):
+                assert (after.checks, after.violations, after.worst) == (
+                    before.checks,
+                    before.violations,
+                    before.worst,
+                )
 
 
 class TestPinnedReport:
@@ -115,22 +178,92 @@ class TestSharedClosedForms:
         assert all(a < b for a, b in zip(DEFAULT_XI_GRID, DEFAULT_XI_GRID[1:]))
 
     def test_equal_to_the_scalar_functions(self):
-        # 560 verify-style scenarios, path counts 2..16, every level.
+        # 560 verify-style scenarios, path counts 2..16, every level, one
+        # group per (N, n).
         specs = [*iter_specs(500, seed=0), *iter_specs(60, seed=1, n_range=(9, 16))]
+        groups = {}
         for spec in specs:
-            forms = verify._closed_forms(spec)
-            assert forms.coherence == coherence(spec)
-            assert forms.ceiling == holevo_ceiling(spec)
-            failure = conditional_failure(spec)
-            assert (forms.failure is None) == (failure is None)
-            if failure is not None:
-                assert np.array_equal(forms.failure, failure)
-            for level, xi in enumerate(DEFAULT_XI_GRID):
-                assert forms.levels[level].xi == xi
-                assert np.array_equal(forms.conclusive[level], conditional_conclusive(spec, xi))
-                assert forms.standard[level] == knowledge_frio(spec, xi)
-                assert forms.concatenated[level] == knowledge_concatenated(spec, xi)
-            assert forms.standard[0] == knowledge_me(spec)
+            groups.setdefault((spec.N, spec.n), []).append(spec)
+        for group in groups.values():
+            assert_rows_are_the_scalar_functions(group)
+
+    def test_edge_rows_in_one_group(self):
+        # A uniform row (no failure branch), a non-uniform row whose failure
+        # profile is clamped to zero everywhere, and generic rows.
+        clamped = spec_from_probabilities(6, (1, 2), (0.5 - 6e-13, 0.5 + 6e-13))
+        assert not clamped.is_uniform
+        assert np.ptp(clamped.amplitudes) <= MIN_COEFF_CLAMP_ATOL
+        assert conditional_failure(clamped) is None
+        group = [
+            spec_from_probabilities(6, (0, 1), (0.2, 0.8)),
+            uniform_spec(6, (0, 3)),
+            clamped,
+            spec_from_probabilities(6, (2, 5), (0.9, 0.1)),
+            spec_from_probabilities(6, (1, 4), (0.45, 0.55)),
+        ]
+        forms = assert_rows_are_the_scalar_functions(group)
+        assert forms.branch.tolist() == [True, False, True, True, True]
+        assert forms.live.tolist() == [True, False, False, True, True]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("fault", [None, "gk-sign"])
+    def test_elements_and_oracle_are_the_per_scenario_ones(self, fault):
+        # A stack of one group's scenarios holds each scenario's builder
+        # arrays in order, and its one oracle call equals the per-scenario
+        # calls, bit for bit (signed zeros included).
+        groups = {}
+        for spec in iter_specs(200, seed=3, n_range=(2, 6)):
+            groups.setdefault((spec.N, spec.n), []).append(spec)
+        for (n_paths, n), specs in groups.items():
+            indices = np.array([spec.support.indices for spec in specs])
+            amps = np.array([spec.coeffs for spec in specs])
+            forms = verify._group_forms(n_paths, indices, amps)
+            profiles = verify._gk_sign(amps**2, n_paths) if fault else forms.profiles
+            rows = slice(0, len(specs))
+            elements = verify._stack_elements(n_paths, indices, forms, profiles, rows)
+            states = np.stack([build_symmetric_set(spec).states for spec in specs])
+            stacked = oracle_arrays(states, elements)
+            for s, spec in enumerate(specs):
+                parts = [build_me_measurement(spec).elements]
+                for level, xi in enumerate(DEFAULT_XI_GRID):
+                    params = separation_params(spec, xi)
+                    if fault:
+                        params = replace(params, success_profile=profiles[s, level])
+                    parts += [m.elements for m in build_two_step_measurements(spec, params)]
+                expected = np.concatenate(parts)
+                assert elements[s].tobytes() == expected.tobytes()
+                alone = oracle_arrays(build_symmetric_set(spec), expected)
+                for name in ("probs", "conditionals", "defined"):
+                    assert getattr(stacked, name)[s].tobytes() == getattr(alone, name).tobytes()
+
+
+def assert_rows_are_the_scalar_functions(specs):
+    """verify's closed forms of scenarios that share N and n, computed as one
+    group, equal the scalar functions row by row, bit for bit."""
+    indices = np.array([spec.support.indices for spec in specs])
+    amps = np.array([spec.coeffs for spec in specs])
+    forms = verify._group_forms(specs[0].N, indices, amps)
+    assert forms.errors == {}
+    for g, spec in enumerate(specs):
+        assert forms.coherence[g] == coherence(spec)
+        assert forms.ceiling[g] == holevo_ceiling(spec)
+        failure = conditional_failure(spec)
+        assert forms.live[g] == (failure is not None)
+        if failure is not None:
+            assert np.array_equal(forms.failure[g], failure)
+        for level, xi in enumerate(DEFAULT_XI_GRID):
+            params = separation_params(spec, xi)
+            assert forms.p_success[g, level] == params.p_success
+            assert np.array_equal(forms.profiles[g, level], params.success_profile)
+            assert np.array_equal(forms.conclusive[g, level], conditional_conclusive(spec, xi))
+            assert forms.standard[g, level] == knowledge_frio(spec, xi)
+            assert forms.concatenated[g, level] == knowledge_concatenated(spec, xi)
+        assert forms.standard[g, 0] == knowledge_me(spec)
+        assert forms.branch[g] == (params.failure_profile is not None)
+        if params.failure_profile is not None:
+            assert np.array_equal(forms.failure_profile[g], params.failure_profile)
+    return forms
 
 
 class TestWorstGaps:
@@ -172,10 +305,54 @@ class TestCallBudget:
         return calls
 
     def test_per_scenario_work_is_not_repeated_per_label(self, monkeypatch):
-        symmetric = self.count_calls(monkeypatch, "build_symmetric_set", "states")
-        separation = self.count_calls(monkeypatch, "separation_params", "measurements")
-        samples = 20
+        # verify works on blocks: none of the one-scenario builders and
+        # formulas runs, and each element stack takes one oracle call.
+        per_scenario = {
+            name: self.count_calls(monkeypatch, name, module)
+            for module, name in (
+                ("states", "build_symmetric_set"),
+                ("measurements", "separation_params"),
+                ("measurements", "build_me_measurement"),
+                ("measurements", "build_two_step_measurements"),
+                ("measurements", "conditional_conclusive"),
+                ("measurements", "conditional_failure"),
+                ("duality", "coherence"),
+                ("duality", "shannon_entropy"),
+                ("saturation", "dft_distribution"),
+            )
+        }
+        oracle = self.count_calls(monkeypatch, "oracle_arrays", "measurements")
+        samples = 60
         run_verification(samples)
-        assert symmetric[0] == samples
-        budget = len(DEFAULT_XI_GRID) + len(MONOTONICITY_XI_GRID) + 1
-        assert separation[0] <= budget * samples
+        assert {name: calls[0] for name, calls in per_scenario.items()} == dict.fromkeys(
+            per_scenario, 0
+        )
+        stacks = 0
+        for (n_paths, _), count in Counter((s.N, s.n) for s in iter_specs(samples, 0)).items():
+            size = (n_paths + len(DEFAULT_XI_GRID) * (3 * n_paths + 1)) * n_paths**2
+            stacks += -(-count // (verify.STACK_ENTRIES // size))
+        assert oracle[0] == stacks < samples
+
+
+class TestChunks:
+    def test_counts_and_memory_across_a_chunk_boundary(self):
+        # Three scenarios past one chunk: the counts fixed per scenario, and
+        # a peak that does not grow with the sample count. The margin over a
+        # 300-scenario run covers a full chunk's arrays, the closed forms of
+        # groups of about 800 rows, and element stacks filled to the cap.
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                results = run_verification(samples, seed=4, n_range=(2, 3))
+                return results, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        samples = BLOCK_ROWS + 3
+        results, large = peak(samples)
+        counts = {result.name: result.checks for result in results}
+        assert counts["povm-completeness"] == 33 * samples
+        assert counts["hierarchy"] == 10 * samples
+        assert counts["parseval"] == counts["donoho-stark"] == samples
+        assert all(result.passed for result in results)
+        assert large <= peak(300)[1] + 3 * 2**19
