@@ -39,8 +39,8 @@ from .states import (
     ValidationError,
     _embed,
     _is_uniform,
+    _profile_states,
     _read_only,
-    phase_table,
 )
 
 __all__ = [
@@ -119,8 +119,8 @@ def separation_params(spec: DetectorSpec, xi: float) -> SeparationParams:
     xi = _level(xi)
     profile, p_success = _success(spec.probabilities, xi, spec.N)
     failure, branch = _failure_profile(spec.amplitudes[None], spec.probabilities[None], spec.N)
-    p_success = float(p_success)
-    return SeparationParams(xi, p_success, 1.0 - p_success, profile, failure[0] if branch[0] else None)
+    p_success, failure = float(p_success), failure[0] if branch[0] else None
+    return SeparationParams(xi, p_success, 1.0 - p_success, profile, failure)
 
 
 def _level(xi) -> float:
@@ -157,11 +157,10 @@ def _failure_profile(amps: np.ndarray, probs: np.ndarray, n_paths: int):
     branch = ~_is_uniform(probs)
     amps, live = amps[branch], probs[branch]
     p_min = live.min(axis=-1, keepdims=True)
+    part = (live - p_min) / ((1.0 - n * p_min) * n_paths * live)
+    part[amps - amps.min(axis=-1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL] = 0.0
     h_sq = np.zeros(probs.shape)
-    h_sq[branch] = (live - p_min) / ((1.0 - n * p_min) * n_paths * live)
-    clamped = np.zeros(probs.shape, dtype=bool)
-    clamped[branch] = amps - amps.min(axis=-1, keepdims=True) <= MIN_COEFF_CLAMP_ATOL
-    h_sq[clamped] = 0.0
+    h_sq[branch] = part
     return np.sqrt(h_sq), branch
 
 
@@ -186,17 +185,6 @@ class Measurement:
         if label not in self.labels:
             raise KeyError(label)
         return self.elements[self.labels.index(label)]
-
-
-def _profile_states(n_paths: int, indices, scale, profile: np.ndarray) -> np.ndarray:
-    """N measurement vectors as rows ``[..., N, N]``: ``sqrt(scale) *
-    profile_k * w^{jk}`` on the support, zero elsewhere. ``profile`` holds one
-    row (1-D) or one per scenario and level (any leading axes), with which
-    ``indices`` and ``scale`` broadcast."""
-    indices = np.asarray(indices)
-    phases = np.swapaxes(phase_table(n_paths)[indices], -1, -2)  # the table is symmetric
-    values = (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
-    return _embed(n_paths, indices[..., None, :], values)
 
 
 def _rank_ones(rows: np.ndarray) -> np.ndarray:
@@ -393,8 +381,8 @@ def oracle_arrays(states, elements: np.ndarray) -> OracleArrays:
     n_paths = states.shape[-1]
     if elements.shape[:-3] != states.shape[:-2] or elements.shape[-2:] != (n_paths, n_paths):
         raise ValidationError(
-            f"measurement dimension {elements.shape[-1]} does not match state "
-            f"dimension {n_paths}"
+            f"measurement elements of shape {elements.shape} do not match states "
+            f"of shape {states.shape}"
         )
     rho = np.swapaxes(states, -1, -2) @ states.conj() / n_paths
     probs = np.trace(elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real

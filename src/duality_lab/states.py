@@ -232,10 +232,20 @@ def build_symmetric_set(spec: DetectorSpec) -> SymmetricSet:
     State ``l`` has amplitude ``a_k * exp(2j*pi*k*l/N)`` on each support
     index ``k`` and zero elsewhere; every state is unit norm.
     """
-    idx = list(spec.support.indices)
-    states = np.zeros((spec.N, spec.N), dtype=complex)
-    states[:, idx] = spec.amplitudes * phase_table(spec.N)[:, idx]
+    states = _profile_states(spec.N, spec.support.indices, 1.0, spec.amplitudes)
     return SymmetricSet(spec=spec, states=_read_only(states))
+
+
+def _profile_states(n_paths: int, indices, scale, profile: np.ndarray) -> np.ndarray:
+    """N vectors as rows ``[..., N, N]``: ``sqrt(scale) * profile_k * w^{jk}``
+    on the support, zero elsewhere. ``profile`` holds one row (1-D) or one
+    per scenario and level (any leading axes), with which ``indices`` and
+    ``scale`` broadcast. With the amplitudes as profile and scale 1 the rows
+    are the detector states; the measurement vectors take other profiles."""
+    indices = np.asarray(indices)
+    phases = np.swapaxes(phase_table(n_paths)[indices], -1, -2)  # the table is symmetric
+    values = (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
+    return _embed(n_paths, indices[..., None, :], values)
 
 
 @dataclass(frozen=True, eq=False)

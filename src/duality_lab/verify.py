@@ -17,7 +17,8 @@ the row rules of the sweep kernel (``measurements._success``,
 Its measurements are built by the block rules behind the POVM builders and
 stacked across consecutive scenarios up to ``STACK_ENTRIES`` matrix
 entries, with one ``eigvalsh`` call and one oracle call per stack; a
-scenario too large for one stack goes one measurement at a time. Oracle
+scenario too large for one stack goes through stacks of its consecutive
+measurements. Oracle
 rows are compared with the closed forms by position, in the fixed outcome
 order of the POVM builders. Every check is an array over a group or a
 stack: a scenario whose checks all pass only adds its counts, and messages
@@ -51,14 +52,13 @@ from .measurements import (
     _failure_profile,
     _failure_spectra,
     _me_elements,
-    _profile_states,
     _spectrum,
     _success,
     _two_step_elements,
     oracle_arrays,
 )
 from .saturation import _dft
-from .states import BLOCK_ROWS, ValidationError, is_int, spec_to_json_dict
+from .states import BLOCK_ROWS, ValidationError, _profile_states, is_int, spec_to_json_dict
 
 __all__ = [
     "SuiteResult",
@@ -82,9 +82,10 @@ SUCCESS_MONOTONICITY_ATOL = 1e-12
 PARSEVAL_ATOL = 1e-10
 
 # Most matrix entries (elements x N x N) one element stack may hold. A stack
-# holds consecutive scenarios of one (N, n): 221 at N = 2, one at N = 8 and
-# N = 9; a larger scenario goes one measurement at a time. 2^14 complex
-# entries take 256 KiB, and a stack's temporaries about as much again.
+# holds consecutive scenarios of one (N, n): 110 at N = 2, two at N = 7, one
+# at N = 8 and 9. From N = 10 a stack holds consecutive measurements of one
+# scenario, and from N = 20 each measurement is a stack of its own. 2^14
+# complex entries take 256 KiB, and a stack's temporaries about as much.
 STACK_ENTRIES = 1 << 14
 
 # Every tolerance a suite checks a gap against; a check passes when its gap
@@ -211,6 +212,13 @@ class _Forms:
     errors: dict  # row -> why its knowledge could not be computed
     coherence: np.ndarray  # [G]: coherence(spec)
     ceiling: np.ndarray  # [G]: holevo_ceiling(spec)
+
+    @property
+    def failed(self) -> np.ndarray:
+        """[G]: the rows in ``errors``."""
+        failed = np.zeros(len(self.coherence), dtype=bool)
+        failed[list(self.errors)] = True
+        return failed
 
 
 def _group_forms(n_paths: int, indices: np.ndarray, amps: np.ndarray) -> _Forms:
@@ -553,8 +561,7 @@ def _check_hierarchy(result: SuiteResult, chunk: _Chunk, rows, forms: _Forms) ->
         result.checks += _LEVELS
         for xi in DEFAULT_XI_GRID:
             chunk.violate(result, rows[g], f"xi={xi}: knowledge failed: {error}")
-    good = np.ones(len(rows), dtype=bool)
-    good[list(forms.errors)] = False
+    good = ~forms.failed
     rows, k_std, k_conc = rows[good], forms.standard[good], forms.concatenated[good]
     ceiling = forms.ceiling[good][:, None]
     k_me = k_std[:, :1]
@@ -612,8 +619,7 @@ def _check_monotonicity(
     checked = forms.branch & _has_isolated_minimum(probs)
     if not checked.any():
         return
-    failed = np.zeros(len(rows), dtype=bool)
-    failed[list(forms.errors)] = True
+    failed = forms.failed
     gains = forms.concatenated[~failed] - forms.standard[~failed]
     drop = np.zeros(len(rows))
     drop[~failed] = (gains[:, :-1] - gains[:, 1:]).max(axis=1)
