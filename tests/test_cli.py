@@ -615,6 +615,7 @@ class TestVerify:
                 "6714551b9828b9afe240b573c62587fc98f708e4a4f7005d091a27168fc2f12d",
             ),
         ],
+        ids=["canonical-json", "n9to24-json", "gk-sign-stderr"],
     )
     def test_pinned_output(self, argv, stream, digest, capsys):
         # The benchmark's canonical JSON report with its worst gaps, a run
