@@ -301,7 +301,7 @@ def _stacks(n_paths: int, indices, amps, forms: _Forms, profiles):
     ``STACK_ENTRIES``: per stack, the rows it covers, the :func:`_povm_gaps`
     of their measurements ``[S, 1 + 2L]`` in report order, and their oracle
     arrays ``[S, E]`` in the outcome order of the builders. A scenario too
-    large for a stack goes one measurement at a time."""
+    large for a stack is a stack of its own, through :func:`_lone_checks`."""
     per = STACK_ENTRIES // ((n_paths + _LEVELS * (3 * n_paths + 1)) * n_paths**2)
     for lo in range(0, len(amps), max(per, 1)):
         rows = slice(lo, lo + max(per, 1))
