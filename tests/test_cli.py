@@ -439,6 +439,45 @@ class TestSaturation:
         assert run_cli("saturation", "--N", "30") == 2
 
 
+class TestPinnedEnumerations:
+    """Census and enumeration outputs the benchmark does not gate: a census
+    on stdout, a census whose dimensions 8 and 9 each span six blocks of
+    ``BLOCK_ROWS`` supports, and every uniform spec at N = 7. Recorded with
+    Python 3.11.7 and numpy 2.4.6."""
+
+    @pytest.mark.parametrize(
+        "argv, size, sha256",
+        [
+            (
+                ["saturation", "--N", "12"],
+                218_073,
+                "3da19a268b63607252056df1b8e838c478e21360802a160cc3cb09b9557a04be",
+            ),
+            (
+                ["saturation", "--N", "17", "--out"],
+                7_800_720,
+                "c5aca2793d807267151c35a8f519f3800114e8c44dbec305b702a100b10c071b",
+            ),
+            (
+                ["enumerate-uniform", "--N", "7", "--n", "all"],
+                12_945,
+                "d88c0f33e0f43a60375e8a9c8f3292affdfe519283e176a29c51e505f86f92d8",
+            ),
+        ],
+        ids=["census-n12-stdout", "census-n17-file", "enumerate-n7-all"],
+    )
+    def test_outputs_keep_their_digests(self, argv, size, sha256, tmp_path, capsys):
+        if argv[-1] == "--out":
+            out = tmp_path / "out.csv"
+            assert run_cli(*argv, str(out)) == 0
+            data = out.read_bytes()
+        else:
+            assert run_cli(*argv) == 0
+            data = capsys.readouterr().out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+
 class TestExample:
     def test_equally_spaced(self, capsys):
         assert run_cli("example", "six-path-equally-spaced") == 0
