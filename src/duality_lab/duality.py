@@ -37,6 +37,7 @@ from .measurements import (
 )
 from .states import (
     BLOCK_ROWS,
+    EVAL_BLOCK_ENTRIES,
     DetectorSpec,
     SweepBlock,
     ValidationError,
@@ -62,11 +63,6 @@ __all__ = [
 ENTRY_ATOL = 1e-12
 SUM_ATOL = 1e-9
 DUALITY_SUM_ATOL = 1e-9
-
-# The most zero-padded spectrum entries (rows x N) one evaluation slice may
-# hold: 2^18 complex entries take 4 MiB, so a slice's arrays stay a few MB at
-# any path count.
-EVAL_BLOCK_ENTRIES = 1 << 18
 
 
 def _checked(probabilities, ndim: int) -> np.ndarray:

@@ -264,6 +264,11 @@ class CensusBlock:
         and allocated once, at its final size. (One ``%`` call on the row
         template repeated per row reallocates its output as it grows, which
         fragments the heap across blocks and is slower.)
+
+        The entropy cell is ``repr`` of the row's float, formatted once per
+        distinct value of the block: few sums recur across many supports
+        (160 distinct in the 4,095 rows of N = 12). Values are told apart by
+        their bit pattern, so ``-0.0`` keeps its own text apart from ``0.0``.
         """
         rows, n = self.indices.shape
         dashed = np.array([f"{i}-" for i in range(self.N)], dtype=object)
@@ -273,7 +278,9 @@ class CensusBlock:
         cells[:, 1:n] = dashed[self.indices[:, :-1]]
         cells[:, n] = ended[self.indices[:, -1]]
         cells[:, n + 1] = ended[self.lambda_support]
-        cells[:, n + 2] = list(map(repr, self.entropy_sum.tolist()))
+        sums, inverse = np.unique(self.entropy_sum.view(np.uint64), return_inverse=True)
+        texts = np.array(list(map(repr, sums.view(np.float64).tolist())), dtype=object)
+        cells[:, n + 2] = texts[inverse]
         cells[:, n + 3] = _FLAG_CELLS[self.saturating.astype(np.intp)]
         cells[:, n + 4] = _STRUCTURE_CELLS[self.structure]
         return "".join(cells.ravel().tolist())

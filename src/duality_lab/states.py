@@ -45,6 +45,7 @@ __all__ = [
     "check_dimension",
     "uniform_supports",
     "BLOCK_ROWS",
+    "EVAL_BLOCK_ENTRIES",
 ]
 
 # Squared amplitudes summing to 1 within NORM_REPAIR_ATOL are rescaled to
@@ -62,6 +63,11 @@ PROBABILITY_FLOOR = sys.float_info.min
 # Rows per array block: sweep chunks, evaluation slices and census blocks
 # all hold at most this many scenarios, so their memory stays a few MB.
 BLOCK_ROWS = 4096
+
+# The most zero-padded spectrum entries (rows x N) one evaluation slice may
+# hold: 2^18 complex entries take 4 MiB, so a slice's arrays stay a few MB at
+# any path count. It is also the most paths a sweep or an enumeration takes.
+EVAL_BLOCK_ENTRIES = 1 << 18
 
 
 class ValidationError(ValueError):
@@ -405,14 +411,31 @@ def block_from_specs(specs) -> SweepBlock:
 
 
 def uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
-    """All C(N, n) supports of dimension n in lexicographic order, as index
-    arrays of at most ``BLOCK_ROWS`` rows."""
+    """All C(N, n) supports of dimension n in lexicographic order, as C-ordered
+    ``(rows, n)`` index arrays of at most ``BLOCK_ROWS`` rows.
+
+    ``N`` and ``n`` are checked here, before the first block is asked for: N
+    may be at most ``EVAL_BLOCK_ENTRIES``, as in a sweep, because the stream
+    holds all N indices from its start. The blocks are drawn lazily, so a
+    huge C(N, n) starts at once.
+    """
+    check_path_count(N)
+    if N > EVAL_BLOCK_ENTRIES:
+        raise ValidationError(f"an enumeration takes at most {EVAL_BLOCK_ENTRIES} paths, got {N}")
+    check_dimension(n, N)
+    return _uniform_supports(N, n)
+
+
+def _uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
+    # One flat stream of indices per block, reshaped: np.fromiter converts a
+    # subarray dtype one tuple at a time, which is slower.
     combos = itertools.combinations(range(N), n)
     remaining = math.comb(N, n)
     while remaining:
         rows = min(BLOCK_ROWS, remaining)
         remaining -= rows
-        yield np.fromiter(combos, dtype=np.dtype((np.intp, n)), count=rows)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        yield np.fromiter(flat, dtype=np.intp, count=rows * n).reshape(rows, n)
 
 
 def _embed(n_paths: int, indices, values: np.ndarray) -> np.ndarray:
@@ -442,8 +465,6 @@ def spec_from_probabilities(N: int, indices, probabilities) -> DetectorSpec:
 def enumerate_uniform_specs(N: int, n: int) -> list[DetectorSpec]:
     """All C(N, n) uniform scenarios of subspace dimension n, in lexicographic
     support order."""
-    check_path_count(N)
-    check_dimension(n, N)
     return [spec for rows in uniform_supports(N, n) for spec in uniform_block(N, rows).specs()]
 
 

@@ -4,7 +4,10 @@ traceback.
 Arguments are drawn from the six subcommands, their flags and edge tokens.
 Every size flag (``--samples``, ``--N``, ``--grid``) gets an explicit small
 value or a malformed token, so no example starts a long run; ``verify``
-would otherwise default to 1000 samples.
+would otherwise default to 1000 samples. The one large token, a path count
+of 2^64, goes only to ``enumerate-uniform`` and ``saturation``, which
+reject it before any work; as ``verify --samples`` it would start a run
+without end.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ EDGE = ["-1", "0", "1", "65", "nan", "inf", "1e309", "", "a,b", "3:"]
 # Edge tokens for size flags. 65 is left out: enumerate-uniform --n all
 # would stream 2^65 supports.
 SIZES = ["2", "3", "4", "6"] + [token for token in EDGE if token != "65"]
+HUGE_PATH_COUNT = str(2**64)
 
 SPEC_FILES = {
     "valid.json": '{"N": 4, "support": [0, 2], "coeffs_sq": [0.7, 0.3]}',
@@ -55,6 +59,9 @@ def _argv(draw, paths) -> list[str]:
     def size():
         return pick(["1", "2", "3", "4", "6"], SIZES)
 
+    def path_count():
+        return pick(["1", "2", "3", "4", "6"], SIZES + [HUGE_PATH_COUNT])
+
     def out():
         return draw(st.sampled_from(paths["outs"]))
 
@@ -80,10 +87,10 @@ def _argv(draw, paths) -> list[str]:
             ("--manifest", out()),
         ]
     elif command == "enumerate-uniform":
-        required = [("--N", size())]
+        required = [("--N", path_count())]
         optional = [("--n", value("all", "2")), ("--out", out())]
     elif command == "saturation":
-        required = [("--N", size())]
+        required = [("--N", path_count())]
         optional = [("--out", out())]
     elif command == "example":
         required = [(value(*EXAMPLES),)]

@@ -11,6 +11,7 @@ from duality_lab import saturation
 from duality_lab.duality import shannon_entropy
 from duality_lab.measurements import conditional_conclusive
 from duality_lab.saturation import (
+    CensusBlock,
     SupportStructure,
     census_blocks,
     classify_support,
@@ -308,6 +309,30 @@ class TestCensusBlocks:
             coefficient = shannon_entropy(uniform_spec(12, range(block.n)).probabilities)
             for row, entropy_sum in zip(block.lambda_sq[zeros], block.entropy_sum[zeros]):
                 assert entropy_sum == coefficient + shannon_entropy(row)
+
+    def test_entropy_cells_are_each_rows_own_repr(self):
+        # Repeated sums are formatted once per block, keyed by bit pattern:
+        # float equality would merge 0.0 with -0.0.
+        x = 2.584962500721156
+        sums = np.array(
+            [x, 0.0, -0.0, 1e-05, x, 1e16, 5e-324, np.nextafter(x, 0.0),
+             np.nextafter(x, 4.0), -0.0, 0.0, 1e-05, 5e-324, x]
+        )  # fmt: skip
+        rows = len(sums)
+        block = CensusBlock(
+            N=6,
+            n=2,
+            indices=np.tile(np.array([0, 3]), (rows, 1)),
+            lambda_sq=np.zeros((rows, 6)),
+            lambda_support=np.full(rows, 3),
+            entropy_sum=sums,
+            saturating=np.zeros(rows, dtype=bool),
+            structure=np.zeros(rows, dtype=np.intp),
+        )
+        lines = block.csv_lines().splitlines()
+        assert [line.split(",")[4] for line in lines] == [repr(h) for h in sums.tolist()]
+        assert lines[1] == "6,2,0-3,3,0.0,false,equally-spaced"
+        assert lines[2] == "6,2,0-3,3,-0.0,false,equally-spaced"
 
     def test_memory_stays_flat(self):
         # Streaming N = 16 peaks near 5 MiB; saturation_scan(16), which keeps

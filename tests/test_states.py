@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given
 
 from duality_lab.states import (
+    BLOCK_ROWS,
+    EVAL_BLOCK_ENTRIES,
     DetectorSpec,
     Support,
     ValidationError,
@@ -17,6 +20,7 @@ from duality_lab.states import (
     spec_to_json_dict,
     uniform_block,
     uniform_spec,
+    uniform_supports,
 )
 
 from helpers import detector_specs
@@ -215,6 +219,38 @@ class TestEnumeration:
     def test_dimension_out_of_range(self, n):
         with pytest.raises(ValidationError):
             enumerate_uniform_specs(6, n)
+
+    @pytest.mark.parametrize(
+        "N, n, sizes",
+        [(15, 7, [BLOCK_ROWS, 2339]), (15, 1, [15]), (15, 15, [1]), (2, 1, [2])],
+    )
+    def test_supports_are_the_combinations(self, N, n, sizes):
+        # C(15, 7) = 6,435 rows cross a block boundary.
+        blocks = list(uniform_supports(N, n))
+        assert [len(block) for block in blocks] == sizes
+        for block in blocks:
+            assert block.dtype == np.intp
+            assert block.shape == (len(block), n)
+            assert block.flags.c_contiguous
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == list(itertools.combinations(range(N), n))
+
+    @pytest.mark.parametrize("N", [2**64, EVAL_BLOCK_ENTRIES + 1])
+    def test_path_count_beyond_the_enumeration_limit_rejected(self, N):
+        # Rejected when called, before the pool of N indices is built.
+        with pytest.raises(ValidationError, match=f"at most {EVAL_BLOCK_ENTRIES} paths"):
+            uniform_supports(N, 1)
+        with pytest.raises(ValidationError, match=f"at most {EVAL_BLOCK_ENTRIES} paths"):
+            enumerate_uniform_specs(N, 1)
+
+    @pytest.mark.parametrize("N, n", [(1, 1), (True, 1), (6, 0), (6, 7), (6, 2.0)])
+    def test_supports_validate_their_arguments(self, N, n):
+        with pytest.raises(ValidationError):
+            uniform_supports(N, n)
+
+    def test_largest_path_count_yields_its_first_block(self):
+        block = next(uniform_supports(EVAL_BLOCK_ENTRIES, 1))
+        assert np.array_equal(block, np.arange(BLOCK_ROWS)[:, None])
 
 
 class TestJsonRoundTrip:
