@@ -411,14 +411,11 @@ def block_from_specs(specs) -> SweepBlock:
 
 
 def uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
-    """All C(N, n) supports of dimension n in lexicographic order, as C-ordered
-    ``(rows, n)`` index arrays of at most ``BLOCK_ROWS`` rows.
-
-    ``N`` and ``n`` are checked here, before the first block is asked for: N
-    may be at most ``EVAL_BLOCK_ENTRIES``, as in a sweep, because the stream
-    holds all N indices from its start. The blocks are drawn lazily, so a
-    huge C(N, n) starts at once.
-    """
+    """All C(N, n) supports of dimension n in lexicographic order, drawn
+    lazily as C-ordered ``(rows, n)`` index arrays of at most ``BLOCK_ROWS``
+    rows. N and n are checked when called: N may be at most
+    ``EVAL_BLOCK_ENTRIES``, as in a sweep, since the stream holds all N
+    indices from its start."""
     check_path_count(N)
     if N > EVAL_BLOCK_ENTRIES:
         raise ValidationError(f"an enumeration takes at most {EVAL_BLOCK_ENTRIES} paths, got {N}")
@@ -427,8 +424,8 @@ def uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
 
 
 def _uniform_supports(N: int, n: int) -> Iterator[np.ndarray]:
-    # One flat stream of indices per block, reshaped: np.fromiter converts a
-    # subarray dtype one tuple at a time, which is slower.
+    # One flat index stream per block, reshaped: with an (intp, n) subarray
+    # dtype, np.fromiter would convert each combination tuple separately.
     combos = itertools.combinations(range(N), n)
     remaining = math.comb(N, n)
     while remaining:

@@ -404,22 +404,6 @@ class TestEnumerateUniform:
         assert f"at most {EVAL_BLOCK_ENTRIES} paths" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_largest_path_count_starts_at_once(self):
-        # The sink breaks the pipe at the first line, as `| head -1` would.
-        class Sink(io.StringIO):
-            first = None
-
-            def write(self, text):
-                self.first = text
-                raise BrokenPipeError("sink closed")
-
-        sink = Sink()
-        with contextlib.redirect_stdout(sink):
-            assert run_cli("enumerate-uniform", "--N", str(EVAL_BLOCK_ENTRIES), "--n", "1") == 3
-        assert json.loads(sink.first) == {
-            "N": EVAL_BLOCK_ENTRIES, "support": [0], "coeffs_sq": [1.0]
-        }
-
     def test_matches_the_listed_enumeration(self, capsys):
         assert run_cli("enumerate-uniform", "--N", "6") == 0
         lines = capsys.readouterr().out.splitlines()
