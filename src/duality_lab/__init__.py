@@ -10,7 +10,6 @@ from .duality import (
     DualityPoint,
     coherence,
     evaluate_point,
-    evaluate_specs,
     holevo_ceiling,
     knowledge_concatenated,
     knowledge_frio,
@@ -96,7 +95,6 @@ __all__ = [
     "knowledge_me",
     "holevo_ceiling",
     "evaluate_point",
-    "evaluate_specs",
     "DualityPoint",
     "SupportStructure",
     "SaturationReport",

@@ -41,7 +41,7 @@ from .states import (
     check_dimension,
     spec_from_json_dict,
     spec_from_probabilities,
-    spec_to_json_dict,
+    uniform_block,
     uniform_spec,
     uniform_supports,
 )
@@ -153,12 +153,14 @@ def cmd_enumerate(args) -> int:
     dim = _parse_dim(args.n, args.N)
     dims = range(1, args.N + 1) if dim is None else (dim,)
     with _open_out(args.out) as handle:
-        # Streamed: C(N, n) specs would not fit in memory at large N.
+        # Streamed by block, as C(N, n) lines outgrow memory, in spec_to_json_dict's format.
         for n in dims:
-            for rows in uniform_supports(args.N, n):
-                for indices in rows:
-                    spec = uniform_spec(args.N, indices)
-                    handle.write(json.dumps(spec_to_json_dict(spec)) + "\n")
+            blocks = uniform_supports(args.N, n)
+            coeffs_sq = [a * a for a in uniform_block(args.N, [list(range(n))]).amps[0].tolist()]
+            for rows in blocks:
+                for row in rows.tolist():
+                    line = {"N": args.N, "support": row, "coeffs_sq": coeffs_sq}
+                    handle.write(json.dumps(line) + "\n")
     return EXIT_OK
 
 

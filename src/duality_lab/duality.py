@@ -8,14 +8,12 @@ coherence and knowledge live in [0, 1] and their sum never exceeds 1.
 Scans evaluate many scenarios through one batched kernel,
 :func:`evaluate_block`: it takes an array block of scenarios of one (N, n)
 (``states.SweepBlock``), computes coherence once per row and knowledge for
-every (strategy, xi) pair, with one FFT and one entropy call per slice of
-rows and distribution kind. :func:`evaluate_specs` and
-:func:`evaluate_point` are adapters that build a block from ``DetectorSpec``
-objects, so scalar and batch calls share one evaluation path. The scalar
-functions (:func:`coherence`, :func:`knowledge_frio`, ...) evaluate one
-scenario through the same separation and spectrum formulas as the kernel
-(``measurements._success``, ``_failure_profile`` and ``_spectrum``); they
-are the reference the kernel is tested against.
+all (strategy, xi) pairs at once, from closed forms on a level axis
+(:func:`_level_forms`, :func:`_failure_branch` and the K_std/K_conc table
+:func:`_knowledge_table`) that ``verify`` checks too. The scalar functions
+(:func:`coherence`, :func:`knowledge_frio`, ...) evaluate one scenario
+through the same separation and spectrum formulas; they are the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ __all__ = [
     "knowledge_me",
     "holevo_ceiling",
     "evaluate_point",
-    "evaluate_specs",
     "evaluate_block",
     "strategy_pair",
     "strategy_pairs",
@@ -161,13 +158,10 @@ def knowledge_concatenated(spec: DetectorSpec, xi: float) -> float:
     Adds the failure branch's information share to :func:`knowledge_frio`;
     the extra term is zero when the failure branch is absent.
     """
-    params = separation_params(spec, xi)
-    conclusive = _spectrum(spec.N, spec.support.indices, spec.amplitudes * params.success_profile)
-    failure = conditional_failure(spec)
-    knowledge = params.p_success * _normalized_info(conclusive, spec.N)
+    knowledge, failure = knowledge_frio(spec, xi), conditional_failure(spec)
     if failure is None:
         return knowledge
-    return knowledge + params.p_fail * _normalized_info(failure, spec.N)
+    return knowledge + separation_params(spec, xi).p_fail * _normalized_info(failure, spec.N)
 
 
 def knowledge_me(spec: DetectorSpec) -> float:
@@ -207,20 +201,11 @@ def evaluate_point(spec: DetectorSpec, strategy, xi: float = 0.0) -> DualityPoin
 
     The ME strategy ignores ``xi`` (it is the xi = 0 endpoint). Raises if the
     duality bound C + K <= 1 is violated beyond tolerance, which would signal
-    an implementation bug rather than bad input. A one-row
-    :func:`evaluate_specs` call.
+    an implementation bug rather than bad input. One :func:`evaluate_block`
+    call on the scenario's one-row block.
     """
-    return evaluate_specs((spec,), strategy, xi)[0]
-
-
-def evaluate_specs(specs, strategy, xi: float = 0.0) -> list[DualityPoint]:
-    """:func:`evaluate_point` for many scenarios that share N and n: one
-    :func:`evaluate_block` call on a block built from the specs."""
-    pair = strategy_pair(strategy, xi)
-    specs = list(specs)
-    if not specs:
-        return []
-    return _block_points(evaluate_block(block_from_specs(specs), (pair,)), 0, specs)
+    block = evaluate_block(block_from_specs((spec,)), ((strategy, xi),))
+    return _block_points(block, 0, (spec,))[0]
 
 
 def _block_points(block: SweepBlock, column: int, specs) -> list[DualityPoint]:
@@ -262,23 +247,29 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     """The block with its result columns, labelled by the normalized ``pairs``
     (see :func:`strategy_pairs`): coherence per row, and knowledge and C + K per row and pair.
 
-    Rows go through the spectra in slices of at most ``BLOCK_ROWS`` rows and
-    ``EVAL_BLOCK_ENTRIES`` padded spectrum entries, so memory stays bounded
-    at any N. Each slice takes one FFT and one entropy call per distribution
-    kind, through the formulas of the scalar functions, so every value
-    equals :func:`coherence` and ``knowledge_*`` bit for bit. Raises if
-    C + K exceeds 1 beyond tolerance.
+    Slices hold at most ``BLOCK_ROWS`` rows and ``EVAL_BLOCK_ENTRIES`` padded
+    spectrum entries over their pairs (pairs go in groups where one row's
+    exceed it), so memory stays bounded at any N. A slice takes one FFT and
+    one entropy call per distribution kind, and the failure branch only for
+    a ``frio-concatenated`` pair; every value equals :func:`coherence` and
+    ``knowledge_*`` bit for bit. Raises if C + K exceeds 1 beyond tolerance.
     """
     pairs = strategy_pairs(pairs)
+    levels = [xi for _, xi in pairs]
+    concatenated = np.array([tag is Strategy.FRIO_CONCATENATED for tag, _ in pairs])
     probs = block.amps**2
     coh = _normalized_infos(probs, block.N)
     knowledge = np.empty((len(block), len(pairs)))
-    rows = max(1, min(BLOCK_ROWS, EVAL_BLOCK_ENTRIES // block.N))
+    width = min(len(pairs), max(1, EVAL_BLOCK_ENTRIES // block.N))
+    rows = max(1, min(BLOCK_ROWS, EVAL_BLOCK_ENTRIES // (block.N * width)))
     for lo in range(0, len(block), rows):
         part = slice(lo, lo + rows)
-        _knowledge_rows(
-            block.N, block.indices[part], block.amps[part], probs[part], pairs, knowledge[part]
-        )
+        indices, amps, squares = block.indices[part], block.amps[part], probs[part]
+        failure = _failure_branch(block.N, indices, amps, squares)[2:] if concatenated.any() else ()
+        for cols in (slice(c, c + width) for c in range(0, len(pairs), width)):
+            _, p_success, conclusive = _level_forms(block.N, indices, amps, squares, levels[cols])
+            table = _knowledge_table(block.N, conclusive, p_success, *failure)
+            knowledge[part, cols] = np.where(concatenated[cols], table[1], table[0])
     total = coh[:, None] + knowledge
     bad = np.flatnonzero(total > 1.0 + DUALITY_SUM_ATOL)
     if bad.size:
@@ -290,27 +281,27 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     return replace(block, pairs=pairs, coherence=coh, knowledge=knowledge, duality_sum=total)
 
 
-def _knowledge_rows(n_paths, indices, amps, probs, pairs, out: np.ndarray) -> None:
-    """Knowledge of each row of a slice of a block, one column of ``out`` per
-    (strategy, xi) pair: :func:`knowledge_frio` and
-    :func:`knowledge_concatenated` row by row."""
-    failure = None
-    for column, (strategy, xi) in enumerate(pairs):
-        profile, p_success = _success(probs, xi, n_paths)
-        conclusive = _spectrum(n_paths, indices, amps * profile)
-        knowledge = p_success * _normalized_infos(conclusive, n_paths)
-        if strategy is Strategy.FRIO_CONCATENATED:
-            if failure is None:
-                failure = _failure_infos(n_paths, indices, amps, probs)
-            rows, info = failure
-            knowledge[rows] += (1.0 - p_success[rows]) * info
-        out[:, column] = knowledge
+def _level_forms(n_paths: int, indices, amps, probs, levels):
+    """Success profiles ``[G, L, n]``, success probabilities ``[G, L]`` and
+    conclusive spectra ``[G, L, N]`` of block rows at each of ``levels``."""
+    profiles, p_success = _success(probs[:, None], np.asarray(levels), n_paths)
+    return profiles, p_success, _spectrum(n_paths, indices[:, None], amps[:, None] * profiles)
 
 
-def _failure_infos(n_paths, indices, amps, probs):
-    """``conditional_failure`` of each row: which rows have one, and the
-    normalized information of their failure conditionals. The branch does
-    not depend on xi."""
-    profile = _failure_profile(amps, probs, n_paths)[0]
-    live, spectra = _failure_spectra(n_paths, indices, amps, profile)
-    return live, _normalized_infos(spectra, n_paths) if live.any() else np.empty(0)
+def _failure_branch(n_paths: int, indices, amps, probs):
+    """The level-free failure branch of block rows: failure profiles, which
+    rows have a branch, which have a failure conditional, and theirs."""
+    profile, branch = _failure_profile(amps, probs, n_paths)
+    return (profile, branch, *_failure_spectra(n_paths, indices, amps, profile))
+
+
+def _knowledge_table(n_paths: int, conclusive, p_success, live=None, failure=None):
+    """``knowledge_frio`` and ``knowledge_concatenated`` ``[G, L]`` from the
+    :func:`_level_forms` and the ``failure`` conditionals of the ``live``
+    rows; without them, K_conc is K_std."""
+    infos = _normalized_infos(conclusive.reshape(-1, n_paths), n_paths)
+    standard = p_success * infos.reshape(p_success.shape)
+    concatenated = standard.copy()
+    if live is not None and live.any():
+        concatenated[live] += (1.0 - p_success[live]) * _normalized_infos(failure, n_paths)[:, None]
+    return standard, concatenated

@@ -435,11 +435,15 @@ def _scenarios(supports: np.ndarray, weights: np.ndarray):
 
 def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
     """Draw one scenario: uniform random support, flat-simplex probabilities.
-    N follows the path-count rule and must fit numpy's int64 draws."""
+    N follows the path-count rule and must fit numpy's int64 draws; n is at
+    most ``EVAL_BLOCK_ENTRIES``, as in a sweep."""
     check_path_count(N)
-    if N > 2**63 - 1:
-        raise ValidationError(f"a drawn scenario takes at most 2**63 - 1 paths, got {N}")
     check_dimension(n, N)
+    if N > 2**63 - 1 or n > EVAL_BLOCK_ENTRIES:
+        raise ValidationError(
+            f"a drawn scenario takes at most 2**63 - 1 paths and {EVAL_BLOCK_ENTRIES} "
+            f"coefficients, got N = {N}, n = {n}"
+        )
     indices, probs = _scenarios(*_draw(rng, N, n))
     return spec_from_probabilities(N, indices.tolist(), probs.tolist())
 

@@ -322,19 +322,15 @@ def conditional_failure(spec: DetectorSpec) -> np.ndarray | None:
 def _failure_spectra(n_paths: int, indices, amps: np.ndarray, profile: np.ndarray):
     """:func:`conditional_failure` of each row of a block from its failure
     profile (see :func:`_failure_profile`): which rows have a distribution
-    (a nonzero profile), and those rows' distributions."""
-    live = profile.any(axis=-1)
-    return live, _normalized(_spectrum(n_paths, indices[live], amps[live] * profile[live]))
-
-
-def _normalized(spectra: np.ndarray) -> np.ndarray:
-    """Failure spectra, one (1-D) or one per row (2-D), scaled to sum to 1.
+    (a nonzero profile), and those rows' distributions.
 
     The profile formula cancels (p_k - p_min) against (1 - n*p_min); for
     nearly uniform coefficients both are tiny and the float sum drifts off
-    1 by ~eps/(1 - n*p_min), so renormalize to the exact analytic sum.
+    1 by ~eps/(1 - n*p_min), so each spectrum is scaled to sum to exactly 1.
     """
-    return spectra / spectra.sum(axis=-1, keepdims=True)
+    live = profile.any(axis=-1)
+    spectra = _spectrum(n_paths, indices[live], amps[live] * profile[live])
+    return live, spectra / spectra.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)

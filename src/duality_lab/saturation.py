@@ -18,7 +18,9 @@ A block formats each distinct entropy sum once: the sums of uniform supports
 take few values (715 in the 65,535 rows of N = 16).
 The scalar functions (:func:`dft_distribution`, :func:`is_saturating`,
 :func:`saturation_report`) evaluate one scenario through the same spectrum
-arithmetic and are the reference the blocks are tested against.
+arithmetic and are the reference the blocks are tested against;
+:func:`saturation_scan` is that reference for a whole census, one
+:func:`saturation_report` per support.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .duality import shannon_entropies, shannon_entropy
 from .states import (
+    EVAL_BLOCK_ENTRIES,
     DetectorSpec,
     Support,
     SweepBlock,
@@ -74,6 +77,9 @@ SATURATION_ATOL = 1e-9
 # Enumeration budget: a full scan visits 2^N - 1 supports.
 SCAN_MAX_PATHS = 24
 
+# Divisor budget: trial division up to sqrt(N) takes 2^20 steps (0.1 s) here.
+DIVISOR_MAX_PATHS = 1 << 40
+
 
 class SupportStructure(str, Enum):
     """Cyclic-gap classification of a support."""
@@ -103,23 +109,17 @@ def _dft(n_paths: int, indices, amps: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.ifft(_embed(n_paths, indices, amps)) * math.sqrt(n_paths)) ** 2
 
 
-def _divisors(n_paths: int) -> list[int]:
-    """Divisors of ``n_paths`` in ascending order, by trial division up to its square root."""
-    small = [d for d in range(1, math.isqrt(n_paths) + 1) if n_paths % d == 0]
-    return small + [n_paths // d for d in reversed(small) if d * d != n_paths]
-
-
 def saturating_spec(N: int, m: int, tau: int) -> DetectorSpec:
     """Uniform scenario on the equally spaced support ``{tau + kappa*m}``.
 
     Requires ``m`` to divide ``N`` and ``0 <= tau < m``; the support has
-    ``n = N/m`` indices with spacing ``m``, and the induced symmetric states
-    attain the uncertainty-principle bound: their spectrum has exactly ``m``
-    nonzero entries, each equal to ``n/N``.
+    ``n = N/m <= EVAL_BLOCK_ENTRIES`` indices with spacing ``m``, and the
+    induced symmetric states attain the uncertainty-principle bound: their
+    spectrum has exactly ``m`` nonzero entries, each equal to ``n/N``.
     """
     check_path_count(N)
-    if not is_int(m) or m < 1 or N % m != 0:
-        raise ValidationError(f"spacing {m!r} must be a positive divisor of {N}")
+    if not is_int(m) or m < 1 or N % m != 0 or N // m > EVAL_BLOCK_ENTRIES:
+        raise ValidationError(f"spacing {m!r} must divide {N}, with N/m <= {EVAL_BLOCK_ENTRIES}")
     if not is_int(tau) or not 0 <= tau < m:
         raise ValidationError(f"offset must satisfy 0 <= tau < {m}, got {tau!r}")
     n = N // m
@@ -166,6 +166,10 @@ _STRUCTURE_CELLS = np.array([f"{structure.value}\n" for structure in _STRUCTURES
 def _structure_codes(N: int, indices: np.ndarray) -> np.ndarray:
     """:func:`classify_support` for one support per row of a ``(rows, n)``
     index array, as positions in ``_STRUCTURES``."""
+    # Gaps lie below N, so wrapped intp sums still give them exactly; an N
+    # beyond intp does not convert, and the gaps are taken on Python ints.
+    if N > np.iinfo(np.intp).max:
+        indices = indices.astype(object)
     gaps = np.diff(indices, axis=1, append=indices[:, :1] + N)
     equal = (gaps == gaps[:, :1]).all(axis=1)
     adjacent = (gaps > 1).sum(axis=1) == 1
@@ -181,7 +185,10 @@ def saturating_dimensions(N: int) -> tuple[list[int], int]:
     for prime N.
     """
     check_path_count(N)
-    divisors = _divisors(N)
+    if N > DIVISOR_MAX_PATHS:
+        raise ValidationError(f"divisors are searched for N <= {DIVISOR_MAX_PATHS}, got N = {N}")
+    small = [d for d in range(1, math.isqrt(N) + 1) if N % d == 0]  # trial division
+    divisors = small + [N // d for d in reversed(small) if d * d != N]
     return [d for d in divisors if 1 < d < N], len(divisors) - 2
 
 
@@ -233,29 +240,6 @@ class CensusBlock:
     saturating: np.ndarray  # (rows,) bool
     structure: np.ndarray  # (rows,) positions in _STRUCTURES
 
-    def reports(self) -> list[SaturationReport]:
-        """One :class:`SaturationReport` per row."""
-        return [
-            SaturationReport(
-                spec=uniform_spec(self.N, indices),
-                lambda_sq=lambda_sq,
-                support_size=self.n,
-                lambda_support_size=size,
-                bound_ok=self.n * size >= self.N,
-                entropy_sum=entropy_sum,
-                saturating=saturating,
-                structure=_STRUCTURES[code],
-            )
-            for indices, lambda_sq, size, entropy_sum, saturating, code in zip(
-                self.indices.tolist(),
-                self.lambda_sq,
-                self.lambda_support.tolist(),
-                self.entropy_sum.tolist(),
-                self.saturating.tolist(),
-                self.structure.tolist(),
-            )
-        ]
-
     def csv_lines(self) -> str:
         """The block's census CSV lines, one per row: the only place the row
         format is defined.
@@ -295,19 +279,18 @@ def census_blocks(N: int) -> Iterator[CensusBlock]:
     come in (dimension, lexicographic) order. ``N`` is checked against the scan
     budget here, before the first block is asked for.
     """
+    _check_scan_budget(N)
+    supports = (rows for n in range(1, N + 1) for rows in uniform_supports(N, n))
+    return (_census_block(uniform_block(N, rows)) for rows in supports)
+
+
+def _check_scan_budget(N: int) -> None:
     check_path_count(N)
     if N > SCAN_MAX_PATHS:
         raise ValidationError(
             f"scan budget exceeded: N = {N} enumerates 2^{N} - 1 supports "
             f"(limit N <= {SCAN_MAX_PATHS})"
         )
-    return _census_blocks(N)
-
-
-def _census_blocks(N: int) -> Iterator[CensusBlock]:
-    for n in range(1, N + 1):
-        for indices in uniform_supports(N, n):
-            yield _census_block(uniform_block(N, indices))
 
 
 def _census_block(block: SweepBlock) -> CensusBlock:
@@ -333,10 +316,12 @@ def saturation_scan(N: int) -> list[SaturationReport]:
 
     Visits all 2^N - 1 supports in (dimension, lexicographic) order; the
     saturating ones are exactly the equally spaced supports whose dimension
-    divides N. Every report is kept, so this suits small N; a census that
-    only writes its rows streams :func:`census_blocks` instead.
+    divides N. One :func:`saturation_report` per support, all kept: the
+    census's scalar reference for small N; :func:`census_blocks` streams.
     """
-    return [report for block in census_blocks(N) for report in block.reports()]
+    _check_scan_budget(N)
+    supports = (row for n in range(1, N + 1) for rows in uniform_supports(N, n) for row in rows)
+    return [saturation_report(uniform_spec(N, row.tolist())) for row in supports]
 
 
 def schmidt_coefficients(spec: DetectorSpec) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "spec_to_json_dict",
     "support_label",
     "spec_from_json_dict",
-    "phase_table",
     "is_int",
     "check_path_count",
     "check_dimension",
@@ -66,8 +65,11 @@ BLOCK_ROWS = 4096
 
 # The most zero-padded spectrum entries (rows x N) one evaluation slice may
 # hold: 2^18 complex entries take 4 MiB, so a slice's arrays stay a few MB at
-# any path count. It is also the most paths a sweep or an enumeration takes.
+# any path count. It is also the most paths a sweep, an enumeration or a spectrum takes.
 EVAL_BLOCK_ENTRIES = 1 << 18
+
+# The most paths a dense N x N array takes (build_symmetric_set): 64 MiB of complex entries.
+DENSE_MAX_PATHS = 1 << 11
 
 
 class ValidationError(ValueError):
@@ -91,6 +93,14 @@ def check_dimension(n, N: int) -> None:
         raise ValidationError(f"subspace dimension must satisfy 1 <= n <= {N}, got {n!r}")
 
 
+def _check_path_limit(N: int, dense: bool = False) -> None:
+    """The size rule of spectra (N <= ``EVAL_BLOCK_ENTRIES``) or, with ``dense``,
+    of N x N arrays (N <= ``DENSE_MAX_PATHS``), before anything is allocated."""
+    limit, kind = (DENSE_MAX_PATHS, "dense arrays") if dense else (EVAL_BLOCK_ENTRIES, "spectra")
+    if N > limit:
+        raise ValidationError(f"{kind} take at most {limit} paths, got N = {N}")
+
+
 def _as_index(value) -> int:
     """A support index as an int: Python and numpy integers, and floats with
     an integral value. Bools, strings and other floats are rejected rather
@@ -100,13 +110,6 @@ def _as_index(value) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValidationError(f"support indices must be integers, got {value!r}")
-
-
-@lru_cache(maxsize=64)
-def phase_table(n_paths: int) -> np.ndarray:
-    """Read-only table of root-of-unity powers, ``table[l, k] = exp(2j*pi*k*l/N)``."""
-    grid = np.outer(np.arange(n_paths), np.arange(n_paths))
-    return _read_only(np.exp(2j * np.pi * grid / n_paths))
 
 
 @dataclass(frozen=True)
@@ -248,8 +251,10 @@ def _profile_states(n_paths: int, indices, scale, profile: np.ndarray) -> np.nda
     per scenario and level (any leading axes), with which ``indices`` and
     ``scale`` broadcast. With the amplitudes as profile and scale 1 the rows
     are the detector states; the measurement vectors take other profiles."""
+    _check_path_limit(n_paths, dense=True)
     indices = np.asarray(indices)
-    phases = np.swapaxes(phase_table(n_paths)[indices], -1, -2)  # the table is symmetric
+    grid = np.multiply.outer(indices, np.arange(n_paths))
+    phases = np.swapaxes(np.exp(2j * np.pi * grid / n_paths), -1, -2)
     values = (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
     return _embed(n_paths, indices[..., None, :], values)
 
@@ -305,10 +310,11 @@ def _support_rows(N: int, indices) -> np.ndarray:
         raise ValidationError(
             f"support rows must be a 2-D integer array, got {idx.dtype} of shape {idx.shape}"
         )
-    bad = ((idx < 0) | (idx >= N)).any(axis=1)
+    top = min(N, np.iinfo(np.intp).max + 1)  # indices are held as intp
+    bad = ((idx < 0) | (idx >= top)).any(axis=1)
     if bad.any():
         raise ValidationError(
-            f"support indices must lie in 0..{N - 1}, got {tuple(idx[bad][0].tolist())}"
+            f"support indices must lie in 0..{top - 1}, got {tuple(idx[bad][0].tolist())}"
         )
     idx = idx.astype(np.intp, copy=False)
     bad = (idx[:, 1:] <= idx[:, :-1]).any(axis=1)
@@ -439,7 +445,8 @@ def _embed(n_paths: int, indices, values: np.ndarray) -> np.ndarray:
     """Zero rows of length N holding ``values`` at the support ``indices``,
     in the dtype of ``values``: one row (1-D values) or one per row of
     ``values`` (any leading axes), where ``indices`` broadcasts against
-    ``values``, one support or one per row."""
+    ``values``, one support or one per row. N is at most ``EVAL_BLOCK_ENTRIES``."""
+    _check_path_limit(n_paths)
     padded = np.zeros(values.shape[:-1] + (n_paths,), dtype=values.dtype)
     np.put_along_axis(padded, np.broadcast_to(indices, values.shape), values, axis=-1)
     return padded

@@ -11,19 +11,19 @@ replayed.
 
 Scenarios are checked as array blocks. They are drawn in index order, in
 chunks of at most ``BLOCK_ROWS``, and each chunk splits into groups of one
-(N, n). A group's closed forms come from one array expression each, through
-the row rules of the sweep kernel (``measurements._success``,
-``_failure_profile`` and ``_spectrum``, and ``duality._normalized_infos``).
-Its measurements are built by the block rules behind the POVM builders and
-stacked across consecutive scenarios up to ``STACK_ENTRIES`` matrix
-entries, with one ``eigvalsh`` call and one oracle call per stack; a
-scenario too large for one stack goes through stacks of its consecutive
-measurements. Oracle
-rows are compared with the closed forms by position, in the fixed outcome
-order of the POVM builders. Every check is an array over a group or a
-stack: a scenario whose checks all pass only adds its counts, and messages
-are formatted for failing scenarios only, then put in index order. Every
-suite also keeps the largest gap it saw against each tolerance.
+(N, n). A group's closed forms come from the functions the sweep kernel
+runs, ``duality._level_forms``, ``_failure_branch`` and ``_knowledge_table``,
+on the levels of ``DEFAULT_XI_GRID``, so the suites check the numbers that
+``scan`` writes. Its measurements are built by the block rules behind the
+POVM builders and stacked across consecutive scenarios up to
+``STACK_ENTRIES`` matrix entries, with one ``eigvalsh`` call and one oracle
+call per stack; a scenario too large for one stack goes through stacks of
+its consecutive measurements. Oracle rows are compared with the closed
+forms by position, in the fixed outcome order of the POVM builders. Every
+check is an array over a group or a stack: a scenario whose checks all pass
+only adds its counts, and messages are formatted for failing scenarios
+only, then put in index order. Every suite also keeps the largest gap it
+saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
 probability, not the mutual information, so at xi > 0 either separation
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import _normalized_infos
+from .duality import _failure_branch, _knowledge_table, _level_forms, _normalized_infos
 from .ensemble import sample_rng, sample_spec
 from .measurements import (
     COMPLETENESS_ATOL,
@@ -49,15 +49,12 @@ from .measurements import (
     POSITIVITY_ATOL,
     OracleArrays,
     Strategy,
-    _failure_profile,
-    _failure_spectra,
     _me_elements,
-    _spectrum,
     _success,
     _two_step_elements,
     oracle_arrays,
 )
-from .saturation import _dft
+from .saturation import SPECTRUM_SUPPORT_ATOL, _dft
 from .states import BLOCK_ROWS, ValidationError, _profile_states, is_int, spec_to_json_dict
 
 __all__ = [
@@ -223,24 +220,21 @@ class _Forms:
 
 def _group_forms(n_paths: int, indices: np.ndarray, amps: np.ndarray) -> _Forms:
     probs = amps**2
-    profiles, p_success = _success(probs[:, None], np.array(DEFAULT_XI_GRID), n_paths)
-    conclusive = _spectrum(n_paths, indices[:, None], amps[:, None] * profiles)
-    # The failure branch does not depend on the level.
-    failure_profile, branch = _failure_profile(amps, probs, n_paths)
-    live, spectra = _failure_spectra(n_paths, indices, amps, failure_profile)
+    profiles, p_success, conclusive = _level_forms(n_paths, indices, amps, probs, DEFAULT_XI_GRID)
+    failure_profile, branch, live, spectra = _failure_branch(n_paths, indices, amps, probs)
     failure = np.full((len(amps), n_paths), np.inf)
     failure[live] = spectra
     errors = {}
     try:
-        standard, concatenated = _knowledge(n_paths, conclusive, p_success, failure, live)
+        standard, concatenated = _knowledge_table(n_paths, conclusive, p_success, live, spectra)
     except ValidationError:
         # Some row's entropy input was rejected: each row again on its own.
         standard, concatenated = np.full((2,) + p_success.shape, np.nan)
         for g in range(len(amps)):
             row = slice(g, g + 1)
             try:
-                standard[row], concatenated[row] = _knowledge(
-                    n_paths, conclusive[row], p_success[row], failure[row], live[row]
+                standard[row], concatenated[row] = _knowledge_table(
+                    n_paths, conclusive[row], p_success[row], live[row], failure[row][live[row]]
                 )
             except ValidationError as exc:
                 errors[g] = str(exc)
@@ -249,18 +243,6 @@ def _group_forms(n_paths: int, indices: np.ndarray, amps: np.ndarray) -> _Forms:
         p_success, profiles, failure_profile, branch, conclusive, failure, live,
         standard, concatenated, errors, coh, 1.0 - coh,
     )  # fmt: skip
-
-
-def _knowledge(n_paths: int, conclusive, p_success, failure, live):
-    """``knowledge_frio`` and ``knowledge_concatenated`` of each row and
-    level, from the closed-form conditionals."""
-    infos = _normalized_infos(conclusive.reshape(-1, n_paths), n_paths)
-    standard = p_success * infos.reshape(p_success.shape)
-    concatenated = standard.copy()
-    if live.any():
-        gain = (1.0 - p_success[live]) * _normalized_infos(failure[live], n_paths)[:, None]
-        concatenated[live] += gain
-    return standard, concatenated
 
 
 def _gk_sign(probs: np.ndarray, n_paths: int) -> np.ndarray:
@@ -646,7 +628,7 @@ def _check_spectra(
     for g in np.flatnonzero(~(gaps <= PARSEVAL_ATOL)):
         chunk.violate(parseval, rows[g], f"spectrum sums to {float(totals[g])!r}")
     parseval.margin("PARSEVAL_ATOL", gaps)
-    support, n = (spectra > 1e-12).sum(axis=1), indices.shape[1]
+    support, n = (spectra > SPECTRUM_SUPPORT_ATOL).sum(axis=1), indices.shape[1]
     uncertainty.checks += len(rows)
     for g in np.flatnonzero(n * support < n_paths):
         chunk.violate(uncertainty, rows[g], f"support product {n} * {support[g]} < {n_paths}")

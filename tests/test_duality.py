@@ -8,8 +8,8 @@ from hypothesis import given
 from duality_lab import duality
 from duality_lab.duality import (
     coherence,
+    evaluate_block,
     evaluate_point,
-    evaluate_specs,
     holevo_ceiling,
     knowledge_concatenated,
     knowledge_frio,
@@ -19,7 +19,12 @@ from duality_lab.duality import (
 )
 from duality_lab.ensemble import sample_rng, sample_spec
 from duality_lab.measurements import Strategy
-from duality_lab.states import ValidationError, spec_from_probabilities, uniform_spec
+from duality_lab.states import (
+    ValidationError,
+    block_from_specs,
+    spec_from_probabilities,
+    uniform_spec,
+)
 
 from helpers import detector_specs, iter_specs, scalar_point, separation_levels
 
@@ -222,7 +227,10 @@ class TestEvaluatePoint:
 
 
 def kernel_points(specs, strategy, xi):
-    return [(p.knowledge, p.coherence, p.duality_sum) for p in evaluate_specs(specs, strategy, xi)]
+    """(K, C, C + K) of each scenario from one :func:`evaluate_block` call."""
+    block = evaluate_block(block_from_specs(specs), [(strategy, xi)])
+    columns = (block.knowledge[:, 0], block.coherence, block.duality_sum[:, 0])
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def spec_groups(N, seed):
@@ -280,24 +288,21 @@ class TestEvaluateSpecs:
 
     def test_points_carry_the_scenario_and_level(self):
         specs = [uniform_spec(6, (0, 2)), uniform_spec(6, (1, 4))]
-        points = evaluate_specs(specs, "frio-standard", 0.25)
-        assert [p.spec for p in points] == specs
-        assert {(p.N, p.n, p.strategy, p.xi) for p in points} == {
-            (6, 2, Strategy.FRIO_STANDARD, 0.25)
-        }
-        assert all(type(p.knowledge) is float for p in points)
-        assert evaluate_specs(specs, "me", 0.8)[0].xi == 0.0
-        assert evaluate_specs([], "me") == []
+        block = evaluate_block(block_from_specs(specs), [("frio-standard", 0.25)])
+        assert block.specs() == specs
+        assert (block.N, block.n, block.pairs) == (6, 2, ((Strategy.FRIO_STANDARD, 0.25),))
+        assert block.knowledge.dtype == float and block.knowledge.shape == (2, 1)
+        assert evaluate_block(block_from_specs(specs), [("me", 0.8)]).pairs == ((Strategy.ME, 0.0),)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValidationError, match="share N and n"):
-            evaluate_specs([uniform_spec(6, (0,)), uniform_spec(6, (0, 1))], "me")
+            block_from_specs([uniform_spec(6, (0,)), uniform_spec(6, (0, 1))])
         with pytest.raises(ValidationError, match="share N and n"):
-            evaluate_specs([uniform_spec(6, (0,)), uniform_spec(5, (0,))], "me")
+            block_from_specs([uniform_spec(6, (0,)), uniform_spec(5, (0,))])
 
     def test_level_validated(self):
         with pytest.raises(ValidationError, match="separation level"):
-            evaluate_specs([uniform_spec(6, (0, 1))], "frio-standard", 1.5)
+            evaluate_block(block_from_specs([uniform_spec(6, (0, 1))]), [("frio-standard", 1.5)])
 
     def test_bound_violation_names_the_first_offending_spec(self, monkeypatch):
         # With the tolerance at -0.1 every row with C + K > 0.9 violates the
@@ -305,19 +310,37 @@ class TestEvaluateSpecs:
         monkeypatch.setattr(duality, "DUALITY_SUM_ATOL", -0.1)
         specs = [uniform_spec(6, support) for support in ((0, 1), (0, 2), (0, 3), (1, 4))]
         with pytest.raises(ValidationError, match=r"C \+ K = 1\.0.* \(0, 3\)"):
-            evaluate_specs(specs, "me")
+            evaluate_block(block_from_specs(specs), [("me", 0.0)])
 
     def test_memory_stays_bounded_at_large_path_counts(self):
         # 4096 padded rows at N = 2^16 would take 4 GiB as complex numbers.
         specs = [sample_spec(1 << 16, 3, sample_rng(2, index)) for index in range(4096)]
         tracemalloc.start()
         try:
-            points = evaluate_specs(specs, "me")
+            block = evaluate_block(block_from_specs(specs), [("me", 0.0)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(points) == 4096
+        assert len(block.knowledge) == 4096
         assert peak < 64 * 2**20
+
+
+    def test_pairs_split_at_the_largest_path_count(self):
+        # At N = EVAL_BLOCK_ENTRIES one row's spectra fill a slice, so the
+        # pairs go one at a time: 11 at once would take about 130 MiB.
+        N = duality.EVAL_BLOCK_ENTRIES
+        specs = [spec_from_probabilities(N, (0, 5, 900, 70000), (0.1, 0.2, 0.3, 0.4))]
+        pairs = [("frio-concatenated", round(0.1 * k, 1)) for k in range(11)] + [("me", 0.0)]
+        tracemalloc.start()
+        try:
+            block = evaluate_block(block_from_specs(specs), pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        for column, (strategy, xi) in enumerate(pairs):
+            expected = scalar_point(specs[0], strategy, xi)
+            assert (block.knowledge[0, column], block.coherence[0]) == expected[:2]
 
 
 class TestDualityBound:

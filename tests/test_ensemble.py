@@ -81,6 +81,13 @@ class TestSampleSpec:
         with pytest.raises(ValidationError, match="path"):
             sample_spec(n_paths, 1, sample_rng(0, 0))
 
+    @pytest.mark.parametrize("n", [EVAL_BLOCK_ENTRIES + 1, 2**40])
+    def test_dimension_beyond_the_sweep_limit_rejected(self, n):
+        # A sweep draws at most EVAL_BLOCK_ENTRIES coefficients; a huge n made
+        # numpy's choice raise MemoryError or crash.
+        with pytest.raises(ValidationError, match="coefficients"):
+            sample_spec(n, n, sample_rng(0, 0))
+
     def test_largest_int64_path_count_draws(self):
         spec = sample_spec(2**63 - 1, 1, sample_rng(0, 0))
         assert spec.N == 2**63 - 1 and spec.coeffs == (1.0,)

@@ -103,7 +103,10 @@ class TestSaturatingSpec:
         assert spec.support.indices == (2, 6, 10)
         assert spec.n == 3
 
-    @pytest.mark.parametrize("N, m, tau", [(6, 4, 0), (6, 3, 3), (6, 3, -1), (6, 0, 0)])
+    # (2^40, 2, 0) asks for 2^39 indices, past the spectrum limit.
+    @pytest.mark.parametrize(
+        "N, m, tau", [(6, 4, 0), (6, 3, 3), (6, 3, -1), (6, 0, 0), (2**40, 2, 0)]
+    )
     def test_invalid_parameters(self, N, m, tau):
         with pytest.raises(ValidationError):
             saturating_spec(N, m, tau)
@@ -161,6 +164,13 @@ class TestClassifySupport:
             (6, (0, 1, 3), SupportStructure.OTHER),
             (4, (2,), SupportStructure.EQUALLY_SPACED),
             (4, (0, 1, 2, 3), SupportStructure.EQUALLY_SPACED),
+            # The wrap-around gap N - last + first is exact at and beyond intp.
+            (2**63 - 1, (5, 6), SupportStructure.UNEQUALLY_SPACED_ADJACENT),
+            (2**63 - 1, (0, 2**62), SupportStructure.UNEQUALLY_SPACED_NONADJACENT),
+            (2**63, (0, 2**62), SupportStructure.EQUALLY_SPACED),
+            (2**64, (0, 1), SupportStructure.UNEQUALLY_SPACED_ADJACENT),
+            (10**30, (0, 2, 3), SupportStructure.OTHER),
+            (10**30, (7,), SupportStructure.EQUALLY_SPACED),
         ],
     )
     def test_classification(self, N, indices, expected):
@@ -188,6 +198,12 @@ class TestSaturatingDimensions:
     def test_path_count_validated(self):
         with pytest.raises(ValidationError):
             saturating_dimensions(1)
+
+    @pytest.mark.parametrize("N", [saturation.DIVISOR_MAX_PATHS + 1, 2**64, 10**30])
+    def test_path_count_beyond_the_divisor_budget_rejected(self, N):
+        # Trial division up to sqrt(2^64) would not return in practice.
+        with pytest.raises(ValidationError, match="divisors are searched"):
+            saturating_dimensions(N)
 
 
 class TestSaturationScan:
@@ -249,15 +265,20 @@ class TestCensusBlocks:
             for n in range(1, N + 1)
             for combo in itertools.combinations(range(N), n)
         ]
-        scanned = saturation_scan(N)
-        assert [r.spec for r in scanned] == [r.spec for r in reference]
-        for got, want in zip(scanned, reference):
-            assert np.array_equal(got.lambda_sq, want.lambda_sq)
-            assert got.lambda_support_size == want.lambda_support_size
-            assert repr(got.entropy_sum) == repr(want.entropy_sum)
-            assert got.saturating == want.saturating
-            assert got.structure is want.structure
-            assert got.bound_ok == want.bound_ok
+        structures = tuple(SupportStructure)
+        rows = [
+            (block, i) for block in census_blocks(N) for i in range(len(block.indices))
+        ]
+        assert [tuple(block.indices[i].tolist()) for block, i in rows] == [
+            r.spec.support.indices for r in reference
+        ]
+        for (block, i), want in zip(rows, reference):
+            assert np.array_equal(block.lambda_sq[i], want.lambda_sq)
+            assert int(block.lambda_support[i]) == want.lambda_support_size
+            assert repr(float(block.entropy_sum[i])) == repr(want.entropy_sum)
+            assert bool(block.saturating[i]) == want.saturating
+            assert structures[block.structure[i]] is want.structure
+            assert (block.n * block.lambda_support[i] >= N) == want.bound_ok
 
     def test_block_lines_match_an_independent_row_format(self):
         # Rows built here with an f-string, independently of the block

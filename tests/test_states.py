@@ -5,8 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from duality_lab.duality import (
+    coherence,
+    evaluate_block,
+    evaluate_point,
+    knowledge_concatenated,
+    knowledge_frio,
+    knowledge_me,
+)
+from duality_lab.measurements import conditional_conclusive, conditional_failure
+from duality_lab.saturation import (
+    dft_distribution,
+    is_saturating,
+    saturation_report,
+    schmidt_coefficients,
+)
 from duality_lab.states import (
     BLOCK_ROWS,
+    DENSE_MAX_PATHS,
     EVAL_BLOCK_ENTRIES,
     DetectorSpec,
     Support,
@@ -66,6 +82,14 @@ class TestSupport:
         assert all(type(i) is int for i in support.indices)
         assert Support(N=5, indices=np.array([1, 4])).indices == (1, 4)
         assert Support(N=5, indices=(0, 2.0)).indices == (0, 2)
+
+    def test_indices_beyond_intp_rejected(self):
+        # Indices are held as intp: past it, a path count may be any size,
+        # but its indices are rejected instead of overflowing.
+        assert Support(N=10**30, indices=(0, 2**63 - 1)).indices == (0, 2**63 - 1)
+        for indices in [(0, 2**70), (5 * 10**29,)]:
+            with pytest.raises(ValidationError, match=f"must lie in 0..{2**63 - 1}"):
+                Support(N=10**30, indices=indices)
 
 
 class TestDetectorSpec:
@@ -363,3 +387,52 @@ class TestSweepBlock:
         with pytest.raises(ValidationError):
             block_from_probabilities(6, indices, rows)
         block_from_probabilities(6, indices[[0, 2]], rows[[0, 2]])
+
+
+# Entry points that take an N-entry spectrum, and those that build N x N arrays.
+SPECTRUM_ENTRY_POINTS = {
+    "knowledge_me": knowledge_me,
+    "knowledge_frio": lambda spec: knowledge_frio(spec, 0.5),
+    "knowledge_concatenated": lambda spec: knowledge_concatenated(spec, 0.5),
+    "conditional_conclusive": lambda spec: conditional_conclusive(spec, 0.5),
+    "conditional_failure": conditional_failure,
+    "dft_distribution": dft_distribution,
+    "is_saturating": is_saturating,
+    "saturation_report": saturation_report,
+    "evaluate_point": lambda spec: evaluate_point(spec, "frio-concatenated", 0.5),
+    "evaluate_block": lambda spec: evaluate_block(block_from_specs([spec]), [("me", 0.0)]),
+}
+DENSE_ENTRY_POINTS = {
+    "build_symmetric_set": build_symmetric_set,
+    "schmidt_coefficients": schmidt_coefficients,
+}
+
+
+class TestPathLimits:
+    """Path counts past the array limits are rejected before anything of
+    size N is allocated, where numpy raised MemoryError or ValueError."""
+
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_ENTRY_POINTS))
+    @pytest.mark.parametrize("N", [EVAL_BLOCK_ENTRIES + 1, 2**40, 2**64])
+    def test_spectra_beyond_the_limit_rejected(self, name, N):
+        spec = spec_from_probabilities(N, (0, 1), (0.3, 0.7))
+        with pytest.raises(ValidationError, match=f"spectra take at most {EVAL_BLOCK_ENTRIES} "):
+            SPECTRUM_ENTRY_POINTS[name](spec)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_ENTRY_POINTS))
+    def test_spectra_at_the_limit_computed(self, name):
+        spec = spec_from_probabilities(EVAL_BLOCK_ENTRIES, (0, 1), (0.3, 0.7))
+        assert SPECTRUM_ENTRY_POINTS[name](spec) is not None
+
+    @pytest.mark.parametrize("name", sorted(DENSE_ENTRY_POINTS))
+    @pytest.mark.parametrize("N", [DENSE_MAX_PATHS + 1, 2**20, 2**40])
+    def test_dense_arrays_beyond_the_limit_rejected(self, name, N):
+        with pytest.raises(ValidationError, match=f"dense arrays take at most {DENSE_MAX_PATHS} "):
+            DENSE_ENTRY_POINTS[name](uniform_spec(N, (0, 1)))
+
+    def test_dense_states_at_the_limit_built(self):
+        states = build_symmetric_set(uniform_spec(DENSE_MAX_PATHS, (0, 1))).states
+        assert states.shape == (DENSE_MAX_PATHS, DENSE_MAX_PATHS)
+
+    def test_coherence_needs_no_spectrum(self):
+        assert coherence(uniform_spec(2**64, (0, 1))) == pytest.approx(1.0 - 1.0 / 64)

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import duality_lab.duality as duality
 import duality_lab.verify as verify
 from duality_lab.duality import (
     coherence,
@@ -49,13 +50,13 @@ def suite(results, name):
 class TestFailurePath:
     def test_shifted_failure_conditional_is_reported_per_fc_label(self, monkeypatch):
         reference = suite(run_verification(40, seed=0), "oracle-agreement")
-        failure_spectra = verify._failure_spectra
+        failure_spectra = duality._failure_spectra
 
         def shifted(*args):
             live, spectra = failure_spectra(*args)
             return live, np.roll(spectra, 1, axis=-1)
 
-        monkeypatch.setattr(verify, "_failure_spectra", shifted)
+        monkeypatch.setattr(duality, "_failure_spectra", shifted)
         oracle = suite(run_verification(40, seed=0), "oracle-agreement")
         assert oracle.checks == reference.checks
         assert not oracle.passed
@@ -75,7 +76,7 @@ class TestKnowledgeFailure:
         def rejected(*args):
             raise ValidationError("rejected")
 
-        monkeypatch.setattr(verify, "_knowledge", rejected)
+        monkeypatch.setattr(verify, "_knowledge_table", rejected)
         results = run_verification(30, seed=0)
         hierarchy = suite(results, "hierarchy")
         assert hierarchy.checks == 30 * len(DEFAULT_XI_GRID)
@@ -100,7 +101,7 @@ class TestKnowledgeFailure:
             and np.diff(np.sort(spec.probabilities)[:2])[0] >= 0.05 * spec.min_probability
         )
         rejected_row = conditional_conclusive(specs[target], 0.0)
-        normalized_infos = verify._normalized_infos
+        normalized_infos = duality._normalized_infos
 
         def rejecting(probabilities, n_paths):
             rows = np.asarray(probabilities)
@@ -109,7 +110,7 @@ class TestKnowledgeFailure:
             return normalized_infos(probabilities, n_paths)
 
         reference = run_verification(30, seed=0)
-        monkeypatch.setattr(verify, "_normalized_infos", rejecting)
+        monkeypatch.setattr(duality, "_normalized_infos", rejecting)
         results = run_verification(30, seed=0)
         replay = json.dumps(spec_to_json_dict(specs[target]))
         hierarchy = suite(results, "hierarchy")
