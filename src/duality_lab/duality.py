@@ -258,7 +258,7 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     levels = [xi for _, xi in pairs]
     concatenated = np.array([tag is Strategy.FRIO_CONCATENATED for tag, _ in pairs])
     probs = block.amps**2
-    coh = _normalized_infos(probs, block.N)
+    coh = _normalized_infos(probs, block.N) if len(block) else np.empty(0)
     knowledge = np.empty((len(block), len(pairs)))
     width = min(len(pairs), max(1, EVAL_BLOCK_ENTRIES // block.N))
     rows = max(1, min(BLOCK_ROWS, EVAL_BLOCK_ENTRIES // (block.N * width)))

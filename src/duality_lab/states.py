@@ -301,6 +301,8 @@ def _support_rows(N: int, indices) -> np.ndarray:
     rules of a support: indices in 0..N-1, strictly increasing."""
     check_path_count(N)
     idx = np.asarray(indices)
+    if idx.dtype.kind == "f" and all(map(is_int, np.asarray(indices, dtype=object).flat)):
+        idx = np.asarray(indices, dtype=object)  # int64 and uint64 values promote to float64
     if idx.ndim == 2 and idx.shape[1] == 0:
         raise ValidationError("support must contain at least one index")
     # Python ints beyond int64 give an object array; the range rule rejects them.

@@ -15,10 +15,10 @@ chunks of at most ``BLOCK_ROWS``, and each chunk splits into groups of one
 runs, ``duality._level_forms``, ``_failure_branch`` and ``_knowledge_table``,
 on the levels of ``DEFAULT_XI_GRID``, so the suites check the numbers that
 ``scan`` writes. Its measurements are built by the block rules behind the
-POVM builders and stacked across consecutive scenarios up to
-``STACK_ENTRIES`` matrix entries, with one ``eigvalsh`` call and one oracle
-call per stack; a scenario too large for one stack goes through stacks of
-its consecutive measurements. Oracle rows are compared with the closed
+POVM builders for stacks of consecutive scenarios, and go in report order
+through batches of consecutive measurements within ``STACK_ENTRIES`` matrix
+entries, with one ``eigvalsh`` call and one oracle call per batch; a stack
+is one batch when its scenarios fit. Oracle rows are compared with the closed
 forms by position, in the fixed outcome order of the POVM builders. Every
 check is an array over a group or a stack: a scenario whose checks all pass
 only adds its counts, and messages are formatted for failing scenarios
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,11 +79,12 @@ MONOTONICITY_ATOL = 1e-9
 SUCCESS_MONOTONICITY_ATOL = 1e-12
 PARSEVAL_ATOL = 1e-10
 
-# Most matrix entries (elements x N x N) one element stack may hold. A stack
-# holds consecutive scenarios of one (N, n): 110 at N = 2, two at N = 7, one
-# at N = 8 and 9. From N = 10 a stack holds consecutive measurements of one
-# scenario, and from N = 20 each measurement is a stack of its own. 2^14
-# complex entries take 256 KiB, and a stack's temporaries about as much.
+# Most matrix entries (elements x N x N) one batch of measurements may hold.
+# A stack of consecutive scenarios of one (N, n) is one batch: 110 at N = 2,
+# two at N = 7, one at N = 8 and 9. From N = 10 a stack is one scenario in
+# batches of consecutive measurements, built one level at a time, and from
+# N = 20 each measurement is a batch of its own. 2^14 complex entries take
+# 256 KiB, and a batch's temporaries about as much.
 STACK_ENTRIES = 1 << 14
 
 # Every tolerance a suite checks a gap against; a check passes when its gap
@@ -253,116 +255,76 @@ def _gk_sign(probs: np.ndarray, n_paths: int) -> np.ndarray:
     return np.sqrt(np.clip(g_sq, 0.0, None))
 
 
-def _element_gaps(elements: np.ndarray):
-    """Each element's hermiticity gap ``max |E - E^H|`` and smallest
-    eigenvalue, from one ``eigvalsh`` call."""
+def _povm_gaps(elements: np.ndarray, lengths: list, projectors: np.ndarray):
+    """Hermiticity gap ``max |E - E^H|``, smallest eigenvalue and
+    completeness gap ``[S, M]`` of the measurements of ``elements``, of
+    ``lengths`` elements each, from one ``eigvalsh`` call."""
+    starts = list(accumulate(lengths, initial=0))
+    # One sum per measurement: np.add.reduceat would change the last bits.
+    sums = np.stack([elements[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])], axis=1)
+    completeness = np.abs(sums - projectors[:, None]).max(axis=(-2, -1))
     re, im = elements.real, elements.imag
     gap = re - np.swapaxes(re, -1, -2)
     np.hypot(gap, im + np.swapaxes(im, -1, -2), out=gap)
-    return gap.max(axis=(-2, -1)), np.linalg.eigvalsh(elements).min(axis=-1)
+    hermitian = np.maximum.reduceat(gap.max(axis=(-2, -1)), starts[:-1], axis=1)
+    smallest = np.minimum.reduceat(np.linalg.eigvalsh(elements).min(axis=-1), starts[:-1], axis=1)
+    return hermitian, smallest, completeness
 
 
-def _povm_gaps(elements: np.ndarray, hermitian, smallest, projector):
-    """Hermiticity gap, smallest eigenvalue and completeness gap of each
-    measurement of ``elements`` ``[..., E, N, N]``, from its elements'
-    :func:`_element_gaps` ``[..., E]``. A sum adds a measurement's elements
-    in the order a stack of its own would."""
-    completeness = np.abs(elements.sum(axis=-3) - projector).max(axis=(-2, -1))
-    return hermitian.max(axis=-1), smallest.min(axis=-1), completeness
+def _joined(parts) -> np.ndarray:
+    """``parts`` joined along axis 1; a lone part is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _report_order(me: np.ndarray, standard: np.ndarray, concatenated: np.ndarray) -> np.ndarray:
-    """``[S, 1 + 2L]``: per scenario, the minimum-error value, then each
-    level's standard and concatenated one."""
-    levels = np.stack([standard, concatenated], axis=2).reshape(len(me), -1)
-    return np.concatenate([me[:, None], levels], axis=1)
+def _measurements(n_paths: int, indices, forms: _Forms, profiles, rows: slice, step: int):
+    """The measurements ``[S, E_m, N, N]`` of a group's scenarios ``rows`` in
+    report order: views of the builders' arrays, ``step`` levels per build."""
+    yield _me_elements(n_paths, indices)
+    for lo in range(0, _LEVELS, step):
+        levels = slice(lo, lo + step)
+        two = _two_step_elements(
+            n_paths, indices[:, None], forms.p_success[rows, levels], profiles[rows, levels],
+            forms.failure_profile[rows, None], forms.branch[rows, None],
+        )  # fmt: skip
+        for level in range(two.shape[1]):
+            yield two[:, level, : n_paths + 1]
+            yield two[:, level, n_paths + 1 :]
+
+
+def _batches(measurements):
+    """Runs of consecutive measurements within ``STACK_ENTRIES``, one over
+    the cap alone; a yielded run's list is the only reference to it."""
+    batch, entries = [], 0
+    for measurement in measurements:
+        if batch and entries + measurement.size > STACK_ENTRIES:
+            yield batch
+            batch, entries = [], 0
+        batch.append(measurement)
+        entries += measurement.size
+    del measurement
+    yield batch
 
 
 def _stacks(n_paths: int, indices, amps, forms: _Forms, profiles):
-    """A group's element stacks, each of consecutive scenarios within
-    ``STACK_ENTRIES``: per stack, the rows it covers, the :func:`_povm_gaps`
-    of their measurements ``[S, 1 + 2L]`` in report order, and their oracle
-    arrays ``[S, E]`` in the outcome order of the builders. A scenario too
-    large for a stack is a stack of its own, through :func:`_lone_checks`."""
-    per = STACK_ENTRIES // ((n_paths + _LEVELS * (3 * n_paths + 1)) * n_paths**2)
-    for lo in range(0, len(amps), max(per, 1)):
-        rows = slice(lo, lo + max(per, 1))
+    """A group's element stacks: per stack, the rows it covers, the
+    :func:`_povm_gaps` of their measurements ``[S, 1 + 2L]`` and their
+    oracle arrays ``[S, E]``, in report order. Each batch of a stack's
+    measurements takes one ``eigvalsh`` and one oracle call."""
+    size = (n_paths + _LEVELS * (3 * n_paths + 1)) * n_paths**2
+    per, step = max(STACK_ENTRIES // size, 1), _LEVELS if size <= STACK_ENTRIES else 1
+    for lo in range(0, len(amps), per):
+        rows = slice(lo, lo + per)
         states = _profile_states(n_paths, indices[rows], 1.0, amps[rows])  # build_symmetric_set's
         projectors = np.zeros(states.shape)
         projectors[np.arange(len(states))[:, None], indices[rows], indices[rows]] = 1.0
-        if per:
-            elements = _stack_elements(n_paths, indices[rows], forms, profiles, rows)
-            yield rows, _stack_gaps(elements, projectors), oracle_arrays(states, elements)
-        else:
-            yield rows, *_lone_checks(n_paths, indices[lo], forms, profiles, lo, states, projectors)
-
-
-def _stack_elements(n_paths: int, indices, forms: _Forms, profiles, rows: slice) -> np.ndarray:
-    """The elements ``[S, E, N, N]`` of scenarios ``rows`` of a group, each
-    scenario's in the outcome order of the builders."""
-    two = _two_step_elements(
-        n_paths, indices[:, None], forms.p_success[rows], profiles[rows],
-        forms.failure_profile[rows, None], forms.branch[rows, None],
-    )  # fmt: skip
-    me = _me_elements(n_paths, indices)
-    return np.concatenate([me, two.reshape(len(me), -1, n_paths, n_paths)], axis=1)
-
-
-def _stack_gaps(elements: np.ndarray, projectors: np.ndarray):
-    """The :func:`_povm_gaps` of a stack's measurements, ``[S, 1 + 2L]`` each."""
-    n_paths = elements.shape[-1]
-    arrays = (elements, *_element_gaps(elements))
-    # Each scenario's minimum-error measurement, then per level its
-    # standard and its concatenated one.
-    me = [a[:, :n_paths] for a in arrays]
-    shape = (len(elements), _LEVELS, 3 * n_paths + 1)
-    two = [a[:, n_paths:].reshape(shape + a.shape[2:]) for a in arrays]
-    gaps = (
-        _povm_gaps(*me, projectors),
-        _povm_gaps(*(a[:, :, : n_paths + 1] for a in two), projectors[:, None]),
-        _povm_gaps(*(a[:, :, n_paths + 1 :] for a in two), projectors[:, None]),
-    )
-    return tuple(_report_order(*column) for column in zip(*gaps))
-
-
-def _lone_checks(n_paths: int, indices, forms: _Forms, profiles, g: int, states, projectors):
-    """:func:`_stacks`' output for row ``g``, a scenario too large for one
-    stack. Its measurements are built one level at a time and go through
-    stacks of consecutive measurements within ``STACK_ENTRIES``; a
-    measurement over the cap goes alone and is not copied."""
-
-    def measurements():
-        yield _me_elements(n_paths, indices)
-        for level in range(_LEVELS):
-            both = _two_step_elements(
-                n_paths, indices, forms.p_success[g, level], profiles[g, level],
-                forms.failure_profile[g], forms.branch[g],
-            )  # fmt: skip
-            yield both[: n_paths + 1]
-            yield both[n_paths + 1 :]
-
-    gaps, parts = [], []
-
-    def check(batch):
-        elements = np.concatenate(batch) if len(batch) > 1 else batch[0]
-        hermitian, smallest = _element_gaps(elements)
-        bounds = np.cumsum([0] + [len(m) for m in batch])
-        for m, lo, hi in zip(batch, bounds, bounds[1:]):
-            gaps.append(_povm_gaps(m, hermitian[lo:hi], smallest[lo:hi], projectors[0]))
-        parts.append(oracle_arrays(states[0], elements))
-
-    batch = []
-    for measurement in measurements():
-        if batch and (sum(map(len, batch)) + len(measurement)) * n_paths**2 > STACK_ENTRIES:
-            check(batch)
-            batch = []
-        batch.append(measurement)
-    check(batch)
-    joined = (
-        np.concatenate([getattr(part, name) for part in parts])[None]
-        for name in ("probs", "conditionals", "defined")
-    )
-    return tuple(np.array([column]) for column in zip(*gaps)), OracleArrays(*joined)
+        gaps, parts = [], []
+        for batch in _batches(_measurements(n_paths, indices[rows], forms, profiles, rows, step)):
+            elements, lengths = _joined(batch), [m.shape[1] for m in batch]
+            batch.clear()  # frees the builders' arrays that ``elements`` copied
+            gaps.append(_povm_gaps(elements, lengths, projectors))
+            parts.append(oracle_arrays(states, elements))
+        oracle = OracleArrays(*map(_joined, zip(*(vars(part).values() for part in parts))))
+        yield rows, tuple(map(_joined, zip(*gaps))), oracle
 
 
 def _check_povm(result: SuiteResult, chunk: _Chunk, rows, hermitian, min_eig, completeness) -> None:

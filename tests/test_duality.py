@@ -23,6 +23,7 @@ from duality_lab.states import (
     ValidationError,
     block_from_specs,
     spec_from_probabilities,
+    uniform_block,
     uniform_spec,
 )
 
@@ -293,6 +294,10 @@ class TestEvaluateSpecs:
         assert (block.N, block.n, block.pairs) == (6, 2, ((Strategy.FRIO_STANDARD, 0.25),))
         assert block.knowledge.dtype == float and block.knowledge.shape == (2, 1)
         assert evaluate_block(block_from_specs(specs), [("me", 0.8)]).pairs == ((Strategy.ME, 0.0),)
+        # A block without rows comes back with result columns without rows.
+        empty = evaluate_block(uniform_block(6, np.empty((0, 2), dtype=np.intp)), [("me", 0.0)])
+        assert empty.coherence.shape == (0,)
+        assert empty.knowledge.shape == empty.duality_sum.shape == (0, 1)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValidationError, match="share N and n"):

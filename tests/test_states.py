@@ -87,7 +87,7 @@ class TestSupport:
         # Indices are held as intp: past it, a path count may be any size,
         # but its indices are rejected instead of overflowing.
         assert Support(N=10**30, indices=(0, 2**63 - 1)).indices == (0, 2**63 - 1)
-        for indices in [(0, 2**70), (5 * 10**29,)]:
+        for indices in [(0, 2**70), (5 * 10**29,), (0, 2**63)]:
             with pytest.raises(ValidationError, match=f"must lie in 0..{2**63 - 1}"):
                 Support(N=10**30, indices=indices)
 

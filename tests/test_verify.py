@@ -209,34 +209,47 @@ class TestSharedClosedForms:
 
 class TestStacks:
     @pytest.mark.parametrize("fault", [None, "gk-sign"])
-    def test_elements_and_oracle_are_the_per_scenario_ones(self, fault):
-        # A stack of one group's scenarios holds each scenario's builder
-        # arrays in order, and its one oracle call equals the per-scenario
-        # calls, bit for bit (signed zeros included).
+    def test_elements_and_oracle_are_the_per_scenario_ones(self, fault, monkeypatch):
+        # A stack's batches hold each of its scenarios' builder arrays in
+        # order, and its oracle rows equal the per-scenario calls, bit for
+        # bit (signed zeros included). At N = 12 the levels are built one at
+        # a time and a scenario spans two batches; at N = 20 each
+        # measurement is a batch of its own.
+        batches = []
+
+        def oracle(states, elements):
+            batches.append(elements)
+            return oracle_arrays(states, elements)
+
+        monkeypatch.setattr(verify, "oracle_arrays", oracle)
         groups = {}
-        for spec in iter_specs(200, seed=3, n_range=(2, 6)):
+        for spec in [
+            *iter_specs(200, seed=3, n_range=(2, 6)),
+            *iter_specs(2, seed=3, n_range=(12, 12)),
+            *iter_specs(2, seed=3, n_range=(20, 20)),
+        ]:
             groups.setdefault((spec.N, spec.n), []).append(spec)
         for (n_paths, n), specs in groups.items():
             indices = np.array([spec.support.indices for spec in specs])
             amps = np.array([spec.coeffs for spec in specs])
             forms = verify._group_forms(n_paths, indices, amps)
             profiles = verify._gk_sign(amps**2, n_paths) if fault else forms.profiles
-            rows = slice(0, len(specs))
-            elements = verify._stack_elements(n_paths, indices, forms, profiles, rows)
-            states = np.stack([build_symmetric_set(spec).states for spec in specs])
-            stacked = oracle_arrays(states, elements)
-            for s, spec in enumerate(specs):
-                parts = [build_me_measurement(spec).elements]
-                for level, xi in enumerate(DEFAULT_XI_GRID):
-                    params = separation_params(spec, xi)
-                    if fault:
-                        params = replace(params, success_profile=profiles[s, level])
-                    parts += [m.elements for m in build_two_step_measurements(spec, params)]
-                expected = np.concatenate(parts)
-                assert elements[s].tobytes() == expected.tobytes()
-                alone = oracle_arrays(build_symmetric_set(spec), expected)
-                for name in ("probs", "conditionals", "defined"):
-                    assert getattr(stacked, name)[s].tobytes() == getattr(alone, name).tobytes()
+            for rows, _, stacked in verify._stacks(n_paths, indices, amps, forms, profiles):
+                assert len(batches) == {12: 2, 20: 11}.get(n_paths, 1)
+                elements = np.concatenate(batches, axis=1)
+                batches.clear()
+                for s, spec in enumerate(specs[rows]):
+                    parts = [build_me_measurement(spec).elements]
+                    for level, xi in enumerate(DEFAULT_XI_GRID):
+                        params = separation_params(spec, xi)
+                        if fault:
+                            params = replace(params, success_profile=profiles[rows][s, level])
+                        parts += [m.elements for m in build_two_step_measurements(spec, params)]
+                    expected = np.concatenate(parts)
+                    assert elements[s].tobytes() == expected.tobytes()
+                    alone = oracle_arrays(build_symmetric_set(spec), expected)
+                    for name in ("probs", "conditionals", "defined"):
+                        assert getattr(stacked, name)[s].tobytes() == getattr(alone, name).tobytes()
 
 
 def assert_rows_are_the_scalar_functions(specs):
@@ -291,25 +304,34 @@ class TestLargePathCounts:
 
 
 class TestCallBudget:
-    def count_calls(self, monkeypatch, name, module_name):
-        """Count calls to a function through every package binding of it."""
-        original = getattr(sys.modules[f"duality_lab.{module_name}"], name)
+    def count_calls(self, monkeypatch, module, name):
+        """Count calls to a function through its module and every package
+        binding of it."""
+        original = getattr(module, name)
         calls = [0]
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("duality_lab") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
+        for module_name, bound in list(sys.modules.items()):
+            if module_name.startswith("duality_lab") and getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, counted)
         return calls
+
+    def count_batches(self, monkeypatch):
+        """Count ``oracle_arrays`` and ``eigvalsh`` calls."""
+        measurements = sys.modules["duality_lab.measurements"]
+        oracle = self.count_calls(monkeypatch, measurements, "oracle_arrays")
+        return oracle, self.count_calls(monkeypatch, np.linalg, "eigvalsh")
 
     def test_per_scenario_work_is_not_repeated_per_label(self, monkeypatch):
         # verify works on blocks: none of the one-scenario builders and
-        # formulas runs, and each element stack takes one oracle call.
+        # formulas runs, and each element stack takes one oracle and one
+        # eigvalsh call.
         per_scenario = {
-            name: self.count_calls(monkeypatch, name, module)
+            name: self.count_calls(monkeypatch, sys.modules[f"duality_lab.{module}"], name)
             for module, name in (
                 ("states", "build_symmetric_set"),
                 ("measurements", "separation_params"),
@@ -322,7 +344,7 @@ class TestCallBudget:
                 ("saturation", "dft_distribution"),
             )
         }
-        oracle = self.count_calls(monkeypatch, "oracle_arrays", "measurements")
+        oracle, eigvalsh = self.count_batches(monkeypatch)
         samples = 60
         run_verification(samples)
         assert {name: calls[0] for name, calls in per_scenario.items()} == dict.fromkeys(
@@ -332,7 +354,14 @@ class TestCallBudget:
         for (n_paths, _), count in Counter((s.N, s.n) for s in iter_specs(samples, 0)).items():
             size = (n_paths + len(DEFAULT_XI_GRID) * (3 * n_paths + 1)) * n_paths**2
             stacks += -(-count // (verify.STACK_ENTRIES // size))
-        assert oracle[0] == stacks < samples
+        assert oracle[0] == eigvalsh[0] == stacks < samples
+
+    def test_one_eigvalsh_per_batch_at_large_path_counts(self, monkeypatch):
+        # From N = 10 a scenario's measurements go in several batches, each
+        # with one eigvalsh and one oracle call.
+        oracle, eigvalsh = self.count_batches(monkeypatch)
+        run_verification(40, seed=0, n_range=(9, 24))
+        assert oracle[0] == eigvalsh[0] == 289
 
 
 class TestChunks:
