@@ -251,7 +251,8 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     spectrum entries over their pairs (pairs go in groups where one row's
     exceed it), so memory stays bounded at any N. A slice takes one FFT and
     one entropy call per distribution kind, and the failure branch only for
-    a ``frio-concatenated`` pair; every value equals :func:`coherence` and
+    a ``frio-concatenated`` pair, whose entropies it takes once for all the
+    slice's pair groups; every value equals :func:`coherence` and
     ``knowledge_*`` bit for bit. Raises if C + K exceeds 1 beyond tolerance.
     """
     pairs = strategy_pairs(pairs)
@@ -265,7 +266,11 @@ def evaluate_block(block: SweepBlock, pairs) -> SweepBlock:
     for lo in range(0, len(block), rows):
         part = slice(lo, lo + rows)
         indices, amps, squares = block.indices[part], block.amps[part], probs[part]
-        failure = _failure_branch(block.N, indices, amps, squares)[2:] if concatenated.any() else ()
+        failure = ()
+        if concatenated.any():
+            live, spectra = _failure_branch(block.N, indices, amps, squares)[2:]
+            infos = _normalized_infos(spectra, block.N) if live.any() else None
+            failure = live, infos
         for cols in (slice(c, c + width) for c in range(0, len(pairs), width)):
             _, p_success, conclusive = _level_forms(block.N, indices, amps, squares, levels[cols])
             table = _knowledge_table(block.N, conclusive, p_success, *failure)
@@ -297,11 +302,12 @@ def _failure_branch(n_paths: int, indices, amps, probs):
 
 def _knowledge_table(n_paths: int, conclusive, p_success, live=None, failure=None):
     """``knowledge_frio`` and ``knowledge_concatenated`` ``[G, L]`` from the
-    :func:`_level_forms` and the ``failure`` conditionals of the ``live``
-    rows; without them, K_conc is K_std."""
+    :func:`_level_forms` and the ``failure`` information (``_normalized_infos``
+    of the failure conditionals) of the ``live`` rows; without them, K_conc
+    is K_std."""
     infos = _normalized_infos(conclusive.reshape(-1, n_paths), n_paths)
     standard = p_success * infos.reshape(p_success.shape)
     concatenated = standard.copy()
     if live is not None and live.any():
-        concatenated[live] += (1.0 - p_success[live]) * _normalized_infos(failure, n_paths)[:, None]
+        concatenated[live] += (1.0 - p_success[live]) * failure[:, None]
     return standard, concatenated

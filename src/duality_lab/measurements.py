@@ -15,12 +15,17 @@ maximum-confidence measurement (linearly dependent states) are both the
 ``xi = 1`` endpoint of the separation strategies, so they get no dedicated
 builders.
 
-All matrices are embedded in the full N-dimensional detector space with
-exact zeros off the support block; completeness therefore holds relative to
-the support-subspace projector, not the full identity.
+Every measurement vector lies in the support subspace, so the block rules
+behind the builders take the vectors in the support frame, as n entries on
+the support indices, and an element is an n x n block. The public builders
+embed the vectors in the full N-dimensional detector space before forming
+the rank-1 elements, so their N x N matrices hold exact (signed) zeros off
+the support block, and completeness holds relative to the support-subspace
+projector, not the full identity. ``verify`` checks the n x n blocks, which
+sum to the n x n identity.
 
 :func:`oracle_arrays` evaluates a stack of POVM elements against the explicit
-state vectors with plain complex matrix arithmetic, and
+state vectors with plain complex matrix arithmetic, in either frame, and
 :func:`oracle_outcome_table` is its per-label view of one measurement. The
 oracle shares no code with the closed-form probability expressions and
 serves as their cross-check.
@@ -62,8 +67,10 @@ __all__ = [
     "MAX_POVM_PATHS",
 ]
 
-# Largest path count the POVM builders accept: they hold up to 2N + 1 dense
-# N x N complex matrices, and the tolerances below are set for this size.
+# Largest path count the POVM builders and ``verify`` accept. A builder
+# returns up to 2N + 1 dense N x N complex matrices; ``verify`` checks their
+# n x n support blocks, 3N + 1 per level. The tolerances below are set for
+# this size.
 MAX_POVM_PATHS = 64
 
 # Eigenvalues of POVM elements may dip this far below zero from roundoff in
@@ -189,30 +196,41 @@ class Measurement:
 
 def _rank_ones(rows: np.ndarray) -> np.ndarray:
     """Read-only ``|row><row|`` of each row (``np.outer`` entry for entry):
-    ``[..., N, N, N]`` from rows ``[..., N, N]``."""
+    ``[..., N, m, m]`` from rows ``[..., N, m]``."""
     return _read_only(rows[..., :, None] * rows.conj()[..., None, :])
 
 
-def _me_elements(n_paths: int, indices) -> np.ndarray:
-    """The minimum-error elements ``[..., N, N, N]`` of one support (1-D) or
-    of each row of a block of supports (2-D)."""
+def _vectors(n_paths: int, indices, scale, profile, embed: bool) -> np.ndarray:
+    """The :func:`_profile_states` rows ``[..., N, n]``, or with ``embed``
+    the same vectors in the detector space, ``[..., N, N]``."""
+    rows = _profile_states(n_paths, indices, scale, profile)
+    return _embed(n_paths, np.asarray(indices)[..., None, :], rows) if embed else rows
+
+
+def _me_elements(n_paths: int, indices, embed: bool = False) -> np.ndarray:
+    """The minimum-error elements ``[..., N, n, n]`` of one support (1-D) or
+    of each row of a block of supports (2-D); ``[..., N, N, N]`` with
+    ``embed`` (see :func:`_vectors`)."""
     n = np.shape(indices)[-1]
-    u_rows = _profile_states(n_paths, indices, 1.0, np.full(np.shape(indices), 1.0 / np.sqrt(n)))
-    return _rank_ones(np.sqrt(n / n_paths) * u_rows)
+    profile = np.full(np.shape(indices), 1.0 / np.sqrt(n))
+    return _rank_ones(np.sqrt(n / n_paths) * _vectors(n_paths, indices, 1.0, profile, embed))
 
 
-def _two_step_elements(n_paths: int, indices, p_success, success, failure, branch) -> np.ndarray:
-    """The elements ``[..., 3N + 1, N, N]`` of one level's standard
+def _two_step_elements(
+    n_paths: int, indices, p_success, success, failure, branch, embed: bool = False
+) -> np.ndarray:
+    """The elements ``[..., 3N + 1, n, n]`` of one level's standard
     measurement (``c0..c{N-1}, f``) followed by its concatenated one
-    (``c0..c{N-1}, fc0..fc{N-1}``), for one scenario or a block.
+    (``c0..c{N-1}, fc0..fc{N-1}``), for one scenario or a block;
+    ``[..., 3N + 1, N, N]`` with ``embed`` (see :func:`_vectors`).
 
     ``success`` and ``failure`` are the profiles (last axis), ``p_success``
     the success probabilities and ``branch`` whether a failure branch exists;
     ``indices``, ``failure`` and ``branch`` broadcast against ``success``.
     Failure elements are zero without a branch.
     """
-    conclusive = _rank_ones(_profile_states(n_paths, indices, p_success, success))
-    failures = _rank_ones(_profile_states(n_paths, indices, 1.0 - p_success, failure))
+    conclusive = _rank_ones(_vectors(n_paths, indices, p_success, success, embed))
+    failures = _rank_ones(_vectors(n_paths, indices, 1.0 - p_success, failure, embed))
     failures = np.where(np.asarray(branch)[..., None, None, None], failures, 0.0)
     lost = failures.sum(axis=-3, keepdims=True)
     return np.concatenate([conclusive, lost, conclusive, failures], axis=-3)
@@ -233,7 +251,7 @@ def build_me_measurement(spec: DetectorSpec) -> Measurement:
     """Square-root (minimum-error) measurement: N elements ``(n/N) |u_j><u_j|``,
     with ``u_j`` the uniform-profile vectors."""
     _check_povm_size(spec)
-    elements = _me_elements(spec.N, spec.support.indices)
+    elements = _me_elements(spec.N, spec.support.indices, embed=True)
     return Measurement(Strategy.ME, 0.0, _labels(spec.N, "c"), elements)
 
 
@@ -252,16 +270,18 @@ def build_two_step_measurements(
 
     The outcome order is fixed: ``c0..c{N-1}, f`` for the standard
     measurement and ``c0..c{N-1}, fc0..fc{N-1}`` for the concatenated one.
-    ``verify`` builds the same elements for blocks of scenarios through
-    the same rule and reads outcomes by position in this order.
+    ``verify`` builds the same elements, as n x n support blocks, for blocks
+    of scenarios through the same rule and reads outcomes by position in
+    this order.
     """
     _check_povm_size(spec)
     branch = params.failure_profile is not None
     failure = params.failure_profile if branch else np.zeros(spec.n)
     elements = _read_only(
         _two_step_elements(
-            spec.N, spec.support.indices, params.p_success, params.success_profile, failure, branch
-        )
+            spec.N, spec.support.indices, params.p_success, params.success_profile, failure,
+            branch, embed=True,
+        )  # fmt: skip
     )
     standard, concatenated = elements[: spec.N + 1], elements[spec.N + 1 :]
     return (
@@ -363,27 +383,32 @@ class OracleArrays:
 def oracle_arrays(states, elements: np.ndarray) -> OracleArrays:
     """Evaluate a stack of POVM elements against explicit state vectors.
 
-    ``states`` is one scenario's :class:`SymmetricSet` or its states
-    ``[N, N]``, with elements ``[E, N, N]``; or a stack of scenarios' states
-    ``[S, N, N]``, with elements ``[S, E, N, N]`` and results ``[S, E, ...]``.
-    Computes ``p_e = Tr(E_e rho)`` with ``rho`` assembled from the N state
-    projectors, and conditionals ``<state_l| E_e |state_l> / (N p_e)``. Pure
-    matrix arithmetic, no closed forms; this is the independent cross-check
-    for every probability formula in this module. Each entry equals the one
-    a per-element ``np.trace(E_e @ rho)`` and einsum would give, bit for bit.
+    ``states`` is one scenario's :class:`SymmetricSet` or its N states as
+    rows ``[N, m]``, with elements ``[E, m, m]``; or a stack of scenarios'
+    states ``[S, N, m]``, with elements ``[S, E, m, m]`` and results
+    ``[S, E, ...]``. The frame is ``m = N`` for the detector space and
+    ``m = n`` for the support frame. Computes ``p_e = Tr(E_e rho)`` with
+    ``rho`` assembled from the N state projectors, as the sum of
+    ``E_e * rho^T``, and conditionals ``<state_l| E_e |state_l> / (N p_e)``,
+    from one matrix product of the states with each element. Pure matrix
+    arithmetic, no closed forms; this is the independent cross-check for
+    every probability formula in this module.
     """
     if isinstance(states, SymmetricSet):
         states = states.states
-    n_paths = states.shape[-1]
-    if elements.shape[:-3] != states.shape[:-2] or elements.shape[-2:] != (n_paths, n_paths):
+    n_paths, m = states.shape[-2:]
+    if elements.shape[:-3] != states.shape[:-2] or elements.shape[-2:] != (m, m):
         raise ValidationError(
             f"measurement elements of shape {elements.shape} do not match states "
             f"of shape {states.shape}"
         )
-    rho = np.swapaxes(states, -1, -2) @ states.conj() / n_paths
-    probs = np.trace(elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    rho = states.mT @ states.conj() / n_paths
+    # A C-ordered product sums each trace in one order, whatever the layout
+    # of ``elements`` and however many of them are stacked.
+    probs = np.multiply(elements, rho[..., None, :, :].mT, order="C").sum(axis=(-2, -1)).real
     defined = probs >= UNDEFINED_OUTCOME_ATOL
-    quad = np.einsum("...lk,...ekj,...lj->...el", states.conj(), elements, states).real
+    rows = states[..., None, :, :]
+    quad = ((rows.conj() @ elements) * rows).sum(axis=-1).real
     conditionals = np.full(quad.shape, np.nan)
     np.divide(quad, (n_paths * probs)[..., None], out=conditionals, where=defined[..., None])
     return OracleArrays(probs=probs, conditionals=conditionals, defined=defined)

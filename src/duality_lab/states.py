@@ -241,22 +241,23 @@ def build_symmetric_set(spec: DetectorSpec) -> SymmetricSet:
     State ``l`` has amplitude ``a_k * exp(2j*pi*k*l/N)`` on each support
     index ``k`` and zero elsewhere; every state is unit norm.
     """
-    states = _profile_states(spec.N, spec.support.indices, 1.0, spec.amplitudes)
-    return SymmetricSet(spec=spec, states=_read_only(states))
+    indices = spec.support.indices
+    frame = _profile_states(spec.N, indices, 1.0, spec.amplitudes)
+    return SymmetricSet(spec=spec, states=_read_only(_embed(spec.N, indices, frame)))
 
 
 def _profile_states(n_paths: int, indices, scale, profile: np.ndarray) -> np.ndarray:
-    """N vectors as rows ``[..., N, N]``: ``sqrt(scale) * profile_k * w^{jk}``
-    on the support, zero elsewhere. ``profile`` holds one row (1-D) or one
-    per scenario and level (any leading axes), with which ``indices`` and
-    ``scale`` broadcast. With the amplitudes as profile and scale 1 the rows
-    are the detector states; the measurement vectors take other profiles."""
+    """N vectors in the support frame, as rows ``[..., N, n]``: entry ``k``
+    of row ``j`` is ``sqrt(scale) * profile_k * w^{jk}`` for support index
+    ``indices[k]``; the vectors are zero off the support. ``profile`` holds
+    one row (1-D) or one per scenario and level (any leading axes), with
+    which ``indices`` and ``scale`` broadcast. With the amplitudes as profile
+    and scale 1 the rows are the detector states; the measurement vectors
+    take other profiles. :func:`_embed` places them in the detector space."""
     _check_path_limit(n_paths, dense=True)
-    indices = np.asarray(indices)
-    grid = np.multiply.outer(indices, np.arange(n_paths))
+    grid = np.multiply.outer(np.asarray(indices), np.arange(n_paths))
     phases = np.swapaxes(np.exp(2j * np.pi * grid / n_paths), -1, -2)
-    values = (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
-    return _embed(n_paths, indices[..., None, :], values)
+    return (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,12 @@ chunks of at most ``BLOCK_ROWS``, and each chunk splits into groups of one
 runs, ``duality._level_forms``, ``_failure_branch`` and ``_knowledge_table``,
 on the levels of ``DEFAULT_XI_GRID``, so the suites check the numbers that
 ``scan`` writes. Its measurements are built by the block rules behind the
-POVM builders for stacks of consecutive scenarios, and go in report order
-through batches of consecutive measurements within ``STACK_ENTRIES`` matrix
-entries, with one ``eigvalsh`` call and one oracle call per batch; a stack
-is one batch when its scenarios fit. Oracle rows are compared with the closed
+POVM builders for stacks of consecutive scenarios, in the support frame:
+each element is its n x n block on the support, where the POVM builders'
+N x N matrices are zero elsewhere. They go in report order through batches
+of consecutive measurements within ``STACK_ENTRIES`` entries, with one
+``eigvalsh`` call and one oracle call per batch; a stack is one batch when
+its scenarios fit. Oracle rows are compared with the closed
 forms by position, in the fixed outcome order of the POVM builders. Every
 check is an array over a group or a stack: a scenario whose checks all pass
 only adds its counts, and messages are formatted for failing scenarios
@@ -79,12 +81,15 @@ MONOTONICITY_ATOL = 1e-9
 SUCCESS_MONOTONICITY_ATOL = 1e-12
 PARSEVAL_ATOL = 1e-10
 
-# Most matrix entries (elements x N x N) one batch of measurements may hold.
-# A stack of consecutive scenarios of one (N, n) is one batch: 110 at N = 2,
-# two at N = 7, one at N = 8 and 9. From N = 10 a stack is one scenario in
-# batches of consecutive measurements, built one level at a time, and from
-# N = 20 each measurement is a batch of its own. 2^14 complex entries take
-# 256 KiB, and a batch's temporaries about as much.
+# Most entries one batch of measurements may hold. An element counts its
+# n x n support block and 3N entries for its oracle rows over the N states,
+# so one scenario counts (N + L(3N + 1)) * (n^2 + 3N), L being the number
+# of levels. A stack of consecutive scenarios of one (N, n) is one batch
+# when they fit: 63 at N = 2 and n = 1, 8 at N = 5 and n = 3, one at
+# N = n = 9. Past the cap a stack is one scenario in batches of consecutive
+# measurements, built one level at a time: three batches at N = n = 12, and
+# from N = n = 20 each measurement is a batch of its own. 2^14 complex
+# entries take 256 KiB, and a batch's temporaries a few times as much.
 STACK_ENTRIES = 1 << 14
 
 # Every tolerance a suite checks a gap against; a check passes when its gap
@@ -226,25 +231,44 @@ def _group_forms(n_paths: int, indices: np.ndarray, amps: np.ndarray) -> _Forms:
     failure_profile, branch, live, spectra = _failure_branch(n_paths, indices, amps, probs)
     failure = np.full((len(amps), n_paths), np.inf)
     failure[live] = spectra
+    infos = np.full(len(amps), np.nan)  # of the failure conditionals
+    standard, concatenated = np.full((2,) + p_success.shape, np.nan)
+
+    def failure_infos(rows):
+        infos[rows] = _normalized_infos(failure[rows], n_paths)
+
+    def table(rows):
+        standard[rows], concatenated[rows] = _knowledge_table(
+            n_paths, conclusive[rows], p_success[rows], live[rows], infos[rows][live[rows]]
+        )
+
+    # A conclusive input's rejection overwrites its row's failure one, as
+    # the conclusive entropies come first in a scalar knowledge call.
     errors = {}
-    try:
-        standard, concatenated = _knowledge_table(n_paths, conclusive, p_success, live, spectra)
-    except ValidationError:
-        # Some row's entropy input was rejected: each row again on its own.
-        standard, concatenated = np.full((2,) + p_success.shape, np.nan)
-        for g in range(len(amps)):
-            row = slice(g, g + 1)
-            try:
-                standard[row], concatenated[row] = _knowledge_table(
-                    n_paths, conclusive[row], p_success[row], live[row], failure[row][live[row]]
-                )
-            except ValidationError as exc:
-                errors[g] = str(exc)
+    _by_rows(failure_infos, np.flatnonzero(live), errors)
+    _by_rows(table, np.arange(len(amps)), errors)
+    standard[list(errors)] = concatenated[list(errors)] = np.nan
     coh = _normalized_infos(probs, n_paths)
     return _Forms(
         p_success, profiles, failure_profile, branch, conclusive, failure, live,
         standard, concatenated, errors, coh, 1.0 - coh,
     )  # fmt: skip
+
+
+def _by_rows(compute, rows: np.ndarray, errors: dict) -> None:
+    """``compute(rows)`` on all ``rows`` at once or, when the entropy rejects
+    some row's input, on each row alone; ``errors`` maps a rejected row to
+    why."""
+    if not rows.size:
+        return
+    try:
+        compute(rows)
+    except ValidationError:
+        for i in range(len(rows)):
+            try:
+                compute(rows[i : i + 1])
+            except ValidationError as exc:
+                errors[int(rows[i])] = str(exc)
 
 
 def _gk_sign(probs: np.ndarray, n_paths: int) -> np.ndarray:
@@ -255,19 +279,23 @@ def _gk_sign(probs: np.ndarray, n_paths: int) -> np.ndarray:
     return np.sqrt(np.clip(g_sq, 0.0, None))
 
 
-def _povm_gaps(elements: np.ndarray, lengths: list, projectors: np.ndarray):
+def _povm_gaps(elements: np.ndarray, lengths: list, n_paths: int):
     """Hermiticity gap ``max |E - E^H|``, smallest eigenvalue and
-    completeness gap ``[S, M]`` of the measurements of ``elements``, of
-    ``lengths`` elements each, from one ``eigvalsh`` call."""
+    completeness gap ``[S, M]`` of the measurements of ``elements``, support
+    blocks ``[S, E, n, n]`` of ``lengths`` elements each, from one
+    ``eigvalsh`` call. Off the support an element is zero, so its smallest
+    eigenvalue is at most 0 when n < N, and completeness is against I_n."""
     starts = list(accumulate(lengths, initial=0))
     # One sum per measurement: np.add.reduceat would change the last bits.
     sums = np.stack([elements[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])], axis=1)
-    completeness = np.abs(sums - projectors[:, None]).max(axis=(-2, -1))
+    completeness = np.abs(sums - np.eye(elements.shape[-1])).max(axis=(-2, -1))
     re, im = elements.real, elements.imag
     gap = re - np.swapaxes(re, -1, -2)
     np.hypot(gap, im + np.swapaxes(im, -1, -2), out=gap)
     hermitian = np.maximum.reduceat(gap.max(axis=(-2, -1)), starts[:-1], axis=1)
     smallest = np.minimum.reduceat(np.linalg.eigvalsh(elements).min(axis=-1), starts[:-1], axis=1)
+    if elements.shape[-1] < n_paths:
+        np.minimum(smallest, 0.0, out=smallest)
     return hermitian, smallest, completeness
 
 
@@ -277,8 +305,9 @@ def _joined(parts) -> np.ndarray:
 
 
 def _measurements(n_paths: int, indices, forms: _Forms, profiles, rows: slice, step: int):
-    """The measurements ``[S, E_m, N, N]`` of a group's scenarios ``rows`` in
-    report order: views of the builders' arrays, ``step`` levels per build."""
+    """The measurements ``[S, E_m, n, n]`` of a group's scenarios ``rows`` in
+    report order, in the support frame: views of the block rules' arrays,
+    ``step`` levels per build."""
     yield _me_elements(n_paths, indices)
     for lo in range(0, _LEVELS, step):
         levels = slice(lo, lo + step)
@@ -291,16 +320,18 @@ def _measurements(n_paths: int, indices, forms: _Forms, profiles, rows: slice, s
             yield two[:, level, n_paths + 1 :]
 
 
-def _batches(measurements):
-    """Runs of consecutive measurements within ``STACK_ENTRIES``, one over
-    the cap alone; a yielded run's list is the only reference to it."""
+def _batches(measurements, weight: int):
+    """Runs of consecutive measurements within ``STACK_ENTRIES``, an element
+    counting ``weight`` entries, one over the cap alone; a yielded run's list
+    is the only reference to it."""
     batch, entries = [], 0
     for measurement in measurements:
-        if batch and entries + measurement.size > STACK_ENTRIES:
+        size = measurement.shape[0] * measurement.shape[1] * weight
+        if batch and entries + size > STACK_ENTRIES:
             yield batch
             batch, entries = [], 0
         batch.append(measurement)
-        entries += measurement.size
+        entries += size
     del measurement
     yield batch
 
@@ -309,19 +340,21 @@ def _stacks(n_paths: int, indices, amps, forms: _Forms, profiles):
     """A group's element stacks: per stack, the rows it covers, the
     :func:`_povm_gaps` of their measurements ``[S, 1 + 2L]`` and their
     oracle arrays ``[S, E]``, in report order. Each batch of a stack's
-    measurements takes one ``eigvalsh`` and one oracle call."""
-    size = (n_paths + _LEVELS * (3 * n_paths + 1)) * n_paths**2
+    measurements takes one ``eigvalsh`` and one oracle call, all in the
+    support frame."""
+    weight = indices.shape[1] ** 2 + 3 * n_paths  # see STACK_ENTRIES
+    size = (n_paths + _LEVELS * (3 * n_paths + 1)) * weight
     per, step = max(STACK_ENTRIES // size, 1), _LEVELS if size <= STACK_ENTRIES else 1
     for lo in range(0, len(amps), per):
         rows = slice(lo, lo + per)
-        states = _profile_states(n_paths, indices[rows], 1.0, amps[rows])  # build_symmetric_set's
-        projectors = np.zeros(states.shape)
-        projectors[np.arange(len(states))[:, None], indices[rows], indices[rows]] = 1.0
+        # build_symmetric_set's states on the support
+        states = _profile_states(n_paths, indices[rows], 1.0, amps[rows])
         gaps, parts = [], []
-        for batch in _batches(_measurements(n_paths, indices[rows], forms, profiles, rows, step)):
+        measurements = _measurements(n_paths, indices[rows], forms, profiles, rows, step)
+        for batch in _batches(measurements, weight):
             elements, lengths = _joined(batch), [m.shape[1] for m in batch]
-            batch.clear()  # frees the builders' arrays that ``elements`` copied
-            gaps.append(_povm_gaps(elements, lengths, projectors))
+            batch.clear()  # frees the block rules' arrays that ``elements`` copied
+            gaps.append(_povm_gaps(elements, lengths, n_paths))
             parts.append(oracle_arrays(states, elements))
         oracle = OracleArrays(*map(_joined, zip(*(vars(part).values() for part in parts))))
         yield rows, tuple(map(_joined, zip(*gaps))), oracle

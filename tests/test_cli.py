@@ -644,33 +644,48 @@ class TestVerify:
         assert checked == set(TOLERANCES)
 
     @pytest.mark.parametrize(
-        "argv, stream, digest",
+        "argv, stream, counts, digest",
         [
             (
                 ("--samples", "300", "--seed", "0", "--json"),
                 "out",
-                "279d9323219b973675b1805b5f5983d16232ad6298b6e9a01b7ccd61096428e4",
+                (9900, 75200, 3000, 518, 300, 300),
+                "d9819ab233d466b5f3f7ab1f2b4f3f7d44382b42aadd5dd67cbcf5cfb8100d23",
             ),
             (
                 ("--samples", "40", "--seed", "1", "--N-range", "9:24", "--json"),
                 "out",
-                "2f96f64a1ebfe99707c4f8057315123f047fa584875e7e908f64cc595cf01f9d",
+                (1320, 29859, 400, 78, 40, 40),
+                "425ea27bc98b892598b5d7d279919cbe7ce950f001da85fb55bd6d48c591ba60",
+            ),
+            (
+                ("--samples", "6", "--seed", "0", "--N-range", "25:64", "--json"),
+                "out",
+                (198, 12732, 60, 11, 6, 6),
+                "b17060c5d1fbfd3ea66df7159e84c1574b6a36819386f0e164b33b91c52c22ce",
             ),
             (
                 ("--samples", "60", "--seed", "0", "--inject-fault", "gk-sign"),
                 "err",
-                "6714551b9828b9afe240b573c62587fc98f708e4a4f7005d091a27168fc2f12d",
+                None,
+                "574b2af848606861ab252294e427eb42fd5fa044ac485d2b11c805e6d6b3bfe7",
             ),
         ],
-        ids=["canonical-json", "n9to24-json", "gk-sign-stderr"],
+        ids=["canonical-json", "n9to24-json", "n25to64-json", "gk-sign-stderr"],
     )
-    def test_pinned_output(self, argv, stream, digest, capsys):
-        # The benchmark's canonical JSON report with its worst gaps, a run
-        # whose N = 13..24 scenarios span several element stacks, and the
-        # violation texts of a faulted run. Recorded with Python 3.11.7 and
-        # numpy 2.4.6.
+    def test_pinned_output(self, argv, stream, counts, digest, capsys):
+        # The benchmark's canonical JSON report with its worst gaps, runs
+        # whose N = 13..24 and N = 25..64 scenarios span several element
+        # stacks, and the violation texts of a faulted run. The check counts
+        # of the JSON runs are pinned apart from their digests, with no
+        # violations. Recorded with Python 3.11.7 and numpy 2.4.6.
         run_cli("verify", *argv)
         text = getattr(capsys.readouterr(), stream)
+        if counts is not None:
+            report = json.loads(text)
+            assert [(suite["checks"], suite["violations"]) for suite in report.values()] == [
+                (count, 0) for count in counts
+            ]
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_run_with_violations_exits_one(self, capsys):

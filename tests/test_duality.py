@@ -330,12 +330,23 @@ class TestEvaluateSpecs:
         assert peak < 64 * 2**20
 
 
-    def test_pairs_split_at_the_largest_path_count(self):
+    def test_pairs_split_at_the_largest_path_count(self, monkeypatch):
         # At N = EVAL_BLOCK_ENTRIES one row's spectra fill a slice, so the
-        # pairs go one at a time: 11 at once would take about 130 MiB.
+        # pairs go one at a time: 11 at once would take about 130 MiB. The
+        # failure branch's entropies are taken once for the slice, not once
+        # per pair: one entropy call for coherence, one for the failure
+        # branch and one per pair.
         N = duality.EVAL_BLOCK_ENTRIES
         specs = [spec_from_probabilities(N, (0, 5, 900, 70000), (0.1, 0.2, 0.3, 0.4))]
         pairs = [("frio-concatenated", round(0.1 * k, 1)) for k in range(11)] + [("me", 0.0)]
+        calls = [0]
+        normalized_infos = duality._normalized_infos
+
+        def counted(probabilities, n_paths):
+            calls[0] += 1
+            return normalized_infos(probabilities, n_paths)
+
+        monkeypatch.setattr(duality, "_normalized_infos", counted)
         tracemalloc.start()
         try:
             block = evaluate_block(block_from_specs(specs), pairs)
@@ -343,6 +354,8 @@ class TestEvaluateSpecs:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+        assert calls[0] == 2 + len(pairs)
+        monkeypatch.undo()
         for column, (strategy, xi) in enumerate(pairs):
             expected = scalar_point(specs[0], strategy, xi)
             assert (block.knowledge[0, column], block.coherence[0]) == expected[:2]

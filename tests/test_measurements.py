@@ -303,26 +303,36 @@ class TestOracleOutcomeTable:
                 assert np.abs(table.conditionals[f"c{j}"] - np.roll(reference, j)).max() < 1e-12
 
     def test_array_oracle_equals_per_element_arithmetic(self):
-        # The per-element trace and einsum are the reference the batched
-        # oracle must reproduce bit for bit.
+        # The batched oracle gives each element the bits that element gets
+        # alone, in the detector space and in the support frame, and agrees
+        # with the per-element trace and einsum to within a few ulps.
         for spec in iter_specs(40, seed=12, n_range=(2, 12)):
             measurements = [build_me_measurement(spec)]
             for xi in (0.0, 0.4, 1.0):
                 measurements += [build_frio_standard(spec, xi), build_frio_concatenated(spec, xi)]
-            elements = [matrix for m in measurements for matrix in m.elements]
+            elements = np.stack([matrix for m in measurements for matrix in m.elements])
             sym = build_symmetric_set(spec)
-            arrays = oracle_arrays(sym, np.stack(elements))
-            states = sym.states
-            rho = states.T @ states.conj() / spec.N
-            for e, matrix in enumerate(elements):
-                prob = float(np.trace(matrix @ rho).real)
-                assert arrays.probs[e] == prob
-                assert arrays.defined[e] == (prob >= UNDEFINED_OUTCOME_ATOL)
-                if arrays.defined[e]:
-                    quad = np.einsum("lk,kj,lj->l", states.conj(), matrix, states).real
-                    assert np.array_equal(arrays.conditionals[e], quad / (spec.N * prob))
-                else:
-                    assert np.isnan(arrays.conditionals[e]).all()
+            support = np.array(spec.support.indices)
+            frames = (
+                (sym.states, elements),
+                (sym.states[:, support], elements[:, support[:, None], support]),
+            )
+            for states, stack in frames:
+                arrays = oracle_arrays(states, stack)
+                rho = states.T @ states.conj() / spec.N
+                for e, matrix in enumerate(stack):
+                    alone = oracle_arrays(states, stack[e : e + 1])
+                    for name in ("probs", "conditionals", "defined"):
+                        assert getattr(arrays, name)[e].tobytes() == getattr(alone, name).tobytes()
+                    prob = np.trace(matrix @ rho).real
+                    assert abs(arrays.probs[e] - prob) <= 1e-15
+                    assert arrays.defined[e] == (arrays.probs[e] >= UNDEFINED_OUTCOME_ATOL)
+                    if arrays.defined[e]:
+                        quad = np.einsum("lk,kj,lj->l", states.conj(), matrix, states).real
+                        conditional = arrays.conditionals[e] * (spec.N * arrays.probs[e])
+                        assert np.abs(conditional - quad).max() <= 1e-15
+                    else:
+                        assert np.isnan(arrays.conditionals[e]).all()
 
     def test_dimension_mismatch_rejected(self):
         sym = build_symmetric_set(uniform_spec(3, (0, 1)))

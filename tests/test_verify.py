@@ -27,12 +27,12 @@ from duality_lab.measurements import (
     build_two_step_measurements,
     conditional_conclusive,
     conditional_failure,
-    oracle_arrays,
     separation_params,
 )
 from duality_lab.states import (
     BLOCK_ROWS,
     ValidationError,
+    _profile_states,
     build_symmetric_set,
     spec_from_probabilities,
     spec_to_json_dict,
@@ -132,6 +132,45 @@ class TestKnowledgeFailure:
                     before.worst,
                 )
 
+    def test_only_the_rejected_failure_branch_fails(self, monkeypatch):
+        # One scenario's failure conditional is rejected: the group's failure
+        # branch is taken again row by row, so only that scenario's five
+        # hierarchy checks and its gain check fail, with the message of the
+        # rejected input.
+        specs = list(iter_specs(30, seed=0))
+        target = next(
+            i
+            for i, spec in enumerate(specs)
+            if conditional_failure(spec) is not None
+            and sum(other.N == spec.N and other.n == spec.n for other in specs) >= 3
+            and np.diff(np.sort(spec.probabilities)[:2])[0] >= 0.05 * spec.min_probability
+        )
+        rejected_row = conditional_failure(specs[target])
+        normalized_infos = verify._normalized_infos
+
+        def rejecting(probabilities, n_paths):
+            rows = np.asarray(probabilities)
+            if rows.shape[-1] == rejected_row.size and (rows == rejected_row).all(axis=-1).any():
+                raise ValidationError("rejected failure")
+            return normalized_infos(probabilities, n_paths)
+
+        reference = run_verification(30, seed=0)
+        monkeypatch.setattr(verify, "_normalized_infos", rejecting)
+        results = run_verification(30, seed=0)
+        replay = json.dumps(spec_to_json_dict(specs[target]))
+        hierarchy = suite(results, "hierarchy")
+        assert hierarchy.checks == suite(reference, "hierarchy").checks - len(DEFAULT_XI_GRID)
+        assert hierarchy.violations == [
+            f"xi={xi}: knowledge failed: rejected failure | replay spec: {replay}"
+            for xi in DEFAULT_XI_GRID
+        ]
+        monotonicity = suite(results, "monotonicity")
+        assert monotonicity.checks == suite(reference, "monotonicity").checks
+        assert monotonicity.violations == [
+            "concatenation gain decreased by 0.000e+00 along the xi grid "
+            f"(knowledge failed at {len(DEFAULT_XI_GRID)} levels) | replay spec: {replay}"
+        ]
+
 
 class TestPinnedReport:
     def test_report_digest(self):
@@ -148,7 +187,7 @@ class TestPinnedReport:
                 worst = sorted((k, repr(v)) for k, v in r.worst.items())
                 digest.update(json.dumps([r.name, r.checks, r.violations, worst]).encode())
         assert digest.hexdigest() == (
-            "26b77282e761b1ea9efadae5f39c3a940804c200ee545bd67b6d3b41c97931c3"
+            "225d0735e24181cd9335362e7f266ab2da764b9a3e1274c5e61b21cc7e2d6d10"
         )
 
 
@@ -207,26 +246,20 @@ class TestSharedClosedForms:
         assert forms.live.tolist() == [True, False, False, True, True]
 
 
-class TestStacks:
+class TestFrame:
     @pytest.mark.parametrize("fault", [None, "gk-sign"])
-    def test_elements_and_oracle_are_the_per_scenario_ones(self, fault, monkeypatch):
-        # A stack's batches hold each of its scenarios' builder arrays in
-        # order, and its oracle rows equal the per-scenario calls, bit for
-        # bit (signed zeros included). At N = 12 the levels are built one at
-        # a time and a scenario spans two batches; at N = 20 each
-        # measurement is a batch of its own.
-        batches = []
-
-        def oracle(states, elements):
-            batches.append(elements)
-            return oracle_arrays(states, elements)
-
-        monkeypatch.setattr(verify, "oracle_arrays", oracle)
+    def test_checked_blocks_are_the_public_elements_on_the_support(self, fault):
+        # verify checks the states and each POVM element as their support
+        # blocks. Off the support the public builders' states and elements
+        # are exactly zero (of either sign). On it, the states and every
+        # rank-1 element equal the checked blocks bit for bit; the standard
+        # measurement's f, a sum of N rank-1 elements reduced in another
+        # shape, agrees within 2e-15.
         groups = {}
         for spec in [
             *iter_specs(200, seed=3, n_range=(2, 6)),
-            *iter_specs(2, seed=3, n_range=(12, 12)),
-            *iter_specs(2, seed=3, n_range=(20, 20)),
+            *iter_specs(10, seed=3, n_range=(7, 64)),
+            *iter_specs(2, seed=3, n_range=(64, 64)),
         ]:
             groups.setdefault((spec.N, spec.n), []).append(spec)
         for (n_paths, n), specs in groups.items():
@@ -234,22 +267,42 @@ class TestStacks:
             amps = np.array([spec.coeffs for spec in specs])
             forms = verify._group_forms(n_paths, indices, amps)
             profiles = verify._gk_sign(amps**2, n_paths) if fault else forms.profiles
-            for rows, _, stacked in verify._stacks(n_paths, indices, amps, forms, profiles):
-                assert len(batches) == {12: 2, 20: 11}.get(n_paths, 1)
-                elements = np.concatenate(batches, axis=1)
-                batches.clear()
-                for s, spec in enumerate(specs[rows]):
-                    parts = [build_me_measurement(spec).elements]
-                    for level, xi in enumerate(DEFAULT_XI_GRID):
-                        params = separation_params(spec, xi)
-                        if fault:
-                            params = replace(params, success_profile=profiles[rows][s, level])
-                        parts += [m.elements for m in build_two_step_measurements(spec, params)]
-                    expected = np.concatenate(parts)
-                    assert elements[s].tobytes() == expected.tobytes()
-                    alone = oracle_arrays(build_symmetric_set(spec), expected)
-                    for name in ("probs", "conditionals", "defined"):
-                        assert getattr(stacked, name)[s].tobytes() == getattr(alone, name).tobytes()
+            off = np.ones((len(specs), n_paths), dtype=bool)
+            off[np.arange(len(specs))[:, None], indices] = False
+            outside = off[:, :, None] | off[:, None, :]
+            states = _profile_states(n_paths, indices, 1.0, amps)
+            for g, spec in enumerate(specs):
+                public = build_symmetric_set(spec).states
+                assert not public[:, off[g]].any()
+                assert public[:, indices[g]].tobytes() == states[g].tobytes()
+            public = [
+                public_elements(spec, profiles[g] if fault else None)
+                for g, spec in enumerate(specs)
+            ]
+            blocks = verify._measurements(n_paths, indices, forms, profiles, slice(None), 1)
+            for m, (checked, *expected) in enumerate(zip(blocks, *public)):
+                for g, elements in enumerate(expected):
+                    assert not elements[:, outside[g]].any()
+                    support = elements[:, indices[g][:, None], indices[g]]
+                    if m % 2:  # a standard measurement: c0..c{N-1}, f
+                        assert support[:-1].tobytes() == checked[g][:-1].tobytes()
+                        assert np.abs(support[-1] - checked[g][-1]).max() <= 2e-15
+                    else:
+                        assert support.tobytes() == checked[g].tobytes()
+            assert m == 2 * len(DEFAULT_XI_GRID)
+
+
+def public_elements(spec, profiles=None):
+    """The element arrays of one scenario's measurements from the public
+    builders, in report order; ``profiles`` replaces each level's success
+    profile."""
+    yield build_me_measurement(spec).elements
+    for level, xi in enumerate(DEFAULT_XI_GRID):
+        params = separation_params(spec, xi)
+        if profiles is not None:
+            params = replace(params, success_profile=profiles[level])
+        for measurement in build_two_step_measurements(spec, params):
+            yield measurement.elements
 
 
 def assert_rows_are_the_scalar_functions(specs):
@@ -351,17 +404,17 @@ class TestCallBudget:
             per_scenario, 0
         )
         stacks = 0
-        for (n_paths, _), count in Counter((s.N, s.n) for s in iter_specs(samples, 0)).items():
-            size = (n_paths + len(DEFAULT_XI_GRID) * (3 * n_paths + 1)) * n_paths**2
+        for (n_paths, n), count in Counter((s.N, s.n) for s in iter_specs(samples, 0)).items():
+            size = (n_paths + len(DEFAULT_XI_GRID) * (3 * n_paths + 1)) * (n**2 + 3 * n_paths)
             stacks += -(-count // (verify.STACK_ENTRIES // size))
         assert oracle[0] == eigvalsh[0] == stacks < samples
 
     def test_one_eigvalsh_per_batch_at_large_path_counts(self, monkeypatch):
-        # From N = 10 a scenario's measurements go in several batches, each
+        # Past the cap a scenario's measurements go in several batches, each
         # with one eigvalsh and one oracle call.
         oracle, eigvalsh = self.count_batches(monkeypatch)
         run_verification(40, seed=0, n_range=(9, 24))
-        assert oracle[0] == eigvalsh[0] == 289
+        assert oracle[0] == eigvalsh[0] == 175
 
 
 class TestChunks:
@@ -370,6 +423,10 @@ class TestChunks:
         # a peak that does not grow with the sample count. The margin over a
         # 300-scenario run covers a full chunk's arrays, the closed forms of
         # groups of about 800 rows, and element stacks filled to the cap.
+        # An unmeasured run first takes numpy's one-time allocations, which
+        # would otherwise fall in the first peak when the test runs alone.
+        run_verification(3, seed=4, n_range=(2, 3))
+
         def peak(samples):
             tracemalloc.start()
             try:
