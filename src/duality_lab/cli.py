@@ -171,13 +171,10 @@ def cmd_saturation(args) -> int:
         f"N={args.N} nontrivial saturating dimensions: "
         f"{','.join(map(str, dims)) if dims else 'none'} (eta-2 = {count})"
     )
-    if args.out is None:
-        write_saturation_csv(blocks, sys.stdout)
-        print(summary, file=sys.stderr)
-    else:
-        with _open_out(args.out) as handle:
-            write_saturation_csv(blocks, handle)
-        print(summary)
+    with _open_out(args.out) as handle:
+        write_saturation_csv(blocks, handle)
+    # The summary goes to stdout only when the CSV does not.
+    print(summary, file=sys.stdout if args.out not in (None, "-") else sys.stderr)
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ output ordering is by sample index. Coefficient probabilities are drawn flat
 on the simplex (normalized unit exponentials) and supports uniformly over
 the C(N, n) subsets. The fixed per-sample draw order is: subspace dimension
 (only when sweeping all dimensions), support, coefficients; ``_draw`` is its
-one definition, shared by :func:`sample_spec` and the sweep.
+one definition, shared by :func:`sample_spec`, the sweep and ``verify``.
 
 The sweep keeps the contract without constructing a generator per sample:
 ``_pcg64_states`` computes the ``SeedSequence`` mixing and PCG64 seeding of a

@@ -10,22 +10,24 @@ carry the offending scenario serialized as JSON so a failure can be
 replayed.
 
 Scenarios are checked as array blocks. They are drawn in index order, in
-chunks of at most ``BLOCK_ROWS``, and each chunk splits into groups of one
-(N, n). A group's closed forms come from the functions the sweep kernel
-runs, ``duality._level_forms``, ``_failure_branch`` and ``_knowledge_table``,
-on the levels of ``DEFAULT_XI_GRID``, so the suites check the numbers that
-``scan`` writes. Its measurements are built by the block rules behind the
-POVM builders for stacks of consecutive scenarios, in the support frame:
-each element is its n x n block on the support, where the POVM builders'
-N x N matrices are zero elsewhere. They go in report order through batches
-of consecutive measurements within ``STACK_ENTRIES`` entries, with one
-``eigvalsh`` call and one oracle call per batch; a stack is one batch when
-its scenarios fit. Oracle rows are compared with the closed
-forms by position, in the fixed outcome order of the POVM builders. Every
-check is an array over a group or a stack: a scenario whose checks all pass
-only adds its counts, and messages are formatted for failing scenarios
-only, then put in index order. Every suite also keeps the largest gap it
-saw against each tolerance.
+chunks of at most ``BLOCK_ROWS``, as the sweep draws them: each takes its
+path count, then ``ensemble._draw``, from its ``_sample_generators``
+stream, and each (N, n) group of a chunk is one
+``block_from_probabilities`` block. A group's closed forms come from the
+functions the sweep kernel runs, ``duality._level_forms``,
+``_failure_branch`` and ``_knowledge_table``, on the levels of
+``DEFAULT_XI_GRID``, so the suites check the numbers that ``scan`` writes.
+Its measurements are built by the block rules behind the POVM builders for
+stacks of consecutive scenarios, in the support frame: each element is its
+n x n block on the support, where the POVM builders' N x N matrices are
+zero elsewhere. They go in report order through batches of consecutive
+measurements within ``STACK_ENTRIES`` entries, with one ``eigvalsh`` call
+and one oracle call per batch; a stack is one batch when its scenarios fit.
+Oracle rows are compared with the closed forms by position, in the fixed
+outcome order of the POVM builders. Every check is an array over a group or
+a stack: a scenario whose checks all pass only adds its counts, and
+messages are formatted for failing scenarios only, then put in index order.
+Every suite also keeps the largest gap it saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
 probability, not the mutual information, so at xi > 0 either separation
@@ -45,7 +47,7 @@ from itertools import accumulate
 import numpy as np
 
 from .duality import _failure_branch, _knowledge_table, _level_forms, _normalized_infos
-from .ensemble import sample_rng, sample_spec
+from .ensemble import _draw, _sample_generators, _scenarios, sample_rng, sample_spec
 from .measurements import (
     COMPLETENESS_ATOL,
     MAX_POVM_PATHS,
@@ -58,7 +60,15 @@ from .measurements import (
     oracle_arrays,
 )
 from .saturation import SPECTRUM_SUPPORT_ATOL, _dft
-from .states import BLOCK_ROWS, ValidationError, _profile_states, is_int, spec_to_json_dict
+from .states import (
+    BLOCK_ROWS,
+    SweepBlock,
+    ValidationError,
+    _profile_states,
+    block_from_probabilities,
+    is_int,
+    spec_to_json_dict,
+)
 
 __all__ = [
     "SuiteResult",
@@ -146,22 +156,22 @@ class SuiteResult:
 
 
 class _Chunk:
-    """Scenarios ``start``..``stop - 1`` of a run as arrays, and the
-    violations found in them, held per suite until :meth:`flush` puts them
-    in index order."""
+    """Scenarios ``start``..``stop - 1`` of a run as ``(rows, block)`` groups
+    in ascending (N, n) order, rows in index order, and the violations found
+    in them, held per suite until :meth:`flush` puts them in index order."""
 
     def __init__(self, seed: int, n_range: tuple[int, int], start: int, stop: int) -> None:
         self.seed, self.n_range, self.start = seed, n_range, start
-        width = n_range[1]
-        self.paths = np.empty(stop - start, dtype=np.intp)
-        self.dims = np.empty(stop - start, dtype=np.intp)
-        self.indices = np.zeros((stop - start, width), dtype=np.intp)
-        self.amps = np.zeros((stop - start, width))
-        for row in range(stop - start):
-            spec = self.spec(row)
-            self.paths[row], self.dims[row] = spec.N, spec.n
-            self.indices[row, : spec.n] = spec.support.indices
-            self.amps[row, : spec.n] = spec.coeffs
+        draws = {}  # (N, n) -> the (row, support, weights) draws of its scenarios
+        for row, rng in enumerate(_sample_generators(seed, start, stop)):
+            n_paths = int(rng.integers(n_range[0], n_range[1] + 1))
+            support, weights = _draw(rng, n_paths, None)
+            draws.setdefault((n_paths, len(support)), []).append((row, support, weights))
+        self.groups = []
+        for (n_paths, _), group in sorted(draws.items()):
+            rows, supports, weights = map(np.array, zip(*group))
+            block = block_from_probabilities(n_paths, *_scenarios(supports, weights))
+            self.groups.append((rows, block))
         self.found: dict[str, list] = {}
 
     def spec(self, row: int):
@@ -169,15 +179,7 @@ class _Chunk:
         the dimension, then :func:`sample_spec`."""
         rng = sample_rng(self.seed, self.start + row)
         n_paths = int(rng.integers(self.n_range[0], self.n_range[1] + 1))
-        n = int(rng.integers(1, n_paths + 1))
-        return sample_spec(n_paths, n, rng)
-
-    def groups(self):
-        """``(N, n, rows)`` for each (N, n), its rows in index order."""
-        keys = self.paths * (self.n_range[1] + 1) + self.dims
-        # Sorted in Python: numpy's integer sort pages in about 1 MB of code.
-        for key in sorted(set(keys.tolist())):
-            yield *divmod(key, self.n_range[1] + 1), np.flatnonzero(keys == key)
+        return sample_spec(n_paths, int(rng.integers(1, n_paths + 1)), rng)
 
     def violate(self, result: SuiteResult, row, detail: str) -> None:
         self.found.setdefault(result.name, []).append((int(row), detail))
@@ -629,10 +631,10 @@ def _check_spectra(
         chunk.violate(uncertainty, rows[g], f"support product {n} * {support[g]} < {n_paths}")
 
 
-def _check_group(results, chunk: _Chunk, n_paths: int, n: int, rows, fault: str | None) -> None:
-    """All six suites on the scenarios ``rows`` of a chunk, which share N and n."""
+def _check_group(results, chunk: _Chunk, rows, block: SweepBlock, fault: str | None) -> None:
+    """All six suites on the scenarios ``rows`` of a chunk, the rows of ``block``."""
     completeness, oracle, hierarchy, monotonicity, parseval, uncertainty = results
-    indices, amps = chunk.indices[rows, :n], chunk.amps[rows, :n]
+    n_paths, indices, amps = block.N, block.indices, block.amps
     forms = _group_forms(n_paths, indices, amps)
     _check_hierarchy(hierarchy, chunk, rows, forms)
     _check_monotonicity(monotonicity, chunk, rows, forms, amps**2, n_paths)
@@ -684,7 +686,7 @@ def run_verification(
     # Chunks of at most BLOCK_ROWS scenarios keep memory flat in ``samples``.
     for start in range(0, samples, BLOCK_ROWS):
         chunk = _Chunk(seed, (lo, hi), start, min(start + BLOCK_ROWS, samples))
-        for n_paths, n, rows in chunk.groups():
-            _check_group(results, chunk, n_paths, n, rows, fault)
+        for rows, block in chunk.groups:
+            _check_group(results, chunk, rows, block, fault)
         chunk.flush(results)
     return results

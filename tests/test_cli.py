@@ -428,10 +428,14 @@ class TestSaturation:
         assert len(lines) == 2**12 - 1 + 1
 
     def test_prime_path_count(self, capsys):
-        assert run_cli("saturation", "--N", "7") == 0
-        captured = capsys.readouterr()
-        assert "N=7 nontrivial saturating dimensions: none (eta-2 = 0)" in captured.err
-        assert captured.out.splitlines()[0].startswith("N,n,support")
+        # The CSV goes to stdout, and the summary to stderr, both without
+        # --out and with --out -.
+        for out in ([], ["--out", "-"]):
+            assert run_cli("saturation", "--N", "7", *out) == 0
+            captured = capsys.readouterr()
+            assert "N=7 nontrivial saturating dimensions: none (eta-2 = 0)" in captured.err
+            assert captured.out.splitlines()[0].startswith("N,n,support")
+            assert "nontrivial" not in captured.out
 
     def test_six_path_lists_saturating_supports(self, tmp_path, capsys):
         out = tmp_path / "six.csv"
@@ -449,15 +453,20 @@ class TestSaturation:
 
 class TestPinnedEnumerations:
     """Census and enumeration outputs the benchmark does not gate: a census
-    on stdout, a census whose dimensions 8 and 9 each span six blocks of
-    ``BLOCK_ROWS`` supports, and every uniform spec at N = 7. Recorded with
-    Python 3.11.7 and numpy 2.4.6."""
+    on stdout, without ``--out`` and with ``--out -``, a census whose
+    dimensions 8 and 9 each span six blocks of ``BLOCK_ROWS`` supports, and
+    every uniform spec at N = 7. Recorded with Python 3.11.7 and numpy 2.4.6."""
 
     @pytest.mark.parametrize(
         "argv, size, sha256",
         [
             (
                 ["saturation", "--N", "12"],
+                218_073,
+                "3da19a268b63607252056df1b8e838c478e21360802a160cc3cb09b9557a04be",
+            ),
+            (
+                ["saturation", "--N", "12", "--out", "-"],
                 218_073,
                 "3da19a268b63607252056df1b8e838c478e21360802a160cc3cb09b9557a04be",
             ),
@@ -472,7 +481,7 @@ class TestPinnedEnumerations:
                 "d88c0f33e0f43a60375e8a9c8f3292affdfe519283e176a29c51e505f86f92d8",
             ),
         ],
-        ids=["census-n12-stdout", "census-n17-file", "enumerate-n7-all"],
+        ids=["census-n12-stdout", "census-n12-dash", "census-n17-file", "enumerate-n7-all"],
     )
     def test_outputs_keep_their_digests(self, argv, size, sha256, tmp_path, capsys):
         if argv[-1] == "--out":

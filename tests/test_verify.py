@@ -40,7 +40,7 @@ from duality_lab.states import (
 )
 from duality_lab.verify import DEFAULT_XI_GRID, run_verification
 
-from helpers import iter_specs
+from helpers import draw_spec, iter_specs
 
 
 def suite(results, name):
@@ -380,12 +380,14 @@ class TestCallBudget:
         return oracle, self.count_calls(monkeypatch, np.linalg, "eigvalsh")
 
     def test_per_scenario_work_is_not_repeated_per_label(self, monkeypatch):
-        # verify works on blocks: none of the one-scenario builders and
-        # formulas runs, and each element stack takes one oracle and one
+        # verify works on blocks: none of the one-scenario draws, builders
+        # and formulas runs, and each element stack takes one oracle and one
         # eigvalsh call.
         per_scenario = {
             name: self.count_calls(monkeypatch, sys.modules[f"duality_lab.{module}"], name)
             for module, name in (
+                ("ensemble", "sample_spec"),
+                ("states", "spec_from_probabilities"),
                 ("states", "build_symmetric_set"),
                 ("measurements", "separation_params"),
                 ("measurements", "build_me_measurement"),
@@ -418,6 +420,33 @@ class TestCallBudget:
 
 
 class TestChunks:
+    @pytest.mark.parametrize(
+        "seed, n_range, start, stop",
+        [
+            (0, (2, 8), 0, 200),
+            (3, (2, 64), BLOCK_ROWS - 6, BLOCK_ROWS + 4),
+            (2**64 + 12345, (2, 64), 0, 60),
+            (2**200 + 1, (9, 24), BLOCK_ROWS - 6, BLOCK_ROWS + 4),
+        ],
+        ids=["n2to8", "n2to64-across-block-rows", "seed-2^64", "seed-2^200-across-block-rows"],
+    )
+    def test_groups_are_the_scalar_draws(self, seed, n_range, start, stop):
+        # A chunk's blocks hold, row by row and in index order within each
+        # (N, n) group, the scenarios that draw_spec builds one at a time:
+        # the same indices and amplitudes, bit for bit.
+        chunk = verify._Chunk(seed, n_range, start, stop)
+        keys = [(block.N, block.n) for _, block in chunk.groups]
+        assert keys == sorted(set(keys))
+        drawn = np.concatenate([rows for rows, _ in chunk.groups])
+        assert sorted(drawn.tolist()) == list(range(stop - start))
+        for rows, block in chunk.groups:
+            assert (np.diff(rows) > 0).all()
+            for row, indices, amps in zip(rows.tolist(), block.indices, block.amps):
+                spec = draw_spec(seed, start + row, n_range)
+                assert (spec.N, spec.n) == (block.N, block.n)
+                assert indices.tolist() == list(spec.support.indices)
+                assert amps.tobytes() == np.array(spec.coeffs).tobytes()
+
     def test_counts_and_memory_across_a_chunk_boundary(self):
         # Three scenarios past one chunk: the counts fixed per scenario, and
         # a peak that does not grow with the sample count. The margin over a
