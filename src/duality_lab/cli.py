@@ -193,6 +193,8 @@ def cmd_example(args) -> int:
 
 def cmd_povm(args) -> int:
     ((tag, xi),) = _strategies(args.strategy, [args.xi])
+    if args.spec is not None and (args.N, args.support, args.coeffs_sq) != (None,) * 3:
+        raise ValidationError("--spec FILE takes no --N, --support or --coeffs-sq")
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as handle:
             try:

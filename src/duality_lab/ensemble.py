@@ -36,8 +36,9 @@ point order: :func:`sweep_chunks` (samples, strategies innermost) and
 :func:`two_path_grid` (strategies, then grid points). ``scan`` writes each
 chunk's CSV rows and folds it into the :class:`Envelope` as it arrives, so
 its memory does not grow with the sample count. :class:`ScatterDataset`
-collects the same chunks for library callers: :func:`write_points_csv`
-writes it as one chunk and :func:`boundary_envelope` folds its blocks.
+keeps the same chunks for library callers: :func:`write_points_csv` writes
+them through :func:`write_chunks`, as ``scan`` does, and
+:func:`boundary_envelope` folds them.
 """
 
 from __future__ import annotations
@@ -154,29 +155,32 @@ class SweepConfig:
 class ScatterDataset:
     """Points from one sweep, with the configuration echo.
 
-    The points live in evaluated blocks (``states.SweepBlock``). A block's
-    cells are its (pair, row) entries over its own (strategy, xi) ``pairs``,
-    pair-major, and cells are numbered block after block; point ``i`` is cell
-    ``order[i]``.
+    The points live in the ``(blocks, order)`` chunks that
+    :func:`sweep_chunks` or :func:`two_path_grid` yielded, in point order.
+    Within a chunk, a block's cells are its (pair, row) entries over its own
+    (strategy, xi) ``pairs``, pair-major, and cells are numbered block after
+    block; the chunk's point ``i`` is cell ``order[i]``.
     """
 
     config: dict
-    blocks: tuple[SweepBlock, ...]
-    order: np.ndarray
+    chunks: tuple[tuple[list[SweepBlock], np.ndarray], ...]
 
     @property
     def point_count(self) -> int:
-        return len(self.order)
+        return sum(len(order) for _, order in self.chunks)
 
     @cached_property
     def points(self) -> tuple[DualityPoint, ...]:
         """The points as :class:`DualityPoint` objects, built on first use."""
-        cells = []
-        for block in self.blocks:
-            specs = block.specs()
-            for column in range(len(block.pairs)):
-                cells += _block_points(block, column, specs)
-        return tuple(cells[i] for i in self.order.tolist())
+        points = []
+        for blocks, order in self.chunks:
+            cells = []
+            for block in blocks:
+                specs = block.specs()
+                for column in range(len(block.pairs)):
+                    cells += _block_points(block, column, specs)
+            points += [cells[i] for i in order.tolist()]
+        return tuple(points)
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -490,24 +494,10 @@ def sweep_chunks(cfg: SweepConfig):
             yield [block], _interleave([np.arange(len(indices))], len(pairs))
 
 
-def _dataset(config, chunks) -> ScatterDataset:
-    """One dataset from ``(blocks, order)`` chunks that follow each other."""
-    blocks, orders, cells = [], [], 0
-    for chunk_blocks, order in chunks:
-        blocks.extend(chunk_blocks)
-        orders.append(order + cells)
-        cells += len(order)
-    return ScatterDataset(
-        config=config,
-        blocks=tuple(blocks),
-        order=np.concatenate(orders),
-    )
-
-
 def run_sweep(cfg: SweepConfig) -> ScatterDataset:
     """All (sample, strategy) pairs, then any uniform enumeration, collected
     from :func:`sweep_chunks`."""
-    return _dataset(cfg.to_json_dict(), sweep_chunks(cfg))
+    return ScatterDataset(cfg.to_json_dict(), tuple(sweep_chunks(cfg)))
 
 
 def two_path_grid(strategies, steps: int = 200):
@@ -519,7 +509,7 @@ def two_path_grid(strategies, steps: int = 200):
     trivial saturation points. It is evaluated once, in blocks of at most
     ``BLOCK_ROWS`` rows, and each chunk is one pair's column of one block,
     strategy by strategy. The grid and its evaluated arrays (about 88 B per
-    step) are held meanwhile, so ``steps`` is at most ``EVAL_BLOCK_ENTRIES``.
+    step) are all held, so ``steps`` is at most ``EVAL_BLOCK_ENTRIES``.
     """
     if not is_int(steps) or steps < 2:
         raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
@@ -544,12 +534,12 @@ def two_path_grid(strategies, steps: int = 200):
         for c in [slice(i, i + 1) for i in range(len(pairs))]
         for b in blocks
     )
-    return config, (([column], np.arange(len(column))) for column in columns)
+    return config, tuple(([column], np.arange(len(column))) for column in columns)
 
 
 def two_path_grid_dataset(strategies, steps: int = 200) -> ScatterDataset:
-    """The :func:`two_path_grid` chunks collected into one dataset."""
-    return _dataset(*two_path_grid(strategies, steps))
+    """The :func:`two_path_grid` chunks as one dataset."""
+    return ScatterDataset(*two_path_grid(strategies, steps))
 
 
 class Envelope:
@@ -591,7 +581,8 @@ def boundary_envelope(dataset: ScatterDataset, bins: int) -> tuple[tuple[float, 
     """Binwise coherence extremes of a dataset over the knowledge axis (see
     :class:`Envelope`), a reproducible stand-in for a boundary polygon."""
     envelope = Envelope(bins)
-    envelope.add_blocks(dataset.blocks)
+    for blocks, _ in dataset.chunks:
+        envelope.add_blocks(blocks)
     return envelope.bounds()
 
 
@@ -633,8 +624,8 @@ def write_chunks(fileobj, chunks, envelope: Envelope | None = None) -> int:
 
 def write_points_csv(dataset: ScatterDataset, fileobj) -> None:
     """A dataset's CSV (header included, LF endings, full-precision floats via
-    repr), written from its blocks as one chunk."""
-    write_chunks(fileobj, [(dataset.blocks, dataset.order)])
+    repr), written chunk by chunk as ``scan`` writes it."""
+    write_chunks(fileobj, dataset.chunks)
 
 
 def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int, envelope) -> None:

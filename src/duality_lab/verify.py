@@ -6,8 +6,7 @@ hierarchy links and duality bound, monotonicity in the separation level
 (success probability everywhere, and the concatenation gain for
 non-uniform scenarios with a clearly unique minimum coefficient), Parseval
 for the DFT spectrum, and the support-size uncertainty bound. Violations
-carry the offending scenario serialized as JSON so a failure can be
-replayed.
+carry the failing scenario's checked block row as JSON, to replay it.
 
 Scenarios are checked as array blocks. They are drawn in index order, in
 chunks of at most ``BLOCK_ROWS``, as the sweep draws them: each takes its
@@ -47,7 +46,7 @@ from itertools import accumulate
 import numpy as np
 
 from .duality import _failure_branch, _knowledge_table, _level_forms, _normalized_infos
-from .ensemble import _draw, _sample_generators, _scenarios, sample_rng, sample_spec
+from .ensemble import _draw, _sample_generators, _scenarios
 from .measurements import (
     COMPLETENESS_ATOL,
     MAX_POVM_PATHS,
@@ -161,7 +160,6 @@ class _Chunk:
     in them, held per suite until :meth:`flush` puts them in index order."""
 
     def __init__(self, seed: int, n_range: tuple[int, int], start: int, stop: int) -> None:
-        self.seed, self.n_range, self.start = seed, n_range, start
         draws = {}  # (N, n) -> the (row, support, weights) draws of its scenarios
         for row, rng in enumerate(_sample_generators(seed, start, stop)):
             n_paths = int(rng.integers(n_range[0], n_range[1] + 1))
@@ -174,24 +172,23 @@ class _Chunk:
             self.groups.append((rows, block))
         self.found: dict[str, list] = {}
 
-    def spec(self, row: int):
-        """Scenario ``row``, drawn from its own generator: the path count,
-        the dimension, then :func:`sample_spec`."""
-        rng = sample_rng(self.seed, self.start + row)
-        n_paths = int(rng.integers(self.n_range[0], self.n_range[1] + 1))
-        return sample_spec(n_paths, int(rng.integers(1, n_paths + 1)), rng)
-
     def violate(self, result: SuiteResult, row, detail: str) -> None:
         self.found.setdefault(result.name, []).append((int(row), detail))
 
     def flush(self, results) -> None:
-        """Append each suite's violations in index order; a scenario's own
-        violations keep the order they were found in."""
-        replays: dict[int, str] = {}
+        """Append each suite's violations in index order, each with its
+        scenario's replay JSON, built from the block row that was checked; a
+        scenario's own violations keep the order they were found in."""
+        failing = {row for found in self.found.values() for row, _ in found}
+        replays = {
+            row: json.dumps(spec_to_json_dict(spec))
+            for rows, block in self.groups
+            if failing.intersection(rows.tolist())
+            for row, spec in zip(rows.tolist(), block.specs())
+            if row in failing
+        }
         for result in results:
             for row, detail in sorted(self.found.get(result.name, ()), key=lambda item: item[0]):
-                if row not in replays:
-                    replays[row] = json.dumps(spec_to_json_dict(self.spec(row)))
                 result.violations.append(f"{detail} | replay spec: {replays[row]}")
 
 

@@ -562,6 +562,22 @@ class TestPovm:
         assert run_cli("povm", "--strategy", "me") == 2
 
     @pytest.mark.parametrize(
+        "inline",
+        [("--N", "4"), ("--support", "0,1"), ("--coeffs-sq", "0.5,0.5"),
+         ("--N", "4", "--support", "0,1")],
+        ids=["N", "support", "coeffs-sq", "N-and-support"],
+    )  # fmt: skip
+    def test_spec_file_takes_no_inline_flags(self, inline, tmp_path, capsys):
+        # A scenario file and inline flags name two scenarios; neither wins.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_json_dict(uniform_spec(6, (0, 3)))))
+        assert run_cli("povm", "--spec", str(spec_path), *inline) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--spec FILE takes no --N, --support or --coeffs-sq" in captured.err
+
+    @pytest.mark.parametrize(
         "strategy, xi, message",
         [
             ("me", "9", "minimum-error strategy has no separation level"),

@@ -557,6 +557,43 @@ class TestOutputFormats:
         assert envelope.bounds() == boundary_envelope(dataset, 25)
         assert dataset.point_count == 10_062
 
+    def test_a_dataset_is_written_one_chunk_at_a_time(self):
+        # write_points_csv writes a dataset's chunks as scan streams them: the
+        # same bytes and envelope, and a traced peak set by one chunk's rows,
+        # whatever the chunk count.
+        def config(samples, uniform):
+            return SweepConfig(
+                N=8, n=None, samples=samples, seed=9,
+                strategies=(("frio-standard", 0.3), ("frio-concatenated", 0.8)),
+                include_uniform_enumeration=uniform,
+            )  # fmt: skip
+
+        class Discard:
+            def write(self, text):
+                pass
+
+            def writelines(self, lines):
+                pass
+
+        def peak(dataset):
+            tracemalloc.start()
+            try:
+                write_points_csv(dataset, Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cfg = config(4 * BLOCK_ROWS, True)
+        dataset = run_sweep(cfg)
+        assert len(dataset.chunks) >= 10
+        envelope, streamed = Envelope(40), io.StringIO()
+        write_chunks(streamed, sweep_chunks(cfg), envelope)
+        assert csv_bytes(dataset) == streamed.getvalue()
+        assert boundary_envelope(dataset, 40) == envelope.bounds()
+        one_chunk = run_sweep(config(BLOCK_ROWS, False))
+        assert len(one_chunk.chunks) == 1
+        assert peak(dataset) <= 1.5 * peak(one_chunk)
+
     def test_manifest_records_what_ran(self):
         buffer = io.StringIO()
         write_manifest(buffer, config={}, wall_time=0.5, point_count=0, envelope=None)

@@ -34,6 +34,7 @@ from duality_lab.states import (
     ValidationError,
     _profile_states,
     build_symmetric_set,
+    spec_from_json_dict,
     spec_from_probabilities,
     spec_to_json_dict,
     uniform_spec,
@@ -417,6 +418,35 @@ class TestCallBudget:
         oracle, eigvalsh = self.count_batches(monkeypatch)
         run_verification(40, seed=0, n_range=(9, 24))
         assert oracle[0] == eigvalsh[0] == 175
+
+    def test_replays_are_the_checked_rows(self, monkeypatch):
+        # A failing scenario's replay is built from the block row its checks
+        # ran on, so a faulted run draws nothing a second time, and each
+        # replay is the scenario that draw_spec builds for its index. The
+        # one sample_rng call is the chunk's seeding check in
+        # _sample_generators, made for its first scenario.
+        ensemble = sys.modules["duality_lab.ensemble"]
+        draws = [self.count_calls(monkeypatch, ensemble, n) for n in ("sample_rng", "sample_spec")]
+        samples = 60
+        results = run_verification(samples, seed=0, fault="gk-sign")
+        assert [calls[0] for calls in draws] == [1, 0]
+        monkeypatch.undo()
+        # A replay holds squared coefficients, so it is compared with the
+        # scenario's own JSON, and read back as a valid scenario. Violations
+        # come in index order, so each is matched with the first scenario
+        # from the last match on.
+        scenarios = [spec_to_json_dict(draw_spec(0, index, (2, 8))) for index in range(samples)]
+        replayed = []
+        for result in results:
+            index = 0
+            for violation in result.violations:
+                replay = json.loads(violation.split(" | replay spec: ")[1])
+                index = next((i for i in range(index, samples) if scenarios[i] == replay), None)
+                assert index is not None
+                spec_from_json_dict(replay)
+                replayed.append(replay)
+        # Under the fault every scenario fails and is replayed.
+        assert all(scenario in replayed for scenario in scenarios)
 
 
 class TestChunks:
