@@ -173,6 +173,217 @@ class TestKnowledgeFailure:
         ]
 
 
+def assert_reported(result, expected, seed=0, n_range=(2, 3)):
+    """``result``'s violations are the ``(index, text)`` pairs of ``expected``,
+    in order, each carrying a replay of the scenario of its index."""
+    reported = [violation.split(" | replay spec: ") for violation in result.violations]
+    assert [detail for detail, _ in reported] == [text for _, text in expected]
+    for (_, replay), (index, _) in zip(reported, expected):
+        replayed, drawn = spec_from_json_dict(json.loads(replay)), draw_spec(seed, index, n_range)
+        assert (replayed.N, replayed.support) == (drawn.N, drawn.support)
+        np.testing.assert_allclose(replayed.coeffs, drawn.coeffs, rtol=1e-15, atol=0)
+
+
+class TestViolationKinds:
+    """Each violation kind that the pinned runs do not produce, forced by
+    corrupting one input of ``verify`` in a run of six scenarios: indices
+    0..2 are N = n = 3, index 3 is N = 3 and n = 2, index 4 is N = n = 2
+    and index 5 is N = 2 and n = 1. Texts are exact and in report order:
+    scenario index first, then the suite's measurement and check order."""
+
+    SAMPLES, SEED, N_RANGE = 6, 0, (2, 3)
+
+    def run(self, name):
+        return suite(run_verification(self.SAMPLES, self.SEED, self.N_RANGE), name)
+
+    def specs(self):
+        return list(iter_specs(self.SAMPLES, self.SEED, self.N_RANGE))
+
+    def test_non_hermitian_and_not_psd_elements(self, monkeypatch):
+        povm_gaps = verify._povm_gaps
+
+        def corrupted(*args):
+            hermitian, smallest, completeness = povm_gaps(*args)
+            hermitian[:, 1] = 1.0  # frio-standard xi=0.0
+            hermitian[:, 4] = 0.5  # frio-concatenated xi=0.25
+            smallest[:, 4] = -0.25
+            return hermitian, smallest, completeness
+
+        monkeypatch.setattr(verify, "_povm_gaps", corrupted)
+        result = self.run("povm-completeness")
+        assert result.checks == 33 * self.SAMPLES
+        per_scenario = [
+            "frio-standard xi=0.0: non-Hermitian element (gap 1.000e+00)",
+            "frio-concatenated xi=0.25: non-Hermitian element (gap 5.000e-01)",
+            "frio-concatenated xi=0.25: element not PSD (min eigenvalue -2.500e-01)",
+        ]
+        assert_reported(result, [(i, text) for i in range(self.SAMPLES) for text in per_scenario])
+
+    def test_hierarchy_broken_and_duality_sum_exceeded(self, monkeypatch):
+        table = verify._knowledge_table
+
+        def corrupted(*args):
+            standard, concatenated = map(np.array, table(*args))
+            standard[:, 1], concatenated[:, 1] = 2.0, 1.0
+            standard[:, 3] = concatenated[:, 3] = 1.5
+            return standard, concatenated
+
+        monkeypatch.setattr(verify, "_knowledge_table", corrupted)
+        result = self.run("hierarchy")
+        assert result.checks == 10 * self.SAMPLES
+        expected = []
+        for i, spec in enumerate(self.specs()):
+            me, ceiling, coh = knowledge_me(spec), holevo_ceiling(spec), coherence(spec)
+            chain = f"frio 2.0, conc 1.0, me {me!r}, ceiling {ceiling!r}"
+            expected += [
+                (i, f"xi=0.25: hierarchy broken ({chain})"),
+                (i, f"xi=0.25: duality sum {coh + 2.0!r} exceeds 1"),
+                (i, f"xi=0.75: duality sum {coh + 1.5!r} exceeds 1"),
+            ]
+        assert_reported(result, expected)
+
+    def test_success_probability_increased_before_gain_decreased(self, monkeypatch):
+        success, table = verify._success, verify._knowledge_table
+
+        def rising(probs, xi, n_paths):
+            profile, curve = success(probs, xi, n_paths)
+            curve = np.zeros_like(curve)
+            curve[:, 4] = 0.5
+            return profile, curve
+
+        def dropping(*args):
+            standard, concatenated = map(np.zeros_like, table(*args))
+            concatenated[:] = [0.0, 0.5, 0.25, 0.25, 0.25]
+            return standard, concatenated
+
+        monkeypatch.setattr(verify, "_success", rising)
+        monkeypatch.setattr(verify, "_knowledge_table", dropping)
+        result = self.run("monotonicity")
+        # Scenarios 1..4 have a failure branch and a clearly unique minimum
+        # coefficient, so their gain is checked.
+        gain_checked = (1, 2, 3, 4)
+        assert result.checks == self.SAMPLES + len(gain_checked)
+        expected = []
+        for i in range(self.SAMPLES):
+            expected.append((i, "success probability increased by 5.000e-01 along the xi grid"))
+            if i in gain_checked:
+                expected.append(
+                    (i, "concatenation gain decreased by 2.500e-01 along the xi grid "
+                        "(knowledge failed at 0 levels)")
+                )  # fmt: skip
+        assert_reported(result, expected)
+
+    def test_spectrum_sum_and_support_product(self, monkeypatch):
+        def corrupted(n_paths, indices, amps):
+            spectra = np.zeros((len(amps), n_paths))
+            spectra[:, 0] = 0.5
+            return spectra
+
+        monkeypatch.setattr(verify, "_dft", corrupted)
+        results = run_verification(self.SAMPLES, self.SEED, self.N_RANGE)
+        parseval, uncertainty = suite(results, "parseval"), suite(results, "donoho-stark")
+        assert parseval.checks == uncertainty.checks == self.SAMPLES
+        assert_reported(parseval, [(i, "spectrum sums to 0.5") for i in range(self.SAMPLES)])
+        assert_reported(
+            uncertainty, [(3, "support product 2 * 1 < 3"), (5, "support product 1 * 1 < 2")]
+        )
+
+    def corrupt_oracle(self, monkeypatch, corrupt):
+        """Run with ``corrupt(probs, conditionals, n_paths)`` applied to each
+        oracle call's copied arrays, every scenario's measurements in one
+        call: the minimum-error ``c0..c{N-1}`` first, then per level its
+        standard ``c0..c{N-1}, f`` and concatenated ``c0..c{N-1},
+        fc0..fc{N-1}``."""
+        oracle_arrays = verify.oracle_arrays
+
+        def corrupted(states, elements):
+            arrays = oracle_arrays(states, elements)
+            probs, conditionals = arrays.probs.copy(), arrays.conditionals.copy()
+            corrupt(probs, conditionals, conditionals.shape[-1])
+            return replace(arrays, probs=probs, conditionals=conditionals)
+
+        monkeypatch.setattr(verify, "oracle_arrays", corrupted)
+        return self.run("oracle-agreement")
+
+    @staticmethod
+    def level(n_paths, level):
+        """Position of a level's first outcome."""
+        return n_paths + level * (3 * n_paths + 1)
+
+    def test_f_and_fc_outcome_probabilities(self, monkeypatch):
+        # At xi = 0.5 each c outcome gets 0.25 and the failure outcomes the
+        # rest, so the totals stay 1 and the outcome probabilities differ.
+        def corrupt(probs, conditionals, n_paths):
+            lo = self.level(n_paths, 2)
+            probs[:, lo : lo + n_paths] = probs[:, lo + n_paths + 1 : lo + 2 * n_paths + 1] = 0.25
+            probs[:, lo + n_paths] = 1.0 - 0.25 * n_paths
+            probs[:, lo + 2 * n_paths + 1 : lo + 3 * n_paths + 1] = (1.0 - 0.25 * n_paths) / n_paths
+
+        result = self.corrupt_oracle(monkeypatch, corrupt)
+        expected = []
+        for i, spec in enumerate(self.specs()):
+            p_success = separation_params(spec, 0.5).p_success
+            p_fail, failed = 1.0 - p_success, 1.0 - 0.25 * spec.N
+            conclusive = [
+                f"c{j} prob 0.25 != closed form {p_success / spec.N!r}" for j in range(spec.N)
+            ]
+            failure = [
+                f"fc{j} prob {failed / spec.N!r} != closed form {p_fail / spec.N!r}"
+                for j in range(spec.N)
+            ]
+            standard = [*conclusive, f"f prob {failed!r} != closed form {p_fail!r}"]
+            expected += [(i, f"frio-standard xi=0.5: outcome {text}") for text in standard]
+            expected += [
+                (i, f"frio-concatenated xi=0.5: outcome {text}") for text in conclusive + failure
+            ]
+        assert_reported(result, expected)
+
+    def test_conditional_sums(self, monkeypatch):
+        # At xi = 0.25 every c conditional of the concatenated measurement is
+        # the same constant row: it deviates and sums wrong, but the c
+        # conditionals stay cyclic shifts of each other.
+        def corrupt(probs, conditionals, n_paths):
+            lo = self.level(n_paths, 1) + n_paths + 1
+            conditionals[:, lo : lo + n_paths] = 0.75
+
+        result = self.corrupt_oracle(monkeypatch, corrupt)
+        expected = []
+        for i, spec in enumerate(self.specs()):
+            deviation = np.abs(0.75 - conditional_conclusive(spec, 0.25)).max()
+            for j in range(spec.N):
+                expected += [
+                    (i, f"frio-concatenated xi=0.25: conditional c{j} deviates from closed form "
+                        f"by {deviation:.3e}"),
+                    (i, f"frio-concatenated xi=0.25: conditional c{j} sums to {0.75 * spec.N!r}"),
+                ]  # fmt: skip
+        assert_reported(result, expected)
+
+    def test_cyclic_shift_relation(self, monkeypatch):
+        # Within tolerance of the closed form, but not a cyclic shift of c0.
+        def corrupt(probs, conditionals, n_paths):
+            c1 = self.level(n_paths, 3) + n_paths + 2
+            conditionals[:, c1, 0] += 5e-11
+            conditionals[:, c1, 1] -= 5e-11
+
+        result = self.corrupt_oracle(monkeypatch, corrupt)
+        text = "frio-concatenated xi=0.75: cyclic-shift relation off by 5.000e-11 for kind 'c'"
+        assert_reported(result, [(i, text) for i in range(self.SAMPLES)])
+
+    def test_xi0_table_differs(self, monkeypatch):
+        def corrupt(probs, conditionals, n_paths):
+            probs[:, 0] += 1e-6
+            conditionals[:, 0] += 1e-6
+
+        result = self.corrupt_oracle(monkeypatch, corrupt)
+        expected = [
+            (i, f"{m}: xi=0 table differs from minimum-error table at c0 "
+                "(cond 1.000e-06, prob 1.000e-06)")
+            for i in range(self.SAMPLES)
+            for m in ("frio-standard", "frio-concatenated")
+        ]  # fmt: skip
+        assert_reported(result, expected)
+
+
 class TestPinnedReport:
     def test_report_digest(self):
         # Names, check counts, violation texts and worst gaps of every suite:
