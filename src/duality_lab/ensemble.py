@@ -455,16 +455,12 @@ def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
 def _interleave(groups, pairs: int) -> np.ndarray:
     """Point order of scenarios split into consecutive blocks, where
     ``groups`` holds each block's scenario positions. Points run
-    scenario-major with the pairs innermost."""
-    count = sum(len(positions) for positions in groups)
-    order = np.empty(count * pairs, dtype=np.intp)
+    scenario-major with the pairs innermost. A block's cells run pair-major,
+    so the cells hold points ``positions * pairs + pair`` in turn, and the
+    order is the inverse of that permutation."""
     column = np.arange(pairs)[:, None]
-    cell = 0
-    for positions in groups:
-        points = positions * pairs + column
-        order[points.ravel()] = np.arange(cell, cell + points.size)
-        cell += points.size
-    return order
+    points = [(positions * pairs + column).ravel() for positions in groups]
+    return np.argsort(np.concatenate(points))
 
 
 def _sweep_chunk(cfg: SweepConfig, start: int, stop: int):

@@ -240,6 +240,11 @@ def _labels(n_paths: int, *prefixes: str) -> tuple[str, ...]:
     return tuple(f"{prefix}{j}" for prefix in prefixes for j in range(n_paths))
 
 
+def _two_step_labels(n_paths: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Outcome labels of a level's standard and concatenated measurement."""
+    return _labels(n_paths, "c") + ("f",), _labels(n_paths, "c", "fc")
+
+
 def _check_povm_size(spec: DetectorSpec) -> None:
     if spec.N > MAX_POVM_PATHS:
         raise ValidationError(
@@ -283,12 +288,10 @@ def build_two_step_measurements(
             branch, embed=True,
         )  # fmt: skip
     )
-    standard, concatenated = elements[: spec.N + 1], elements[spec.N + 1 :]
+    standard, concatenated = _two_step_labels(spec.N)
     return (
-        Measurement(Strategy.FRIO_STANDARD, params.xi, _labels(spec.N, "c") + ("f",), standard),
-        Measurement(
-            Strategy.FRIO_CONCATENATED, params.xi, _labels(spec.N, "c", "fc"), concatenated
-        ),
+        Measurement(Strategy.FRIO_STANDARD, params.xi, standard, elements[: spec.N + 1]),
+        Measurement(Strategy.FRIO_CONCATENATED, params.xi, concatenated, elements[spec.N + 1 :]),
     )
 
 

@@ -24,8 +24,8 @@ measurements within ``STACK_ENTRIES`` entries, with one ``eigvalsh`` call
 and one oracle call per batch; a stack is one batch when its scenarios fit.
 Oracle rows are compared with the closed forms by position, in the fixed
 outcome order of the POVM builders. Every check is an array over a group or
-a stack: a scenario whose checks all pass only adds its counts, and
-messages are formatted for failing scenarios only, then put in index order.
+a stack, counted whole; only failed checks are worded, in the array's
+row-major order, and a chunk's violations are then put in index order.
 Every suite also keeps the largest gap it saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
@@ -56,6 +56,7 @@ from .measurements import (
     _me_elements,
     _success,
     _two_step_elements,
+    _two_step_labels,
     oracle_arrays,
 )
 from .saturation import SPECTRUM_SUPPORT_ATOL, _dft
@@ -66,12 +67,12 @@ from .states import (
     _profile_states,
     block_from_probabilities,
     is_int,
-    spec_to_json_dict,
 )
 
 __all__ = [
     "SuiteResult",
     "run_verification",
+    "SUITES",
     "DEFAULT_XI_GRID",
     "MONOTONICITY_XI_GRID",
     "TOLERANCES",
@@ -117,6 +118,12 @@ TOLERANCES = {
 
 # Deliberately corrupted formulas that the suites must report.
 FAULTS = ("gk-sign",)
+
+# The suites, in the order ``run_verification`` returns them.
+SUITES = (
+    "povm-completeness", "oracle-agreement", "hierarchy",
+    "monotonicity", "parseval", "donoho-stark",
+)  # fmt: skip
 
 _LEVELS = len(DEFAULT_XI_GRID)
 _TWO_STEP = (Strategy.FRIO_STANDARD.value, Strategy.FRIO_CONCATENATED.value)
@@ -165,11 +172,12 @@ class _Chunk:
             n_paths = int(rng.integers(n_range[0], n_range[1] + 1))
             support, weights = _draw(rng, n_paths, None)
             draws.setdefault((n_paths, len(support)), []).append((row, support, weights))
-        self.groups = []
+        self.groups, self.probabilities = [], []  # per group, its drawn probabilities
         for (n_paths, _), group in sorted(draws.items()):
             rows, supports, weights = map(np.array, zip(*group))
-            block = block_from_probabilities(n_paths, *_scenarios(supports, weights))
-            self.groups.append((rows, block))
+            indices, probs = _scenarios(supports, weights)
+            self.groups.append((rows, block_from_probabilities(n_paths, indices, probs)))
+            self.probabilities.append(probs)
         self.found: dict[str, list] = {}
 
     def violate(self, result: SuiteResult, row, detail: str) -> None:
@@ -177,14 +185,15 @@ class _Chunk:
 
     def flush(self, results) -> None:
         """Append each suite's violations in index order, each with its
-        scenario's replay JSON, built from the block row that was checked; a
-        scenario's own violations keep the order they were found in."""
+        scenario's replay JSON in ``spec_to_json_dict``'s format: the checked
+        row's support and the probabilities it was built from. A scenario's
+        own violations keep the order they were found in."""
         failing = {row for found in self.found.values() for row, _ in found}
         replays = {
-            row: json.dumps(spec_to_json_dict(spec))
-            for rows, block in self.groups
+            row: json.dumps({"N": block.N, "support": support.tolist(), "coeffs_sq": p.tolist()})
+            for (rows, block), probs in zip(self.groups, self.probabilities)
             if failing.intersection(rows.tolist())
-            for row, spec in zip(rows.tolist(), block.specs())
+            for row, support, p in zip(rows.tolist(), block.indices, probs)
             if row in failing
         }
         for result in results:
@@ -359,36 +368,29 @@ def _stacks(n_paths: int, indices, amps, forms: _Forms, profiles):
         yield rows, tuple(map(_joined, zip(*gaps))), oracle
 
 
+def _report(result: SuiteResult, chunk: _Chunk, rows, ok: np.ndarray, detail) -> None:
+    """Count the checks ``ok[s, ...]`` of the scenarios ``rows[s]`` and report
+    each failed one in row-major order, the suite's report order, worded by
+    ``detail(s, *index)``."""
+    result.checks += ok.size
+    for s, *index in np.argwhere(~ok):
+        chunk.violate(result, rows[s], detail(s, *index))
+
+
 def _check_povm(result: SuiteResult, chunk: _Chunk, rows, hermitian, min_eig, completeness) -> None:
     """Hermiticity, positivity and completeness of each measurement of some
     scenarios, three checks per measurement; the arrays are ``[S, 1 + 2L]``."""
-    ok = np.stack(
-        [
-            hermitian <= COMPLETENESS_ATOL,
-            min_eig >= -POSITIVITY_ATOL,
-            completeness <= COMPLETENESS_ATOL,
-        ],
-        axis=2,
+    ok, gaps, words = zip(
+        (hermitian <= COMPLETENESS_ATOL, hermitian, "non-Hermitian element (gap"),
+        (min_eig >= -POSITIVITY_ATOL, min_eig, "element not PSD (min eigenvalue"),
+        (completeness <= COMPLETENESS_ATOL, completeness, "completeness violated (max deviation"),
     )
-    result.checks += ok.size
-    for s in np.flatnonzero(~ok.all(axis=(1, 2))):
-        for i in np.flatnonzero(~ok[s].ravel()):
-            m, check = divmod(int(i), 3)
-            if check == 0:
-                detail = f"non-Hermitian element (gap {hermitian[s, m]:.3e})"
-            elif check == 1:
-                detail = f"element not PSD (min eigenvalue {min_eig[s, m]:.3e})"
-            else:
-                detail = f"completeness violated (max deviation {completeness[s, m]:.3e})"
-            chunk.violate(result, rows[s], _HEADS[m] + detail)
+    _report(
+        result, chunk, rows, np.stack(ok, axis=2),
+        lambda s, m, check: f"{_HEADS[m]}{words[check]} {gaps[check][s, m]:.3e})",
+    )  # fmt: skip
     result.margin("COMPLETENESS_ATOL", np.concatenate([hermitian.ravel(), completeness.ravel()]))
     result.margin("POSITIVITY_ATOL", -min_eig)
-
-
-def _outcome_label(m: int, i: int, n_paths: int) -> str:
-    """Label of outcome ``i`` of a level's standard (m = 0) or concatenated
-    (m = 1) measurement."""
-    return f"c{i}" if i < n_paths else ("f", f"fc{i - n_paths}")[m]
 
 
 def _sequential_sums(values: np.ndarray) -> np.ndarray:
@@ -414,7 +416,7 @@ def _check_oracle(
     the outcomes reduce to the minimum-error ones.
     """
     count, n_paths = len(oracle.probs), oracle.conditionals.shape[-1]
-    block = 3 * n_paths + 1
+    block, labels = 3 * n_paths + 1, _two_step_labels(n_paths)
     # A level's standard, then concatenated measurement: block spans.
     spans = ((0, n_paths + 1), (n_paths + 1, block))
     probs = oracle.probs[:, n_paths:].reshape(count, _LEVELS, block)
@@ -481,13 +483,8 @@ def _check_oracle(
     result.checks += int(
         total_ok.size + prob_ok.size + 2 * defined.sum() + shift_checked.sum() + reduction_ok.size
     )
-    passed = (
-        total_ok.all(axis=(1, 2))
-        & prob_ok.all(axis=(1, 2))
-        & (deviation_ok & sum_ok | ~defined).all(axis=(1, 2))
-        & (shift_ok | ~shift_checked).all(axis=(1, 2))
-        & reduction_ok.all(axis=(1, 2))
-    )
+    oks = (total_ok, prob_ok, deviation_ok & sum_ok | ~defined, shift_ok | ~shift_checked)
+    passed = np.logical_and.reduce([ok.all(axis=(1, 2)) for ok in (*oks, reduction_ok)])
 
     def violations(s: int):
         """Scenario ``s``'s failed checks, measurement by measurement in report order."""
@@ -498,12 +495,12 @@ def _check_oracle(
                     yield head + f"outcome probs sum to {float(totals[s, level, m])!r}"
                 for i in np.flatnonzero(~prob_ok[s, level, lo:hi]):
                     yield head + (
-                        f"outcome {_outcome_label(m, i, n_paths)} prob "
+                        f"outcome {labels[m][i]} prob "
                         f"{float(probs[s, level, lo + i])!r} != closed form "
                         f"{float(expected_probs[s, level, lo + i])!r}"
                     )
                 for b in lo + np.flatnonzero(defined[s, level, lo:hi]):
-                    label = _outcome_label(m, b - lo, n_paths)
+                    label = labels[m][b - lo]
                     if not deviation_ok[s, level, b]:
                         yield head + (
                             f"conditional {label} deviates from closed form "
@@ -533,10 +530,12 @@ def _check_oracle(
 def _check_hierarchy(result: SuiteResult, chunk: _Chunk, rows, forms: _Forms) -> None:
     """The chain and the sum check at each level of each scenario; a
     scenario whose knowledge could not be computed fails one check per level."""
-    for g, error in forms.errors.items():
-        result.checks += _LEVELS
-        for xi in DEFAULT_XI_GRID:
-            chunk.violate(result, rows[g], f"xi={xi}: knowledge failed: {error}")
+    failed = sorted(forms.errors)
+    errors = [forms.errors[g] for g in failed]
+    _report(
+        result, chunk, rows[failed], np.zeros((len(failed), _LEVELS), dtype=bool),
+        lambda s, level: f"xi={DEFAULT_XI_GRID[level]}: knowledge failed: {errors[s]}",
+    )  # fmt: skip
     good = ~forms.failed
     rows, k_std, k_conc = rows[good], forms.standard[good], forms.concatenated[good]
     ceiling = forms.ceiling[good][:, None]
@@ -547,19 +546,16 @@ def _check_hierarchy(result: SuiteResult, chunk: _Chunk, rows, forms: _Forms) ->
     chain_ok = (k_std <= k_conc + HIERARCHY_ATOL) & (k_me <= ceiling + HIERARCHY_ATOL)
     total = forms.coherence[good][:, None] + np.maximum(np.maximum(k_conc, k_std), k_me)
     ok = np.stack([chain_ok, total <= 1.0 + HIERARCHY_ATOL], axis=2)
-    result.checks += ok.size
-    for s in np.flatnonzero(~ok.all(axis=(1, 2))):
-        for i in np.flatnonzero(~ok[s].ravel()):
-            level, check = divmod(int(i), 2)
-            if check == 0:
-                detail = (
-                    f"hierarchy broken (frio {float(k_std[s, level])!r}, "
-                    f"conc {float(k_conc[s, level])!r}, me {float(k_me[s, 0])!r}, "
-                    f"ceiling {float(ceiling[s, 0])!r})"
-                )
-            else:
-                detail = f"duality sum {float(total[s, level])!r} exceeds 1"
-            chunk.violate(result, rows[s], f"xi={DEFAULT_XI_GRID[level]}: " + detail)
+
+    def detail(s, level, check):
+        return f"xi={DEFAULT_XI_GRID[level]}: " + (
+            f"hierarchy broken (frio {float(k_std[s, level])!r}, "
+            f"conc {float(k_conc[s, level])!r}, me {float(k_me[s, 0])!r}, "
+            f"ceiling {float(ceiling[s, 0])!r})",
+            f"duality sum {float(total[s, level])!r} exceeds 1",
+        )[check]
+
+    _report(result, chunk, rows, ok, detail)
     gaps = [(k_std - k_conc).ravel(), (k_me - ceiling).ravel(), (total - 1.0).ravel()]
     result.margin("HIERARCHY_ATOL", np.concatenate(gaps))
 
@@ -582,10 +578,10 @@ def _check_monotonicity(
     # scenario; that follows directly from its closed form.
     curve = _success(probs[:, None], np.array(MONOTONICITY_XI_GRID), n_paths)[1]
     rise = np.diff(curve, axis=1).max(axis=1)
-    result.checks += len(rows)
-    for g in np.flatnonzero(~(rise <= SUCCESS_MONOTONICITY_ATOL)):
-        detail = f"success probability increased by {rise[g]:.3e} along the xi grid"
-        chunk.violate(result, rows[g], detail)
+    _report(
+        result, chunk, rows, rise <= SUCCESS_MONOTONICITY_ATOL,
+        lambda g: f"success probability increased by {rise[g]:.3e} along the xi grid",
+    )  # fmt: skip
     result.margin("SUCCESS_MONOTONICITY_ATOL", rise)
     # The gain k_conc - k_std is p_fail(xi) times the failure branch's
     # information, which does not depend on xi, so it never decreases.
@@ -593,21 +589,17 @@ def _check_monotonicity(
     # non-uniform scenario; the selection only fixes how many checks the
     # suite reports.
     checked = forms.branch & _has_isolated_minimum(probs)
-    if not checked.any():
-        return
     failed = forms.failed
     gains = forms.concatenated[~failed] - forms.standard[~failed]
     drop = np.zeros(len(rows))
     drop[~failed] = (gains[:, :-1] - gains[:, 1:]).max(axis=1)
-    result.checks += int(checked.sum())
-    for g in np.flatnonzero(checked & (failed | ~(drop <= MONOTONICITY_ATOL))):
-        chunk.violate(
-            result,
-            rows[g],
-            f"concatenation gain decreased by {drop[g]:.3e} along the xi grid "
-            f"(knowledge failed at {_LEVELS if failed[g] else 0} levels)",
-        )
-    result.margin("MONOTONICITY_ATOL", drop[checked])
+    drop, failed = drop[checked], failed[checked]
+    _report(
+        result, chunk, rows[checked], ~failed & (drop <= MONOTONICITY_ATOL),
+        lambda s: f"concatenation gain decreased by {drop[s]:.3e} along the xi grid "
+        f"(knowledge failed at {_LEVELS if failed[s] else 0} levels)",
+    )  # fmt: skip
+    result.margin("MONOTONICITY_ATOL", drop)
 
 
 def _check_spectra(
@@ -618,14 +610,16 @@ def _check_spectra(
     spectra = _dft(n_paths, indices, amps)
     totals = spectra.sum(axis=1)
     gaps = np.abs(totals - 1.0)
-    parseval.checks += len(rows)
-    for g in np.flatnonzero(~(gaps <= PARSEVAL_ATOL)):
-        chunk.violate(parseval, rows[g], f"spectrum sums to {float(totals[g])!r}")
+    _report(
+        parseval, chunk, rows, gaps <= PARSEVAL_ATOL,
+        lambda g: f"spectrum sums to {float(totals[g])!r}",
+    )  # fmt: skip
     parseval.margin("PARSEVAL_ATOL", gaps)
     support, n = (spectra > SPECTRUM_SUPPORT_ATOL).sum(axis=1), indices.shape[1]
-    uncertainty.checks += len(rows)
-    for g in np.flatnonzero(n * support < n_paths):
-        chunk.violate(uncertainty, rows[g], f"support product {n} * {support[g]} < {n_paths}")
+    _report(
+        uncertainty, chunk, rows, n * support >= n_paths,
+        lambda g: f"support product {n} * {support[g]} < {n_paths}",
+    )  # fmt: skip
 
 
 def _check_group(results, chunk: _Chunk, rows, block: SweepBlock, fault: str | None) -> None:
@@ -669,17 +663,7 @@ def run_verification(
         )
     if fault is not None and fault not in FAULTS:
         raise ValidationError(f"unknown fault mode {fault!r}; known: {FAULTS}")
-    results = [
-        SuiteResult(name)
-        for name in (
-            "povm-completeness",
-            "oracle-agreement",
-            "hierarchy",
-            "monotonicity",
-            "parseval",
-            "donoho-stark",
-        )
-    ]
+    results = [SuiteResult(name) for name in SUITES]
     # Chunks of at most BLOCK_ROWS scenarios keep memory flat in ``samples``.
     for start in range(0, samples, BLOCK_ROWS):
         chunk = _Chunk(seed, (lo, hi), start, min(start + BLOCK_ROWS, samples))

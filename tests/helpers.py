@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import strategies as st
 
 from duality_lab.duality import coherence, knowledge_concatenated, knowledge_frio, knowledge_me
-from duality_lab.ensemble import sample_rng, sample_spec
+from duality_lab.ensemble import _draw, _scenarios, sample_rng, sample_spec
 from duality_lab.measurements import Strategy
 from duality_lab.states import spec_from_probabilities, uniform_spec
 
@@ -16,6 +18,15 @@ def draw_spec(seed: int, index: int, n_range=(2, 8), min_dim: int = 1):
     n_paths = int(rng.integers(n_range[0], n_range[1] + 1))
     n = int(rng.integers(min_dim, n_paths + 1))
     return sample_spec(n_paths, n, rng)
+
+
+def draw_replay(seed: int, index: int, n_range=(2, 8)) -> str:
+    """The replay JSON that the verification suites write for the scenario
+    ``draw_spec`` draws: its support and the probabilities it is built from."""
+    rng = sample_rng(seed, index)
+    n_paths = int(rng.integers(n_range[0], n_range[1] + 1))
+    indices, probs = _scenarios(*_draw(rng, n_paths, None))
+    return json.dumps({"N": n_paths, "support": indices.tolist(), "coeffs_sq": probs.tolist()})
 
 
 def iter_specs(count: int, seed: int, n_range=(2, 8), min_dim: int = 1):

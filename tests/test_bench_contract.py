@@ -7,8 +7,9 @@ renaming one of them breaks traced runs or every benchmark child.
 ``bench/workloads.py`` gates the canonical scan on the sha256 of its CSV, the
 N = 16 census on the sha256 of its CSV and its summary line, and the
 canonical ``verify`` run on its check counts and the exit code of its faulted
-call, so a change to the sweep's numbers, the census's numbers or row format,
-or the verify suites' counts fails here before it fails the benchmark. The
+call, and reads the verify suites by the names in its ``SUITES``, so a change
+to the sweep's numbers, the census's numbers or row format, or the verify
+suites' names, order or counts fails here before it fails the benchmark. The
 files are read with ``ast``, not imported.
 """
 
@@ -21,18 +22,20 @@ from pathlib import Path
 import pytest
 
 from duality_lab import cli
+from duality_lab.verify import SUITES, run_verification
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _traced_pairs():
-    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+def _constant(path: Path, name: str):
+    """The literal value of the module-level assignment to ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "TRACED" for target in node.targets
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracing.py defines no TRACED tuple")
+    raise AssertionError(f"{path.name} defines no {name}")
 
 
 def _child_imports():
@@ -47,7 +50,7 @@ def _child_imports():
                     yield alias.name, None
 
 
-@pytest.mark.parametrize("module, function", _traced_pairs())
+@pytest.mark.parametrize("module, function", _constant(BENCH / "tracing.py", "TRACED"))
 def test_traced_function_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"duality_lab.{module}"), function))
 
@@ -109,3 +112,9 @@ def test_canonical_verify_reproduces_the_benchmark_counts(capsys):
     expected = [f"{suite}: OK ({checks} checks)" for suite, checks in counts.items()]
     assert capsys.readouterr().out.splitlines() == expected
     assert cli.main(verify["fault_argv"]) == 1
+
+
+def test_verify_suites_are_the_benchmark_suites():
+    suites = _constant(BENCH / "workloads.py", "SUITES")
+    assert SUITES == suites
+    assert tuple(result.name for result in run_verification(1)) == suites

@@ -693,7 +693,7 @@ class TestVerify:
                 ("--samples", "60", "--seed", "0", "--inject-fault", "gk-sign"),
                 "err",
                 None,
-                "574b2af848606861ab252294e427eb42fd5fa044ac485d2b11c805e6d6b3bfe7",
+                "9bf7f87c969a338f4805c0e562da08d7c608f1ecdd4be037473297f92dc771d4",
             ),
         ],
         ids=["canonical-json", "n9to24-json", "n25to64-json", "gk-sign-stderr"],

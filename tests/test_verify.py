@@ -36,12 +36,11 @@ from duality_lab.states import (
     build_symmetric_set,
     spec_from_json_dict,
     spec_from_probabilities,
-    spec_to_json_dict,
     uniform_spec,
 )
 from duality_lab.verify import DEFAULT_XI_GRID, run_verification
 
-from helpers import draw_spec, iter_specs
+from helpers import draw_replay, draw_spec, iter_specs
 
 
 def suite(results, name):
@@ -113,7 +112,7 @@ class TestKnowledgeFailure:
         reference = run_verification(30, seed=0)
         monkeypatch.setattr(duality, "_normalized_infos", rejecting)
         results = run_verification(30, seed=0)
-        replay = json.dumps(spec_to_json_dict(specs[target]))
+        replay = draw_replay(0, target)
         hierarchy = suite(results, "hierarchy")
         assert hierarchy.checks == suite(reference, "hierarchy").checks - len(DEFAULT_XI_GRID)
         assert hierarchy.violations == [
@@ -158,7 +157,7 @@ class TestKnowledgeFailure:
         reference = run_verification(30, seed=0)
         monkeypatch.setattr(verify, "_normalized_infos", rejecting)
         results = run_verification(30, seed=0)
-        replay = json.dumps(spec_to_json_dict(specs[target]))
+        replay = draw_replay(0, target)
         hierarchy = suite(results, "hierarchy")
         assert hierarchy.checks == suite(reference, "hierarchy").checks - len(DEFAULT_XI_GRID)
         assert hierarchy.violations == [
@@ -399,7 +398,7 @@ class TestPinnedReport:
                 worst = sorted((k, repr(v)) for k, v in r.worst.items())
                 digest.update(json.dumps([r.name, r.checks, r.violations, worst]).encode())
         assert digest.hexdigest() == (
-            "225d0735e24181cd9335362e7f266ab2da764b9a3e1274c5e61b21cc7e2d6d10"
+            "69ab38713a503fd7974849a021f9286ba659d71a0944344b3bfd43b10fdc68f7"
         )
 
 
@@ -642,22 +641,21 @@ class TestCallBudget:
         results = run_verification(samples, seed=0, fault="gk-sign")
         assert [calls[0] for calls in draws] == [1, 0]
         monkeypatch.undo()
-        # A replay holds squared coefficients, so it is compared with the
-        # scenario's own JSON, and read back as a valid scenario. Violations
-        # come in index order, so each is matched with the first scenario
-        # from the last match on.
-        scenarios = [spec_to_json_dict(draw_spec(0, index, (2, 8))) for index in range(samples)]
-        replayed = []
+        # A replay holds the probabilities the scenario was built from, so it
+        # reads back as that scenario exactly. Violations come in index
+        # order, so each is matched with the first scenario from the last
+        # match on.
+        scenarios = [draw_spec(0, index, (2, 8)) for index in range(samples)]
+        replayed = set()
         for result in results:
             index = 0
             for violation in result.violations:
-                replay = json.loads(violation.split(" | replay spec: ")[1])
+                replay = spec_from_json_dict(json.loads(violation.split(" | replay spec: ")[1]))
                 index = next((i for i in range(index, samples) if scenarios[i] == replay), None)
                 assert index is not None
-                spec_from_json_dict(replay)
-                replayed.append(replay)
+                replayed.add(index)
         # Under the fault every scenario fails and is replayed.
-        assert all(scenario in replayed for scenario in scenarios)
+        assert replayed == set(range(samples))
 
 
 class TestChunks:
