@@ -31,8 +31,9 @@ and evaluated by :func:`duality.evaluate_block` once for all (strategy, xi)
 pairs, which label the evaluated block's columns. The uniform overlay and
 the two-path grid are blocks too.
 
-Each ``scan`` source is one serial stream of ``(blocks, order)`` chunks in
-point order: :func:`sweep_chunks` (samples, strategies innermost) and
+Each ``scan`` source is one stream of ``(blocks, order)`` chunks in point
+order: :func:`sweep_chunks` (samples, strategies innermost), whose sampled
+chunks are computed on up to :func:`resolve_workers` processes, and
 :func:`two_path_grid` (strategies, then grid points). ``scan`` writes each
 chunk's CSV rows and folds it into the :class:`Envelope` as it arrives, so
 its memory does not grow with the sample count. :class:`ScatterDataset`
@@ -474,14 +475,128 @@ def _sweep_chunk(cfg: SweepConfig, start: int, stop: int):
     return blocks, _interleave(groups, len(cfg.strategies))
 
 
+def _spans(samples: int, workers: int) -> list[tuple[int, int]]:
+    """The fewest equal ``(start, stop)`` sample spans that are each at most
+    ``BLOCK_ROWS`` long and whose count is a multiple of ``workers``."""
+    count = workers * -(-samples // (workers * BLOCK_ROWS))
+    return [(samples * k // count, samples * (k + 1) // count) for k in range(count)]
+
+
+def _serve(cfg: SweepConfig, spans, fd: int, readers):
+    """A forked worker: evaluate ``spans`` in turn and pickle each chunk, or
+    the exception that stopped it, into the pipe ``fd``. It ignores SIGINT,
+    which the caller answers, closes the inherited pipe ends ``readers`` so
+    that a write fails once the caller is gone, and leaves through
+    ``os._exit``: it never flushes a buffer or runs an exit handler inherited
+    from the caller."""
+    import os
+    import pickle
+    import signal
+
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for reader in readers:
+            os.close(reader)
+        with open(fd, "wb") as pipe:
+            for lo, hi in spans:
+                try:
+                    result = _sweep_chunk(cfg, lo, hi)
+                except Exception as exc:
+                    result = exc
+                # Pickled whole before writing, so the pipe never holds part
+                # of a result that failed to pickle.
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+                if isinstance(result, Exception):
+                    break
+    finally:
+        os._exit(0)
+
+
+def _fork_workers(cfg: SweepConfig, spans, workers: int, pids: list, pipes: list) -> None:
+    """Fork children 1..``workers - 1``, child ``w`` to run :func:`_serve` on
+    ``spans[w::workers]``, appending each one's pid to ``pids`` and the read
+    end of its pipe to ``pipes`` as soon as it exists. SIGINT stays blocked
+    meanwhile, so no child is left unrecorded and none is interrupted before
+    it ignores SIGINT."""
+    import fcntl
+    import os
+    import signal
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            # Room for a whole chunk (the default 64 KiB holds a tenth of a
+            # 4,096-row N = 6 one), so that a child computes its next chunk
+            # while the last one waits. Linux only; a pipe quota may refuse.
+            try:
+                fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except (AttributeError, OSError):
+                pass
+            pid = os.fork()
+            if pid == 0:
+                readers = [read, *(pipe.fileno() for pipe in pipes)]
+                _serve(cfg, spans[worker::workers], write, readers)
+            pids.append(pid)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _sampled_chunks(cfg: SweepConfig):
+    """The sampled ``(blocks, order)`` chunks of :func:`sweep_chunks`, computed
+    by W = min(:func:`resolve_workers`, samples) processes: span ``k`` of :func:`_spans` runs in process ``k % W``, the
+    caller being process 0, and the caller takes every chunk in its turn.
+    However the run ends, the ``finally`` kills and reaps every child."""
+    import os
+    import pickle
+    import signal
+
+    workers = max(1, min(resolve_workers(), cfg.samples))
+    spans = _spans(cfg.samples, workers)
+    pids, pipes = [], []
+    try:
+        if workers > 1:
+            _fork_workers(cfg, spans, workers, pids, pipes)
+        for k, (lo, hi) in enumerate(spans):
+            if k % workers == 0:
+                yield _sweep_chunk(cfg, lo, hi)
+                continue
+            try:
+                result = pickle.load(pipes[k % workers - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"the sweep worker of samples {lo}..{hi - 1} ended without their chunk"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def sweep_chunks(cfg: SweepConfig):
-    """The sweep's evaluated ``(blocks, order)`` chunks in point order, each
-    evaluated when taken: every ``BLOCK_ROWS`` samples, then each block of
+    """The sweep's evaluated ``(blocks, order)`` chunks in point order: the
+    samples, one chunk per span of :func:`_spans`, then each block of
     uniform scenarios of dimension 1 up to ``n`` (or N), in lexicographic
-    support order. ``order`` numbers cells as :class:`ScatterDataset` does."""
+    support order. ``order`` numbers cells as :class:`ScatterDataset` does.
+
+    The sampled chunks are computed on W = min(:func:`resolve_workers`,
+    samples) processes (see :func:`_sampled_chunks`). Forked children run
+    ahead by at most the chunk in their pipe and the one they compute; the
+    caller computes its own chunks when taken and yields every chunk in its
+    turn. Each sample draws from its own stream, so the chunks hold the
+    same points for every W. With W = 1 nothing is forked, and the uniform
+    blocks are always evaluated in the caller when taken."""
     pairs = cfg.strategies
-    for lo in range(0, cfg.samples, BLOCK_ROWS):
-        yield _sweep_chunk(cfg, lo, min(lo + BLOCK_ROWS, cfg.samples))
+    yield from _sampled_chunks(cfg)
     if not cfg.include_uniform_enumeration:
         return
     for n in range(1, (cfg.n if cfg.n is not None else cfg.N) + 1):
@@ -646,5 +761,9 @@ def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int,
 
 
 def resolve_workers() -> int:
-    """Always 1, the sweep being serial; kept only for ``bench/child.py``."""
-    return 1
+    """The process count a sampled sweep may use: the CPUs this process may
+    run on (``os.sched_getaffinity``), or 1 where the platform cannot tell."""
+    import os
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))

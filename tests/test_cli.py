@@ -36,7 +36,7 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert run_cli("scan", "--N", "4", "--bogus") == 2
-        # The sweep is serial; the worker-count flag is gone.
+        # The sweep's process count follows the usable CPUs; it is no flag.
         assert run_cli("scan", "--N", "4", "--workers", "2") == 2
 
     def test_help_exits_clean(self, capsys):
@@ -301,53 +301,56 @@ class TestScan:
         assert "-0.0" not in json.dumps(manifest["config"])
 
 
-class TestPinnedSweeps:
-    """Sweeps the benchmark does not gate: dimension grouping with strategy
-    interleaving, the uniform overlay, and the two-path grid. The digests were
-    recorded from the per-sample sweep that preceded the block sweep; the
-    envelope digest is over ``json.dumps`` of the manifest's envelope."""
+# Sweeps the benchmark does not gate: dimension grouping with strategy
+# interleaving, the uniform overlay, and the two-path grid.
+PINNED_SWEEPS = [
+    (
+        ["--N", "9", "--n", "all", "--samples", "3000", "--strategy", "conc",
+         "--xi", "0,0.5,1", "--seed", "4", "--bins", "40"],
+        "f35b56484583b40c29aa13d0a7f9db1a5bf1de02ca42fff0220fe80c05b33c17",
+        "517ed3567b1c5354702bc79fc279b8fb80651c2a815fdbf7270f17c55d40d84f",
+    ),
+    (
+        ["--N", "6", "--n", "all", "--samples", "50", "--include-uniform",
+         "--strategy", "frio", "--xi", "0.3", "--seed", "1"],
+        "bd5fc738ccaba6863f1717227169354b1d3a1d1286d9f60f1bbc3b2a1273753b",
+        "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+    ),
+    (
+        ["--N", "2", "--grid", "200", "--strategy", "conc", "--xi", "0.2,0.9",
+         "--bins", "20"],
+        "5ae229746bfb6629a3ec1ab1264a11aabcc6293b7c0dfe26a2de69a805f81e62",
+        "dcd6a685286bc6c29a12b2435fe61cce9c65e14d1c7dd49f702c0fe931caaa42",
+    ),
+    # A seed of three 32-bit words over two chunks, recorded from the
+    # sweep that built one generator per sample.
+    (
+        ["--N", "7", "--n", "all", "--samples", "5000", "--strategy", "frio",
+         "--xi", "0.4", "--seed", "18446744073709551621", "--bins", "30"],
+        "4eaa9ebd45bf16dd628afbf30b42b1c3b8efa844db0b75c8f228746c64fd4a50",
+        "abc4d9ecddd8d00ba25db9a523192c8fedbe1edf8c7414165e0beae8d78566f8",
+    ),
+    # A fixed n < N: Floyd collisions, an odd count of 32-bit draws
+    # (a half word left over), two chunks and two pairs.
+    (
+        ["--N", "12", "--n", "5", "--samples", "5000", "--strategy", "frio",
+         "--xi", "0,0.6", "--seed", "21", "--bins", "30"],
+        "e04cceca3da9e4a7bb11a15f509b8bf37888e5cf92e9417278505acfa4f5601b",
+        "a1fe9f37f88b0219963dab887b7db893f506fa41adddf136b0b5c5d0036a90ac",
+    ),
+]  # fmt: skip
+PINNED_SWEEP_IDS = [
+    "all-dimensions-interleaved", "uniform-overlay", "two-path-grid",
+    "multi-word-seed-two-chunks", "fixed-dimension-two-chunks",
+]  # fmt: skip
 
-    @pytest.mark.parametrize(
-        "argv, csv_sha256, envelope_sha256",
-        [
-            (
-                ["--N", "9", "--n", "all", "--samples", "3000", "--strategy", "conc",
-                 "--xi", "0,0.5,1", "--seed", "4", "--bins", "40"],
-                "f35b56484583b40c29aa13d0a7f9db1a5bf1de02ca42fff0220fe80c05b33c17",
-                "517ed3567b1c5354702bc79fc279b8fb80651c2a815fdbf7270f17c55d40d84f",
-            ),
-            (
-                ["--N", "6", "--n", "all", "--samples", "50", "--include-uniform",
-                 "--strategy", "frio", "--xi", "0.3", "--seed", "1"],
-                "bd5fc738ccaba6863f1717227169354b1d3a1d1286d9f60f1bbc3b2a1273753b",
-                "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
-            ),
-            (
-                ["--N", "2", "--grid", "200", "--strategy", "conc", "--xi", "0.2,0.9",
-                 "--bins", "20"],
-                "5ae229746bfb6629a3ec1ab1264a11aabcc6293b7c0dfe26a2de69a805f81e62",
-                "dcd6a685286bc6c29a12b2435fe61cce9c65e14d1c7dd49f702c0fe931caaa42",
-            ),
-            # A seed of three 32-bit words over two chunks, recorded from the
-            # sweep that built one generator per sample.
-            (
-                ["--N", "7", "--n", "all", "--samples", "5000", "--strategy", "frio",
-                 "--xi", "0.4", "--seed", "18446744073709551621", "--bins", "30"],
-                "4eaa9ebd45bf16dd628afbf30b42b1c3b8efa844db0b75c8f228746c64fd4a50",
-                "abc4d9ecddd8d00ba25db9a523192c8fedbe1edf8c7414165e0beae8d78566f8",
-            ),
-            # A fixed n < N: Floyd collisions, an odd count of 32-bit draws
-            # (a half word left over), two chunks and two pairs.
-            (
-                ["--N", "12", "--n", "5", "--samples", "5000", "--strategy", "frio",
-                 "--xi", "0,0.6", "--seed", "21", "--bins", "30"],
-                "e04cceca3da9e4a7bb11a15f509b8bf37888e5cf92e9417278505acfa4f5601b",
-                "a1fe9f37f88b0219963dab887b7db893f506fa41adddf136b0b5c5d0036a90ac",
-            ),
-        ],
-        ids=["all-dimensions-interleaved", "uniform-overlay", "two-path-grid",
-             "multi-word-seed-two-chunks", "fixed-dimension-two-chunks"],
-    )  # fmt: skip
+
+class TestPinnedSweeps:
+    """The ``PINNED_SWEEPS`` digests, recorded from the per-sample sweep that
+    preceded the block sweep; the envelope digest is over ``json.dumps`` of
+    the manifest's envelope."""
+
+    @pytest.mark.parametrize("argv, csv_sha256, envelope_sha256", PINNED_SWEEPS, ids=PINNED_SWEEP_IDS)
     def test_outputs_keep_their_digests(self, argv, csv_sha256, envelope_sha256, tmp_path):
         out = tmp_path / "scan.csv"
         assert run_cli("scan", *argv, "--out", str(out)) == 0
@@ -355,6 +358,14 @@ class TestPinnedSweeps:
         manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
         envelope = json.dumps(manifest["envelope"]).encode()
         assert hashlib.sha256(envelope).hexdigest() == envelope_sha256
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("argv, csv_sha256, envelope_sha256", PINNED_SWEEPS, ids=PINNED_SWEEP_IDS)
+    def test_digests_do_not_depend_on_the_process_count(
+        self, argv, csv_sha256, envelope_sha256, workers, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(ensemble, "resolve_workers", lambda: workers)
+        self.test_outputs_keep_their_digests(argv, csv_sha256, envelope_sha256, tmp_path)
 
 
 class TestEnumerateUniform:

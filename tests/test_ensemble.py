@@ -557,10 +557,12 @@ class TestOutputFormats:
         assert envelope.bounds() == boundary_envelope(dataset, 25)
         assert dataset.point_count == 10_062
 
-    def test_a_dataset_is_written_one_chunk_at_a_time(self):
+    def test_a_dataset_is_written_one_chunk_at_a_time(self, monkeypatch):
         # write_points_csv writes a dataset's chunks as scan streams them: the
         # same bytes and envelope, and a traced peak set by one chunk's rows,
-        # whatever the chunk count.
+        # whatever the chunk count. One process, so that BLOCK_ROWS samples
+        # are one chunk: W processes cut them into W.
+        monkeypatch.setattr(ensemble, "resolve_workers", lambda: 1)
         def config(samples, uniform):
             return SweepConfig(
                 N=8, n=None, samples=samples, seed=9,
