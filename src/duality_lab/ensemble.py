@@ -482,13 +482,38 @@ def _spans(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(samples * k // count, samples * (k + 1) // count) for k in range(count)]
 
 
+class _WorkerTraceback(Exception):
+    """An exception raised in a sweep worker, ``args == (exc, text)``, with
+    ``text`` its formatted traceback there. The caller re-raises ``exc``
+    with this as its cause, so the worker's frames are printed with it."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[1]
+
+
+def _pickled_failure(exc: Exception) -> bytes:
+    """``exc`` and its traceback pickled for the caller. One that will not
+    pickle, or not rebuild from its pickle, goes as a ``RuntimeError``
+    carrying its ``repr``."""
+    import pickle
+    import traceback
+
+    text = "".join(traceback.format_exception(exc))
+    try:
+        data = pickle.dumps(_WorkerTraceback(exc, text), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(_WorkerTraceback(RuntimeError(repr(exc)), text), pickle.HIGHEST_PROTOCOL)
+    return data
+
+
 def _serve(cfg: SweepConfig, spans, fd: int, readers):
     """A forked worker: evaluate ``spans`` in turn and pickle each chunk, or
-    the exception that stopped it, into the pipe ``fd``. It ignores SIGINT,
-    which the caller answers, closes the inherited pipe ends ``readers`` so
-    that a write fails once the caller is gone, and leaves through
-    ``os._exit``: it never flushes a buffer or runs an exit handler inherited
-    from the caller."""
+    the exception that stopped it (see :func:`_pickled_failure`), into the
+    pipe ``fd``. It ignores SIGINT, which the caller answers, closes the
+    inherited pipe ends ``readers`` so that a write fails once the caller is
+    gone, and leaves through ``os._exit``: it never flushes a buffer or runs
+    an exit handler inherited from the caller."""
     import os
     import pickle
     import signal
@@ -499,16 +524,15 @@ def _serve(cfg: SweepConfig, spans, fd: int, readers):
             os.close(reader)
         with open(fd, "wb") as pipe:
             for lo, hi in spans:
-                try:
-                    result = _sweep_chunk(cfg, lo, hi)
-                except Exception as exc:
-                    result = exc
                 # Pickled whole before writing, so the pipe never holds part
                 # of a result that failed to pickle.
-                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                pipe.flush()
-                if isinstance(result, Exception):
+                try:
+                    data = pickle.dumps(_sweep_chunk(cfg, lo, hi), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    pipe.write(_pickled_failure(exc))
                     break
+                pipe.write(data)
+                pipe.flush()
     finally:
         os._exit(0)
 
@@ -519,7 +543,6 @@ def _fork_workers(cfg: SweepConfig, spans, workers: int, pids: list, pipes: list
     end of its pipe to ``pipes`` as soon as it exists. SIGINT stays blocked
     meanwhile, so no child is left unrecorded and none is interrupted before
     it ignores SIGINT."""
-    import fcntl
     import os
     import signal
 
@@ -527,13 +550,6 @@ def _fork_workers(cfg: SweepConfig, spans, workers: int, pids: list, pipes: list
     try:
         for worker in range(1, workers):
             read, write = os.pipe()
-            # Room for a whole chunk (the default 64 KiB holds a tenth of a
-            # 4,096-row N = 6 one), so that a child computes its next chunk
-            # while the last one waits. Linux only; a pipe quota may refuse.
-            try:
-                fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
-            except (AttributeError, OSError):
-                pass
             pid = os.fork()
             if pid == 0:
                 readers = [read, *(pipe.fileno() for pipe in pipes)]
@@ -547,14 +563,16 @@ def _fork_workers(cfg: SweepConfig, spans, workers: int, pids: list, pipes: list
 
 def _sampled_chunks(cfg: SweepConfig):
     """The sampled ``(blocks, order)`` chunks of :func:`sweep_chunks`, computed
-    by W = min(:func:`resolve_workers`, samples) processes: span ``k`` of :func:`_spans` runs in process ``k % W``, the
-    caller being process 0, and the caller takes every chunk in its turn.
-    However the run ends, the ``finally`` kills and reaps every child."""
+    by W processes, the usable CPUs (:func:`resolve_workers`) capped at the
+    serial chunk count ``ceil(samples / BLOCK_ROWS)``: span ``k`` of
+    :func:`_spans` runs in process ``k % W``, the caller being process 0,
+    and the caller takes every chunk in its turn. However the run ends, the
+    ``finally`` kills and reaps every child."""
     import os
     import pickle
     import signal
 
-    workers = max(1, min(resolve_workers(), cfg.samples))
+    workers = max(1, min(resolve_workers(), -(-cfg.samples // BLOCK_ROWS)))
     spans = _spans(cfg.samples, workers)
     pids, pipes = [], []
     try:
@@ -570,8 +588,8 @@ def _sampled_chunks(cfg: SweepConfig):
                 raise RuntimeError(
                     f"the sweep worker of samples {lo}..{hi - 1} ended without their chunk"
                 ) from None
-            if isinstance(result, Exception):
-                raise result
+            if isinstance(result, _WorkerTraceback):
+                raise result.args[0] from result
             yield result
     finally:
         for pid in pids:
@@ -589,12 +607,13 @@ def sweep_chunks(cfg: SweepConfig):
     support order. ``order`` numbers cells as :class:`ScatterDataset` does.
 
     The sampled chunks are computed on W = min(:func:`resolve_workers`,
-    samples) processes (see :func:`_sampled_chunks`). Forked children run
-    ahead by at most the chunk in their pipe and the one they compute; the
-    caller computes its own chunks when taken and yields every chunk in its
-    turn. Each sample draws from its own stream, so the chunks hold the
-    same points for every W. With W = 1 nothing is forked, and the uniform
-    blocks are always evaluated in the caller when taken."""
+    ``ceil(samples / BLOCK_ROWS)``) processes (see :func:`_sampled_chunks`),
+    so a sweep of at most ``BLOCK_ROWS`` samples forks nothing. A forked
+    child runs ahead by at most a pipe's worth of pickled chunk and the
+    chunk it computes; the caller computes its own chunks when taken and
+    yields every chunk in its turn. Each sample draws from its own stream, so the chunks
+    hold the same points for every W. With W = 1 nothing is forked, and the
+    uniform blocks are always evaluated in the caller when taken."""
     pairs = cfg.strategies
     yield from _sampled_chunks(cfg)
     if not cfg.include_uniform_enumeration:

@@ -25,6 +25,20 @@ CANONICAL_SCAN = ["--N", "6", "--n", "6", "--samples", "20000", "--strategy", "m
 CANONICAL_SHA256 = "c2ac1dc27171ea73c35882164e80938722bc6f6d6fec3598351e9fb905ba5d2e"
 
 
+class Unpicklable(Exception):
+    """Holds a lambda, which ``pickle`` refuses."""
+
+    def __init__(self):
+        super().__init__(lambda: None)
+
+
+class NotRebuilt(Exception):
+    """Pickles, but ``pickle.loads`` calls it with its one argument."""
+
+    def __init__(self, name, count):
+        super().__init__(f"{name}: {count}")
+
+
 @pytest.fixture
 def force_workers(monkeypatch):
     """Force W; returns the list of pids the sweep forks, which the caller
@@ -121,8 +135,19 @@ class TestOutputsDoNotDependOnTheProcessCount:
         for workers in (2, 3):
             forked = force_workers(workers)
             assert scan_outputs(tmp_path, [*argv, "--bins", "20"]) == reference
-            # A process per sample at most, the caller included.
-            assert len(forked) == max(min(workers, samples) - 1, 0)
+            # A process per BLOCK_ROWS samples at most, the caller included.
+            assert len(forked) == max(min(workers, -(-samples // BLOCK_ROWS)) - 1, 0)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "samples, forks", [(1000, 0), (BLOCK_ROWS, 0), (BLOCK_ROWS + 1, 1), (5 * BLOCK_ROWS, 4)]
+    )
+    def test_process_count_is_capped_at_the_serial_chunk_count(self, samples, forks, force_workers):
+        forked = force_workers(8)
+        cfg = SweepConfig(N=4, n=None, samples=samples, strategies=(("me", 0.0),), seed=6)
+        chunks = list(sweep_chunks(cfg))
+        assert len(forked) == forks
+        assert sum(len(order) for _, order in chunks) == samples
         assert_no_child_left()
 
     def test_children_leave_the_inherited_buffers_and_exit_handlers_alone(self, tmp_path):
@@ -201,6 +226,42 @@ class TestFailurePaths:
         with pytest.raises(RuntimeError, match=r"worker of samples 2500\.\.4999 ended"):
             list(sweep_chunks(cfg))
         assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_a_child_error_carries_the_child_traceback(self, monkeypatch, force_workers):
+        def reject():
+            raise ValidationError("scenario rejected at sample 2500")
+
+        self.failing_at(monkeypatch, 2500, reject)
+        force_workers(2)
+        cfg = SweepConfig(N=6, n=None, samples=5000, strategies=(("me", 0.0),), seed=4)
+        with pytest.raises(ValidationError, match="rejected at sample 2500") as info:
+            list(sweep_chunks(cfg))
+        cause = str(info.value.__cause__)
+        assert "Traceback" in cause and "in reject" in cause
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "error, text",
+        [
+            (lambda: Unpicklable(), "Unpicklable(<function"),
+            (lambda: NotRebuilt("path", 3), "NotRebuilt('path: 3')"),
+        ],
+        ids=["will-not-pickle", "will-not-rebuild"],
+    )
+    def test_a_child_error_that_cannot_travel_is_a_runtime_error(
+        self, error, text, monkeypatch, force_workers
+    ):
+        def fail():
+            raise error()
+
+        self.failing_at(monkeypatch, 2500, fail)
+        force_workers(2)
+        cfg = SweepConfig(N=6, n=None, samples=5000, strategies=(("me", 0.0),), seed=4)
+        with pytest.raises(RuntimeError) as info:
+            list(sweep_chunks(cfg))
+        assert str(info.value).startswith(text)
+        assert "in fail" in str(info.value.__cause__)
         assert_no_child_left()
 
     def test_closing_the_stream_early_leaves_no_child(self, force_workers):
