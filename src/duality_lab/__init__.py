@@ -22,7 +22,6 @@ from .ensemble import (
     boundary_envelope,
     run_sweep,
     sample_spec,
-    two_path_grid_dataset,
 )
 from .measurements import (
     Measurement,
@@ -52,7 +51,6 @@ from .saturation import (
 from .states import (
     DetectorSpec,
     Support,
-    SymmetricSet,
     ValidationError,
     build_symmetric_set,
     enumerate_uniform_specs,
@@ -69,7 +67,6 @@ __all__ = [
     "ValidationError",
     "Support",
     "DetectorSpec",
-    "SymmetricSet",
     "build_symmetric_set",
     "enumerate_uniform_specs",
     "uniform_spec",
@@ -109,6 +106,5 @@ __all__ = [
     "ScatterDataset",
     "sample_spec",
     "run_sweep",
-    "two_path_grid_dataset",
     "boundary_envelope",
 ]

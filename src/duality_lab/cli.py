@@ -130,13 +130,18 @@ def cmd_scan(args) -> int:
             include_uniform_enumeration=args.include_uniform,
         )
         config, chunks = cfg.to_json_dict(), sweep_chunks(cfg)
+    csv_to_stdout = args.out in (None, "-")
+    manifest_path = args.manifest
+    if manifest_path is None and not csv_to_stdout:
+        manifest_path = args.out + ".manifest.json"
+    if manifest_path == "-" and csv_to_stdout:
+        raise ValidationError("--manifest - needs --out FILE: the CSV already goes to stdout")
+    if envelope is not None and manifest_path is None:
+        raise ValidationError("--bins needs a manifest for the envelope: give --out or --manifest")
     # Streamed: rows are written and enveloped chunk by chunk as they come.
     with _open_out(args.out) as handle:
         point_count = write_chunks(handle, chunks, envelope)
     wall_time = time.perf_counter() - started
-    manifest_path = args.manifest
-    if manifest_path is None and args.out not in (None, "-"):
-        manifest_path = args.out + ".manifest.json"
     if manifest_path is not None:
         with _open_out(manifest_path) as handle:
             write_manifest(

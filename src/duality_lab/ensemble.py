@@ -78,7 +78,6 @@ __all__ = [
     "run_sweep",
     "sweep_chunks",
     "two_path_grid",
-    "two_path_grid_dataset",
     "Envelope",
     "boundary_envelope",
     "write_chunks",
@@ -665,11 +664,6 @@ def two_path_grid(strategies, steps: int = 200):
         for b in blocks
     )
     return config, tuple(([column], np.arange(len(column))) for column in columns)
-
-
-def two_path_grid_dataset(strategies, steps: int = 200) -> ScatterDataset:
-    """The :func:`two_path_grid` chunks as one dataset."""
-    return ScatterDataset(*two_path_grid(strategies, steps))
 
 
 class Envelope:

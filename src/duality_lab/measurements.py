@@ -25,7 +25,9 @@ projector, not the full identity. ``verify`` checks the n x n blocks, which
 sum to the n x n identity.
 
 :func:`oracle_arrays` evaluates a stack of POVM elements against the explicit
-state vectors with plain complex matrix arithmetic, in either frame, and
+state vectors, an array of rows such as the ``[N, N]`` array of
+``states.build_symmetric_set``, with plain complex matrix arithmetic, in
+either frame, and
 :func:`oracle_outcome_table` is its per-label view of one measurement. The
 oracle shares no code with the closed-form probability expressions and
 serves as their cross-check.
@@ -40,7 +42,6 @@ import numpy as np
 
 from .states import (
     DetectorSpec,
-    SymmetricSet,
     ValidationError,
     _embed,
     _is_uniform,
@@ -200,20 +201,14 @@ def _rank_ones(rows: np.ndarray) -> np.ndarray:
     return _read_only(rows[..., :, None] * rows.conj()[..., None, :])
 
 
-def _vectors(n_paths: int, indices, scale, profile, embed: bool) -> np.ndarray:
-    """The :func:`_profile_states` rows ``[..., N, n]``, or with ``embed``
-    the same vectors in the detector space, ``[..., N, N]``."""
-    rows = _profile_states(n_paths, indices, scale, profile)
-    return _embed(n_paths, np.asarray(indices)[..., None, :], rows) if embed else rows
-
-
 def _me_elements(n_paths: int, indices, embed: bool = False) -> np.ndarray:
     """The minimum-error elements ``[..., N, n, n]`` of one support (1-D) or
     of each row of a block of supports (2-D); ``[..., N, N, N]`` with
-    ``embed`` (see :func:`_vectors`)."""
+    ``embed`` (see :func:`_profile_states`)."""
     n = np.shape(indices)[-1]
     profile = np.full(np.shape(indices), 1.0 / np.sqrt(n))
-    return _rank_ones(np.sqrt(n / n_paths) * _vectors(n_paths, indices, 1.0, profile, embed))
+    vectors = _profile_states(n_paths, indices, 1.0, profile, embed)
+    return _rank_ones(np.sqrt(n / n_paths) * vectors)
 
 
 def _two_step_elements(
@@ -222,15 +217,15 @@ def _two_step_elements(
     """The elements ``[..., 3N + 1, n, n]`` of one level's standard
     measurement (``c0..c{N-1}, f``) followed by its concatenated one
     (``c0..c{N-1}, fc0..fc{N-1}``), for one scenario or a block;
-    ``[..., 3N + 1, N, N]`` with ``embed`` (see :func:`_vectors`).
+    ``[..., 3N + 1, N, N]`` with ``embed`` (see :func:`_profile_states`).
 
     ``success`` and ``failure`` are the profiles (last axis), ``p_success``
     the success probabilities and ``branch`` whether a failure branch exists;
     ``indices``, ``failure`` and ``branch`` broadcast against ``success``.
     Failure elements are zero without a branch.
     """
-    conclusive = _rank_ones(_vectors(n_paths, indices, p_success, success, embed))
-    failures = _rank_ones(_vectors(n_paths, indices, 1.0 - p_success, failure, embed))
+    conclusive = _rank_ones(_profile_states(n_paths, indices, p_success, success, embed))
+    failures = _rank_ones(_profile_states(n_paths, indices, 1.0 - p_success, failure, embed))
     failures = np.where(np.asarray(branch)[..., None, None, None], failures, 0.0)
     lost = failures.sum(axis=-3, keepdims=True)
     return np.concatenate([conclusive, lost, conclusive, failures], axis=-3)
@@ -383,22 +378,20 @@ class OracleArrays:
     defined: np.ndarray
 
 
-def oracle_arrays(states, elements: np.ndarray) -> OracleArrays:
+def oracle_arrays(states: np.ndarray, elements: np.ndarray) -> OracleArrays:
     """Evaluate a stack of POVM elements against explicit state vectors.
 
-    ``states`` is one scenario's :class:`SymmetricSet` or its N states as
-    rows ``[N, m]``, with elements ``[E, m, m]``; or a stack of scenarios'
-    states ``[S, N, m]``, with elements ``[S, E, m, m]`` and results
-    ``[S, E, ...]``. The frame is ``m = N`` for the detector space and
-    ``m = n`` for the support frame. Computes ``p_e = Tr(E_e rho)`` with
-    ``rho`` assembled from the N state projectors, as the sum of
-    ``E_e * rho^T``, and conditionals ``<state_l| E_e |state_l> / (N p_e)``,
-    from one matrix product of the states with each element. Pure matrix
-    arithmetic, no closed forms; this is the independent cross-check for
-    every probability formula in this module.
+    ``states`` is one scenario's N states as rows ``[N, m]``, with elements
+    ``[E, m, m]``; or a stack of scenarios' states ``[S, N, m]``, with
+    elements ``[S, E, m, m]`` and results ``[S, E, ...]``. The frame is
+    ``m = N`` for the detector space and ``m = n`` for the support frame.
+    Computes ``p_e = Tr(E_e rho)`` with ``rho`` assembled from the N state
+    projectors, as the sum of ``E_e * rho^T``, and conditionals
+    ``<state_l| E_e |state_l> / (N p_e)``, from one matrix product of the
+    states with each element. Pure matrix arithmetic, no closed forms; this
+    is the independent cross-check for every probability formula in this
+    module.
     """
-    if isinstance(states, SymmetricSet):
-        states = states.states
     n_paths, m = states.shape[-2:]
     if elements.shape[:-3] != states.shape[:-2] or elements.shape[-2:] != (m, m):
         raise ValidationError(
@@ -417,9 +410,10 @@ def oracle_arrays(states, elements: np.ndarray) -> OracleArrays:
     return OracleArrays(probs=probs, conditionals=conditionals, defined=defined)
 
 
-def oracle_outcome_table(sym_set: SymmetricSet, measurement: Measurement) -> OutcomeTable:
-    """Per-label view of :func:`oracle_arrays` for one measurement."""
-    arrays = oracle_arrays(sym_set, measurement.elements)
+def oracle_outcome_table(states: np.ndarray, measurement: Measurement) -> OutcomeTable:
+    """Per-label view of :func:`oracle_arrays` for one measurement, against
+    one scenario's states ``[N, N]`` (see ``states.build_symmetric_set``)."""
+    arrays = oracle_arrays(states, measurement.elements)
     labels = measurement.labels
     return OutcomeTable(
         outcome_probs=dict(zip(labels, arrays.probs.tolist())),

@@ -39,6 +39,7 @@ from .states import (
     Support,
     SweepBlock,
     ValidationError,
+    _cyclic_gaps,
     _embed,
     build_symmetric_set,
     check_path_count,
@@ -166,11 +167,7 @@ _STRUCTURE_CELLS = np.array([f"{structure.value}\n" for structure in _STRUCTURES
 def _structure_codes(N: int, indices: np.ndarray) -> np.ndarray:
     """:func:`classify_support` for one support per row of a ``(rows, n)``
     index array, as positions in ``_STRUCTURES``."""
-    # Gaps lie below N, so wrapped intp sums still give them exactly; an N
-    # beyond intp does not convert, and the gaps are taken on Python ints.
-    if N > np.iinfo(np.intp).max:
-        indices = indices.astype(object)
-    gaps = np.diff(indices, axis=1, append=indices[:, :1] + N)
+    gaps = _cyclic_gaps(N, indices)
     equal = (gaps == gaps[:, :1]).all(axis=1)
     adjacent = (gaps > 1).sum(axis=1) == 1
     nonadjacent = gaps.min(axis=1) >= 2
@@ -331,8 +328,7 @@ def schmidt_coefficients(spec: DetectorSpec) -> np.ndarray:
     are the Schmidt coefficients of the post-interaction pure state. For
     saturating scenarios exactly n of them equal ``1/sqrt(n)``.
     """
-    states = build_symmetric_set(spec).states
-    return np.linalg.svd(states / math.sqrt(spec.N), compute_uv=False)
+    return np.linalg.svd(build_symmetric_set(spec) / math.sqrt(spec.N), compute_uv=False)
 
 
 SATURATION_CSV_HEADER = ["N", "n", "support", "lambda_support", "entropy_sum", "saturating", "structure"]

@@ -6,7 +6,9 @@ carrying amplitude), one strictly positive amplitude per support index, and
 the diagonal root-of-unity phase action that generates the N detector states
 from the fiducial one. Everything downstream (discrimination measurements,
 entropic quantifiers, saturation analysis) consumes these types; all of them
-are immutable after construction. Sweeps
+are immutable after construction. The N detector states themselves are no
+type of their own: :func:`build_symmetric_set` returns them as the rows of
+one read-only ``[N, N]`` array, the array the measurement oracle takes. Sweeps
 hold many scenarios of one (N, n) as a :class:`SweepBlock` of arrays. Each
 rule is written once, on rows: a scalar type checks its one row through the
 same functions the block builders apply to every row.
@@ -27,7 +29,6 @@ __all__ = [
     "ValidationError",
     "Support",
     "DetectorSpec",
-    "SymmetricSet",
     "SweepBlock",
     "block_from_probabilities",
     "block_from_specs",
@@ -135,16 +136,16 @@ class Support:
 
     def cyclic_gaps(self) -> tuple[int, ...]:
         """Gaps between cyclically consecutive indices; the multiset sums to N."""
-        idx = self.indices
-        if len(idx) == 1:
-            return (self.N,)
-        gaps = [b - a for a, b in zip(idx, idx[1:])]
-        gaps.append(self.N - idx[-1] + idx[0])
-        return tuple(gaps)
+        return tuple(_cyclic_gaps(self.N, np.array([self.indices]))[0].tolist())
 
-    def label(self) -> str:
-        """Dash-joined index string used in CSV output, e.g. ``\"0-3\"``."""
-        return support_label(self.indices)
+
+def _cyclic_gaps(N: int, indices: np.ndarray) -> np.ndarray:
+    """:meth:`Support.cyclic_gaps` of each row of a ``(rows, n)`` index array."""
+    # Gaps are at most N, so wrapped intp sums still give them exactly; an N
+    # beyond intp does not convert, and the gaps are taken on Python ints.
+    if N > np.iinfo(np.intp).max:
+        indices = indices.astype(object)
+    return np.diff(indices, axis=1, append=indices[:, :1] + N)
 
 
 def support_label(indices) -> str:
@@ -218,46 +219,33 @@ def _is_uniform(probabilities: np.ndarray):
     return 1.0 - n * probabilities.min(axis=-1) <= DEGENERATE_FAILURE_ATOL
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricSet:
-    """The N detector states of a scenario, one per interferometer path.
-
-    ``states[l]`` is the length-N complex amplitude vector of state ``l``;
-    entries off the support are exactly zero. State ``l`` is the ``l``-fold
-    phase action applied to state 0, so the Gram matrix is circulant.
-    """
-
-    spec: DetectorSpec
-    states: np.ndarray
-
-    def gram(self) -> np.ndarray:
-        """Pairwise overlaps ``gram[i, j] = <state_i | state_j>``."""
-        return self.states.conj() @ self.states.T
-
-
-def build_symmetric_set(spec: DetectorSpec) -> SymmetricSet:
-    """Construct the N symmetric detector states of a scenario.
+def build_symmetric_set(spec: DetectorSpec) -> np.ndarray:
+    """The N symmetric detector states of a scenario, as the rows of one
+    read-only ``[N, N]`` complex array, one row per interferometer path.
 
     State ``l`` has amplitude ``a_k * exp(2j*pi*k*l/N)`` on each support
-    index ``k`` and zero elsewhere; every state is unit norm.
+    index ``k`` and zero elsewhere; every state is unit norm. State ``l`` is
+    the ``l``-fold phase action applied to state 0, so the Gram matrix
+    ``states.conj() @ states.T`` is circulant.
     """
-    indices = spec.support.indices
-    frame = _profile_states(spec.N, indices, 1.0, spec.amplitudes)
-    return SymmetricSet(spec=spec, states=_read_only(_embed(spec.N, indices, frame)))
+    states = _profile_states(spec.N, spec.support.indices, 1.0, spec.amplitudes, embed=True)
+    return _read_only(states)
 
 
-def _profile_states(n_paths: int, indices, scale, profile: np.ndarray) -> np.ndarray:
+def _profile_states(n_paths: int, indices, scale, profile, embed: bool = False) -> np.ndarray:
     """N vectors in the support frame, as rows ``[..., N, n]``: entry ``k``
     of row ``j`` is ``sqrt(scale) * profile_k * w^{jk}`` for support index
     ``indices[k]``; the vectors are zero off the support. ``profile`` holds
     one row (1-D) or one per scenario and level (any leading axes), with
     which ``indices`` and ``scale`` broadcast. With the amplitudes as profile
     and scale 1 the rows are the detector states; the measurement vectors
-    take other profiles. :func:`_embed` places them in the detector space."""
+    take other profiles. With ``embed`` the same vectors come in the
+    detector space, as rows ``[..., N, N]`` (see :func:`_embed`)."""
     _check_path_limit(n_paths, dense=True)
     grid = np.multiply.outer(np.asarray(indices), np.arange(n_paths))
     phases = np.swapaxes(np.exp(2j * np.pi * grid / n_paths), -1, -2)
-    return (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
+    rows = (np.sqrt(scale)[..., None] * profile)[..., None, :] * phases
+    return _embed(n_paths, np.asarray(indices)[..., None, :], rows) if embed else rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import duality_lab
 from duality_lab import (
     DetectorSpec,
+    ScatterDataset,
     Support,
     SweepConfig,
     build_frio_concatenated,
@@ -33,9 +34,9 @@ from duality_lab import (
     build_me_measurement,
     build_symmetric_set,
     spec_from_probabilities,
-    two_path_grid_dataset,
     uniform_spec,
 )
+from duality_lab.ensemble import two_path_grid
 from duality_lab.states import ValidationError
 
 INTS = [0, 1, 2, 3, 6, -1, True, False, np.int64(4), np.uint8(3)]
@@ -150,16 +151,15 @@ CALLS = {
     "SweepConfig": sweep_config,
     "sample_spec": lambda d: duality_lab.sample_spec(d(ints), d(ints), np.random.default_rng(0)),
     "run_sweep": lambda d: duality_lab.run_sweep(sweep_config(d)),
-    "two_path_grid_dataset": lambda d: two_path_grid_dataset(d(pairs()), d(ints)),
     "boundary_envelope": lambda d: duality_lab.boundary_envelope(
-        two_path_grid_dataset([("me", 0.0)], 3), d(ints)
+        ScatterDataset(*two_path_grid([("me", 0.0)], 3)), d(ints)
     ),
 }
 
 # Exported types that only hold values, with no checks of their own, and the
 # exception type.
 RECORDS = {
-    "ValidationError", "Strategy", "SupportStructure", "SymmetricSet", "SeparationParams",
+    "ValidationError", "Strategy", "SupportStructure", "SeparationParams",
     "Measurement", "OutcomeTable", "DualityPoint", "SaturationReport", "ScatterDataset",
 }  # fmt: skip
 

@@ -183,6 +183,30 @@ class TestScan:
         assert captured.out == ""
         assert captured.err == f"error: bin count must be an integer >= 2, got {int(bins)}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--manifest", "-"], "--manifest - needs --out FILE: the CSV already goes to stdout"),
+            (["--out", "-", "--bins", "10"],
+             "--bins needs a manifest for the envelope: give --out or --manifest"),
+        ],
+        ids=["manifest-after-csv-on-stdout", "bins-without-manifest"],
+    )  # fmt: skip
+    def test_output_flags_that_mix_or_drop_output_rejected(self, argv, message, capsys):
+        # The manifest JSON used to follow the CSV rows on stdout, and the
+        # envelope used to be computed and dropped.
+        assert run_cli("scan", "--N", "3", "--samples", "5", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_bins_with_a_manifest_file_and_csv_on_stdout(self, tmp_path, capsys):
+        manifest = tmp_path / "run.manifest.json"
+        argv = ["--N", "3", "--samples", "5", "--bins", "10", "--manifest", str(manifest)]
+        assert run_cli("scan", *argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert json.loads(manifest.read_text())["envelope"]
+
     def test_manifest_records_the_rng_contract_and_versions(self, tmp_path):
         out = tmp_path / "run.csv"
         assert run_cli("scan", "--N", "4", "--samples", "20", "--out", str(out)) == 0

@@ -12,6 +12,7 @@ import duality_lab
 from duality_lab import ensemble
 from duality_lab.ensemble import (
     Envelope,
+    ScatterDataset,
     SweepConfig,
     boundary_envelope,
     run_sweep,
@@ -19,14 +20,19 @@ from duality_lab.ensemble import (
     sample_spec,
     sweep_chunks,
     two_path_grid,
-    two_path_grid_dataset,
     write_chunks,
     write_manifest,
     write_points_csv,
 )
 from duality_lab.duality import EVAL_BLOCK_ENTRIES, evaluate_block, strategy_pair
 from duality_lab.measurements import Strategy
-from duality_lab.states import BLOCK_ROWS, ValidationError, enumerate_uniform_specs, uniform_block
+from duality_lab.states import (
+    BLOCK_ROWS,
+    ValidationError,
+    enumerate_uniform_specs,
+    support_label,
+    uniform_block,
+)
 
 from helpers import scalar_point
 
@@ -108,9 +114,9 @@ class TestStrategyPairs:
             lambda: sweep_config((("bogus", 0.0),)),
             lambda: sweep_config(()),
             lambda: sweep_config((("me",),)),
-            lambda: two_path_grid_dataset(()),
-            lambda: two_path_grid_dataset((("bogus", 0.0),)),
-            lambda: two_path_grid_dataset((("frio-concatenated", 1.5),)),
+            lambda: two_path_grid(()),
+            lambda: two_path_grid((("bogus", 0.0),)),
+            lambda: two_path_grid((("frio-concatenated", 1.5),)),
             lambda: evaluate_block(uniform_block(4, [[0, 1]]), ()),
             lambda: evaluate_block(uniform_block(4, [[0, 1]]), (("me", "x"),)),
             # Repeated once the minimum-error level is normalized to 0.0.
@@ -399,14 +405,14 @@ class TestRunSweep:
 
 class TestTwoPathGrid:
     def test_endpoints_hit_the_trivial_points(self):
-        dataset = two_path_grid_dataset((("frio-standard", 0.6),), steps=50)
+        dataset = ScatterDataset(*two_path_grid((("frio-standard", 0.6),), steps=50))
         first, last = dataset.points[0], dataset.points[-1]
         assert (first.knowledge, first.coherence) == pytest.approx((0.0, 1.0), abs=1e-9)
         assert (last.knowledge, last.coherence) == pytest.approx((1.0, 0.0), abs=1e-9)
 
     def test_points_are_grouped_per_strategy(self):
-        dataset = two_path_grid_dataset(
-            (("frio-standard", 0.0), ("frio-standard", 1.0)), steps=30
+        dataset = ScatterDataset(
+            *two_path_grid((("frio-standard", 0.0), ("frio-standard", 1.0)), steps=30)
         )
         assert len(dataset.points) == 60
         assert all(p.xi == 0.0 for p in dataset.points[:30])
@@ -414,7 +420,7 @@ class TestTwoPathGrid:
 
     def test_step_count_validated(self):
         with pytest.raises(ValidationError):
-            two_path_grid_dataset((("me", 0.0),), steps=1)
+            two_path_grid((("me", 0.0),), steps=1)
 
     def test_chunks_hold_one_pair_and_one_block_each(self):
         pairs = (("frio-standard", 0.2), ("frio-concatenated", 0.9))
@@ -438,7 +444,7 @@ class TestTwoPathGrid:
     def test_grid_matches_the_scalar_formulas(self):
         # The first grid point is one-dimensional, the rest two-dimensional.
         strategies = (("me", 0.0), ("frio-standard", 0.3), ("frio-concatenated", 1.0))
-        dataset = two_path_grid_dataset(strategies, steps=40)
+        dataset = ScatterDataset(*two_path_grid(strategies, steps=40))
         specs = [p.spec for p in dataset.points[:40]]
         assert [spec.n for spec in specs[:2]] == [1, 2]
         expected = [scalar_row(spec, tag, xi) for tag, xi in strategies for spec in specs]
@@ -497,7 +503,7 @@ class TestBoundaryEnvelope:
     def test_validation(self):
         with pytest.raises(ValidationError, match="at least one point"):
             Envelope(10).bounds()
-        dataset = two_path_grid_dataset((("me", 0.0),), steps=2)
+        dataset = ScatterDataset(*two_path_grid((("me", 0.0),), steps=2))
         with pytest.raises(ValidationError, match="bin count"):
             boundary_envelope(dataset, bins=1)
 
@@ -509,7 +515,7 @@ class TestBoundaryEnvelope:
 
 class TestOutputFormats:
     def test_csv_layout(self):
-        dataset = two_path_grid_dataset((("frio-standard", 0.6),), steps=3)
+        dataset = ScatterDataset(*two_path_grid((("frio-standard", 0.6),), steps=3))
         lines = csv_bytes(dataset).splitlines()
         assert lines[0] == "N,n,strategy,xi,K,C,sum,support"
         fields = lines[1].split(",")
@@ -527,7 +533,9 @@ class TestOutputFormats:
                 strategies=(("frio-concatenated", 0.0), ("frio-concatenated", 0.7)),
                 include_uniform_enumeration=True,
             )),
-            lambda: two_path_grid_dataset((("me", 0.0), ("frio-standard", 0.35)), steps=25),
+            lambda: ScatterDataset(
+                *two_path_grid((("me", 0.0), ("frio-standard", 0.35)), steps=25)
+            ),
         ],
         ids=["sweep", "grid"],
     )  # fmt: skip
@@ -539,7 +547,7 @@ class TestOutputFormats:
         for p in dataset.points:
             writer.writerow([
                 p.N, p.n, p.strategy.value, repr(p.xi), repr(p.knowledge),
-                repr(p.coherence), repr(p.duality_sum), p.spec.support.label(),
+                repr(p.coherence), repr(p.duality_sum), support_label(p.spec.support.indices),
             ])  # fmt: skip
         assert csv_bytes(dataset) == reference.getvalue()
         assert dataset.point_count == len(dataset.points)
@@ -607,7 +615,7 @@ class TestOutputFormats:
         assert payload["platform"] == platform.platform()
 
     def test_manifest_layout(self):
-        dataset = two_path_grid_dataset((("me", 0.0),), steps=4)
+        dataset = ScatterDataset(*two_path_grid((("me", 0.0),), steps=4))
         buffer = io.StringIO()
         write_manifest(
             buffer,

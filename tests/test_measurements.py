@@ -267,7 +267,7 @@ class TestOracleOutcomeTable:
     def test_closed_form_agreement_over_seeded_specs(self):
         for index, spec in enumerate(iter_specs(40, seed=505)):
             xi = (0.0, 0.25, 0.5, 0.75, 1.0)[index % 5]
-            sym = build_symmetric_set(spec)
+            states = build_symmetric_set(spec)
             params = separation_params(spec, xi)
             conclusive = conditional_conclusive(spec, xi)
             failure = conditional_failure(spec)
@@ -275,7 +275,7 @@ class TestOracleOutcomeTable:
                 build_frio_standard(spec, xi),
                 build_frio_concatenated(spec, xi),
             ):
-                table = oracle_outcome_table(sym, measurement)
+                table = oracle_outcome_table(states, measurement)
                 for label, prob in table.outcome_probs.items():
                     if label == "f":
                         expected = params.p_fail
@@ -311,11 +311,11 @@ class TestOracleOutcomeTable:
             for xi in (0.0, 0.4, 1.0):
                 measurements += [build_frio_standard(spec, xi), build_frio_concatenated(spec, xi)]
             elements = np.stack([matrix for m in measurements for matrix in m.elements])
-            sym = build_symmetric_set(spec)
+            detector = build_symmetric_set(spec)
             support = np.array(spec.support.indices)
             frames = (
-                (sym.states, elements),
-                (sym.states[:, support], elements[:, support[:, None], support]),
+                (detector, elements),
+                (detector[:, support], elements[:, support[:, None], support]),
             )
             for states, stack in frames:
                 arrays = oracle_arrays(states, stack)
@@ -335,10 +335,10 @@ class TestOracleOutcomeTable:
                         assert np.isnan(arrays.conditionals[e]).all()
 
     def test_dimension_mismatch_rejected(self):
-        sym = build_symmetric_set(uniform_spec(3, (0, 1)))
+        states = build_symmetric_set(uniform_spec(3, (0, 1)))
         measurement = build_me_measurement(uniform_spec(4, (0, 1)))
         with pytest.raises(ValidationError):
-            oracle_outcome_table(sym, measurement)
+            oracle_outcome_table(states, measurement)
 
 
 class TestJsonDump:

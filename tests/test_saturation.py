@@ -382,7 +382,7 @@ class TestSaturatingStatesStructure:
     def test_periodicity_and_orthonormality(self, N, m, tau):
         spec = saturating_spec(N, m, tau)
         n = N // m
-        states = build_symmetric_set(spec).states
+        states = build_symmetric_set(spec)
         # Strip the irrelevant global phase so the family repeats exactly.
         phases = np.exp(-2j * np.pi * tau * np.arange(N) / N)
         stripped = states * phases[:, None]

@@ -52,6 +52,18 @@ class TestSupport:
         assert Support(N=4, indices=(2,)).cyclic_gaps() == (4,)
 
     @pytest.mark.parametrize(
+        "N, indices, gaps",
+        [
+            (2**70, (0, 2**62), (2**62, 2**70 - 2**62)),
+            # The wrap-around sum 2^62 + N overflows intp; the gaps do not.
+            (2**63 - 1, (2**62, 2**63 - 2), (2**62 - 2, 2**62 + 1)),
+        ],
+        ids=["beyond-intp", "at-intp-max"],
+    )
+    def test_gaps_of_path_counts_at_the_intp_limit(self, N, indices, gaps):
+        assert Support(N=N, indices=indices).cyclic_gaps() == gaps
+
+    @pytest.mark.parametrize(
         "N, indices",
         [
             (1, (0,)),
@@ -139,55 +151,56 @@ class TestDetectorSpec:
 
 class TestBuildSymmetricSet:
     def test_two_path_orthogonal_pair(self):
-        sym = build_symmetric_set(uniform_spec(2, (0, 1)))
+        states = build_symmetric_set(uniform_spec(2, (0, 1)))
         inv_sqrt2 = 1 / math.sqrt(2)
-        np.testing.assert_allclose(sym.states[0], [inv_sqrt2, inv_sqrt2], atol=1e-15)
-        np.testing.assert_allclose(sym.states[1], [inv_sqrt2, -inv_sqrt2], atol=1e-12)
-        assert abs(np.vdot(sym.states[0], sym.states[1])) < 1e-12
+        np.testing.assert_allclose(states[0], [inv_sqrt2, inv_sqrt2], atol=1e-15)
+        np.testing.assert_allclose(states[1], [inv_sqrt2, -inv_sqrt2], atol=1e-12)
+        assert abs(np.vdot(states[0], states[1])) < 1e-12
 
     def test_six_path_equally_spaced_has_period_two(self):
-        sym = build_symmetric_set(uniform_spec(6, (0, 3)))
+        states = build_symmetric_set(uniform_spec(6, (0, 3)))
         for level in range(6):
             np.testing.assert_allclose(
-                sym.states[level], sym.states[(level + 2) % 6], atol=1e-12
+                states[level], states[(level + 2) % 6], atol=1e-12
             )
         np.testing.assert_allclose(
-            sym.states[1][3], -sym.states[0][3], atol=1e-12
+            states[1][3], -states[0][3], atol=1e-12
         )
 
     def test_one_dimensional_support_gives_identical_states(self):
-        sym = build_symmetric_set(uniform_spec(4, (0,)))
+        states = build_symmetric_set(uniform_spec(4, (0,)))
         for level in range(4):
-            np.testing.assert_allclose(sym.states[level], sym.states[0], atol=1e-15)
+            np.testing.assert_allclose(states[level], states[0], atol=1e-15)
 
     @given(detector_specs())
     def test_states_are_unit_norm(self, spec):
-        sym = build_symmetric_set(spec)
+        states = build_symmetric_set(spec)
         np.testing.assert_allclose(
-            np.linalg.norm(sym.states, axis=1), np.ones(spec.N), atol=1e-12
+            np.linalg.norm(states, axis=1), np.ones(spec.N), atol=1e-12
         )
 
     @given(detector_specs())
     def test_phase_action_steps_through_the_family(self, spec):
-        sym = build_symmetric_set(spec)
+        states = build_symmetric_set(spec)
         action = np.zeros(spec.N, dtype=complex)
         idx = list(spec.support.indices)
         action[idx] = np.exp(2j * np.pi * np.asarray(idx) / spec.N)
         for level in range(spec.N):
             np.testing.assert_allclose(
-                sym.states[(level + 1) % spec.N], action * sym.states[level], atol=1e-12
+                states[(level + 1) % spec.N], action * states[level], atol=1e-12
             )
 
     @given(detector_specs())
     def test_gram_matrix_is_circulant(self, spec):
-        gram = build_symmetric_set(spec).gram()
+        states = build_symmetric_set(spec)
+        gram = states.conj() @ states.T
         rolled = np.roll(np.roll(gram, 1, axis=0), 1, axis=1)
         assert np.abs(gram - rolled).max() < 1e-12
 
     @given(detector_specs())
     def test_reduced_state_is_diagonal_in_the_coefficients(self, spec):
-        sym = build_symmetric_set(spec)
-        rho = sym.states.T @ sym.states.conj() / spec.N
+        states = build_symmetric_set(spec)
+        rho = states.T @ states.conj() / spec.N
         expected = np.zeros((spec.N, spec.N), dtype=complex)
         idx = list(spec.support.indices)
         expected[idx, idx] = spec.probabilities
@@ -199,14 +212,15 @@ class TestOrthogonalityCharacterization:
     def test_uniform_sets_are_orthogonal_exactly_at_full_support(self, N):
         for n in range(1, N + 1):
             for spec in enumerate_uniform_specs(N, n):
-                gram = build_symmetric_set(spec).gram()
+                states = build_symmetric_set(spec)
+                gram = states.conj() @ states.T
                 orthogonal = np.abs(gram - np.eye(N)).max() < 1e-12
                 assert orthogonal == (n == N)
 
     def test_nonuniform_full_support_is_not_orthogonal(self):
         spec = spec_from_probabilities(4, (0, 1, 2, 3), (0.4, 0.3, 0.2, 0.1))
-        gram = build_symmetric_set(spec).gram()
-        assert np.abs(gram - np.eye(4)).max() > 1e-3
+        states = build_symmetric_set(spec)
+        assert np.abs(states.conj() @ states.T - np.eye(4)).max() > 1e-3
 
 
 class TestReducedDistribution:
@@ -431,7 +445,7 @@ class TestPathLimits:
             DENSE_ENTRY_POINTS[name](uniform_spec(N, (0, 1)))
 
     def test_dense_states_at_the_limit_built(self):
-        states = build_symmetric_set(uniform_spec(DENSE_MAX_PATHS, (0, 1))).states
+        states = build_symmetric_set(uniform_spec(DENSE_MAX_PATHS, (0, 1)))
         assert states.shape == (DENSE_MAX_PATHS, DENSE_MAX_PATHS)
 
     def test_coherence_needs_no_spectrum(self):

@@ -483,7 +483,7 @@ class TestFrame:
             outside = off[:, :, None] | off[:, None, :]
             states = _profile_states(n_paths, indices, 1.0, amps)
             for g, spec in enumerate(specs):
-                public = build_symmetric_set(spec).states
+                public = build_symmetric_set(spec)
                 assert not public[:, off[g]].any()
                 assert public[:, indices[g]].tobytes() == states[g].tobytes()
             public = [
