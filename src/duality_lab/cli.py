@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -138,6 +139,15 @@ def cmd_scan(args) -> int:
         raise ValidationError("--manifest - needs --out FILE: the CSV already goes to stdout")
     if envelope is not None and manifest_path is None:
         raise ValidationError("--bins needs a manifest for the envelope: give --out or --manifest")
+    # The manifest, written last, would replace the CSV in a regular file;
+    # a device such as /dev/null may take both.
+    if manifest_path is not None and not csv_to_stdout:
+        same = os.path.realpath(manifest_path) == os.path.realpath(args.out)
+        if same and (os.path.isfile(args.out) or not os.path.exists(args.out)):
+            raise ValidationError(
+                f"--manifest {manifest_path} is the --out file: "
+                "the manifest would overwrite the CSV"
+            )
     # Streamed: rows are written and enveloped chunk by chunk as they come.
     with _open_out(args.out) as handle:
         point_count = write_chunks(handle, chunks, envelope)

@@ -9,20 +9,27 @@ the C(N, n) subsets. The fixed per-sample draw order is: subspace dimension
 (only when sweeping all dimensions), support, coefficients; ``_draw`` is its
 one definition, shared by :func:`sample_spec`, the sweep and ``verify``.
 
-The sweep keeps the contract without constructing a generator per sample:
-``_pcg64_states`` computes the ``SeedSequence`` mixing and PCG64 seeding of a
-whole chunk's samples in one array pass, and the chunk's single generator is
-set to each sample's state in turn. Nor does it call ``choice`` per sample:
-it takes the raw PCG64 words that the dimension and support draws consume,
-then the exponentials, and ``_chunk_draws`` computes numpy's bounded draws
-(Lemire's method on 32-bit halves, low half first) and Floyd's set for
-every sample of a dimension at once. The choice's closing shuffle only
-consumes words, as supports are sorted. A sample is drawn by ``_draw``
-instead when numpy may have rejected one of its bounded draws and drawn
-again, or when its choice shuffles the tail of ``range(N)`` (N > 10,000 and
-n > N // 50). Each chunk checks its first state against :func:`sample_rng`,
-and its first sample's draws against ``_draw``, and raises if numpy seeds
-or draws differently.
+The sweep keeps the contract without running a generator per sample; a
+chunk's numbers are array arithmetic. ``_pcg64_states`` computes the
+``SeedSequence`` mixing and PCG64 seeding of all its samples, and
+``_raw_words`` steps their PCG64 streams (O'Neill 2014, PCG-XSL-RR 128/64)
+together: the 128-bit LCG on uint64 arrays of low and high words, then the
+XSL-RR output. From the words of a sample's dimension and support draws,
+``_support_picks`` computes numpy's bounded draws (Lemire's method on
+32-bit halves, low half first) and Floyd's set for every sample of a
+dimension at once; the choice's closing shuffle only consumes words, as
+supports are sorted. From the next words, ``_exponentials`` computes the
+fast path of numpy's 256-level ziggurat (Marsaglia and Tsang 2000),
+``ri * we[idx]`` when ``ri < ke[idx]``, whose tables each process probes
+and checks against numpy before its first use (``_exponential_tables``).
+From a sample's first word off the fast path, numpy draws its rest on the
+chunk's one generator, set to the sample's state there. A sample is drawn
+by ``_draw`` on that generator instead when numpy may have rejected one of
+its bounded draws and drawn again, when its choice shuffles the tail of
+``range(N)`` (N > 10,000 and n > N // 50), or when its dimension is above
+``_EMULATED_MAX_DIMENSION``, where ``choice`` costs less. Each chunk checks
+its first state against :func:`sample_rng`, and its first sample's draws
+against ``_draw``, and raises if numpy seeds or draws differently.
 
 Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
 objects: the draws of a chunk of samples are gathered into one block per
@@ -48,7 +55,7 @@ import json
 import math
 import platform
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -197,6 +204,28 @@ _STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # the same step in generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_LOW, _MULT_HIGH = _PCG64_MULT & (1 << 64) - 1, _PCG64_MULT >> 64
+_PCG64_INVERSE = pow(_PCG64_MULT, -1, 1 << 128)
+
+
+def _lcg_step(low: np.ndarray, high: np.ndarray, inc: np.ndarray):
+    """PCG64's LCG step ``state * mult + inc`` mod 2^128 on uint64 arrays of
+    the state's ``low`` and ``high`` words; ``inc`` is a ``(2, rows)`` word
+    array. The high word takes every product mod 2^64, as uint64 wraps, and
+    the carry out of the low word's product, computed on 32-bit halves so
+    that no partial sum overflows."""
+    a0, a1 = low & _MASK32, low >> 32
+    b0, b1 = _MULT_LOW & _MASK32, _MULT_LOW >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    new_low = (middle << 32 | p00 & _MASK32) + inc[0]
+    carried = p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32) + (new_low < inc[0])
+    return new_low, carried + low * _MULT_HIGH + high * _MULT_LOW + inc[1]
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """The Python ints of a ``(2, rows)`` array of low and high words."""
+    return [high << 64 | low for low, high in zip(words[0].tolist(), words[1].tolist())]
 
 
 def _hash_steps(start: int, multiplier: int):
@@ -219,20 +248,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return words ^ words >> 16
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+def _pcg64_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(state, inc)`` that ``sample_rng(seed, i)`` starts from, for
-    each sample ``i`` in ``start``..``stop - 1``.
+    each sample ``i`` in ``start``..``stop - 1``, as two ``(2, stop - start)``
+    uint64 arrays of low and high words.
 
     Computes numpy's ``SeedSequence(seed, spawn_key=(i,))`` entropy mixing
     and ``generate_state(4, np.uint64)`` as uint32 arithmetic over all the
-    samples at once, then PCG64's seeding step. The entropy is the seed's
-    32-bit words, low word first, padded with zeros to the pool size, then
-    the index's words (two from 2^32 on).
+    samples at once, then PCG64's seeding step. The entropy is the
+    seed's 32-bit words, low word first, padded with zeros to the pool size,
+    then the index's words (two from 2^32 on).
     """
     seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     seed_words += [0] * (_POOL - len(seed_words))
     wide = min(max(start, 1 << 32), stop)
-    states = []
+    parts = []
     for lo, hi in ((start, wide), (wide, stop)):
         if lo == hi:
             continue
@@ -251,43 +281,157 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
             for dst in range(_POOL):
                 pool[dst] = _mix(pool[dst], _hashmix(word, steps))
         steps = _hash_steps(*_STATE_HASH)
-        words = [_hashmix(pool[i % _POOL], steps).astype(np.uint64) for i in range(8)]
-        # Little-endian word pairs make the four uint64 seeds; the first two
-        # are initstate and the last two initseq, high half first.
-        state_hi, state_lo, seq_hi, seq_lo = (
-            (words[i] | words[i + 1] << 32).tolist() for i in range(0, 8, 2)
-        )
-        for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
-            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-            states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
+        parts.append([_hashmix(pool[i % _POOL], steps).astype(np.uint64) for i in range(8)])
+    # Little-endian word pairs make the four uint64 seeds: initstate, then
+    # initseq, each high word first. PCG64 seeds inc = initseq << 1 | 1 and
+    # state = (initstate + inc) * mult + inc.
+    words = np.concatenate(parts, axis=1)
+    state_high, state_low, seq_high, seq_low = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc = np.stack([seq_low << 1 | 1, seq_high << 1 | seq_low >> 63])
+    low = state_low + inc[0]
+    return np.stack(_lcg_step(low, state_high + inc[1] + (low < inc[0]), inc)), inc
 
 
-def _sample_generators(seed: int, start: int, stop: int):
-    """One generator, set in turn to the stream of each sample ``start``..
-    ``stop - 1``; the streams are :func:`sample_rng`'s.
+def _raw_words(state: np.ndarray, inc: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[r]`` raw PCG64 words (``random_raw``) of the
+    stream of each row ``r`` of the ``(state, inc)`` word arrays, as a
+    ``(rows, max(counts))`` array; ``counts`` must not increase from row to
+    row, and words past a row's count are zero.
 
-    The first sample's derived state is checked against :func:`sample_rng`,
-    so a numpy whose seeding differs fails here instead of drawing other
-    numbers.
+    Each step is O'Neill's PCG64 (PCG-XSL-RR 128/64, HMC-CS-2014-0905):
+    the 128-bit LCG ``state = state * mult + inc``, then the XSL-RR output
+    of the new state, its 64-bit halves xored and rotated right by its top
+    six bits.
     """
-    states = _pcg64_states(seed, start, stop)
+    words = np.zeros((len(counts), counts.max(initial=0)), dtype=np.uint64)
+    low, high = state
+    for k in range(words.shape[1]):
+        live = np.count_nonzero(counts > k)
+        low, high = _lcg_step(low[:live], high[:live], inc[:, :live])
+        mixed, rotation = high ^ low, high >> 58
+        words[:live, k] = mixed >> rotation | mixed << (64 - rotation & 63)
+    return words
+
+
+def _set_stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:
+    """``rng`` with its PCG64 set to ``(state, inc)``, with no buffered
+    half-word: ``choice`` can leave one behind."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _checked_generator(seed: int, start: int, state: np.ndarray, inc: np.ndarray):
+    """:func:`sample_rng` of sample ``start``, after checking that its state
+    is the first one derived, ``state[:, 0]`` and ``inc[:, 0]``, so a numpy
+    whose seeding differs fails here instead of drawing other numbers."""
     rng = sample_rng(seed, start)
-    bit_generator = rng.bit_generator
-    if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
+    derived = {"state": _ints(state[:, :1])[0], "inc": _ints(inc[:, :1])[0]}
+    if rng.bit_generator.state["state"] != derived:
         raise RuntimeError(
             f"numpy {np.__version__} seeds PCG64 from SeedSequence differently from "
             f"the derivation of RNG contract {RNG_CONTRACT} (seed {seed}, sample {start})"
         )
-    for state, inc in states:
-        # Reset the buffered half-word too: `choice` can leave one behind.
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    return rng
+
+
+def _sample_generators(seed: int, start: int, stop: int):
+    """One generator, set in turn to the stream of each sample ``start``..
+    ``stop - 1``; the streams are :func:`sample_rng`'s, the first one
+    checked against it."""
+    state, inc = _pcg64_states(seed, start, stop)
+    rng = _checked_generator(seed, start, state, inc)
+    for s, c in zip(_ints(state), _ints(inc)):
+        yield _set_stream(rng, s, c)
+
+
+# numpy's random_standard_exponential is Marsaglia and Tsang's 256-level
+# ziggurat (J. Stat. Softw. 5(8), 2000) on 64-bit words: a word w gives
+# ri = w >> 11 and the level idx = w >> 3 & 0xFF, and numpy returns
+# ri * we[idx] when ri < ke[idx]. Its tables are not exposed, so each process
+# probes them (see _exponential_tables), taking bounds this far below its
+# estimates of ke.
+_KE_MARGIN = 1 << 16
+
+
+def _set_words(rng: np.random.Generator, first: int, second: int) -> np.random.Generator:
+    """``rng`` set so that its states after one and two steps are ``first``
+    and ``second``, which fixes ``inc``; a state below 2^64 outputs its low
+    half, so those are also its next two raw words."""
+    inc = second - first * _PCG64_MULT & _MASK128
+    return _set_stream(rng, (first - inc) * _PCG64_INVERSE & _MASK128, inc)
+
+
+def _probe_exponential_tables(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat ``we``, and lower bounds of its ``ke``, from ``rng``.
+
+    ``we[idx]`` is the draw of the word with ri = 1 at level idx. A zero word
+    follows, so that level 1, which has no fast path, accepts in its slow
+    path. Marsaglia and Tsang's tables have ke[i] = x[i - 1] / x[i] * 2^53
+    for i >= 2, where we[i] = x[i] / 2^53, ke[0] = x[255] / x[0] * 2^53 and
+    ke[1] = 0; the bounds are those ratios less ``_KE_MARGIN``.
+    """
+    we = np.array([_set_words(rng, 1 << 11 | i << 3, 0).standard_exponential() for i in range(256)])
+    ratios = np.concatenate([we[255:] / we[:1], [0.0], we[1:-1] / we[2:]])
+    return we, np.maximum(ratios * 2.0**53 - _KE_MARGIN, 0).astype(np.uint64)
+
+
+def _check_exponential_tables(rng: np.random.Generator, we: np.ndarray, ke: np.ndarray) -> None:
+    """Raise unless, at every level idx with ``ke[idx] > 0``, numpy draws
+    ``we[idx]`` from ri = 1 and then ``ri * we[idx]`` from ri = ke[idx] - 1,
+    one word each. Its fast path is then exact on ``we[idx]`` and takes every
+    ri below ``ke[idx]``."""
+    for idx in np.flatnonzero(ke).tolist():
+        ri = int(ke[idx]) - 1
+        _set_words(rng, 1 << 11 | idx << 3, ri << 11 | idx << 3)
+        draws = rng.standard_exponential(), rng.standard_exponential()
+        steps = rng.bit_generator.state["state"]["state"]
+        if draws != (we[idx], ri * we[idx]) or steps != ri << 11 | idx << 3:
+            raise RuntimeError(
+                f"numpy {np.__version__} draws standard exponentials differently from the "
+                f"ziggurat emulation of RNG contract {RNG_CONTRACT} (level {idx})"
+            )
+
+
+@cache
+def _exponential_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The probed and checked ``(we, ke)`` ziggurat tables, read-only."""
+    rng = sample_rng(0, 0)
+    we, ke = _probe_exponential_tables(rng)
+    _check_exponential_tables(rng, we, ke)
+    we.flags.writeable = ke.flags.writeable = False
+    return we, ke
+
+
+def _exponentials(rng, state: np.ndarray, inc: np.ndarray, words: np.ndarray, offset: int):
+    """numpy's ``standard_exponential(n)`` of each row of the ``(rows, n)``
+    raw ``words``, which start ``offset`` words into the streams of the
+    ``(state, inc)`` word arrays.
+
+    A word numpy takes on its ziggurat's fast path gives ``ri * we[idx]``.
+    numpy draws the rest of a row from its first other word on: ``rng`` is
+    set to the row's state there, ``mult^k * state + (mult^(k-1) + .. + 1)
+    * inc`` after k steps.
+    """
+    we, ke = _exponential_tables()
+    ri, level = words >> 11, words >> 3 & 0xFF
+    draws = ri.astype(np.float64) * we[level]
+    slow = ri >= ke[level]
+    rows = np.flatnonzero(slow.any(axis=1))
+    firsts = slow[rows].argmax(axis=1).tolist()
+    jumps = [(1, 0)]
+    for _ in range(offset + max(firsts, default=0)):
+        multiplier, increment = jumps[-1]
+        jumps.append((multiplier * _PCG64_MULT & _MASK128, increment * _PCG64_MULT + 1 & _MASK128))
+    for row, first, s, c in zip(rows.tolist(), firsts, _ints(state[:, rows]), _ints(inc[:, rows])):
+        multiplier, increment = jumps[offset + first]
+        _set_stream(rng, (multiplier * s + increment * c) & _MASK128, c)
+        rng.standard_exponential(out=draws[row, first:])
+    return draws
 
 
 def _draw(rng: np.random.Generator, N: int, n: int | None):
@@ -358,68 +502,72 @@ def _support_picks(N: int, n: int, draws_dimension: bool, bounds: np.ndarray, wo
     return picks, rejected
 
 
+# The largest subspace dimension whose samples a chunk emulates. Above it,
+# most rows leave the ziggurat's fast path and the array passes cost more
+# per sample than _draw: at N = 1000, emulation won at n = 72, tied at 80
+# and lost at 90.
+_EMULATED_MAX_DIMENSION = 80
+
+
 def _chunk_draws(cfg: SweepConfig, start: int, stop: int):
     """The draws of samples ``start``..``stop - 1``, one ``(positions,
     supports, weights)`` per subspace dimension in increasing order, as
     :func:`_draw` makes them from :func:`sample_rng`: unsorted supports and
     unit exponential weights.
 
-    Per sample, only the raw PCG64 words of its dimension and support draws
-    are taken (their count follows from the dimension, read from the first
-    word when it is drawn), then its exponentials, which start where the
-    choice would have left off because 64-bit draws skip the buffered half
-    word. :func:`_support_picks` then computes the supports of every sample
-    of a dimension at once. A sample is drawn by :func:`_draw` instead when
-    numpy may have rejected one of its draws, or when its choice shuffles
-    the tail. Sample ``start`` is checked against :func:`_draw`, so a numpy
-    that draws differently fails here.
+    The samples' raw PCG64 words come from :func:`_raw_words`: the words of
+    their dimension and support draws (the count follows from the dimension,
+    read from the first word when it is drawn), then one word per
+    exponential, which start where the choice would have left off because
+    64-bit draws skip the buffered half-word. :func:`_support_picks` and
+    :func:`_exponentials` turn them into the draws of every sample of a
+    dimension at once. A sample is drawn by :func:`_draw` instead, on the
+    chunk's one generator, when numpy may have rejected one of its bounded
+    draws, when its choice shuffles the tail, or when its dimension is above
+    ``_EMULATED_MAX_DIMENSION``. Sample ``start`` is checked against
+    :func:`_draw`, so a numpy that draws differently fails here.
     """
-    N, draws_dimension = cfg.N, cfg.n is None
-    taken = {}  # dimension -> positions, first raw words, further raw words, exponentials
-    exact = {}  # position -> the draw of a sample drawn by _draw
-    bounds = {}  # dimension -> _draw_bounds
-    for i, rng in enumerate(_sample_generators(cfg.seed, start, stop)):
-        bits, n, rejected = rng.bit_generator, cfg.n, False
-        if draws_dimension:
-            first = bits.random_raw()
-            scaled = (first & _MASK32) * N
-            n, rejected = (scaled >> 32) + 1, scaled & _MASK32 < N
-        # numpy's choice shuffles the tail of range(N) instead of building
-        # Floyd's set when N > 10,000 and n > N // 50.
-        if rejected or (N > 10000 and n > N // 50):
-            exact[i] = _draw(sample_rng(cfg.seed, start + i), N, cfg.n)
-            n = len(exact[i][0])
-        group = taken.get(n)
-        if group is None:
-            group = taken[n] = ([], [], [], [])
-            bounds[n] = _draw_bounds(N, n, draws_dimension)
-        positions, firsts, words, exponentials = group
-        positions.append(i)
-        if i in exact:
-            continue
-        if draws_dimension:
-            firsts.append(first)
-        words.append(bits.random_raw((len(bounds[n]) + 1) // 2 - draws_dimension))
-        exponentials.append(rng.standard_exponential(n))
+    N, draws_dimension, rows = cfg.N, cfg.n is None, stop - start
+    state, inc = _pcg64_states(cfg.seed, start, stop)
+    rng = _checked_generator(cfg.seed, start, state, inc)
+    if draws_dimension:
+        scaled = (_raw_words(state, inc, np.ones(rows, dtype=np.intp))[:, 0] & _MASK32) * N
+        dims, by_draw = (scaled >> 32).astype(np.intp) + 1, (scaled & _MASK32) < N
+    else:
+        dims, by_draw = np.full(rows, cfg.n), np.zeros(rows, dtype=bool)
+    # numpy's choice shuffles the tail of range(N) instead of building
+    # Floyd's set when N > 10,000 and n > N // 50 (so n > 200).
+    by_draw |= (dims > _EMULATED_MAX_DIMENSION) | ((N > 10000) & (dims > N // 50))
+    parts = {}  # dimension -> (positions, supports, weights) parts
+
+    def draw_exactly(positions):
+        streams = zip(_ints(state[:, positions]), _ints(inc[:, positions]))
+        for i, (s, c) in zip(positions.tolist(), streams):
+            support, weights = _draw(_set_stream(rng, s, c), N, cfg.n)
+            parts.setdefault(len(support), []).append(([i], [support], [weights]))
+
+    draw_exactly(np.flatnonzero(by_draw))
+    # Sorted by falling dimension, so that word counts fall too; the rows of
+    # one dimension stay in position order.
+    emulated = np.flatnonzero(~by_draw)
+    emulated = emulated[np.argsort(-dims[emulated], kind="stable")]
+    bounds = {n: _draw_bounds(N, n, draws_dimension) for n in set(dims[emulated].tolist())}
+    heads = {n: (len(b) + 1) // 2 for n, b in bounds.items()}  # words before the exponentials
+    counts = np.array([heads[n] + n for n in dims[emulated].tolist()], dtype=np.intp)
+    words = _raw_words(state[:, emulated], inc[:, emulated], counts)
+    for n, head in heads.items():
+        span = slice(*np.searchsorted(-dims[emulated], [-n, -n + 1]))
+        positions = emulated[span]
+        picks, rejected = _support_picks(N, n, draws_dimension, bounds[n], words[span, :head])
+        exponentials = words[span, head : head + n]
+        weights = _exponentials(rng, state[:, positions], inc[:, positions], exponentials, head)
+        parts.setdefault(n, []).append((positions[~rejected], picks[~rejected], weights[~rejected]))
+        draw_exactly(positions[rejected])
     groups = []
-    for n in sorted(taken):
-        positions, firsts, words, exponentials = taken[n]
-        positions = np.array(positions)
-        supports = np.empty((len(positions), n), dtype=np.intp)
-        weights = np.empty((len(positions), n))
-        rows = np.flatnonzero([i not in exact for i in positions.tolist()])
-        if len(rows):
-            words = np.concatenate(words).reshape(len(rows), -1)
-            if draws_dimension:
-                words = np.column_stack([np.array(firsts, dtype=np.uint64), words])
-            supports[rows], rejected = _support_picks(N, n, draws_dimension, bounds[n], words)
-            weights[rows] = np.concatenate(exponentials).reshape(len(rows), n)
-            for i in positions[rows[rejected]].tolist():
-                exact[i] = _draw(sample_rng(cfg.seed, start + i), N, cfg.n)
-        for row, i in enumerate(positions.tolist()):
-            if i in exact:
-                supports[row], weights[row] = exact[i]
-        groups.append((positions, supports, weights))
+    for n in sorted(parts):
+        positions, supports, weights = (np.concatenate(part) for part in zip(*parts[n]))
+        order = np.argsort(positions)
+        groups.append((positions[order], supports[order], weights[order]))
     support, weights = next((s[0], w[0]) for p, s, w in groups if p[0] == 0)
     want_support, want_weights = _draw(sample_rng(cfg.seed, start), N, cfg.n)
     same_support = np.array_equal(np.sort(support), np.sort(want_support))

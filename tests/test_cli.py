@@ -200,6 +200,18 @@ class TestScan:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("spelling", ["same.csv", "./same.csv"])
+    def test_manifest_on_the_csv_file_rejected(self, tmp_path, monkeypatch, capsys, spelling):
+        # The manifest used to overwrite the CSV it was written after.
+        monkeypatch.chdir(tmp_path)
+        argv = ["--N", "3", "--samples", "5", "--out", "same.csv", "--manifest", spelling]
+        assert run_cli("scan", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"--manifest {spelling} is the --out file: the manifest would overwrite the CSV"
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "same.csv").exists()
+
     def test_bins_with_a_manifest_file_and_csv_on_stdout(self, tmp_path, capsys):
         manifest = tmp_path / "run.manifest.json"
         argv = ["--N", "3", "--samples", "5", "--bins", "10", "--manifest", str(manifest)]

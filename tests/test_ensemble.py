@@ -175,6 +175,12 @@ def reference_state(seed, index):
     return state["state"], state["inc"]
 
 
+def derived_states(seed, start, stop):
+    """``ensemble._pcg64_states`` as ``(state, inc)`` ints, one per sample."""
+    state, inc = ensemble._pcg64_states(seed, start, stop)
+    return list(zip(ensemble._ints(state), ensemble._ints(inc)))
+
+
 class TestChunkSeeding:
     """The sweep derives each chunk's generator states in one pass instead of
     constructing ``sample_rng`` per sample; both must give the same streams."""
@@ -182,10 +188,10 @@ class TestChunkSeeding:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
     def test_derived_states_equal_numpy_seeding(self, seed):
         # Across a chunk boundary, and across the switch to two-word indices.
-        states = ensemble._pcg64_states(seed, 0, 4098)
+        states = derived_states(seed, 0, 4098)
         for index in (0, 1, 4095, 4096, 4097):
             assert states[index] == reference_state(seed, index)
-        states = ensemble._pcg64_states(seed, 2**32 - 1, 2**32 + 8)
+        states = derived_states(seed, 2**32 - 1, 2**32 + 8)
         for index in (2**32 - 1, 2**32, 2**32 + 7):
             assert states[index - (2**32 - 1)] == reference_state(seed, index)
 
@@ -212,7 +218,8 @@ class TestChunkSeeding:
         derive = ensemble._pcg64_states
 
         def shifted(seed, start, stop):
-            return [(state ^ 1, inc) for state, inc in derive(seed, start, stop)]
+            state, inc = derive(seed, start, stop)
+            return state ^ np.array([[1], [0]], dtype=np.uint64), inc
 
         monkeypatch.setattr(ensemble, "_pcg64_states", shifted)
         cfg = SweepConfig(N=4, n=2, samples=10, strategies=(("me", 0.0),), seed=3)
@@ -297,11 +304,24 @@ class TestChunkDraws:
     def test_tail_shuffled_choices_are_drawn_per_sample(self, monkeypatch, n, redrawn):
         # Above 10,000 paths numpy shuffles the tail of range(N) once
         # n > N // 50. At n = 200 none of these samples has a draw numpy may
-        # reject, so only the check calls _draw.
+        # reject, so only the check calls _draw once the dimension limit no
+        # longer sends such samples to _draw.
         cfg = SweepConfig(N=10001, n=n, samples=24, strategies=(("me", 0.0),), seed=2)
+        monkeypatch.setattr(ensemble, "_EMULATED_MAX_DIMENSION", n)
         calls = counted_draws(monkeypatch)
         ensemble._chunk_draws(cfg, 0, 24)
         assert len(calls) == (1 + 24 if redrawn else 1)
+        monkeypatch.undo()
+        self.assert_draws_match(cfg, 0, 24)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_dimensions_above_the_limit_are_drawn_per_sample(self, monkeypatch, above):
+        # None of these samples has a draw numpy may reject.
+        n = ensemble._EMULATED_MAX_DIMENSION + above
+        cfg = SweepConfig(N=1000, n=n, samples=24, strategies=(("me", 0.0),), seed=4)
+        calls = counted_draws(monkeypatch)
+        ensemble._chunk_draws(cfg, 0, 24)
+        assert len(calls) == (1 + 24 if above else 1)
         monkeypatch.undo()
         self.assert_draws_match(cfg, 0, 24)
 
@@ -315,6 +335,98 @@ class TestChunkDraws:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def first_slow_branches(seed, start, stop, N, n):
+    """By sample, the branch of numpy's ziggurat at the first of its unit
+    exponentials that leaves the fast path: "tail" (level 0), "accept" (the
+    level test takes one more word) or "restart" (more words). Samples on
+    the fast path throughout are left out."""
+    branches = {}
+    for index in range(start, stop):
+        rng = sample_rng(seed, index)
+        size = int(rng.integers(1, N + 1)) if n is None else n
+        rng.choice(N, size=size, replace=False)
+        bits = rng.bit_generator
+        for _ in range(size):
+            peek = np.random.PCG64()
+            peek.state = bits.state
+            level = int(peek.random_raw()) >> 3 & 0xFF
+            rng.standard_exponential()
+            used = 1
+            while peek.state["state"] != bits.state["state"]:
+                peek.random_raw()
+                used += 1
+            if used > 1:
+                branches[index] = "tail" if level == 0 else "accept" if used == 2 else "restart"
+                break
+    return branches
+
+
+class TestChunkExponentials:
+    """The sweep takes each unit exponential that numpy's ziggurat draws on
+    its fast path from the raw word, and has numpy draw the rest of a sample
+    from its first other word; every sample must still get ``_draw``'s
+    numbers."""
+
+    @pytest.mark.parametrize("N, n, seed", [(6, 6, 5), (9, None, 8)], ids=["n=6", "n=all"])
+    def test_rows_leaving_the_fast_path_by_each_branch(self, N, n, seed):
+        branches = first_slow_branches(seed, 0, BLOCK_ROWS, N, n)
+        assert set(branches.values()) == {"tail", "accept", "restart"}
+        cfg = SweepConfig(N=N, n=n, samples=BLOCK_ROWS, strategies=(("me", 0.0),), seed=seed)
+        TestChunkDraws.assert_draws_match(cfg, 0, BLOCK_ROWS)
+
+    @pytest.mark.parametrize(
+        "seed, start", [(3, 2**32 - BLOCK_ROWS // 2), (2**64, 0), (2**128 + 1, BLOCK_ROWS)]
+    )
+    def test_wide_seeds_and_indices(self, seed, start):
+        # The first chunk crosses to two-word indices.
+        stop = start + BLOCK_ROWS
+        cfg = SweepConfig(N=6, n=6, samples=stop, strategies=(("me", 0.0),), seed=seed)
+        TestChunkDraws.assert_draws_match(cfg, start, stop)
+
+
+def exact_ke(rng, level):
+    """The least ri that numpy's ziggurat does not take on its fast path at
+    ``level``, by bisection: a fast draw takes one word."""
+    low, high = 0, 1 << 53
+    while low < high:
+        ri = (low + high) // 2
+        ensemble._set_words(rng, ri << 11 | level << 3, 1).standard_exponential()
+        if rng.bit_generator.state["state"]["state"] == ri << 11 | level << 3:
+            low = ri + 1
+        else:
+            high = ri
+    return low
+
+
+class TestExponentialTables:
+    def test_probed_tables_agree_with_a_full_reprobe(self):
+        rng = sample_rng(0, 0)
+        we, ke = ensemble._exponential_tables()
+        for level in range(256):
+            exact = exact_ke(rng, level)
+            assert ke[level] <= exact <= ke[level] + 2 * ensemble._KE_MARGIN
+            if exact:  # ri = 2^20 is on the fast path and scales we exactly
+                ensemble._set_words(rng, 1 << 31 | level << 3, 1)
+                assert rng.standard_exponential() == 2.0**20 * we[level]
+        assert ke[1] == 0
+
+    @pytest.mark.parametrize("table", ["we", "ke"])
+    def test_a_corrupted_entry_fails_the_check(self, table):
+        rng = sample_rng(0, 0)
+        we, ke = (values.copy() for values in ensemble._exponential_tables())
+        if table == "we":
+            we[100] = np.nextafter(we[100], 1.0)
+        else:  # one past numpy's bound
+            ke[100] = exact_ke(rng, 100) + 1
+        message = f"numpy {np.__version__} draws standard exponentials"
+        with pytest.raises(RuntimeError, match=message):
+            ensemble._check_exponential_tables(rng, we, ke)
+
+    def test_the_tables_are_read_only(self):
+        we, ke = ensemble._exponential_tables()
+        assert not (we.flags.writeable or ke.flags.writeable)
 
 
 class TestRunSweep:
