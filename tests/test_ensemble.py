@@ -304,8 +304,8 @@ class TestChunkDraws:
     def test_tail_shuffled_choices_are_drawn_per_sample(self, monkeypatch, n, redrawn):
         # Above 10,000 paths numpy shuffles the tail of range(N) once
         # n > N // 50. At n = 200 none of these samples has a draw numpy may
-        # reject, so only the check calls _draw once the dimension limit no
-        # longer sends such samples to _draw.
+        # reject, so with the dimension limit raised to n only the check
+        # calls _draw.
         cfg = SweepConfig(N=10001, n=n, samples=24, strategies=(("me", 0.0),), seed=2)
         monkeypatch.setattr(ensemble, "_EMULATED_MAX_DIMENSION", n)
         calls = counted_draws(monkeypatch)
