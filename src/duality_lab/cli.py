@@ -5,8 +5,8 @@ Subcommands: ``scan`` (random or two-path-grid sweeps to CSV + manifest),
 (brute-force census CSV plus a summary line), ``example`` (worked six-path
 regression values), ``povm`` (measurement dump as JSON), and ``verify``
 (randomized property suites). Exit codes: 0 success, 1 property failure,
-2 usage error, 3 I/O failure. Data goes to standard output, diagnostics to
-standard error.
+2 usage error, 3 I/O failure, 130 interrupted (SIGINT). Data goes to
+standard output, diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 STRATEGY_FLAGS = {
     "me": Strategy.ME,
@@ -367,6 +368,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -5,31 +5,32 @@ draws from its own generator, ``PCG64(SeedSequence(seed, spawn_key=(i,)))``,
 so a sample's draws do not depend on how the samples are split into chunks;
 output ordering is by sample index. Coefficient probabilities are drawn flat
 on the simplex (normalized unit exponentials) and supports uniformly over
-the C(N, n) subsets. The fixed per-sample draw order is: subspace dimension
-(only when sweeping all dimensions), support, coefficients; ``_draw`` is its
-one definition, shared by :func:`sample_spec`, the sweep and ``verify``.
+the C(N, n) subsets. The fixed per-sample draw order is: path count (only
+when drawn from a range, as in ``verify``), subspace dimension (only when
+sweeping all dimensions), support, coefficients; ``_draw_scenario`` is its
+one definition, and :func:`sample_spec` draws through its ``_draw``.
 
-The sweep keeps the contract without running a generator per sample; a
-chunk's numbers are array arithmetic. ``_pcg64_states`` computes the
+``_chunk_draws``, shared by the sweep and ``verify``, keeps the contract
+without running a generator per sample. ``_pcg64_states`` computes the
 ``SeedSequence`` mixing and PCG64 seeding of all its samples, and
 ``_raw_words`` steps their PCG64 streams (O'Neill 2014, PCG-XSL-RR 128/64)
 together: the 128-bit LCG on uint64 arrays of low and high words, then the
-XSL-RR output. From the words of a sample's dimension and support draws,
-``_support_picks`` computes numpy's bounded draws (Lemire's method on
-32-bit halves, low half first) and Floyd's set for every sample of a
-dimension at once; the choice's closing shuffle only consumes words, as
+XSL-RR output. From the words of a sample's path-count, dimension and
+support draws, ``_support_picks`` computes numpy's bounded draws (Lemire's
+method on 32-bit halves, low half first) and Floyd's set for every sample of
+an (N, n) at once; the choice's closing shuffle only consumes words, as
 supports are sorted. From the next words, ``_exponentials`` computes the
 fast path of numpy's 256-level ziggurat (Marsaglia and Tsang 2000),
-``ri * we[idx]`` when ``ri < ke[idx]``, whose tables each process probes
-and checks against numpy before its first use (``_exponential_tables``).
-From a sample's first word off the fast path, numpy draws its rest on the
-chunk's one generator, set to the sample's state there. A sample is drawn
-by ``_draw`` on that generator instead when numpy may have rejected one of
-its bounded draws and drawn again, when its choice shuffles the tail of
-``range(N)`` (N > 10,000 and n > N // 50), or when its dimension is above
+``ri * we[idx]`` when ``ri < ke[idx]``, whose tables each process probes and
+checks against numpy before its first use (``_exponential_tables``). From a
+sample's first word off the fast path, numpy draws its rest on the chunk's
+one generator, set to the sample's state there. A sample is drawn by
+``_draw_scenario`` on that generator instead when numpy may have rejected
+one of its bounded draws and drawn again, when its choice shuffles the tail
+of ``range(N)`` (N > 10,000 and n > N // 50), or when its dimension is above
 ``_EMULATED_MAX_DIMENSION``, where ``choice`` costs less. Each chunk checks
 its first state against :func:`sample_rng`, and its first sample's draws
-against ``_draw``, and raises if numpy seeds or draws differently.
+against the generator's, and raises if numpy seeds or draws differently.
 
 Sweeps work on array blocks (``states.SweepBlock``) and build no per-sample
 objects: the draws of a chunk of samples are gathered into one block per
@@ -325,30 +326,6 @@ def _set_stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Gen
     return rng
 
 
-def _checked_generator(seed: int, start: int, state: np.ndarray, inc: np.ndarray):
-    """:func:`sample_rng` of sample ``start``, after checking that its state
-    is the first one derived, ``state[:, 0]`` and ``inc[:, 0]``, so a numpy
-    whose seeding differs fails here instead of drawing other numbers."""
-    rng = sample_rng(seed, start)
-    derived = {"state": _ints(state[:, :1])[0], "inc": _ints(inc[:, :1])[0]}
-    if rng.bit_generator.state["state"] != derived:
-        raise RuntimeError(
-            f"numpy {np.__version__} seeds PCG64 from SeedSequence differently from "
-            f"the derivation of RNG contract {RNG_CONTRACT} (seed {seed}, sample {start})"
-        )
-    return rng
-
-
-def _sample_generators(seed: int, start: int, stop: int):
-    """One generator, set in turn to the stream of each sample ``start``..
-    ``stop - 1``; the streams are :func:`sample_rng`'s, the first one
-    checked against it."""
-    state, inc = _pcg64_states(seed, start, stop)
-    rng = _checked_generator(seed, start, state, inc)
-    for s, c in zip(_ints(state), _ints(inc)):
-        yield _set_stream(rng, s, c)
-
-
 # numpy's random_standard_exponential is Marsaglia and Tsang's 256-level
 # ziggurat (J. Stat. Softw. 5(8), 2000) on 64-bit words: a word w gives
 # ri = w >> 11 and the level idx = w >> 3 & 0xFF, and numpy returns
@@ -444,14 +421,23 @@ def _draw(rng: np.random.Generator, N: int, n: int | None):
     return rng.choice(N, size=n, replace=False), rng.standard_exponential(n)
 
 
-def _draw_bounds(N: int, n: int, draws_dimension: bool) -> np.ndarray:
+def _draw_scenario(rng: np.random.Generator, paths: tuple[int, int], n: int | None):
+    """One sample's ``(N, support, weights)`` in contract order: the path
+    count N from ``integers(lo, hi + 1)`` over ``paths = (lo, hi)``, which
+    draws nothing when lo == hi, then :func:`_draw`."""
+    N = int(rng.integers(paths[0], paths[1] + 1))
+    return (N, *_draw(rng, N, n))
+
+
+def _draw_bounds(N: int, n: int, leading: list[int]) -> np.ndarray:
     """The exclusive bounds of one sample's 32-bit draws before its
-    coefficients, in stream order, when numpy rejects none: the dimension
-    (when it is drawn), Floyd's steps ``j = N - n..N - 1`` except ``j = 0``,
-    which draws nothing, then the choice's shuffle steps ``i = n - 1..1``."""
+    coefficients, in stream order, when numpy rejects none: the ``leading``
+    path-count and dimension bounds of those drawn, Floyd's steps
+    ``j = N - n..N - 1`` except ``j = 0``, which draws nothing, then the
+    choice's shuffle steps ``i = n - 1..1``."""
     floyd = np.arange(max(N - n, 1) + 1, N + 1, dtype=np.uint64)
     shuffle = np.arange(n, 1, -1, dtype=np.uint64)
-    return np.concatenate([np.full(int(draws_dimension), N, dtype=np.uint64), floyd, shuffle])
+    return np.concatenate([np.array(leading, dtype=np.uint64), floyd, shuffle])
 
 
 def _floyd_picks(values: np.ndarray, N: int) -> np.ndarray:
@@ -477,13 +463,13 @@ def _floyd_picks(values: np.ndarray, N: int) -> np.ndarray:
     return np.where(collided, N - n + steps, values)
 
 
-def _support_picks(N: int, n: int, draws_dimension: bool, bounds: np.ndarray, words: np.ndarray):
+def _support_picks(N: int, n: int, leading: int, bounds: np.ndarray, words: np.ndarray):
     """The picks of ``choice(N, n, replace=False)``, in Floyd's step order,
     from raw PCG64 words, one sample per row, each row holding the draws of
-    ``bounds = _draw_bounds(N, n, draws_dimension)``; and whether numpy may
-    have rejected a draw of the row, which would make it draw more. Rows are
-    taken in slices of at most ``EVAL_BLOCK_ENTRIES`` draws, as the kernel
-    takes them."""
+    ``bounds = _draw_bounds(N, n, ...)`` with its ``leading`` bounds first;
+    and whether numpy may have rejected a draw of the row, which would make
+    it draw more. Rows are taken in slices of at most ``EVAL_BLOCK_ENTRIES``
+    draws, as the kernel takes them."""
     picks = np.empty((len(words), n), dtype=np.intp)
     rejected = np.empty(len(words), dtype=bool)
     step = max(1, EVAL_BLOCK_ENTRIES // len(bounds))
@@ -495,7 +481,7 @@ def _support_picks(N: int, n: int, draws_dimension: bool, bounds: np.ndarray, wo
         scaled = halves.astype(np.uint64) * bounds
         rejected[lo : lo + step] = ((scaled & _MASK32) < bounds).any(axis=1)
         values = (scaled >> 32).astype(np.int64)
-        floyd = values[:, int(draws_dimension) :][:, : n - (N == n)]
+        floyd = values[:, leading:][:, : n - (N == n)]
         if N == n:  # the step j = 0 draws nothing and picks 0
             floyd = np.concatenate([np.zeros((len(floyd), 1), dtype=np.int64), floyd], axis=1)
         picks[lo : lo + step] = _floyd_picks(floyd, N)
@@ -509,72 +495,87 @@ def _support_picks(N: int, n: int, draws_dimension: bool, bounds: np.ndarray, wo
 _EMULATED_MAX_DIMENSION = 80
 
 
-def _chunk_draws(cfg: SweepConfig, start: int, stop: int):
-    """The draws of samples ``start``..``stop - 1``, one ``(positions,
-    supports, weights)`` per subspace dimension in increasing order, as
-    :func:`_draw` makes them from :func:`sample_rng`: unsorted supports and
-    unit exponential weights.
+def _chunk_draws(seed: int, paths: tuple[int, int], n: int | None, start: int, stop: int):
+    """The draws of samples ``start``..``stop - 1``, one ``(N, positions,
+    supports, weights)`` per (N, n) in increasing order, as
+    :func:`_draw_scenario` makes them from :func:`sample_rng` over the path
+    counts ``paths = (lo, hi)``, ``(N, N)`` in a sweep: unsorted supports
+    and unit exponential weights.
 
     The samples' raw PCG64 words come from :func:`_raw_words`: the words of
-    their dimension and support draws (the count follows from the dimension,
-    read from the first word when it is drawn), then one word per
+    their path-count, dimension and support draws, then one word per
     exponential, which start where the choice would have left off because
-    64-bit draws skip the buffered half-word. :func:`_support_picks` and
-    :func:`_exponentials` turn them into the draws of every sample of a
-    dimension at once. A sample is drawn by :func:`_draw` instead, on the
-    chunk's one generator, when numpy may have rejected one of its bounded
-    draws, when its choice shuffles the tail, or when its dimension is above
+    64-bit draws skip the buffered half-word. The path count (bound
+    ``hi - lo + 1``, when lo < hi) and then the dimension (bound N, when
+    ``n`` is None) are drawn from the first word's halves, low half first,
+    and fix the count. :func:`_support_picks` and :func:`_exponentials` turn
+    the words into the draws of every sample of an (N, n) at once. A sample
+    is drawn by :func:`_draw_scenario` instead, on the chunk's one
+    generator, when numpy may have rejected one of its bounded draws, when
+    its choice shuffles the tail, or when its dimension is above
     ``_EMULATED_MAX_DIMENSION``. Sample ``start`` is checked against
-    :func:`_draw`, so a numpy that draws differently fails here.
+    :func:`_draw_scenario`, so a numpy that draws differently fails here.
     """
-    N, draws_dimension, rows = cfg.N, cfg.n is None, stop - start
-    state, inc = _pcg64_states(cfg.seed, start, stop)
-    rng = _checked_generator(cfg.seed, start, state, inc)
-    if draws_dimension:
-        scaled = (_raw_words(state, inc, np.ones(rows, dtype=np.intp))[:, 0] & _MASK32) * N
-        dims, by_draw = (scaled >> 32).astype(np.intp) + 1, (scaled & _MASK32) < N
-    else:
-        dims, by_draw = np.full(rows, cfg.n), np.zeros(rows, dtype=bool)
+    (lo, hi), rows = paths, stop - start
+    state, inc = _pcg64_states(seed, start, stop)
+    # The chunk's one generator is sample start's: a numpy whose seeding differs
+    # fails here, not later, and its draws of sample start check the emulation.
+    rng = sample_rng(seed, start)
+    derived = {"state": _ints(state[:, :1])[0], "inc": _ints(inc[:, :1])[0]}
+    if rng.bit_generator.state["state"] != derived:
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds PCG64 from SeedSequence differently from "
+            f"the derivation of RNG contract {RNG_CONTRACT} (seed {seed}, sample {start})"
+        )
+    want = _draw_scenario(rng, paths, n)
+    Ns, dims, by_draw = np.full(rows, lo), np.full(rows, n or 0), np.zeros(rows, dtype=bool)
+    if lo < hi or n is None:  # Lemire's draws on the first word's halves, as in _support_picks
+        halves = iter(_raw_words(state, inc, np.ones(rows, dtype=np.intp)).astype("<u8").view("<u4").T)
+    if lo < hi:
+        scaled = next(halves).astype(np.uint64) * (hi - lo + 1)
+        Ns, by_draw = lo + (scaled >> 32).astype(np.intp), (scaled & _MASK32) < hi - lo + 1
+    if n is None:
+        scaled = next(halves).astype(np.uint64) * Ns.astype(np.uint64)
+        dims, by_draw = 1 + (scaled >> 32).astype(np.intp), by_draw | ((scaled & _MASK32) < Ns)
     # numpy's choice shuffles the tail of range(N) instead of building
     # Floyd's set when N > 10,000 and n > N // 50 (so n > 200).
-    by_draw |= (dims > _EMULATED_MAX_DIMENSION) | ((N > 10000) & (dims > N // 50))
-    parts = {}  # dimension -> (positions, supports, weights) parts
-
-    def draw_exactly(positions):
-        streams = zip(_ints(state[:, positions]), _ints(inc[:, positions]))
-        for i, (s, c) in zip(positions.tolist(), streams):
-            support, weights = _draw(_set_stream(rng, s, c), N, cfg.n)
-            parts.setdefault(len(support), []).append(([i], [support], [weights]))
-
-    draw_exactly(np.flatnonzero(by_draw))
-    # Sorted by falling dimension, so that word counts fall too; the rows of
-    # one dimension stay in position order.
+    by_draw |= (dims > _EMULATED_MAX_DIMENSION) | ((Ns > 10000) & (dims > Ns // 50))
     emulated = np.flatnonzero(~by_draw)
-    emulated = emulated[np.argsort(-dims[emulated], kind="stable")]
-    bounds = {n: _draw_bounds(N, n, draws_dimension) for n in set(dims[emulated].tolist())}
-    heads = {n: (len(b) + 1) // 2 for n, b in bounds.items()}  # words before the exponentials
-    counts = np.array([heads[n] + n for n in dims[emulated].tolist()], dtype=np.intp)
-    words = _raw_words(state[:, emulated], inc[:, emulated], counts)
-    for n, head in heads.items():
-        span = slice(*np.searchsorted(-dims[emulated], [-n, -n + 1]))
-        positions = emulated[span]
-        picks, rejected = _support_picks(N, n, draws_dimension, bounds[n], words[span, :head])
-        exponentials = words[span, head : head + n]
+    keys = Ns[emulated] * (hi + 1) + dims[emulated]  # (N, n) as one number
+    distinct = sorted(set(keys.tolist()))
+    group, scenarios = np.searchsorted(distinct, keys), [divmod(key, hi + 1) for key in distinct]
+    leading = int(lo < hi) + int(n is None)
+    bounds = [_draw_bounds(N, m, [hi - lo + 1] * (lo < hi) + [N] * (n is None)) for N, m in scenarios]
+    heads = [(len(b) + 1) // 2 for b in bounds]  # words before the exponentials
+    counts = np.array([head + m for head, (_, m) in zip(heads, scenarios)], dtype=np.intp)
+    # Falling word counts, as _raw_words takes them, then by group, so that a
+    # group is one span of rows in position order.
+    order = np.lexsort((group, -counts[group]))
+    emulated, group = emulated[order], group[order]
+    words = _raw_words(state[:, emulated], inc[:, emulated], counts[group])
+    edges = np.flatnonzero(np.diff(group, prepend=-1)).tolist() + [len(group)]
+    parts = {}  # (N, n) -> (positions, supports, weights) parts
+    for a, b, g in zip(edges, edges[1:], group[edges[:-1]]):
+        (N, m), head, positions = scenarios[g], heads[g], emulated[a:b]
+        picks, rejected = _support_picks(N, m, leading, bounds[g], words[a:b, :head])
+        exponentials = words[a:b, head : head + m]
         weights = _exponentials(rng, state[:, positions], inc[:, positions], exponentials, head)
-        parts.setdefault(n, []).append((positions[~rejected], picks[~rejected], weights[~rejected]))
-        draw_exactly(positions[rejected])
+        parts.setdefault((N, m), []).append((positions[~rejected], picks[~rejected], weights[~rejected]))
+        by_draw[positions[rejected]] = True
+    exact = np.flatnonzero(by_draw)
+    for i, s, c in zip(exact.tolist(), _ints(state[:, exact]), _ints(inc[:, exact])):
+        N, support, weights = _draw_scenario(_set_stream(rng, s, c), paths, n)
+        parts.setdefault((N, len(support)), []).append(([i], [support], [weights]))
     groups = []
-    for n in sorted(parts):
-        positions, supports, weights = (np.concatenate(part) for part in zip(*parts[n]))
+    for N, m in sorted(parts):
+        positions, supports, weights = (np.concatenate(part) for part in zip(*parts[N, m]))
         order = np.argsort(positions)
-        groups.append((positions[order], supports[order], weights[order]))
-    support, weights = next((s[0], w[0]) for p, s, w in groups if p[0] == 0)
-    want_support, want_weights = _draw(sample_rng(cfg.seed, start), N, cfg.n)
-    same_support = np.array_equal(np.sort(support), np.sort(want_support))
-    if not (same_support and np.array_equal(weights, want_weights)):
+        groups.append((N, positions[order], supports[order], weights[order]))
+    got = next((N, sorted(s[0].tolist()), w[0].tolist()) for N, p, s, w in groups if p[0] == 0)
+    if got != (want[0], sorted(want[1].tolist()), want[2].tolist()):
         raise RuntimeError(
             f"numpy {np.__version__} draws differently from the emulation of RNG contract "
-            f"{RNG_CONTRACT} (seed {cfg.seed}, sample {start})"
+            f"{RNG_CONTRACT} (seed {seed}, sample {start})"
         )
     return groups
 
@@ -583,6 +584,15 @@ def _scenarios(supports: np.ndarray, weights: np.ndarray):
     """Sorted supports and flat-simplex probabilities of draws, one per row
     (or of one draw, as 1-D arrays)."""
     return np.sort(supports, axis=-1), weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _chunk_blocks(seed: int, paths: tuple[int, int], n: int | None, start: int, stop: int):
+    """The :func:`_chunk_draws` groups as ``(positions, block,
+    probabilities)``: one ``block_from_probabilities`` block of each
+    group's scenarios, validated row by row, and its probabilities."""
+    for N, positions, supports, weights in _chunk_draws(seed, paths, n, start, stop):
+        indices, probs = _scenarios(supports, weights)
+        yield positions, block_from_probabilities(N, indices, probs), probs
 
 
 def sample_spec(N: int, n: int, rng: np.random.Generator) -> DetectorSpec:
@@ -615,8 +625,7 @@ def _sweep_chunk(cfg: SweepConfig, start: int, stop: int):
     """Samples ``start``..``stop - 1``, one block per subspace dimension, and
     their order."""
     blocks, groups = [], []
-    for positions, supports, weights in _chunk_draws(cfg, start, stop):
-        block = block_from_probabilities(cfg.N, *_scenarios(supports, weights))
+    for positions, block, _ in _chunk_blocks(cfg.seed, (cfg.N, cfg.N), cfg.n, start, stop):
         blocks.append(evaluate_block(block, cfg.strategies))
         groups.append(positions)
     return blocks, _interleave(groups, len(cfg.strategies))

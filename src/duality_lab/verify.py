@@ -8,25 +8,25 @@ non-uniform scenarios with a clearly unique minimum coefficient), Parseval
 for the DFT spectrum, and the support-size uncertainty bound. Violations
 carry the failing scenario's checked block row as JSON, to replay it.
 
-Scenarios are checked as array blocks. They are drawn in index order, in
-chunks of at most ``BLOCK_ROWS``, as the sweep draws them: each takes its
-path count, then ``ensemble._draw``, from its ``_sample_generators``
-stream, and each (N, n) group of a chunk is one
+Scenarios are checked as array blocks, drawn in index order in chunks of at
+most ``BLOCK_ROWS`` through the sweep's chunk draw path,
+``ensemble._chunk_blocks``: each draws its path count over ``n_range``, then
+its dimension, support and weights, and each (N, n) group of a chunk is one
 ``block_from_probabilities`` block. A group's closed forms come from the
 functions the sweep kernel runs, ``duality._level_forms``,
 ``_failure_branch`` and ``_knowledge_table``, on the levels of
 ``DEFAULT_XI_GRID``, so the suites check the numbers that ``scan`` writes.
 Its measurements are built by the block rules behind the POVM builders for
 stacks of consecutive scenarios, in the support frame: each element is its
-n x n block on the support, where the POVM builders' N x N matrices are
-zero elsewhere. They go in report order through batches of consecutive
+n x n block on the support, where the POVM builders' N x N matrices are zero
+elsewhere. They go in report order through batches of consecutive
 measurements within ``STACK_ENTRIES`` entries, with one ``eigvalsh`` call
 and one oracle call per batch; a stack is one batch when its scenarios fit.
 Oracle rows are compared with the closed forms by position, in the fixed
 outcome order of the POVM builders. Every check is an array over a group or
 a stack, counted whole; only failed checks are worded, in the array's
-row-major order, and a chunk's violations are then put in index order.
-Every suite also keeps the largest gap it saw against each tolerance.
+row-major order, and a chunk's violations are then put in index order. Every
+suite also keeps the largest gap it saw against each tolerance.
 
 Only theorems are asserted. The square-root measurement minimises the error
 probability, not the mutual information, so at xi > 0 either separation
@@ -46,7 +46,7 @@ from itertools import accumulate
 import numpy as np
 
 from .duality import _failure_branch, _knowledge_table, _level_forms, _normalized_infos
-from .ensemble import _draw, _sample_generators, _scenarios
+from .ensemble import _chunk_blocks
 from .measurements import (
     COMPLETENESS_ATOL,
     MAX_POVM_PATHS,
@@ -65,7 +65,6 @@ from .states import (
     SweepBlock,
     ValidationError,
     _profile_states,
-    block_from_probabilities,
     is_int,
 )
 
@@ -162,22 +161,13 @@ class SuiteResult:
 
 
 class _Chunk:
-    """Scenarios ``start``..``stop - 1`` of a run as ``(rows, block)`` groups
-    in ascending (N, n) order, rows in index order, and the violations found
-    in them, held per suite until :meth:`flush` puts them in index order."""
+    """Scenarios ``start``..``stop - 1`` of a run as ``(rows, block,
+    probabilities)`` groups in ascending (N, n) order, rows in index order,
+    and the violations found in them, held per suite until :meth:`flush`
+    puts them in index order."""
 
     def __init__(self, seed: int, n_range: tuple[int, int], start: int, stop: int) -> None:
-        draws = {}  # (N, n) -> the (row, support, weights) draws of its scenarios
-        for row, rng in enumerate(_sample_generators(seed, start, stop)):
-            n_paths = int(rng.integers(n_range[0], n_range[1] + 1))
-            support, weights = _draw(rng, n_paths, None)
-            draws.setdefault((n_paths, len(support)), []).append((row, support, weights))
-        self.groups, self.probabilities = [], []  # per group, its drawn probabilities
-        for (n_paths, _), group in sorted(draws.items()):
-            rows, supports, weights = map(np.array, zip(*group))
-            indices, probs = _scenarios(supports, weights)
-            self.groups.append((rows, block_from_probabilities(n_paths, indices, probs)))
-            self.probabilities.append(probs)
+        self.groups = list(_chunk_blocks(seed, n_range, None, start, stop))
         self.found: dict[str, list] = {}
 
     def violate(self, result: SuiteResult, row, detail: str) -> None:
@@ -191,7 +181,7 @@ class _Chunk:
         failing = {row for found in self.found.values() for row, _ in found}
         replays = {
             row: json.dumps({"N": block.N, "support": support.tolist(), "coeffs_sq": p.tolist()})
-            for (rows, block), probs in zip(self.groups, self.probabilities)
+            for rows, block, probs in self.groups
             if failing.intersection(rows.tolist())
             for row, support, p in zip(rows.tolist(), block.indices, probs)
             if row in failing
@@ -667,7 +657,7 @@ def run_verification(
     # Chunks of at most BLOCK_ROWS scenarios keep memory flat in ``samples``.
     for start in range(0, samples, BLOCK_ROWS):
         chunk = _Chunk(seed, (lo, hi), start, min(start + BLOCK_ROWS, samples))
-        for rows, block in chunk.groups:
+        for rows, block, _ in chunk.groups:
             _check_group(results, chunk, rows, block, fault)
         chunk.flush(results)
     return results

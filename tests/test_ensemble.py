@@ -33,6 +33,7 @@ from duality_lab.states import (
     support_label,
     uniform_block,
 )
+from duality_lab.verify import run_verification
 
 from helpers import scalar_point
 
@@ -195,18 +196,6 @@ class TestChunkSeeding:
         for index in (2**32 - 1, 2**32, 2**32 + 7):
             assert states[index - (2**32 - 1)] == reference_state(seed, index)
 
-    @pytest.mark.parametrize("N, n", [(6, 6), (6, 3), (8, None)])
-    def test_reused_generator_draws_the_sample_streams(self, N, n):
-        start, stop = 4090, 4200
-        reused = [
-            ensemble._draw(rng, N, n)
-            for rng in ensemble._sample_generators(2**64 + 3, start, stop)
-        ]
-        fresh = [ensemble._draw(sample_rng(2**64 + 3, i), N, n) for i in range(start, stop)]
-        for (support, weights), (want_support, want_weights) in zip(reused, fresh, strict=True):
-            np.testing.assert_array_equal(support, want_support)
-            np.testing.assert_array_equal(weights, want_weights)
-
     def test_a_draw_can_leave_a_buffered_half_word(self):
         # Why every sample's state resets `has_uint32`: three of six paths
         # leave half of a 64-bit draw behind.
@@ -214,7 +203,27 @@ class TestChunkSeeding:
         ensemble._draw(rng, 6, 3)
         assert rng.bit_generator.state["has_uint32"] == 1
 
-    def test_wrong_derived_state_fails_the_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_a_one_value_path_count_draws_nothing(self, buffered):
+        # Why a sweep's one N is the range (N, N): numpy returns the one
+        # value without touching the stream or its buffered half-word.
+        rng = sample_rng(0, 0)
+        if buffered:
+            ensemble._draw(rng, 6, 3)
+        before = rng.bit_generator.state
+        assert before["has_uint32"] == buffered
+        assert rng.integers(6, 7) == 6
+        assert rng.bit_generator.state == before
+
+    # Each entry point's first chunk starts with a scenario that each fault
+    # changes: the runtime check compares only a chunk's first sample.
+    ENTRY_POINTS = {
+        "scan": lambda: run_sweep(SweepConfig(N=6, n=6, samples=10, strategies=(("me", 0.0),), seed=3)),
+        "verify": lambda: run_verification(10, seed=0, n_range=(2, 8)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_wrong_derived_state_fails_the_sweep(self, monkeypatch, entry):
         derive = ensemble._pcg64_states
 
         def shifted(seed, start, stop):
@@ -222,26 +231,25 @@ class TestChunkSeeding:
             return state ^ np.array([[1], [0]], dtype=np.uint64), inc
 
         monkeypatch.setattr(ensemble, "_pcg64_states", shifted)
-        cfg = SweepConfig(N=4, n=2, samples=10, strategies=(("me", 0.0),), seed=3)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):
-            run_sweep(cfg)
+            self.ENTRY_POINTS[entry]()
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("fault", ["consumption", "support"])
-    def test_wrong_emulated_draws_fail_the_sweep(self, monkeypatch, fault):
+    def test_wrong_emulated_draws_fail_the_sweep(self, monkeypatch, fault, entry):
         if fault == "consumption":  # one raw word too many before the exponentials
             bounds, extra = ensemble._draw_bounds, np.uint64([2, 2])
             monkeypatch.setattr(ensemble, "_draw_bounds", lambda *args: np.append(bounds(*args), extra))
         else:  # Floyd's set without its collision rule
             monkeypatch.setattr(ensemble, "_floyd_picks", lambda values, N: values)
-        cfg = SweepConfig(N=6, n=6, samples=10, strategies=(("me", 0.0),), seed=3)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__} draws differently"):
-            run_sweep(cfg)
+            self.ENTRY_POINTS[entry]()
 
 
 def counted_draws(monkeypatch):
     """Records every ``ensemble._draw`` call: the chunk's check of its first
-    sample makes one, and each sample drawn by ``_draw`` instead of the
-    emulation one more."""
+    sample makes one, and each sample drawn by ``_draw_scenario`` instead of
+    the emulation one more."""
     calls = []
     draw = ensemble._draw
 
@@ -253,33 +261,67 @@ def counted_draws(monkeypatch):
     return calls
 
 
+def chunk_draws(cfg, start, stop):
+    """``ensemble._chunk_draws`` of a sweep's samples: its one N is the
+    range ``(N, N)``."""
+    return ensemble._chunk_draws(cfg.seed, (cfg.N, cfg.N), cfg.n, start, stop)
+
+
 class TestChunkDraws:
-    """The sweep emulates each sample's dimension and support draws from its
-    raw PCG64 words; every sample must still get ``_draw``'s numbers."""
+    """A chunk emulates each sample's path-count, dimension and support
+    draws from its raw PCG64 words; every sample must still get the numbers
+    that numpy draws from ``sample_rng``."""
 
     @staticmethod
-    def assert_draws_match(cfg, start, stop):
-        draws = [ensemble._draw(sample_rng(cfg.seed, i), cfg.N, cfg.n) for i in range(start, stop)]
-        groups = ensemble._chunk_draws(cfg, start, stop)
-        assert [supports.shape[1] for _, supports, _ in groups] == sorted(
-            {len(weights) for _, weights in draws}
+    def assert_draws_match(seed, paths, n, start, stop):
+        draws = []
+        for i in range(start, stop):
+            rng = sample_rng(seed, i)
+            N = int(rng.integers(paths[0], paths[1] + 1))
+            draws.append((N, *ensemble._draw(rng, N, n)))
+        groups = ensemble._chunk_draws(seed, paths, n, start, stop)
+        assert [(N, supports.shape[1]) for N, _, supports, _ in groups] == sorted(
+            {(N, len(weights)) for N, _, weights in draws}
         )
         got = {}
-        for positions, supports, weights in groups:
-            got.update(zip(positions.tolist(), zip(supports, weights)))
+        for N, positions, supports, weights in groups:
+            got.update((i, (N, *draw)) for i, draw in zip(positions.tolist(), zip(supports, weights)))
         assert sorted(got) == list(range(stop - start))
-        for i, (support, weights) in enumerate(draws):
-            np.testing.assert_array_equal(np.sort(got[i][0]), np.sort(support))
-            np.testing.assert_array_equal(got[i][1], weights)
+        for i, (N, support, weights) in enumerate(draws):
+            assert got[i][0] == N
+            np.testing.assert_array_equal(np.sort(got[i][1]), np.sort(support))
+            np.testing.assert_array_equal(got[i][2], weights)
+
+    @classmethod
+    def assert_sweep_draws_match(cls, cfg, start, stop):
+        cls.assert_draws_match(cfg.seed, (cfg.N, cfg.N), cfg.n, start, stop)
 
     @pytest.mark.parametrize("N", range(2, 25))
     def test_every_dimension_across_a_chunk_boundary(self, N):
-        # A sweep takes N >= 2 paths. n = None draws the dimension first.
+        # A sweep takes N >= 2 paths, drawn from the one-value range (N, N).
+        # n = None draws the dimension first.
         for n in [None, *range(1, N + 1)]:
             cfg = SweepConfig(N=N, n=n, samples=2 * BLOCK_ROWS, strategies=(("me", 0.0),), seed=N)
             size = 48 if n is None else 8
-            self.assert_draws_match(cfg, BLOCK_ROWS - size, BLOCK_ROWS)
-            self.assert_draws_match(cfg, BLOCK_ROWS, BLOCK_ROWS + size)
+            self.assert_sweep_draws_match(cfg, BLOCK_ROWS - size, BLOCK_ROWS)
+            self.assert_sweep_draws_match(cfg, BLOCK_ROWS, BLOCK_ROWS + size)
+
+    @pytest.mark.parametrize(
+        "seed, paths, n",
+        [
+            (0, (2, 8), None),
+            (3, (2, 64), None),
+            (2**64, (9, 24), None),
+            (2**200 + 1, (2, 64), None),
+            (5, (6, 9), 3),
+        ],
+        ids=["n2to8", "n2to64", "n9to24-seed-2^64", "n2to64-seed-2^200", "n6to9-fixed-dimension"],
+    )
+    def test_path_count_ranges_across_a_chunk_boundary(self, seed, paths, n):
+        # verify's ranges draw the path count first, from the first word's
+        # low half, then the dimension from its high half.
+        self.assert_draws_match(seed, paths, n, BLOCK_ROWS - 300, BLOCK_ROWS)
+        self.assert_draws_match(seed, paths, n, BLOCK_ROWS, BLOCK_ROWS + 300)
 
     @pytest.mark.parametrize(
         "N, n, seed, start, stop",
@@ -295,10 +337,10 @@ class TestChunkDraws:
     def test_draws_numpy_may_reject_are_redrawn(self, monkeypatch, N, n, seed, start, stop):
         cfg = SweepConfig(N=N, n=n, samples=stop, strategies=(("me", 0.0),), seed=seed)
         calls = counted_draws(monkeypatch)
-        ensemble._chunk_draws(cfg, start, stop)
+        chunk_draws(cfg, start, stop)
         assert len(calls) >= 2
         monkeypatch.undo()
-        self.assert_draws_match(cfg, start, stop)
+        self.assert_sweep_draws_match(cfg, start, stop)
 
     @pytest.mark.parametrize("n, redrawn", [(200, False), (201, True)])
     def test_tail_shuffled_choices_are_drawn_per_sample(self, monkeypatch, n, redrawn):
@@ -309,10 +351,10 @@ class TestChunkDraws:
         cfg = SweepConfig(N=10001, n=n, samples=24, strategies=(("me", 0.0),), seed=2)
         monkeypatch.setattr(ensemble, "_EMULATED_MAX_DIMENSION", n)
         calls = counted_draws(monkeypatch)
-        ensemble._chunk_draws(cfg, 0, 24)
+        chunk_draws(cfg, 0, 24)
         assert len(calls) == (1 + 24 if redrawn else 1)
         monkeypatch.undo()
-        self.assert_draws_match(cfg, 0, 24)
+        self.assert_sweep_draws_match(cfg, 0, 24)
 
     @pytest.mark.parametrize("above", [False, True])
     def test_dimensions_above_the_limit_are_drawn_per_sample(self, monkeypatch, above):
@@ -320,17 +362,17 @@ class TestChunkDraws:
         n = ensemble._EMULATED_MAX_DIMENSION + above
         cfg = SweepConfig(N=1000, n=n, samples=24, strategies=(("me", 0.0),), seed=4)
         calls = counted_draws(monkeypatch)
-        ensemble._chunk_draws(cfg, 0, 24)
+        chunk_draws(cfg, 0, 24)
         assert len(calls) == (1 + 24 if above else 1)
         monkeypatch.undo()
-        self.assert_draws_match(cfg, 0, 24)
+        self.assert_sweep_draws_match(cfg, 0, 24)
 
     def test_memory_stays_small_at_the_path_limit(self):
         # A (4096, N) membership table would take 1 GiB at N = 2^18.
         cfg = SweepConfig(N=EVAL_BLOCK_ENTRIES, n=5, samples=BLOCK_ROWS, strategies=(("me", 0.0),), seed=0)
         tracemalloc.start()
         try:
-            ensemble._chunk_draws(cfg, 0, BLOCK_ROWS)
+            chunk_draws(cfg, 0, BLOCK_ROWS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -374,7 +416,7 @@ class TestChunkExponentials:
         branches = first_slow_branches(seed, 0, BLOCK_ROWS, N, n)
         assert set(branches.values()) == {"tail", "accept", "restart"}
         cfg = SweepConfig(N=N, n=n, samples=BLOCK_ROWS, strategies=(("me", 0.0),), seed=seed)
-        TestChunkDraws.assert_draws_match(cfg, 0, BLOCK_ROWS)
+        TestChunkDraws.assert_sweep_draws_match(cfg, 0, BLOCK_ROWS)
 
     @pytest.mark.parametrize(
         "seed, start", [(3, 2**32 - BLOCK_ROWS // 2), (2**64, 0), (2**128 + 1, BLOCK_ROWS)]
@@ -383,7 +425,7 @@ class TestChunkExponentials:
         # The first chunk crosses to two-word indices.
         stop = start + BLOCK_ROWS
         cfg = SweepConfig(N=6, n=6, samples=stop, strategies=(("me", 0.0),), seed=seed)
-        TestChunkDraws.assert_draws_match(cfg, start, stop)
+        TestChunkDraws.assert_sweep_draws_match(cfg, start, stop)
 
 
 def exact_ke(rng, level):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from duality_lab import ensemble
+from duality_lab import cli, ensemble
 from duality_lab.cli import main
 from duality_lab.ensemble import SweepConfig, _spans, resolve_workers, sweep_chunks
 from duality_lab.states import BLOCK_ROWS, ValidationError
@@ -274,7 +274,26 @@ class TestFailurePaths:
         chunks.close()
         assert_no_child_left()
 
+    def test_an_interrupt_exits_130_with_one_line(self, tmp_path, monkeypatch, force_workers, capsys):
+        # Interrupted after the first chunk, with the child forked: the
+        # stream is closed, which kills and reaps the child.
+        def interrupted(handle, chunks, envelope=None):
+            next(iter(chunks))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_chunks", interrupted)
+        forked = force_workers(2)
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--N", "6", "--n", "6", "--samples", str(4 * BLOCK_ROWS), "--out", str(out)]
+        assert main(argv) == 130
+        assert len(forked) == 1
+        assert capsys.readouterr().err == "interrupted\n"
+        assert_no_child_left()
+
     def test_sigint_stops_the_run_and_every_child(self, tmp_path):
+        # The child starts with SIGINT at its default disposition: started
+        # with it ignored, as a non-interactive shell starts a `&` job,
+        # Python installs no handler and the run never sees the signal.
         out = tmp_path / "scan.csv"
         code = (
             "import sys; from duality_lab import ensemble; ensemble.resolve_workers = lambda: 2; "
@@ -285,6 +304,7 @@ class TestFailurePaths:
             [sys.executable, "-c", code, *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(SRC)}, start_new_session=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )  # fmt: skip
         try:
             deadline = time.monotonic() + 60
@@ -297,9 +317,7 @@ class TestFailurePaths:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
-        assert proc.returncode != 0
+        assert proc.returncode == 130
+        assert stderr == b"interrupted\n"
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
-        # Only the parent's own KeyboardInterrupt traceback, if any.
-        assert stderr.count(b"Traceback") <= 1
-        assert stderr == b"" or stderr.rstrip().endswith(b"KeyboardInterrupt")

@@ -633,8 +633,9 @@ class TestCallBudget:
         # A failing scenario's replay is built from the block row its checks
         # ran on, so a faulted run draws nothing a second time, and each
         # replay is the scenario that draw_spec builds for its index. The
-        # one sample_rng call is the chunk's seeding check in
-        # _sample_generators, made for its first scenario.
+        # one sample_rng call is the chunk's generator in
+        # ensemble._chunk_draws: its seeding is checked, then it draws the
+        # chunk's first scenario to check the emulation against.
         ensemble = sys.modules["duality_lab.ensemble"]
         draws = [self.count_calls(monkeypatch, ensemble, n) for n in ("sample_rng", "sample_spec")]
         samples = 60
@@ -674,11 +675,11 @@ class TestChunks:
         # (N, n) group, the scenarios that draw_spec builds one at a time:
         # the same indices and amplitudes, bit for bit.
         chunk = verify._Chunk(seed, n_range, start, stop)
-        keys = [(block.N, block.n) for _, block in chunk.groups]
+        keys = [(block.N, block.n) for _, block, _ in chunk.groups]
         assert keys == sorted(set(keys))
-        drawn = np.concatenate([rows for rows, _ in chunk.groups])
+        drawn = np.concatenate([rows for rows, _, _ in chunk.groups])
         assert sorted(drawn.tolist()) == list(range(stop - start))
-        for rows, block in chunk.groups:
+        for rows, block, _ in chunk.groups:
             assert (np.diff(rows) > 0).all()
             for row, indices, amps in zip(rows.tolist(), block.indices, block.amps):
                 spec = draw_spec(seed, start + row, n_range)
