@@ -15,9 +15,10 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .duality import evaluate_point, strategy_pair
 from .ensemble import (
@@ -68,13 +69,47 @@ EXAMPLES = {
 
 
 @contextmanager
-def _open_out(path: str | None):
-    """Write target for a flag: a file when a path is given, stdout otherwise."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+def _outputs():
+    """Yields ``open_out(path)``, which opens a flag's write target: stdout
+    for no path or ``-``; a device or FIFO, such as ``/dev/null``, directly;
+    any other path, symlinks followed, as a new temporary file beside the
+    file it names, with that file's permission bits if it exists and the
+    umask's default otherwise. When the block completes, the temporary
+    files replace their targets in the order they were opened; when it
+    raises, ``KeyboardInterrupt`` included, they are deleted, so a failed
+    run leaves an earlier run's files as they were."""
+    staged = []  # (temporary name, target)
+
+    @contextmanager
+    def open_out(path: str | None):
+        if path is None or path == "-":
+            yield sys.stdout
+            return
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                yield handle
+            return
+        directory, name = os.path.split(target)
+        temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        staged.append((temporary, target))
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            if os.path.exists(target):
+                os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
             yield handle
+
+    try:
+        yield open_out
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    finally:
+        for temporary, _ in staged:
+            with suppress(FileNotFoundError):
+                os.unlink(temporary)
 
 
 def _parse_list(text: str, convert, what: str) -> list:
@@ -150,25 +185,28 @@ def cmd_scan(args) -> int:
                 "the manifest would overwrite the CSV"
             )
     # Streamed: rows are written and enveloped chunk by chunk as they come.
-    with _open_out(args.out) as handle:
-        point_count = write_chunks(handle, chunks, envelope)
-    wall_time = time.perf_counter() - started
-    if manifest_path is not None:
-        with _open_out(manifest_path) as handle:
-            write_manifest(
-                handle,
-                config=config,
-                wall_time=wall_time,
-                point_count=point_count,
-                envelope=None if envelope is None else envelope.bounds(),
-            )
+    # The CSV and then the manifest replace their files only once both are
+    # complete.
+    with _outputs() as open_out:
+        with open_out(args.out) as handle:
+            point_count = write_chunks(handle, chunks, envelope)
+        wall_time = time.perf_counter() - started
+        if manifest_path is not None:
+            with open_out(manifest_path) as handle:
+                write_manifest(
+                    handle,
+                    config=config,
+                    wall_time=wall_time,
+                    point_count=point_count,
+                    envelope=None if envelope is None else envelope.bounds(),
+                )
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     dim = _parse_dim(args.n, args.N)
     dims = range(1, args.N + 1) if dim is None else (dim,)
-    with _open_out(args.out) as handle:
+    with _outputs() as open_out, open_out(args.out) as handle:
         # Streamed by block, as C(N, n) lines outgrow memory, in spec_to_json_dict's format.
         for n in dims:
             blocks = uniform_supports(args.N, n)
@@ -187,7 +225,7 @@ def cmd_saturation(args) -> int:
         f"N={args.N} nontrivial saturating dimensions: "
         f"{','.join(map(str, dims)) if dims else 'none'} (eta-2 = {count})"
     )
-    with _open_out(args.out) as handle:
+    with _outputs() as open_out, open_out(args.out) as handle:
         write_saturation_csv(blocks, handle)
     # The summary goes to stdout only when the CSV does not.
     print(summary, file=sys.stdout if args.out not in (None, "-") else sys.stderr)
@@ -233,7 +271,7 @@ def cmd_povm(args) -> int:
         measurement = build_frio_standard(spec, xi)
     else:
         measurement = build_frio_concatenated(spec, xi)
-    with _open_out(args.out) as handle:
+    with _outputs() as open_out, open_out(args.out) as handle:
         json.dump(measurement_to_json_dict(measurement), handle, indent=2)
         handle.write("\n")
     return EXIT_OK

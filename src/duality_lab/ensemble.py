@@ -17,14 +17,15 @@ without running a generator per sample. ``_pcg64_states`` computes the
 together: the 128-bit LCG on uint64 arrays of low and high words, then the
 XSL-RR output. From the words of a sample's path-count, dimension and
 support draws, ``_support_picks`` computes numpy's bounded draws (Lemire's
-method on 32-bit halves, low half first) and Floyd's set for every sample of
-an (N, n) at once; the choice's closing shuffle only consumes words, as
-supports are sorted. From the next words, ``_exponentials`` computes the
-fast path of numpy's 256-level ziggurat (Marsaglia and Tsang 2000),
-``ri * we[idx]`` when ``ri < ke[idx]``, whose tables each process probes and
-checks against numpy before its first use (``_exponential_tables``). From a
-sample's first word off the fast path, numpy draws its rest on the chunk's
-one generator, set to the sample's state there. A sample is drawn by
+method on 32-bit halves, low half first) and Floyd's set, one membership
+test per step, for every sample of an (N, n) at once; the choice's closing
+shuffle only consumes words, as supports are sorted. From the next words,
+``_exponentials`` computes the fast path of numpy's 256-level ziggurat
+(Marsaglia and Tsang 2000), ``ri * we[idx]`` when ``ri < ke[idx]``, whose
+tables each process probes and checks against numpy before its first use
+(``_exponential_tables``). From a sample's first word off the fast path,
+numpy draws its rest on the chunk's one generator, set to the sample's
+stream and advanced to that word (``PCG64.advance``). A sample is drawn by
 ``_draw_scenario`` on that generator instead when numpy may have rejected
 one of its bounded draws and drawn again, when its choice shuffles the tail
 of ``range(N)`` (N > 10,000 and n > N // 50), or when its dimension is above
@@ -206,7 +207,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_LOW, _MULT_HIGH = _PCG64_MULT & (1 << 64) - 1, _PCG64_MULT >> 64
-_PCG64_INVERSE = pow(_PCG64_MULT, -1, 1 << 128)
 
 
 def _lcg_step(low: np.ndarray, high: np.ndarray, inc: np.ndarray):
@@ -293,24 +293,21 @@ def _pcg64_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndar
     return np.stack(_lcg_step(low, state_high + inc[1] + (low < inc[0]), inc)), inc
 
 
-def _raw_words(state: np.ndarray, inc: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The first ``counts[r]`` raw PCG64 words (``random_raw``) of the
-    stream of each row ``r`` of the ``(state, inc)`` word arrays, as a
-    ``(rows, max(counts))`` array; ``counts`` must not increase from row to
-    row, and words past a row's count are zero.
+def _raw_words(state: np.ndarray, inc: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw PCG64 words (``random_raw``) of each row's
+    stream in the ``(state, inc)`` word arrays, as a ``(rows, count)`` array.
 
     Each step is O'Neill's PCG64 (PCG-XSL-RR 128/64, HMC-CS-2014-0905):
     the 128-bit LCG ``state = state * mult + inc``, then the XSL-RR output
     of the new state, its 64-bit halves xored and rotated right by its top
     six bits.
     """
-    words = np.zeros((len(counts), counts.max(initial=0)), dtype=np.uint64)
+    words = np.empty((state.shape[1], count), dtype=np.uint64)
     low, high = state
-    for k in range(words.shape[1]):
-        live = np.count_nonzero(counts > k)
-        low, high = _lcg_step(low[:live], high[:live], inc[:, :live])
+    for k in range(count):
+        low, high = _lcg_step(low, high, inc)
         mixed, rotation = high ^ low, high >> 58
-        words[:live, k] = mixed >> rotation | mixed << (64 - rotation & 63)
+        words[:, k] = mixed >> rotation | mixed << (64 - rotation & 63)
     return words
 
 
@@ -337,10 +334,11 @@ _KE_MARGIN = 1 << 16
 
 def _set_words(rng: np.random.Generator, first: int, second: int) -> np.random.Generator:
     """``rng`` set so that its states after one and two steps are ``first``
-    and ``second``, which fixes ``inc``; a state below 2^64 outputs its low
-    half, so those are also its next two raw words."""
-    inc = second - first * _PCG64_MULT & _MASK128
-    return _set_stream(rng, (first - inc) * _PCG64_INVERSE & _MASK128, inc)
+    and ``second``, which fixes ``inc``, and then stepped back one word
+    (``advance`` by 2^128 - 1); a state below 2^64 outputs its low half, so
+    those are also its next two raw words."""
+    _set_stream(rng, first, second - first * _PCG64_MULT & _MASK128).bit_generator.advance(_MASK128)
+    return rng
 
 
 def _probe_exponential_tables(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -391,8 +389,7 @@ def _exponentials(rng, state: np.ndarray, inc: np.ndarray, words: np.ndarray, of
 
     A word numpy takes on its ziggurat's fast path gives ``ri * we[idx]``.
     numpy draws the rest of a row from its first other word on: ``rng`` is
-    set to the row's state there, ``mult^k * state + (mult^(k-1) + .. + 1)
-    * inc`` after k steps.
+    set to the row's stream and advanced (``PCG64.advance``) to that word.
     """
     we, ke = _exponential_tables()
     ri, level = words >> 11, words >> 3 & 0xFF
@@ -400,13 +397,8 @@ def _exponentials(rng, state: np.ndarray, inc: np.ndarray, words: np.ndarray, of
     slow = ri >= ke[level]
     rows = np.flatnonzero(slow.any(axis=1))
     firsts = slow[rows].argmax(axis=1).tolist()
-    jumps = [(1, 0)]
-    for _ in range(offset + max(firsts, default=0)):
-        multiplier, increment = jumps[-1]
-        jumps.append((multiplier * _PCG64_MULT & _MASK128, increment * _PCG64_MULT + 1 & _MASK128))
     for row, first, s, c in zip(rows.tolist(), firsts, _ints(state[:, rows]), _ints(inc[:, rows])):
-        multiplier, increment = jumps[offset + first]
-        _set_stream(rng, (multiplier * s + increment * c) & _MASK128, c)
+        _set_stream(rng, s, c).bit_generator.advance(offset + first)
         rng.standard_exponential(out=draws[row, first:])
     return draws
 
@@ -435,32 +427,19 @@ def _draw_bounds(N: int, n: int, leading: list[int]) -> np.ndarray:
     path-count and dimension bounds of those drawn, Floyd's steps
     ``j = N - n..N - 1`` except ``j = 0``, which draws nothing, then the
     choice's shuffle steps ``i = n - 1..1``."""
-    floyd = np.arange(max(N - n, 1) + 1, N + 1, dtype=np.uint64)
-    shuffle = np.arange(n, 1, -1, dtype=np.uint64)
-    return np.concatenate([np.array(leading, dtype=np.uint64), floyd, shuffle])
+    return np.array([*leading, *range(max(N - n, 1) + 1, N + 1), *range(n, 1, -1)], dtype=np.uint64)
 
 
 def _floyd_picks(values: np.ndarray, N: int) -> np.ndarray:
-    """Floyd's set, one sample per row, from the bounded values
-    ``values[:, t]`` of steps ``j = N - n + t``: a value already in the set
-    is replaced by ``j``. Returns the picks in step order."""
-    n = values.shape[1]
-    steps = np.arange(n)
-    # A value drawn at an earlier step is in the set, inserted then or before.
-    # Sorted (value, step) keys put each repeat right after an earlier draw.
-    keys = np.sort(values * n + steps, axis=1)
-    repeated = np.zeros(values.shape, dtype=bool)
-    np.put_along_axis(repeated, keys[:, 1:] % n, keys[:, 1:] // n == keys[:, :-1] // n, axis=1)
-    # Any other value is in the set only as the j of an earlier step that
-    # replaced its own value; follow such links back to where they settle.
-    earlier = values - (N - n)
-    cells = np.arange(values.size).reshape(values.shape)
-    linked = ~repeated & (earlier >= 0) & (earlier < steps)
-    links = np.where(linked, cells - steps + earlier, cells).ravel()
-    while not np.array_equal(hops := links[links], links):
-        links = hops
-    collided = repeated.ravel()[links].reshape(values.shape)
-    return np.where(collided, N - n + steps, values)
+    """Floyd's set (Bentley and Floyd, CACM 30(9), 1987), one sample per
+    row, from the bounded values ``values[:, t]`` of steps ``j = N - n + t``:
+    a value already among the picks is replaced by ``j``. Returns the picks
+    in step order. The picks are held step-major, so that each membership
+    test compares whole contiguous rows."""
+    n, picks = values.shape[1], values.T.copy()
+    for t in range(1, n):
+        picks[t, (picks[:t] == picks[t]).any(axis=0)] = N - n + t
+    return picks.T
 
 
 def _support_picks(N: int, n: int, leading: int, bounds: np.ndarray, words: np.ndarray):
@@ -481,18 +460,17 @@ def _support_picks(N: int, n: int, leading: int, bounds: np.ndarray, words: np.n
         scaled = halves.astype(np.uint64) * bounds
         rejected[lo : lo + step] = ((scaled & _MASK32) < bounds).any(axis=1)
         values = (scaled >> 32).astype(np.int64)
-        floyd = values[:, leading:][:, : n - (N == n)]
         if N == n:  # the step j = 0 draws nothing and picks 0
-            floyd = np.concatenate([np.zeros((len(floyd), 1), dtype=np.int64), floyd], axis=1)
-        picks[lo : lo + step] = _floyd_picks(floyd, N)
+            values = np.insert(values, leading, 0, axis=1)
+        picks[lo : lo + step] = _floyd_picks(values[:, leading : leading + n], N)
     return picks, rejected
 
 
 # The largest subspace dimension whose samples a chunk emulates. Above it,
-# most rows leave the ziggurat's fast path and the array passes cost more
-# per sample than _draw: at N = 1000, emulation won at n = 72, tied at 80
-# and lost at 90.
-_EMULATED_MAX_DIMENSION = 80
+# most rows leave the ziggurat's fast path, Floyd's loop grows as n^2, and
+# the array passes cost more per sample than _draw: at N = 1000, emulation
+# won at n = 74, tied at 76 and 78 and lost at 80.
+_EMULATED_MAX_DIMENSION = 74
 
 
 def _chunk_draws(seed: int, paths: tuple[int, int], n: int | None, start: int, stop: int):
@@ -530,7 +508,7 @@ def _chunk_draws(seed: int, paths: tuple[int, int], n: int | None, start: int, s
     want = _draw_scenario(rng, paths, n)
     Ns, dims, by_draw = np.full(rows, lo), np.full(rows, n or 0), np.zeros(rows, dtype=bool)
     if lo < hi or n is None:  # Lemire's draws on the first word's halves, as in _support_picks
-        halves = iter(_raw_words(state, inc, np.ones(rows, dtype=np.intp)).astype("<u8").view("<u4").T)
+        halves = iter(_raw_words(state, inc, 1).astype("<u8").view("<u4").T)
     if lo < hi:
         scaled = next(halves).astype(np.uint64) * (hi - lo + 1)
         Ns, by_draw = lo + (scaled >> 32).astype(np.intp), (scaled & _MASK32) < hi - lo + 1
@@ -541,26 +519,20 @@ def _chunk_draws(seed: int, paths: tuple[int, int], n: int | None, start: int, s
     # Floyd's set when N > 10,000 and n > N // 50 (so n > 200).
     by_draw |= (dims > _EMULATED_MAX_DIMENSION) | ((Ns > 10000) & (dims > Ns // 50))
     emulated = np.flatnonzero(~by_draw)
-    keys = Ns[emulated] * (hi + 1) + dims[emulated]  # (N, n) as one number
-    distinct = sorted(set(keys.tolist()))
-    group, scenarios = np.searchsorted(distinct, keys), [divmod(key, hi + 1) for key in distinct]
+    keys, group = np.unique(Ns[emulated] * (hi + 1) + dims[emulated], return_inverse=True)
+    scenarios = [divmod(key, hi + 1) for key in keys.tolist()]  # a key is (N, n) as one number
     leading = int(lo < hi) + int(n is None)
     bounds = [_draw_bounds(N, m, [hi - lo + 1] * (lo < hi) + [N] * (n is None)) for N, m in scenarios]
     heads = [(len(b) + 1) // 2 for b in bounds]  # words before the exponentials
-    counts = np.array([head + m for head, (_, m) in zip(heads, scenarios)], dtype=np.intp)
-    # Falling word counts, as _raw_words takes them, then by group, so that a
-    # group is one span of rows in position order.
-    order = np.lexsort((group, -counts[group]))
-    emulated, group = emulated[order], group[order]
-    words = _raw_words(state[:, emulated], inc[:, emulated], counts[group])
-    edges = np.flatnonzero(np.diff(group, prepend=-1)).tolist() + [len(group)]
+    count = max((head + m for head, (_, m) in zip(heads, scenarios)), default=0)
+    words = _raw_words(state[:, emulated], inc[:, emulated], count)
     parts = {}  # (N, n) -> (positions, supports, weights) parts
-    for a, b, g in zip(edges, edges[1:], group[edges[:-1]]):
-        (N, m), head, positions = scenarios[g], heads[g], emulated[a:b]
-        picks, rejected = _support_picks(N, m, leading, bounds[g], words[a:b, :head])
-        exponentials = words[a:b, head : head + m]
+    for g, ((N, m), head) in enumerate(zip(scenarios, heads)):
+        members = group == g
+        positions, exponentials = emulated[members], words[members, head : head + m]
+        picks, rejected = _support_picks(N, m, leading, bounds[g], words[members, :head])
         weights = _exponentials(rng, state[:, positions], inc[:, positions], exponentials, head)
-        parts.setdefault((N, m), []).append((positions[~rejected], picks[~rejected], weights[~rejected]))
+        parts[N, m] = [(positions[~rejected], picks[~rejected], weights[~rejected])]
         by_draw[positions[rejected]] = True
     exact = np.flatnonzero(by_draw)
     for i, s, c in zip(exact.tolist(), _ints(state[:, exact]), _ints(inc[:, exact])):
@@ -915,6 +887,9 @@ def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int,
     platform versions."""
     from . import __version__
 
+    # platform.platform() less the processor name, which Linux reads by running uname -p
+    host = [platform.system(), platform.release(), platform.machine()]
+    libc = "".join(platform.libc_ver())
     payload = {
         "config": config,
         "wall_time": wall_time,
@@ -924,7 +899,7 @@ def write_manifest(fileobj, *, config: dict, wall_time: float, point_count: int,
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "platform": platform.platform(),
+        "platform": "-".join(host + ["with", libc] if libc else host),
     }
     json.dump(payload, fileobj, indent=2)
     fileobj.write("\n")

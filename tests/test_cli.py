@@ -1,16 +1,19 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from duality_lab import ensemble
+from duality_lab import cli, ensemble
 from duality_lab.cli import main
 from duality_lab.duality import EVAL_BLOCK_ENTRIES
 from duality_lab.measurements import COMPLETENESS_ATOL
@@ -18,6 +21,7 @@ from duality_lab.states import (
     enumerate_uniform_specs,
     spec_from_json_dict,
     spec_to_json_dict,
+    uniform_block,
     uniform_spec,
 )
 from duality_lab.verify import TOLERANCES, run_verification
@@ -805,6 +809,98 @@ class TestVerify:
         assert run_cli("verify", "--samples", "2", "--seed", "-1") == 2
         err = capsys.readouterr().err
         assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+def files(directory):
+    """Every file of ``directory``, hidden ones included, with its bytes."""
+    return sorted((path.name, path.read_bytes()) for path in directory.iterdir())
+
+
+def no_space(*args, **kwargs):
+    """A writer that writes a line to any file it is given, then fails."""
+    for arg in (*args, *kwargs.values()):
+        if hasattr(arg, "write"):
+            arg.write("partial\n")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def uniform_block_failing_at_n2(N, indices):
+    if len(indices[0]) > 1:
+        no_space()
+    return uniform_block(N, indices)
+
+
+class TestOutputFiles:
+    """A regular-file ``--out`` (and the scan's manifest) is written under a
+    temporary name beside it and replaces the file only once the run is
+    complete, so a failed run leaves an earlier run's files as they were."""
+
+    @pytest.mark.parametrize(
+        "argv, name, failing",
+        [
+            (["scan", "--N", "4", "--samples", "50"], "write_chunks", no_space),
+            # The CSV is complete, but the manifest is not.
+            (["scan", "--N", "4", "--samples", "50"], "write_manifest", no_space),
+            (["saturation", "--N", "6"], "write_saturation_csv", no_space),
+            (["enumerate-uniform", "--N", "5"], "uniform_block", uniform_block_failing_at_n2),
+            (["povm", "--N", "4", "--support", "0,1"], "measurement_to_json_dict", no_space),
+        ],
+        ids=["scan-csv", "scan-manifest", "saturation", "enumerate-uniform", "povm"],
+    )
+    def test_a_failed_run_leaves_the_earlier_files(
+        self, tmp_path, monkeypatch, capsys, argv, name, failing
+    ):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        before = files(tmp_path)
+        monkeypatch.setattr(cli, name, failing)
+        # A scan takes another seed, so that a replaced file would differ.
+        again = [*argv, "--seed", "9"] if argv[0] == "scan" else argv
+        assert run_cli(*again, "--out", str(out)) == 3
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        assert files(tmp_path) == before
+
+    def test_permission_bits_are_those_of_a_plain_open(self, tmp_path):
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        umask = os.umask(0o027)
+        try:
+            for out in (existing, new):
+                assert run_cli("saturation", "--N", "4", "--out", str(out)) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640  # 0o666 less the umask
+        assert existing.read_bytes() == new.read_bytes()
+
+    def test_a_symlinked_out_updates_the_file_it_names(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real.name)
+        assert run_cli("scan", "--N", "4", "--samples", "50", "--out", str(link)) == 0
+        assert os.readlink(link) == real.name
+        assert real.read_text().startswith("N,n,strategy,")
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["link.csv", "link.csv.manifest.json", "real.csv"]
+
+    def test_devices_and_fifos_are_written_directly(self, tmp_path, capsys):
+        argv = ["scan", "--N", "4", "--samples", "50"]
+        assert run_cli(*argv) == 0
+        expected = capsys.readouterr().out.encode()
+        assert run_cli(*argv, "--out", "-") == 0
+        assert capsys.readouterr().out.encode() == expected
+        assert run_cli(*argv, "--out", os.devnull, "--manifest", os.devnull) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        fifo, read = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli(*argv, "--out", str(fifo), "--manifest", os.devnull) == 0
+        reader.join(timeout=60)
+        assert read == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo"]
 
 
 class TestModuleEntrypoint:

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,8 +318,20 @@ class TestChunkDraws:
             (2**64, (9, 24), None),
             (2**200 + 1, (2, 64), None),
             (5, (6, 9), 3),
+            # Long Floyd chains: every step of a full-dimension support, and
+            # 64 steps out of 200.
+            (7, (64, 64), 64),
+            (9, (200, 200), 64),
         ],
-        ids=["n2to8", "n2to64", "n9to24-seed-2^64", "n2to64-seed-2^200", "n6to9-fixed-dimension"],
+        ids=[
+            "n2to8",
+            "n2to64",
+            "n9to24-seed-2^64",
+            "n2to64-seed-2^200",
+            "n6to9-fixed-dimension",
+            "n64-full-dimension",
+            "n200-dimension-64",
+        ],
     )
     def test_path_count_ranges_across_a_chunk_boundary(self, seed, paths, n):
         # verify's ranges draw the path count first, from the first word's
@@ -766,7 +782,29 @@ class TestOutputFormats:
         assert payload["package_version"] == duality_lab.__version__
         assert payload["python_version"] == platform.python_version()
         assert payload["numpy_version"] == np.__version__
-        assert payload["platform"] == platform.platform()
+        # platform.platform()'s Linux text less the processor name: on a Linux
+        # host whose `uname -p` names no other processor, the same text.
+        host = [platform.system(), platform.release(), platform.machine()]
+        libc = "".join(platform.libc_ver())
+        assert payload["platform"] == "-".join(host + ["with", libc] if libc else host)
+
+    def test_manifest_starts_no_process(self):
+        # On Linux, the first platform.platform() call of an interpreter runs
+        # `uname -p` for the processor name.
+        code = (
+            "import io, subprocess\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('write_manifest started a process')\n"
+            "subprocess.Popen = refuse\n"
+            "from duality_lab.ensemble import write_manifest\n"
+            "write_manifest(io.StringIO(), config={}, wall_time=0.0, point_count=0, "
+            "envelope=None)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(duality_lab.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_manifest_layout(self):
         dataset = ScatterDataset(*two_path_grid((("me", 0.0),), steps=4))

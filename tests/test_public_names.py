@@ -50,3 +50,10 @@ def test_readme_names_resolve():
         if not hasattr(importlib.import_module(f"duality_lab.{module}"), name)
     ]
     assert not missing
+
+
+def test_readme_dimension_limit_matches_the_code():
+    from duality_lab import ensemble
+
+    pattern = r"dimension\s+above\s+(\d+)\s+\(`ensemble\._EMULATED_MAX_DIMENSION`\)"
+    assert re.findall(pattern, README.read_text()) == [str(ensemble._EMULATED_MAX_DIMENSION)]

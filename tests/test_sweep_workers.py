@@ -67,6 +67,17 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def files(directory):
+    """Every file of ``directory``, hidden ones included, with its bytes."""
+    return sorted((path.name, path.read_bytes()) for path in directory.iterdir())
+
+
+def earlier_scan(out):
+    """A finished scan to ``out`` and its manifest, for a later run to keep."""
+    argv = ["scan", "--N", "6", "--n", "6", "--samples", "1000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+
+
 def scan_outputs(tmp_path, argv):
     """The CSV bytes of a scan and its manifest without ``wall_time``."""
     out = tmp_path / "scan.csv"
@@ -201,22 +212,23 @@ class TestFailurePaths:
 
     def test_a_child_error_is_the_serial_error(self, tmp_path, monkeypatch, force_workers, capsys):
         # 5,000 samples are two spans of 2,500 for W = 1 and 2; with W = 2
-        # the second runs in the child.
+        # the second runs in the child. Either way the failed run leaves the
+        # earlier run's CSV and manifest as they were, and no temporary file.
+        out = tmp_path / "scan.csv"
+        earlier_scan(out)
+        before = files(tmp_path)
+
         def reject():
             raise ValidationError("scenario rejected at sample 2500")
 
         self.failing_at(monkeypatch, 2500, reject)
         argv = ["scan", "--N", "6", "--n", "all", "--samples", "5000", "--seed", "4"]
-        runs = []
         for workers in (1, 2):
             forked = force_workers(workers)
-            out = tmp_path / f"w{workers}.csv"
             assert main([*argv, "--out", str(out)]) == 2
             assert len(forked) == workers - 1
-            runs.append((capsys.readouterr().err, out.read_bytes()))
-        assert runs[1] == runs[0]
-        assert runs[0][0] == "error: scenario rejected at sample 2500\n"
-        assert runs[0][1].count(b"\n") == 1 + 2500
+            assert capsys.readouterr().err == "error: scenario rejected at sample 2500\n"
+            assert files(tmp_path) == before
         assert_no_child_left()
 
     def test_a_child_that_dies_is_named_by_its_chunk(self, monkeypatch, force_workers):
@@ -288,18 +300,24 @@ class TestFailurePaths:
         assert main(argv) == 130
         assert len(forked) == 1
         assert capsys.readouterr().err == "interrupted\n"
+        assert files(tmp_path) == []
         assert_no_child_left()
 
     def test_sigint_stops_the_run_and_every_child(self, tmp_path):
         # The child starts with SIGINT at its default disposition: started
         # with it ignored, as a non-interactive shell starts a `&` job,
         # Python installs no handler and the run never sees the signal.
+        # The earlier run's CSV and manifest stay as they were, and the
+        # interrupted run's temporary files go.
         out = tmp_path / "scan.csv"
+        earlier_scan(out)
+        before = files(tmp_path)
         code = (
             "import sys; from duality_lab import ensemble; ensemble.resolve_workers = lambda: 2; "
             "from duality_lab.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        argv = ["scan", "--N", "6", "--n", "6", "--samples", "10000000", "--out", str(out)]
+        argv = ["scan", "--N", "6", "--n", "6", "--samples", "10000000", "--seed", "2"]
+        argv += ["--out", str(out)]
         proc = subprocess.Popen(
             [sys.executable, "-c", code, *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -308,7 +326,7 @@ class TestFailurePaths:
         )  # fmt: skip
         try:
             deadline = time.monotonic() + 60
-            while not out.exists() or out.stat().st_size < 10_000:
+            while sum(path.stat().st_size for path in tmp_path.glob(".scan.csv.*.tmp")) < 10_000:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.02)
             os.killpg(proc.pid, signal.SIGINT)
@@ -319,5 +337,6 @@ class TestFailurePaths:
                 proc.wait()
         assert proc.returncode == 130
         assert stderr == b"interrupted\n"
+        assert files(tmp_path) == before
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
